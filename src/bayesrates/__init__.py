@@ -2,10 +2,10 @@
 
 Modules:
     divergences  grids, grid densities, divergence functionals
-    models       model families, priors, projections, likelihoods
-    inference    sequential posteriors, predictives, restricted numerator paths
+    models       model families, priors, the misspecified setup, likelihoods
+    inference    sequential posteriors, predictives, identity checks
     geometry     rate schedules, thickness, separation, coverings, sieves
-    experiments  data generation, Monte Carlo verification runs, rate fits
+    experiments  regimes, replication engine, certification, verifications
     cli          configuration parsing and the command-line driver
 """
 

@@ -28,6 +28,7 @@ import yaml
 from . import inference
 from .divergences import DivergenceError, default_grid, gaussian_density
 from .experiments import (
+    CERT_SEED_OFFSET,
     ExperimentError,
     ExperimentPlan,
     IidRegime,
@@ -69,33 +70,107 @@ from .models import (
 
 REGIMES = ("iid", "misspecified", "regression", "markov")
 
-VERIFICATIONS = (
-    "factorization",
-    "conditional-identity",
-    "thickness",
-    "separation",
-    "cover",
-    "sieve",
-    "cesaro",
-    "numerator-bound",
-    "evidence-bound",
-    "posterior-mass",
-)
 
-SUBCOMMAND_FAMILIES = {
-    "check": ("factorization", "conditional-identity", "thickness", "separation"),
-    "simulate": ("cesaro", "numerator-bound", "evidence-bound", "posterior-mass"),
-    "sieve": ("cover", "sieve"),
+@dataclass(frozen=True)
+class Verification:
+    """Where a verification runs, what it needs, and the CSV it writes.
+
+    ``optional`` holds trailing (column, unit) pairs that appear only when
+    the rows carry them.
+    """
+
+    command: str
+    csv: str
+    columns: tuple[str, ...]
+    units: tuple[str, ...]
+    statistic: str
+    needs: tuple[str, ...] = ()
+    needs_subset: bool = False
+    optional: tuple[tuple[str, str], ...] = ()
+
+
+VERIFICATIONS = {
+    "factorization": Verification(
+        "check", "factorization.csv",
+        ("n", "log_joint_direct", "log_joint_factored", "abs_diff"),
+        ("count", "log-density", "log-density", "log-density"),
+        "joint log marginal computed directly vs telescoped through one-step predictives",
+    ),
+    "conditional-identity": Verification(
+        "check", "conditional_identity.csv",
+        ("step", "lhs", "rhs", "abs_diff"),
+        ("count", "dimensionless", "dimensionless", "dimensionless"),
+        "one-step conditional expectation of the square-root predictive ratio "
+        "vs one minus the affinity gap",
+    ),
+    "thickness": Verification(
+        "check", "thickness.csv",
+        ("n", "epsilon", "neighborhood_mass", "implied_c"),
+        ("count", "rate", "probability", "dimensionless"),
+        "prior mass of the divergence neighborhood and the thickness constant it implies",
+    ),
+    "separation": Verification(
+        "check", "separation.csv",
+        ("n", "delta", "min_vertex_gap", "hull_gap_bound",
+         "closure_worst_violation", "mixture_min_gap", "certified"),
+        ("count", "gap", "gap", "gap", "gap", "gap", "flag"),
+        "subset admissibility: vertex gaps, convex-hull triangle bound, and "
+        "random-mixture checks against delta = d * n-rate",
+        needs=("d",), needs_subset=True,
+    ),
+    "cover": Verification(
+        "sieve", "covering.csv",
+        ("n", "epsilon", "radius", "far_atoms", "balls", "covered"),
+        ("count", "rate", "distance", "count", "count", "flag"),
+        "greedy covering of the far atoms at radius M * rate / 2",
+        needs=("M",),
+    ),
+    "sieve": Verification(
+        "sieve", "sieve.csv",
+        ("n", "epsilon", "balls", "j_n", "exhausted", "s_n", "complement_mass",
+         "uncovered_mass", "tail_bound", "mass_bound_max_violation",
+         "log_j_requested", "log_j_bound", "log_j_ok"),
+        ("count", "rate", "count", "count", "flag", "mass-root", "probability",
+         "probability", "probability", "probability", "log", "log", "flag"),
+        "highest-mass sieve kept to the defining inequality's ball count, with "
+        "per-index mass bounds and the complement tail chain",
+        needs=("beta", "r", "c", "M"),
+    ),
+    "cesaro": Verification(
+        "simulate", "cesaro.csv",
+        ("n", "epsilon", "mean", "std_error", "median"),
+        ("count", "rate", "nat", "nat", "nat"),
+        "running average of one-step predictive divergences from the sampling "
+        "density, across replications",
+    ),
+    "numerator-bound": Verification(
+        "simulate", "numerator_bound.csv",
+        ("n", "mean_sqrt_numerator", "std_error", "bound"),
+        ("count", "sqrt-mass", "sqrt-mass", "sqrt-mass"),
+        "mean square-root restricted numerator vs its certified exponential bound",
+        needs=("d",), needs_subset=True,
+    ),
+    "evidence-bound": Verification(
+        "simulate", "evidence_bound.csv",
+        ("n", "log_threshold", "fraction_below"),
+        ("count", "log", "probability"),
+        "fraction of replications whose log evidence ratio falls below the "
+        "thickness threshold",
+        needs=("c",),
+    ),
+    "posterior-mass": Verification(
+        "simulate", "posterior_mass.csv",
+        ("n", "epsilon", "far_set_size", "median_mass", "upper_quartile_mass"),
+        ("count", "rate", "count", "probability", "probability"),
+        "posterior mass of atoms farther than M * rate from the sampling truth",
+        needs=("M",), optional=(("near_set_median_mass", "probability"),),
+    ),
 }
 
 EXIT_PASS = 0
 EXIT_CRITERION_FAIL = 2
 EXIT_CONFIG_ERROR = 3
 EXIT_RUNTIME_ERROR = 4
-
-# offset mixed into the config seed for certification draws, so the
-# admissibility randomness never aliases a replication stream
-CERT_SEED_OFFSET = 202_020
 
 
 class ConfigError(Exception):
@@ -263,20 +338,13 @@ _TRUTH_KEYS = {
     "markov": {"theta": ("float", True)},
 }
 
-# verifications that cannot run without a given constant or section
-_NEEDED_PARAMS = {
-    "evidence-bound": ("c",),
-    "numerator-bound": ("d",),
-    "separation": ("d",),
-    "cover": ("M",),
-    "sieve": ("beta", "r", "c", "M"),
-    "posterior-mass": ("M",),
-}
-_NEEDS_SUBSET = ("numerator-bound", "separation")
 
+def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
+    """Validate the whole file; raises ConfigError carrying every complaint.
 
-def parse_config(path: str | Path) -> RunConfig:
-    """Validate the whole file; raises ConfigError carrying every complaint."""
+    ``overrides`` replaces top-level values (the command-line flags) before
+    the value checks run, so a flag is held to the same rules as the file.
+    """
     errors: list[str] = []
     root = _compose(Path(path))
     top = _Section(root, "top level", errors)
@@ -389,22 +457,6 @@ def parse_config(path: str | Path) -> RunConfig:
     u_set = top.get("u_set", "int-list")
     top.sweep_unknown()
 
-    if replications is not None and replications < 1:
-        errors.append(f"replications must be at least 1, got {replications}")
-    if jobs is not None and jobs < 1:
-        errors.append(f"jobs must be at least 1, got {jobs}")
-    if seed is not None and seed < 0:
-        errors.append(f"seed must be nonnegative, got {seed}")
-
-    for name in verify:
-        for const in _NEEDED_PARAMS.get(name, ()):
-            if params is None or getattr(params, const, None) is None:
-                errors.append(
-                    f"verification '{name}' needs params.{const} to be set"
-                )
-        if name in _NEEDS_SUBSET and not subset:
-            errors.append(f"verification '{name}' needs a top-level subset list")
-
     if family.get("weights") is not None:
         size_key = {"regression": "slopes", "markov": "thetas"}.get(regime, "means")
         atoms = family.get(size_key)
@@ -414,9 +466,7 @@ def parse_config(path: str | Path) -> RunConfig:
                 f"for {len(atoms)} atoms"
             )
 
-    if errors:
-        raise ConfigError(errors)
-    return RunConfig(
+    cfg = RunConfig(
         regime=regime,
         family=family,
         truth=truth,
@@ -432,6 +482,27 @@ def parse_config(path: str | Path) -> RunConfig:
         u_set=tuple(u_set) if u_set else None,
         verbosity=verbosity,
     )
+    cfg = replace(cfg, **(overrides or {}))
+
+    if cfg.replications is not None and cfg.replications < 1:
+        errors.append(f"replications must be at least 1, got {cfg.replications}")
+    if cfg.jobs is not None and cfg.jobs < 1:
+        errors.append(f"jobs must be at least 1, got {cfg.jobs}")
+    if cfg.seed is not None and cfg.seed < 0:
+        errors.append(f"seed must be nonnegative, got {cfg.seed}")
+    for name in cfg.verify:
+        spec = VERIFICATIONS.get(name)
+        if spec is None:
+            continue  # reported where the name was read
+        for const in spec.needs:
+            if cfg.params is None or getattr(cfg.params, const) is None:
+                errors.append(f"verification '{name}' needs params.{const} to be set")
+        if spec.needs_subset and not cfg.subset:
+            errors.append(f"verification '{name}' needs a top-level subset list")
+
+    if errors:
+        raise ConfigError(errors)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +596,21 @@ class VerificationResult:
     csv: str = ""
 
 
+def _record(name: str, cfg: RunConfig, out: Path, rows, passed, detail: str) -> VerificationResult:
+    """Write the verification's CSV as its table entry describes it."""
+    spec = VERIFICATIONS[name]
+    extra = spec.optional[: len(rows[0]) - len(spec.columns)] if rows else ()
+    write_csv(
+        out / spec.csv,
+        spec.columns + tuple(col for col, _ in extra),
+        spec.units + tuple(unit for _, unit in extra),
+        spec.statistic,
+        cfg.seed,
+        rows,
+    )
+    return VerificationResult(name, passed, detail, spec.csv)
+
+
 def _markov_split(data):
     if isinstance(data, np.ndarray):
         return data, None
@@ -538,18 +624,10 @@ def _run_factorization(cfg: RunConfig, regime, out: Path) -> VerificationResult:
     report = inference.factorization_check(
         regime.prior, [float(y) for y in y_seq], reference=regime.reference, y0=y0
     )
-    passed = report.abs_diff < 1e-9
-    name = "factorization.csv"
-    write_csv(
-        out / name,
-        ["n", "log_joint_direct", "log_joint_factored", "abs_diff"],
-        ["count", "log-density", "log-density", "log-density"],
-        "joint log marginal computed directly vs telescoped through one-step predictives",
-        cfg.seed,
-        [(n_check, report.log_joint_direct, report.log_joint_factored, report.abs_diff)],
-    )
-    return VerificationResult(
-        "factorization", passed, f"abs diff {report.abs_diff:.3g} over {n_check} steps", name
+    rows = [(n_check, report.log_joint_direct, report.log_joint_factored, report.abs_diff)]
+    return _record(
+        "factorization", cfg, out, rows, report.abs_diff < 1e-9,
+        f"abs diff {report.abs_diff:.3g} over {n_check} steps",
     )
 
 
@@ -566,42 +644,19 @@ def _run_conditional_identity(cfg: RunConfig, regime, out: Path) -> Verification
         worst = max(worst, diff)
         rows.append((i, report.lhs, report.rhs, diff))
         state = inference.update(state, float(y))
-    passed = worst < 1e-9
-    name = "conditional_identity.csv"
-    write_csv(
-        out / name,
-        ["step", "lhs", "rhs", "abs_diff"],
-        ["count", "dimensionless", "dimensionless", "dimensionless"],
-        "one-step conditional expectation of the square-root predictive ratio "
-        "vs one minus the affinity gap",
-        cfg.seed,
-        rows,
-    )
-    return VerificationResult(
-        "conditional-identity", passed, f"max abs diff {worst:.3g} over {n_check} steps", name
+    return _record(
+        "conditional-identity", cfg, out, rows, worst < 1e-9,
+        f"max abs diff {worst:.3g} over {n_check} steps",
     )
 
 
 def _run_thickness(cfg: RunConfig, regime, out: Path) -> VerificationResult:
     records = thickness_records(regime, cfg.schedule)
     fitted = fitted_thickness_constant(records)
-    rows = [
-        (r.n, r.epsilon, r.neighborhood_mass, r.implied_c) for r in records
-    ]
+    rows = [(r.n, r.epsilon, r.neighborhood_mass, r.implied_c) for r in records]
     passed = math.isfinite(fitted)
-    name = "thickness.csv"
-    write_csv(
-        out / name,
-        ["n", "epsilon", "neighborhood_mass", "implied_c"],
-        ["count", "rate", "probability", "dimensionless"],
-        "prior mass of the divergence neighborhood and the thickness constant it implies",
-        cfg.seed,
-        rows,
-    )
-    detail = (
-        f"fitted C = {fitted:.6g}" if passed else "empty divergence neighborhood"
-    )
-    return VerificationResult("thickness", passed, detail, name)
+    detail = f"fitted C = {fitted:.6g}" if passed else "empty divergence neighborhood"
+    return _record("thickness", cfg, out, rows, passed, detail)
 
 
 def _run_separation(cfg: RunConfig, regime, out: Path) -> VerificationResult:
@@ -620,22 +675,8 @@ def _run_separation(cfg: RunConfig, regime, out: Path) -> VerificationResult:
         except SubsetNotAdmissibleError as e:
             failure = str(e)
             rows.append((n, delta, math.nan, math.nan, math.nan, math.nan, False))
-    name = "separation.csv"
-    write_csv(
-        out / name,
-        ["n", "delta", "min_vertex_gap", "hull_gap_bound",
-         "closure_worst_violation", "mixture_min_gap", "certified"],
-        ["count", "gap", "gap", "gap", "gap", "gap", "flag"],
-        "subset admissibility: vertex gaps, convex-hull triangle bound, and "
-        "random-mixture checks against delta = d * n-rate",
-        cfg.seed,
-        rows,
-    )
-    if failure:
-        return VerificationResult("separation", False, failure, name)
-    return VerificationResult(
-        "separation", True, f"certified at all {len(rows)} schedule points", name
-    )
+    detail = failure or f"certified at all {len(rows)} schedule points"
+    return _record("separation", cfg, out, rows, not failure, detail)
 
 
 def _run_cesaro(cfg: RunConfig, regime, out: Path) -> VerificationResult:
@@ -659,18 +700,8 @@ def _run_cesaro(cfg: RunConfig, regime, out: Path) -> VerificationResult:
         (n, cfg.schedule.epsilon(n), mean[k], se[k], med[k]) for k, n in enumerate(ns)
     ]
     passed = bool(np.all(np.diff(med) < 0.0))
-    name = "cesaro.csv"
-    write_csv(
-        out / name,
-        ["n", "epsilon", "mean", "std_error", "median"],
-        ["count", "rate", "nat", "nat", "nat"],
-        "running average of one-step predictive divergences from the sampling "
-        "density, across replications",
-        cfg.seed,
-        rows,
-    )
     detail = f"median path {med[0]:.4g} -> {med[-1]:.4g}, mean log-log slope {slope:.3g}"
-    return VerificationResult("cesaro", passed, detail, name)
+    return _record("cesaro", cfg, out, rows, passed, detail)
 
 
 def _run_numerator_bound(cfg: RunConfig, regime, out: Path) -> VerificationResult:
@@ -683,36 +714,19 @@ def _run_numerator_bound(cfg: RunConfig, regime, out: Path) -> VerificationResul
         subset_ids=cfg.subset,
         params=cfg.params,
     )
-    name = "numerator_bound.csv"
     try:
         report = verify_numerator_bound(plan, jobs=cfg.jobs, closure_draws=100)
     except SubsetNotAdmissibleError as e:
-        write_csv(
-            out / name,
-            ["n", "mean_sqrt_numerator", "std_error", "bound"],
-            ["count", "sqrt-mass", "sqrt-mass", "sqrt-mass"],
-            "mean square-root restricted numerator vs its certified exponential bound",
-            cfg.seed,
-            [],
-        )
-        return VerificationResult("numerator-bound", False, str(e), name)
+        return _record("numerator-bound", cfg, out, [], False, str(e))
     rows = [
         (n, report.empirical_mean[k], report.std_error[k], report.bound[k])
         for k, n in enumerate(report.n_values)
     ]
-    write_csv(
-        out / name,
-        ["n", "mean_sqrt_numerator", "std_error", "bound"],
-        ["count", "sqrt-mass", "sqrt-mass", "sqrt-mass"],
-        "mean square-root restricted numerator vs its certified exponential bound",
-        cfg.seed,
-        rows,
-    )
     detail = (
         f"d = {report.d}, implied C = {report.implied_c:.4g}, "
         f"worst margin {float(np.max(report.empirical_mean - report.bound)):.3g}"
     )
-    return VerificationResult("numerator-bound", report.passed, detail, name)
+    return _record("numerator-bound", cfg, out, rows, report.passed, detail)
 
 
 def _run_evidence_bound(cfg: RunConfig, regime, out: Path) -> VerificationResult:
@@ -723,40 +737,21 @@ def _run_evidence_bound(cfg: RunConfig, regime, out: Path) -> VerificationResult
         seed=cfg.seed,
         params=cfg.params,
     )
-    name = "evidence_bound.csv"
     try:
         report = verify_evidence_bound(
             plan, jobs=cfg.jobs, enforce_thickness=not cfg.allow_thin_evidence
         )
     except ExperimentError as e:
-        write_csv(
-            out / name,
-            ["n", "log_threshold", "fraction_below"],
-            ["count", "log", "probability"],
-            "fraction of replications whose log evidence ratio falls below the "
-            "thickness threshold",
-            cfg.seed,
-            [],
-        )
-        return VerificationResult("evidence-bound", False, str(e), name)
+        return _record("evidence-bound", cfg, out, [], False, str(e))
     rows = [
         (n, report.thresholds[k], report.fractions[k])
         for k, n in enumerate(report.n_values)
     ]
-    write_csv(
-        out / name,
-        ["n", "log_threshold", "fraction_below"],
-        ["count", "log", "probability"],
-        "fraction of replications whose log evidence ratio falls below the "
-        "thickness threshold",
-        cfg.seed,
-        rows,
-    )
     passed = bool(report.fractions[-1] <= 0.1 and report.trend_slope <= 1e-12)
     detail = (
         f"final fraction {report.fractions[-1]:.4g}, trend slope {report.trend_slope:.3g}"
     )
-    return VerificationResult("evidence-bound", passed, detail, name)
+    return _record("evidence-bound", cfg, out, rows, passed, detail)
 
 
 def _run_posterior_mass(cfg: RunConfig, regime, out: Path) -> VerificationResult:
@@ -775,27 +770,13 @@ def _run_posterior_mass(cfg: RunConfig, regime, out: Path) -> VerificationResult
         if report.u_medians is not None:
             row.append(report.u_medians[k])
         rows.append(tuple(row))
-    cols = ["n", "epsilon", "far_set_size", "median_mass", "upper_quartile_mass"]
-    units = ["count", "rate", "count", "probability", "probability"]
-    if report.u_medians is not None:
-        cols.append("near_set_median_mass")
-        units.append("probability")
-    name = "posterior_mass.csv"
-    write_csv(
-        out / name,
-        cols,
-        units,
-        "posterior mass of atoms farther than M * rate from the sampling truth",
-        cfg.seed,
-        rows,
-    )
     # the far set grows as the rate shrinks, so the median path need not be
     # monotone step to step; the claim is decay overall and at the cap
     final_ok = report.medians[-1] < 0.05
     trend_ok = report.medians[0] == 0.0 or report.medians[-1] <= report.medians[0]
     passed = bool(final_ok and trend_ok)
     detail = f"median far mass {report.medians[0]:.4g} -> {report.medians[-1]:.4g}"
-    return VerificationResult("posterior-mass", passed, detail, name)
+    return _record("posterior-mass", cfg, out, rows, passed, detail)
 
 
 def _run_cover_and_sieve(cfg: RunConfig, regime, out: Path) -> list[VerificationResult]:
@@ -833,41 +814,15 @@ def _run_cover_and_sieve(cfg: RunConfig, regime, out: Path) -> list[Verification
              sieve.mass_bound_max_violation, sieve.log_j_requested,
              sieve.log_j_bound, sieve.log_j_ok)
         )
-    cover_name = "covering.csv"
-    write_csv(
-        out / cover_name,
-        ["n", "epsilon", "radius", "far_atoms", "balls", "covered"],
-        ["count", "rate", "distance", "count", "count", "flag"],
-        "greedy covering of the far atoms at radius M * rate / 2",
-        cfg.seed,
-        cover_rows,
-    )
-    sieve_name = "sieve.csv"
-    write_csv(
-        out / sieve_name,
-        ["n", "epsilon", "balls", "j_n", "exhausted", "s_n", "complement_mass",
-         "uncovered_mass", "tail_bound", "mass_bound_max_violation",
-         "log_j_requested", "log_j_bound", "log_j_ok"],
-        ["count", "rate", "count", "count", "flag", "mass-root", "probability",
-         "probability", "probability", "probability", "log", "log", "flag"],
-        "highest-mass sieve kept to the defining inequality's ball count, with "
-        "per-index mass bounds and the complement tail chain",
-        cfg.seed,
-        sieve_rows,
-    )
-    results = [
-        VerificationResult(
-            "cover", cover_ok,
-            "; ".join(notes) if notes else "all far atoms covered at every n",
-            cover_name,
-        )
-    ]
+    cover_detail = "; ".join(notes) if notes else "all far atoms covered at every n"
     if sieve_rows:
-        detail = f"max per-index violation {max(r[9] for r in sieve_rows):.3g}"
+        sieve_detail = f"max per-index violation {max(r[9] for r in sieve_rows):.3g}"
     else:
-        detail = "no nonempty far set on this schedule"
-    results.append(VerificationResult("sieve", sieve_ok, detail, sieve_name))
-    return results
+        sieve_detail = "no nonempty far set on this schedule"
+    return [
+        _record("cover", cfg, out, cover_rows, cover_ok, cover_detail),
+        _record("sieve", cfg, out, sieve_rows, sieve_ok, sieve_detail),
+    ]
 
 
 _RUNNERS = {
@@ -886,13 +841,19 @@ _RUNNERS = {
 # summary bookkeeping
 
 
+def _read_summary(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise json.JSONDecodeError(f"corrupt {path}: {e.msg}", e.doc, e.pos) from None
+
+
 def _update_summary(out: Path, seed: int, results: Sequence[VerificationResult]) -> None:
+    """Merge results into summary.json; entries from another seed are dropped."""
     path = out / "summary.json"
-    data = {"seed": seed, "verifications": {}}
-    if path.exists():
-        data = json.loads(path.read_text())
-        data["seed"] = seed
-        data.setdefault("verifications", {})
+    data = _read_summary(path) if path.exists() else {}
+    if data.get("seed") != seed:
+        data = {"seed": seed, "verifications": {}}
     for r in results:
         data["verifications"][r.name] = {
             "passed": bool(r.passed),
@@ -907,7 +868,7 @@ def _report(out: Path, verbose: bool) -> int:
     if not path.exists():
         print(f"no summary.json under {out}; run check/simulate/sieve first", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    data = json.loads(path.read_text())
+    data = _read_summary(path)
     entries = sorted(data.get("verifications", {}).items())
     if not entries:
         print("summary.json lists no verifications", file=sys.stderr)
@@ -959,49 +920,41 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_arg_parser().parse_args(argv)
-
-    if args.command == "report" and args.config is None:
-        out = Path(args.out or "out")
-        return _report(out, verbose=True)
-
+    # config faults are reported as exit 3 inside; what escapes is a fault of
+    # the run itself: an output file, a recorded summary, or the numerics
     try:
-        cfg = parse_config(args.config)
-    except ConfigError as e:
-        for msg in e.errors:
-            print(f"config error: {msg}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return _main(args)
+    except (ModelError, GeometryError, DivergenceError, ExperimentError,
+            OSError, json.JSONDecodeError) as e:
+        print(f"runtime error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME_ERROR
 
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.jobs is not None:
-        cfg = replace(cfg, jobs=args.jobs)
+
+def _main(args: argparse.Namespace) -> int:
+    if args.command == "report" and args.config is None:
+        return _report(Path(args.out or "out"), verbose=True)
+
+    overrides = {
+        key: value
+        for key, value in (("out", args.out), ("seed", args.seed), ("jobs", args.jobs))
+        if value is not None
+    }
     if args.verify is not None:
         names = tuple(s.strip() for s in args.verify.split(",") if s.strip())
         bad = [n for n in names if n not in VERIFICATIONS]
         if bad or not names:
             print(f"config error: unknown verifications {bad or '(empty)'}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-        missing = []
-        for n in names:
-            for const in _NEEDED_PARAMS.get(n, ()):
-                if cfg.params is None or getattr(cfg.params, const, None) is None:
-                    missing.append(f"verification '{n}' needs params.{const} to be set")
-            if n in _NEEDS_SUBSET and not cfg.subset:
-                missing.append(f"verification '{n}' needs a top-level subset list")
-        if missing:
-            for msg in missing:
-                print(f"config error: {msg}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        cfg = replace(cfg, verify=names)
+        overrides["verify"] = names
+    try:
+        cfg = parse_config(args.config, overrides)
+    except ConfigError as e:
+        for msg in e.errors:
+            print(f"config error: {msg}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
     out = Path(cfg.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        print(f"runtime error: cannot create output directory: {e}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
+    out.mkdir(parents=True, exist_ok=True)
 
     if args.command == "report":
         return _report(out, verbose=cfg.verbosity > 0)
@@ -1023,24 +976,16 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
                 return EXIT_CONFIG_ERROR
 
-    selected = [v for v in cfg.verify if v in SUBCOMMAND_FAMILIES[args.command]]
+    selected = [v for v in cfg.verify if VERIFICATIONS[v].command == args.command]
     if not selected:
         if cfg.verbosity > 0:
             print(f"nothing to do: no selected verification belongs to '{args.command}'")
         return EXIT_PASS
 
-    results: list[VerificationResult] = []
-    try:
-        if args.command == "sieve":
-            results.extend(_run_cover_and_sieve(cfg, regime, out))
-            results = [r for r in results if r.name in selected]
-        else:
-            for name in selected:
-                results.append(_RUNNERS[name](cfg, regime, out))
-    except (ModelError, GeometryError, DivergenceError, ExperimentError) as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
-
+    if args.command == "sieve":
+        results = [r for r in _run_cover_and_sieve(cfg, regime, out) if r.name in selected]
+    else:
+        results = [_RUNNERS[name](cfg, regime, out) for name in selected]
     _update_summary(out, cfg.seed, results)
     if cfg.verbosity > 0:
         for r in results:

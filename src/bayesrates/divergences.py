@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -167,19 +167,6 @@ class GridDensity:
         cdf = np.concatenate([[0.0], np.cumsum(inc)])
         return cdf / cdf[-1]
 
-    def to_text(self) -> str:
-        lines = [f"{self.grid.lower:.17g} {self.grid.upper:.17g} {self.grid.points}"]
-        lines.extend(format(v, ".17g") for v in self.values)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "GridDensity":
-        lines = text.strip().splitlines()
-        head = lines[0].split()
-        grid = Grid(float(head[0]), float(head[1]), int(head[2]))
-        values = np.array([float(s) for s in lines[1:]])
-        return cls(grid, values)
-
 
 def gaussian_density(grid: Grid, mean: float, sd: float) -> GridDensity:
     if not sd > 0.0:
@@ -206,11 +193,6 @@ def mixture_density(components: Sequence[GridDensity], weights: Sequence[float])
 def _require_same_grid(f: GridDensity, g: GridDensity) -> None:
     if f.grid != g.grid:
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
-
-
-def tail_truncated(*densities: GridDensity) -> bool:
-    """Quality flag: True when any operand had floored (truncated) tails."""
-    return any(d.floored for d in densities)
 
 
 # ---------------------------------------------------------------------------
@@ -245,36 +227,6 @@ def h_affinity_gap(f: GridDensity, g: GridDensity) -> float:
     _require_same_grid(f, g)
     affinity = float(f.grid.quad_weights @ (f.sqrt_values * g.sqrt_values))
     return 1.0 - affinity
-
-
-def kl_atomic(p: Sequence[float], q: Sequence[float]) -> float:
-    """Discrete analogue of kl for finite probability vectors."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    _check_prob_vectors(p, q)
-    mask = p > 0.0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
-def v_atomic(p: Sequence[float], q: Sequence[float]) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    _check_prob_vectors(p, q)
-    mask = p > 0.0
-    diff = np.log(p[mask]) - np.log(q[mask])
-    return float(np.sum(p[mask] * diff * diff))
-
-
-def _check_prob_vectors(p: np.ndarray, q: np.ndarray) -> None:
-    if p.shape != q.shape:
-        raise DivergenceError("probability vectors differ in length")
-    if np.any(p < 0.0) or np.any(q < 0.0):
-        raise DivergenceError("probability vectors must be nonnegative")
-    for name, vec in (("first", p), ("second", q)):
-        if abs(float(vec.sum()) - 1.0) > 1e-9:
-            raise DivergenceError(f"{name} vector sums to {vec.sum()}, not 1")
-    if np.any((p > 0.0) & (q <= 0.0)):
-        raise DivergenceError("second vector vanishes where the first has mass")
 
 
 # ---------------------------------------------------------------------------
@@ -381,39 +333,6 @@ def _per_index_squared_hellinger(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StateWeighting:
-    """Weighting measure over states for state-averaged divergences.
-
-    kind is one of "stationary-density" (weight by the stationary law of the
-    first coefficient), "two-point-mixture" (discrete measure on two states),
-    or "explicit-density" (any GridDensity over states).
-    """
-
-    kind: str
-    density: GridDensity | None = None
-    locations: tuple[float, ...] = ()
-    weights: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind == "stationary-density":
-            return
-        if self.kind == "explicit-density":
-            if self.density is None:
-                raise DivergenceError("explicit-density weighting needs a density")
-            return
-        if self.kind == "two-point-mixture":
-            if len(self.locations) != 2 or len(self.weights) != 2:
-                raise DivergenceError("two-point-mixture needs 2 locations and 2 weights")
-            if abs(sum(self.weights) - 1.0) > 1e-9 or min(self.weights) < 0.0:
-                raise DivergenceError("two-point-mixture weights must be a probability pair")
-            return
-        raise DivergenceError(f"unknown weighting kind {self.kind!r}")
-
-
-STATIONARY_WEIGHTING = StateWeighting(kind="stationary-density")
-
-
-@dataclass(frozen=True)
 class MarkovDivergences:
     kl: float
     v: float
@@ -485,7 +404,6 @@ def state_sup_hellinger(
 def markov_divergences(
     theta_star: float,
     theta: float,
-    weighting: StateWeighting = STATIONARY_WEIGHTING,
     state_window: float | None = None,
     *,
     grid: Grid | None = None,
@@ -495,10 +413,10 @@ def markov_divergences(
 ) -> MarkovDivergences:
     """State-averaged divergences between two AR(1) transition families.
 
-    kl and v integrate the per-state divergences against the stationary
-    density of ``theta_star``; h_q integrates per-state Hellinger against the
-    ``weighting`` measure; h_inf_truncated is the per-state Hellinger sup over
-    |y| <= state_window (default window: 5 stationary standard deviations).
+    kl, v and h_q integrate the per-state kl, v and Hellinger distance
+    against the stationary density of ``theta_star``; h_inf_truncated is the
+    per-state Hellinger sup over |y| <= state_window (default window: 5
+    stationary standard deviations).
     """
     if grid is None:
         grid = default_grid()
@@ -508,12 +426,11 @@ def markov_divergences(
     if state_window is None:
         state_window = 5.0 * sd_star
 
-    # stationary integration for kl and v
     half = 6.0 * sd_star
     for th in (theta_star, theta):
         _check_transition_support(grid, th, half, noise_sd)
     states = np.linspace(-half, half, state_points)
-    k_s, v_s, _ = _per_state_kvh(grid, theta_star, theta, states, noise_sd)
+    k_s, v_s, h2 = _per_state_kvh(grid, theta_star, theta, states, noise_sd)
     u = np.exp(-0.5 * (states / sd_star) ** 2)
     state_w = np.full(state_points, states[1] - states[0])
     state_w[0] *= 0.5
@@ -521,30 +438,7 @@ def markov_divergences(
     u_mass = state_w @ u
     k_val = float(state_w @ (u * k_s)) / u_mass
     v_val = float(state_w @ (u * v_s)) / u_mass
-
-    # weighted Hellinger average
-    if weighting.kind == "two-point-mixture":
-        locs = np.asarray(weighting.locations, dtype=float)
-        for th in (theta_star, theta):
-            _check_transition_support(grid, th, float(np.max(np.abs(locs))), noise_sd)
-        _, _, h2 = _per_state_kvh(grid, theta_star, theta, locs, noise_sd)
-        h_q = float(np.asarray(weighting.weights) @ np.sqrt(h2))
-    else:
-        if weighting.kind == "stationary-density":
-            q_states, q_vals = states, u / u_mass
-            q_w = state_w
-        else:
-            qd = weighting.density
-            q_states = np.linspace(qd.grid.lower, qd.grid.upper, state_points)
-            q_vals = np.exp(np.interp(q_states, qd.grid.x, qd.log_values))
-            q_w = np.full(state_points, q_states[1] - q_states[0])
-            q_w[0] *= 0.5
-            q_w[-1] *= 0.5
-            q_vals = q_vals / (q_w @ q_vals)
-            for th in (theta_star, theta):
-                _check_transition_support(grid, th, float(np.max(np.abs(q_states))), noise_sd)
-        _, _, h2 = _per_state_kvh(grid, theta_star, theta, q_states, noise_sd)
-        h_q = float(q_w @ (q_vals * np.sqrt(h2)))
+    h_q = float(state_w @ (u / u_mass * np.sqrt(h2)))
 
     h_inf = state_sup_hellinger(
         theta_star, theta, state_window, grid=grid, noise_sd=noise_sd, sweep_points=sweep_points

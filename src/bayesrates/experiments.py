@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -79,6 +79,10 @@ REF_ID = -1
 
 STAT_KEYS = ("cesaro_kl", "log_evidence", "posterior_mass", "u_mass", "sqrt_l")
 
+# offset mixed into the plan seed for certification draws, so the
+# admissibility randomness never aliases a replication stream
+CERT_SEED_OFFSET = 202_020
+
 
 class ExperimentError(ValueError):
     """Invalid plan, regime wiring, or verification request."""
@@ -107,6 +111,38 @@ def _gauss_row(x: np.ndarray, mean, sd: float) -> np.ndarray:
 def _pairwise_h2(delta_sq: np.ndarray) -> np.ndarray:
     """Squared Hellinger between unit-variance normals at squared mean gap."""
     return 2.0 * (1.0 - np.exp(-delta_sq / 8.0))
+
+
+def _triangle_bound(member_ids, to_truth, between, measure=float) -> float:
+    """Convex-hull certificate: max over centers c of the triangle bound.
+
+    At each index or state, a mixture of the members sits within
+    rho_c = max_j d(c, j) of the center c, so it is at least
+    (d(truth, c) - rho_c)_+ from the truth.  ``to_truth(c)`` and
+    ``between(c, j)`` give d as a scalar or as one value per index or
+    state; ``measure`` collapses the squared shortfall over that index or
+    state set, and half of it bounds the hull's affinity gap.
+    """
+    best = 0.0
+    for c in member_ids:
+        rho = np.max([between(c, j) for j in member_ids], axis=0)
+        shortfall = np.maximum(0.0, to_truth(c) - rho)
+        best = max(best, float(measure(shortfall ** 2)) / 2.0)
+    return best
+
+
+def _gaussian_mixture_kls(grid: Grid, means: np.ndarray, truth_means: np.ndarray,
+                          sd: float, weights_before: np.ndarray) -> np.ndarray:
+    """Per-step kl(N(truth_means[i], sd), sum_j w[j, i] N(means[j, i], sd)) on the grid."""
+    x = grid.x
+    qw = grid.quad_weights
+    out = np.empty(len(truth_means))
+    for i in range(len(truth_means)):
+        rows = _gauss_row(x[None, :], means[:, i, None], sd)
+        mix = np.maximum(weights_before[:, i] @ rows, 1e-300)
+        truth = _gauss_row(x, truth_means[i], sd)
+        out[i] = float(qw @ (truth * (np.log(np.maximum(truth, 1e-300)) - np.log(mix))))
+    return np.maximum(out, 0.0)
 
 
 class _MixLogTable:
@@ -176,49 +212,38 @@ class IidRegime:
     def theta0_mask(self) -> np.ndarray | None:
         return None
 
+    def _density(self, member_id: int) -> GridDensity:
+        return self.prior.members[self.prior.index_of(member_id)].density
+
     def truth_dist(self, member_id: int, n: int | None = None) -> float:
-        m = self.prior.members[self.prior.index_of(member_id)]
-        return hellinger(self.true_density, m.density)
+        return hellinger(self.true_density, self._density(member_id))
 
     def separation_gaps(self, member_ids: Sequence[int], n: int | None = None) -> np.ndarray:
         return np.array(
-            [h_affinity_gap(self.true_density,
-                            self.prior.members[self.prior.index_of(i)].density)
-             for i in member_ids]
+            [h_affinity_gap(self.true_density, self._density(i)) for i in member_ids]
         )
 
     def pair_dist(self, id_a: int, id_b: int, n: int | None = None) -> float:
-        fa = self.prior.members[self.prior.index_of(id_a)].density
-        fb = self.prior.members[self.prior.index_of(id_b)].density
-        return hellinger(fa, fb)
+        return hellinger(self._density(id_a), self._density(id_b))
 
     def _mixture(self, member_ids: Sequence[int], w: np.ndarray) -> GridDensity:
-        comps = [self.prior.members[self.prior.index_of(i)].density for i in member_ids]
-        return mixture_density(comps, w)
+        return mixture_density([self._density(i) for i in member_ids], w)
 
     def mixture_truth_gap(self, member_ids, w, n: int | None = None) -> float:
         return h_affinity_gap(self.true_density, self._mixture(member_ids, w))
 
     def closure_violation(self, member_ids, center_id: int, w, n: int | None = None) -> float:
-        center = self.prior.members[self.prior.index_of(center_id)].density
-        radius = max(
-            h_affinity_gap(center, self.prior.members[self.prior.index_of(i)].density)
-            for i in member_ids
-        )
+        center = self._density(center_id)
+        radius = max(h_affinity_gap(center, self._density(i)) for i in member_ids)
         return h_affinity_gap(center, self._mixture(member_ids, w)) - radius
 
     def hull_gap_bound(self, member_ids: Sequence[int], n: int | None = None) -> float:
-        """max over centers c of ((H(truth, c) - max_j H(c, f_j))_+)^2 / 2."""
-        best = 0.0
-        for c in member_ids:
-            fc = self.prior.members[self.prior.index_of(c)].density
-            d = hellinger(self.true_density, fc)
-            rho = max(
-                hellinger(fc, self.prior.members[self.prior.index_of(j)].density)
-                for j in member_ids
-            )
-            best = max(best, max(0.0, d - rho) ** 2 / 2.0)
-        return best
+        """Triangle bound in Hellinger distance."""
+        return _triangle_bound(
+            member_ids,
+            lambda c: hellinger(self.true_density, self._density(c)),
+            lambda c, j: hellinger(self._density(c), self._density(j)),
+        )
 
     # -- Cesaro statistic
 
@@ -284,51 +309,40 @@ class MisspecifiedRegime:
     def theta0_mask(self) -> np.ndarray | None:
         return None
 
+    def _density(self, member_id: int) -> GridDensity:
+        return self.prior.members[self.prior.index_of(member_id)].density
+
+    def _dist(self, f: GridDensity, g: GridDensity) -> float:
+        return weighted_hellinger_between(f, g, f_star=self.true_density, f_circ=self.f_circ)
+
     def truth_dist(self, member_id: int, n: int | None = None) -> float:
-        m = self.prior.members[self.prior.index_of(member_id)]
-        return weighted_hellinger(self.f_circ, m.density, self.true_density)
+        return weighted_hellinger(self.f_circ, self._density(member_id), self.true_density)
 
     def separation_gaps(self, member_ids, n: int | None = None) -> np.ndarray:
         return np.array(
-            [h_star(self.f_circ,
-                    self.prior.members[self.prior.index_of(i)].density,
-                    self.true_density)
-             for i in member_ids]
+            [h_star(self.f_circ, self._density(i), self.true_density) for i in member_ids]
         )
 
     def pair_dist(self, id_a: int, id_b: int, n: int | None = None) -> float:
-        fa = self.prior.members[self.prior.index_of(id_a)].density
-        fb = self.prior.members[self.prior.index_of(id_b)].density
-        return weighted_hellinger_between(
-            fa, fb, f_star=self.true_density, f_circ=self.f_circ
-        )
+        return self._dist(self._density(id_a), self._density(id_b))
 
     def vertex_certificates(self, member_ids) -> np.ndarray:
         """Ratio certificates: each vertex needs int (f/f_circ) f_star <= 1."""
         return np.array(
-            [kleijn_certificate(self.f_circ,
-                                self.prior.members[self.prior.index_of(i)].density,
-                                self.true_density)
+            [kleijn_certificate(self.f_circ, self._density(i), self.true_density)
              for i in member_ids]
         )
 
     def _mixture(self, member_ids, w) -> GridDensity:
-        comps = [self.prior.members[self.prior.index_of(i)].density for i in member_ids]
-        return mixture_density(comps, w)
+        return mixture_density([self._density(i) for i in member_ids], w)
 
     def mixture_truth_gap(self, member_ids, w, n: int | None = None) -> float:
         return h_star(self.f_circ, self._mixture(member_ids, w), self.true_density)
 
     def closure_violation(self, member_ids, center_id, w, n: int | None = None) -> float:
-        center = self.prior.members[self.prior.index_of(center_id)].density
-        dist = partial(
-            weighted_hellinger_between, f_star=self.true_density, f_circ=self.f_circ
-        )
-        radius = max(
-            dist(center, self.prior.members[self.prior.index_of(i)].density)
-            for i in member_ids
-        )
-        return dist(center, self._mixture(member_ids, w)) - radius
+        center = self._density(center_id)
+        radius = max(self._dist(center, self._density(i)) for i in member_ids)
+        return self._dist(center, self._mixture(member_ids, w)) - radius
 
     def hull_gap_bound(self, member_ids, n: int | None = None) -> float:
         """Weighted-Hellinger triangle bound on the hull's affinity gap.
@@ -337,19 +351,11 @@ class MisspecifiedRegime:
         the half-square lower-bounds the starred gap whenever the vertex
         ratio certificates hold; callers check those separately.
         """
-        dist = partial(
-            weighted_hellinger_between, f_star=self.true_density, f_circ=self.f_circ
+        return _triangle_bound(
+            member_ids,
+            lambda c: self._dist(self.f_circ, self._density(c)),
+            lambda c, j: self._dist(self._density(c), self._density(j)),
         )
-        best = 0.0
-        for c in member_ids:
-            fc = self.prior.members[self.prior.index_of(c)].density
-            d = dist(self.f_circ, fc)
-            rho = max(
-                dist(fc, self.prior.members[self.prior.index_of(j)].density)
-                for j in member_ids
-            )
-            best = max(best, max(0.0, d - rho) ** 2 / 2.0)
-        return best
 
     def cesaro_kls(self, data, weights_before: np.ndarray) -> np.ndarray:
         """Contrast statistic: int log(f_circ / predictive) f_star."""
@@ -427,10 +433,6 @@ class RegressionRegime:
         h2 = _pairwise_h2(self._gaps_sq(self._row(member_id), self._truth_means, n))
         return math.sqrt(float(h2.mean()))
 
-    def max_truth_dist(self, member_id: int, n: int) -> float:
-        h2 = _pairwise_h2(self._gaps_sq(self._row(member_id), self._truth_means, n))
-        return math.sqrt(float(h2.max()))
-
     def separation_gaps(self, member_ids, n: int) -> np.ndarray:
         return np.array([0.5 * self.truth_dist(i, n) ** 2 for i in member_ids])
 
@@ -461,27 +463,21 @@ class RegressionRegime:
 
     def hull_gap_bound(self, member_ids, n: int) -> float:
         """Per-index triangle bound averaged over the design."""
-        best = 0.0
-        for c in member_ids:
-            hc = np.sqrt(_pairwise_h2(self._gaps_sq(self._truth_means, self._row(c), n)))
-            rho = np.zeros(n)
-            for j in member_ids:
-                hj = np.sqrt(_pairwise_h2(self._gaps_sq(self._row(c), self._row(j), n)))
-                rho = np.maximum(rho, hj)
-            best = max(best, float(np.mean(np.maximum(0.0, hc - rho) ** 2) / 2.0))
-        return best
+        def h(means_a, means_b):
+            return np.sqrt(_pairwise_h2(self._gaps_sq(means_a, means_b, n)))
+
+        return _triangle_bound(
+            member_ids,
+            lambda c: h(self._truth_means, self._row(c)),
+            lambda c, j: h(self._row(c), self._row(j)),
+            np.mean,
+        )
 
     def cesaro_kls(self, data, weights_before: np.ndarray) -> np.ndarray:
         n = len(data)
-        x = self.grid.x
-        qw = self.grid.quad_weights
-        out = np.empty(n)
-        for i in range(n):
-            rows = _gauss_row(x[None, :], self._means[:, i, None], 1.0)
-            mix = np.maximum(weights_before[:, i] @ rows, 1e-300)
-            truth = _gauss_row(x, self._truth_means[i], 1.0)
-            out[i] = float(qw @ (truth * (np.log(np.maximum(truth, 1e-300)) - np.log(mix))))
-        return np.maximum(out, 0.0)
+        return _gaussian_mixture_kls(
+            self.grid, self._means[:, :n], self._truth_means[:n], 1.0, weights_before
+        )
 
 
 class MarkovRegime:
@@ -601,32 +597,12 @@ class MarkovRegime:
         """
         states = np.linspace(0.0, self.state_window, self.sweep_points)
         t = self.theta_star.theta
-        best = 0.0
-        for c in member_ids:
-            tc = self._theta_of(c)
-            d = self._h_at_states(t, tc, states)
-            rho = np.zeros_like(states)
-            for j in member_ids:
-                rho = np.maximum(rho, self._h_at_states(tc, self._theta_of(j), states))
-            best = max(best, float(np.max(np.maximum(0.0, d - rho) ** 2) / 2.0))
-        return best
-
-    def stationary_hull_gap_bound(self, member_ids) -> float:
-        """Triangle bound averaged over the stationary state law (diagnostic)."""
-        w = 6.0 * self.stationary_sd
-        states = np.linspace(-w, w, self.sweep_points)
-        dens = _gauss_row(states, 0.0, self.stationary_sd)
-        dens = dens / dens.sum()
-        t = self.theta_star.theta
-        best = 0.0
-        for c in member_ids:
-            tc = self._theta_of(c)
-            d = self._h_at_states(t, tc, states)
-            rho = np.zeros_like(states)
-            for j in member_ids:
-                rho = np.maximum(rho, self._h_at_states(tc, self._theta_of(j), states))
-            best = max(best, float(dens @ (np.maximum(0.0, d - rho) ** 2 / 2.0)))
-        return best
+        return _triangle_bound(
+            member_ids,
+            lambda c: self._h_at_states(t, self._theta_of(c), states),
+            lambda c, j: self._h_at_states(self._theta_of(c), self._theta_of(j), states),
+            np.max,
+        )
 
     def _probe_states(self, count: int = 7) -> np.ndarray:
         return np.linspace(self.state_window / count, self.state_window, count)
@@ -667,16 +643,10 @@ class MarkovRegime:
 
     def cesaro_kls(self, sample: MarkovSample, weights_before: np.ndarray) -> np.ndarray:
         prev = self._prev_chain(sample)
-        x = self.grid.x
-        qw = self.grid.quad_weights
-        t = self.theta_star.theta
-        out = np.empty(len(prev))
-        for i, y in enumerate(prev):
-            rows = _gauss_row(x[None, :], self._thetas[:, None] * y, self.noise_sd)
-            mix = np.maximum(weights_before[:, i] @ rows, 1e-300)
-            truth = _gauss_row(x, t * y, self.noise_sd)
-            out[i] = float(qw @ (truth * (np.log(np.maximum(truth, 1e-300)) - np.log(mix))))
-        return np.maximum(out, 0.0)
+        return _gaussian_mixture_kls(
+            self.grid, self._thetas[:, None] * prev[None, :], self.theta_star.theta * prev,
+            self.noise_sd, weights_before,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +835,6 @@ class SubsetCertificate:
     hull_gap_bound: float
     closure: ClosureReport
     mixture_min_gap: float
-    extras: dict = field(default_factory=dict)
 
 
 def certify_subset(regime, member_ids, delta: float, n: int,
@@ -881,10 +850,8 @@ def certify_subset(regime, member_ids, delta: float, n: int,
     if not ids:
         raise SubsetNotAdmissibleError("subset not admissible: empty subset")
 
-    extras: dict = {}
     if hasattr(regime, "vertex_certificates"):
         certs = regime.vertex_certificates(ids)
-        extras["max_ratio_certificate"] = float(np.max(certs))
         if np.any(certs > 1.0 + 1e-9):
             raise SubsetNotAdmissibleError(
                 f"subset not admissible: ratio certificate "
@@ -905,8 +872,6 @@ def certify_subset(regime, member_ids, delta: float, n: int,
             f"subset not admissible: convex-hull separation not certified "
             f"(triangle bound {hull:.6g} <= delta {delta:.6g})"
         )
-    if hasattr(regime, "stationary_hull_gap_bound"):
-        extras["stationary_hull_gap_bound"] = regime.stationary_hull_gap_bound(ids)
 
     # the center achieving the triangle bound, for the closure ball
     center_id = ids[0]
@@ -951,7 +916,6 @@ def certify_subset(regime, member_ids, delta: float, n: int,
         hull_gap_bound=hull,
         closure=closure,
         mixture_min_gap=mixture_min,
-        extras=extras,
     )
 
 
@@ -1001,7 +965,7 @@ def verify_numerator_bound(plan: ExperimentPlan, jobs: int = 1,
             f"subset not admissible: d = {d} must exceed implied C + 1 = {implied + 1.0:.6g}"
         )
 
-    cert_rng = np.random.default_rng(plan.seed + 202_020)
+    cert_rng = np.random.default_rng(plan.seed + CERT_SEED_OFFSET)
     certificates = []
     for n in schedule.n_values:
         delta = d * schedule.epsilon(n) ** 2

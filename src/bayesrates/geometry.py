@@ -11,7 +11,6 @@ sample sizes actually used.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -101,39 +100,6 @@ class ConditionParams:
         if self.eta is not None and not 0.0 < self.eta < 1.0:
             raise GeometryError(f"eta must lie in (0, 1), got {self.eta}")
 
-    def require_clears_thickness(self, name: str) -> float:
-        """Fetch a constant that a bound needs to exceed C + 1."""
-        v = getattr(self, name)
-        if v is None:
-            raise GeometryError(f"constant {name} is required but unset")
-        if not v > self.C + 1.0:
-            raise GeometryError(
-                f"constant {name} = {v} must exceed C + 1 = {self.C + 1.0}"
-            )
-        return v
-
-
-def admissible_m(c_thick: float, r_entropy: float, slack: float = 1.01) -> float:
-    """Smallest comfortable covering-radius multiplier given fitted constants.
-
-    Any M with M^2 > 4 * ((C + 1) + 2R) is admissible; returns that threshold
-    inflated by ``slack``.
-    """
-    if slack <= 1.0:
-        raise GeometryError(f"slack must exceed 1, got {slack}")
-    return slack * math.sqrt(4.0 * ((c_thick + 1.0) + 2.0 * r_entropy))
-
-
-def fitted_multiplier(values: Sequence[float], references: Sequence[float]) -> float:
-    """Smallest m with value <= m * reference across all pairs."""
-    v = np.asarray(values, dtype=float)
-    ref = np.asarray(references, dtype=float)
-    if v.shape != ref.shape or v.size == 0:
-        raise GeometryError("values and references must be equal-length and nonempty")
-    if np.any(ref <= 0.0):
-        raise GeometryError("references must be positive")
-    return float(np.max(v / ref))
-
 
 # ---------------------------------------------------------------------------
 # thickness
@@ -201,18 +167,6 @@ def separation_report(gaps: Sequence[float], delta: float) -> SeparationReport:
         raise GeometryError("separation needs a nonempty subset")
     min_gap = float(g.min())
     return SeparationReport(delta=delta, min_gap=min_gap, separated=min_gap > delta)
-
-
-def check_separation(
-    f_ref,
-    members: Sequence,
-    delta: float,
-    gap_fn: Callable[[object, object], float],
-) -> SeparationReport:
-    """Evaluate ``gap_fn(f_ref, member)`` over the subset and compare to delta."""
-    if len(members) == 0:
-        raise GeometryError("separation needs a nonempty subset")
-    return separation_report([gap_fn(f_ref, m) for m in members], delta)
 
 
 @dataclass(frozen=True)
@@ -295,61 +249,8 @@ def greedy_cover(
     return balls
 
 
-def exhaustive_cover_count(
-    target_ids: Iterable[int],
-    radius: float,
-    dist_fn: Callable[[int, int], float],
-    max_atoms: int = 25,
-) -> int:
-    """Exact minimal number of atom-centered balls covering the target.
-
-    Brute force over center subsets of growing size; only meant for small
-    oracle instances, hence the atom cap.
-    """
-    ids = sorted(set(target_ids))
-    if not ids:
-        raise GeometryError("cover needs a nonempty target")
-    if len(ids) > max_atoms:
-        raise GeometryError(
-            f"exhaustive cover search capped at {max_atoms} atoms, got {len(ids)}"
-        )
-    reach = {c: frozenset(j for j in ids if dist_fn(c, j) <= radius) for c in ids}
-    universe = frozenset(ids)
-    for k in range(1, len(ids) + 1):
-        for centers in itertools.combinations(ids, k):
-            got: set[int] = set()
-            for c in centers:
-                got |= reach[c]
-            if got >= universe:
-                return k
-    return len(ids)
-
-
 # ---------------------------------------------------------------------------
 # mass-root sums and the sieve
-
-
-@dataclass(frozen=True)
-class ConditionPSum:
-    s_n: float
-    discounted: float
-
-
-def condition_p_sum(
-    cover: Sequence[Ball],
-    prior: AtomicPrior,
-    beta: float,
-    c_const: float,
-    n: int,
-    epsilon_n: float,
-) -> ConditionPSum:
-    """S_n = sum of ball-mass^(1/beta); discounted by exp(-c n eps^2)."""
-    if not beta > 1.0:
-        raise GeometryError(f"mass-root exponent beta must exceed 1, got {beta}")
-    if not cover:
-        raise GeometryError("empty cover")
-    s = sum(prior.mass_of(b.member_ids) ** (1.0 / beta) for b in cover)
-    return ConditionPSum(s_n=float(s), discounted=float(math.exp(-c_const * n * epsilon_n**2) * s))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,6 @@ first) as the conditioning state for Markov members.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -25,13 +24,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .divergences import (
-    FLOOR,
     Grid,
     GridDensity,
     default_grid,
     gaussian_density,
     h_affinity_gap,
-    mixture_density,
 )
 from .models import IID, MARKOV, REGRESSION, AtomicPrior, FamilyMember, log_likelihood
 from .numerics import log_softmax, logsumexp
@@ -122,35 +119,6 @@ def update(state: PosteriorState, y: float) -> PosteriorState:
     )
 
 
-def update_path(state: PosteriorState, data: Sequence[float]) -> list[PosteriorState]:
-    """States after 0, 1, ..., len(data) observations."""
-    path = [state]
-    for y in data:
-        state = update(state, y)
-        path.append(state)
-    return path
-
-
-def log_evidence_ratio(state: PosteriorState) -> float:
-    """Log of the integrated likelihood ratio against the reference."""
-    return float(logsumexp(state.log_weights))
-
-
-def posterior_mass(state: PosteriorState, member_ids: Iterable[int]) -> float:
-    idx = _subset_indices(state.prior, member_ids)
-    return float(state.normalized_weights()[idx].sum())
-
-
-def restricted_posterior_mass(state: PosteriorState, member_ids: Iterable[int]) -> float:
-    """Posterior mass of a subset; errors if it underflows the density floor."""
-    mass = posterior_mass(state, member_ids)
-    if mass < FLOOR:
-        raise RestrictedPosteriorUndefinedError(
-            "restricted posterior mass underflows the representable floor"
-        )
-    return mass
-
-
 def _subset_indices(prior: AtomicPrior, member_ids: Iterable[int]) -> list[int]:
     ids = sorted(set(member_ids))
     if not ids:
@@ -227,13 +195,6 @@ def predictive_logpdf(
     return float(logsumexp(logw + loglik) - logsumexp(logw))
 
 
-def average_predictive(predictives: Sequence[GridDensity]) -> GridDensity:
-    """Pointwise average of materialized predictive densities."""
-    if not predictives:
-        raise InferenceError("no predictives to average")
-    return mixture_density(predictives, np.full(len(predictives), 1.0 / len(predictives)))
-
-
 @dataclass(frozen=True)
 class FactorizationReport:
     log_joint_direct: float
@@ -267,54 +228,6 @@ def factorization_check(
         state = update(state, y)
     direct = float(logsumexp(totals))
     return FactorizationReport(log_joint_direct=direct, log_joint_factored=factored)
-
-
-@dataclass(frozen=True, eq=False)
-class RestrictedNumeratorPath:
-    """Log of the subset-restricted integrated likelihood ratio after each step.
-
-    log_l[i] = log integral over the subset of the i-step likelihood ratio
-    against the reference; log_l[0] is the log prior mass of the subset.
-    """
-
-    member_ids: tuple[int, ...]
-    log_l: np.ndarray
-    ratio_identity_max_abs_err: float
-
-    @property
-    def log_prior_mass(self) -> float:
-        return float(self.log_l[0])
-
-
-def restricted_path(
-    prior: AtomicPrior,
-    data: Sequence[float],
-    member_ids: Iterable[int],
-    reference: FamilyMember | None = None,
-    y0: float | None = None,
-) -> RestrictedNumeratorPath:
-    """Run the subset-restricted numerator path along one data sequence.
-
-    Each increment log_l[i] - log_l[i-1] is checked against an independently
-    materialized restricted predictive: it must equal the log ratio of the
-    restricted predictive to the reference density at the new observation.
-    """
-    state = initial_state(prior, reference, y0=y0)
-    idx = _subset_indices(prior, member_ids)
-    ids = tuple(prior.members[i].id for i in idx)
-    log_l = [float(logsumexp(state.log_weights[idx]))]
-    worst = 0.0
-    for y in data:
-        ctx = _context(state)
-        pred_ll = predictive_logpdf(state, y, member_ids=ids)
-        ref_ll = log_likelihood(state.reference, y, **ctx)
-        state = update(state, y)
-        log_l.append(float(logsumexp(state.log_weights[idx])))
-        step = log_l[-1] - log_l[-2]
-        worst = max(worst, abs(step - (pred_ll - ref_ll)))
-    return RestrictedNumeratorPath(
-        member_ids=ids, log_l=np.array(log_l), ratio_identity_max_abs_err=worst
-    )
 
 
 @dataclass(frozen=True)
@@ -366,17 +279,3 @@ def _reference_conditional_density(state: PosteriorState, grid: Grid) -> GridDen
     )
     return predictive_density(proxy, grid=grid)
 
-
-def dump_state(state: PosteriorState) -> str:
-    """Serialize atom ids and log weights to a stable JSON string."""
-    payload = {
-        "kind": state.kind,
-        "n_observed": state.n_observed,
-        "log_evidence": state.log_evidence,
-        "log_r_denominator": state.log_r_denominator,
-        "atoms": {
-            str(m.id): float(lw)
-            for m, lw in zip(state.prior.members, state.log_weights)
-        },
-    }
-    return json.dumps(payload, sort_keys=True)

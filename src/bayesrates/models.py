@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .divergences import (
     gaussian_density,
     kl,
 )
-from .numerics import golden_section_minimize
 
 IID = "iid-density"
 REGRESSION = "regression-function"
@@ -208,51 +207,6 @@ class MisspecifiedSetup:
         return self.prior.members[self.prior.index_of(self.projection_id)].density
 
 
-def kl_projection(f_star: GridDensity, family: Sequence[FamilyMember]) -> tuple[int, float]:
-    """(member id, kl value) minimizing kl(f_star, member) over the family.
-
-    Ties go to the smallest member id.
-    """
-    if not family:
-        raise ModelError("empty family")
-    best_id, best_val = None, math.inf
-    for m in sorted(family, key=lambda m: m.id):
-        val = kl(f_star, m.density)
-        if val < best_val:
-            best_id, best_val = m.id, val
-    return best_id, best_val
-
-
-def kl_projection_continuous(
-    f_star: GridDensity,
-    member_at: Callable[[float], GridDensity],
-    lo: float,
-    hi: float,
-    coarse_step: float = 1e-2,
-    tol: float = 1e-6,
-) -> tuple[float, float]:
-    """Two-stage projection over a scalar-parameter family.
-
-    Exhaustive scan at ``coarse_step`` resolution brackets the minimum, then
-    golden-section refinement narrows it to ``tol``.  Returns (parameter, kl).
-    """
-    if not hi > lo:
-        raise ModelError(f"empty parameter range [{lo}, {hi}]")
-    grid = np.arange(lo, hi + 0.5 * coarse_step, coarse_step)
-    vals = np.array([kl(f_star, member_at(float(t))) for t in grid])
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    if a == b:
-        return float(grid[i]), float(vals[i])
-    t = golden_section_minimize(lambda t: kl(f_star, member_at(t)), float(a), float(b), tol=tol)
-    return t, kl(f_star, member_at(t))
-
-
-def stationary_density(param: MarkovParam, grid: Grid) -> GridDensity:
-    return gaussian_density(grid, 0.0, param.stationary_sd)
-
-
 def log_likelihood(
     member: FamilyMember,
     y: float,
@@ -284,11 +238,3 @@ def log_likelihood(
     z = (y - param.theta * y_prev) / param.noise_sd
     return -0.5 * z * z - LOG_SQRT_2PI - math.log(param.noise_sd)
 
-
-def likelihood(
-    member: FamilyMember,
-    y: float,
-    index_i: int | None = None,
-    y_prev: float | None = None,
-) -> float:
-    return math.exp(log_likelihood(member, y, index_i=index_i, y_prev=y_prev))

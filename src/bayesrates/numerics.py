@@ -5,11 +5,9 @@ the primitives that make that safe.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["logsumexp", "log_softmax", "softmax", "golden_section_minimize"]
+__all__ = ["logsumexp", "log_softmax", "softmax"]
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -35,23 +33,3 @@ def log_softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
 def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.exp(log_softmax(a, axis=axis))
 
-
-def golden_section_minimize(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Argmin of a unimodal scalar function on [lo, hi] to within tol."""
-    if not hi > lo:
-        raise ValueError(f"empty bracket [{lo}, {hi}]")
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)

@@ -1,4 +1,4 @@
-"""Shared construction helpers for the test suite.
+"""Shared construction helpers and brute-force oracles for the test suite.
 
 The moment-constrained family trick: the kl(f_star, .) minimizer over the
 convex family {f : int T f dmu = t0} has the exact tilt form
@@ -11,6 +11,10 @@ construction, up to solver and quadrature rounding.
 """
 from __future__ import annotations
 
+import itertools
+import math
+from typing import Callable, Iterable, Sequence
+
 import numpy as np
 from scipy import optimize
 
@@ -18,8 +22,11 @@ from bayesrates.divergences import (
     Grid,
     GridDensity,
     gaussian_density,
+    kl,
     mixture_density,
 )
+from bayesrates.geometry import GeometryError
+from bayesrates.models import FamilyMember, ModelError
 
 
 def random_gaussian_mixture(
@@ -82,3 +89,48 @@ def moment_constrained_triple(
         f_circ = GridDensity(grid, fs / denom)
         return f_circ, f, f_star
     raise RuntimeError("could not build a moment-constrained triple")
+
+
+def kl_projection(f_star: GridDensity, family: Sequence[FamilyMember]) -> tuple[int, float]:
+    """(member id, kl value) minimizing kl(f_star, member) over the family.
+
+    Ties go to the smallest member id.
+    """
+    if not family:
+        raise ModelError("empty family")
+    best_id, best_val = None, math.inf
+    for m in sorted(family, key=lambda m: m.id):
+        val = kl(f_star, m.density)
+        if val < best_val:
+            best_id, best_val = m.id, val
+    return best_id, best_val
+
+
+def exhaustive_cover_count(
+    target_ids: Iterable[int],
+    radius: float,
+    dist_fn: Callable[[int, int], float],
+    max_atoms: int = 25,
+) -> int:
+    """Exact minimal number of atom-centered balls covering the target.
+
+    Brute force over center subsets of growing size; only meant for small
+    oracle instances, hence the atom cap.
+    """
+    ids = sorted(set(target_ids))
+    if not ids:
+        raise GeometryError("cover needs a nonempty target")
+    if len(ids) > max_atoms:
+        raise GeometryError(
+            f"exhaustive cover search capped at {max_atoms} atoms, got {len(ids)}"
+        )
+    reach = {c: frozenset(j for j in ids if dist_fn(c, j) <= radius) for c in ids}
+    universe = frozenset(ids)
+    for k in range(1, len(ids) + 1):
+        for centers in itertools.combinations(ids, k):
+            got: set[int] = set()
+            for c in centers:
+                got |= reach[c]
+            if got >= universe:
+                return k
+    return len(ids)

@@ -11,6 +11,7 @@ from bayesrates.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_CRITERION_FAIL,
     EXIT_PASS,
+    EXIT_RUNTIME_ERROR,
     ConfigError,
     RunConfig,
     main,
@@ -369,3 +370,51 @@ class TestMain:
         data = json.loads((out / "summary.json").read_text())
         names = set(data["verifications"])
         assert {"factorization", "cover", "sieve", "posterior-mass"} <= names
+
+
+class TestOverridesAndRuntimeFaults:
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL_CHECK.format(out=tmp_path / "out"))
+        code = main(["check", "--config", str(path), "--seed", "-1"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error: seed must be nonnegative, got -1" in capsys.readouterr().err
+
+    def test_zero_jobs_override_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL_CHECK.format(out=tmp_path / "out"))
+        code = main(["check", "--config", str(path), "--jobs", "0"])
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error: jobs must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_unwritable_summary_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        path = write_config(tmp_path, SMALL_CHECK.format(out=out))
+        code = main(["check", "--config", str(path)])
+        assert code == EXIT_RUNTIME_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["check", "report"])
+    def test_corrupt_summary_exits_4(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_text('{"seed": 17, "verif')
+        path = write_config(tmp_path, SMALL_CHECK.format(out=out))
+        code = main([command, "--config", str(path)])
+        assert code == EXIT_RUNTIME_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: corrupt")
+        assert "summary.json" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_summary_drops_entries_from_another_seed(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, SMALL_CHECK.format(out=out))
+        assert main(["check", "--config", str(path), "--seed", "7",
+                     "--verify", "factorization"]) == EXIT_PASS
+        assert main(["check", "--config", str(path), "--seed", "99",
+                     "--verify", "conditional-identity"]) == EXIT_PASS
+        data = json.loads((out / "summary.json").read_text())
+        assert data["seed"] == 99
+        assert set(data["verifications"]) == {"conditional-identity"}

@@ -14,7 +14,6 @@ from bayesrates.divergences import (
     MarkovDivergences,
     NonstationaryError,
     OutsideGridError,
-    StateWeighting,
     ar1_stationary_sd,
     default_grid,
     gaussian_density,
@@ -22,7 +21,6 @@ from bayesrates.divergences import (
     h_star,
     hellinger,
     kl,
-    kl_atomic,
     kl_contrast,
     kleijn_certificate,
     markov_divergences,
@@ -30,8 +28,6 @@ from bayesrates.divergences import (
     mean_hellinger,
     mixture_density,
     state_sup_hellinger,
-    tail_truncated,
-    v_atomic,
     v_divergence,
     v_star,
     weighted_hellinger,
@@ -80,7 +76,6 @@ class TestGridDensity:
     def test_floor_flag_set_for_truncated_tails(self):
         d = gaussian_density(GRID, -8.0, 0.1)
         assert d.floored
-        assert tail_truncated(d)
         assert np.all(d.values > 0.0)
 
     def test_floor_flag_clear_for_wide_density(self):
@@ -100,12 +95,6 @@ class TestGridDensity:
         assert d.log_interp(mid) == pytest.approx(expected, abs=1e-12)
         with pytest.raises(OutsideGridError):
             d.log_interp(12.5)
-
-    def test_text_roundtrip(self):
-        d = gaussian_density(GRID, -1.2, 0.9)
-        back = GridDensity.from_text(d.to_text())
-        assert back.grid == d.grid
-        assert_allclose(back.values, d.values, rtol=1e-12)
 
 
 class TestKl:
@@ -127,17 +116,6 @@ class TestKl:
         f = gaussian_density(GRID, 0.0, 1.0)
         g = gaussian_density(GRID, 0.5, 1.7)
         assert kl(f, g) != pytest.approx(kl(g, f), abs=1e-6)
-
-    def test_two_point_atomic(self):
-        expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        assert kl_atomic([0.5, 0.5], [0.25, 0.75]) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.1438, abs=5e-5)
-
-    def test_atomic_validation(self):
-        with pytest.raises(DivergenceError):
-            kl_atomic([0.5, 0.6], [0.5, 0.5])
-        with pytest.raises(DivergenceError):
-            kl_atomic([0.5, 0.5], [1.0, 0.0])
 
     def test_grid_mismatch(self):
         f = gaussian_density(GRID, 0.0, 1.0)
@@ -167,11 +145,6 @@ class TestV:
     def test_identical_is_zero(self):
         d = gaussian_density(GRID, 0.5, 1.2)
         assert v_divergence(d, d) == 0.0
-
-    def test_two_point_atomic(self):
-        expected = 0.5 * math.log(2.0) ** 2 + 0.5 * math.log(2.0 / 3.0) ** 2
-        assert v_atomic([0.5, 0.5], [0.25, 0.75]) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.3224, abs=5e-5)
 
     def test_gaussian_location_closed_form(self):
         # log(f/g) for unit-sd location pair is linear in y, so v is
@@ -353,17 +326,6 @@ class TestMarkov:
         out = markov_divergences(0.6, 0.3)
         assert out.state_window == pytest.approx(5.0 * ar1_stationary_sd(0.6))
 
-    def test_two_point_weighting_two_term_oracle(self):
-        locs, wts = (-1.0, 2.0), (0.3, 0.7)
-        out = markov_divergences(
-            0.6, 0.2, StateWeighting("two-point-mixture", locations=locs, weights=wts)
-        )
-        expected = sum(
-            w * math.sqrt(2 * (1 - math.exp(-(0.4 ** 2) * y * y / 8)))
-            for y, w in zip(locs, wts)
-        )
-        assert out.h_q == pytest.approx(expected, abs=1e-6)
-
     def test_stationary_h_q_between_bounds(self):
         out = markov_divergences(0.6, 0.2)
         sup = out.h_inf_truncated
@@ -383,14 +345,6 @@ class TestMarkov:
     def test_grid_clipping_rejected(self):
         with pytest.raises(OutsideGridError):
             markov_divergences(0.95, 0.3)
-
-    def test_weighting_validation(self):
-        with pytest.raises(DivergenceError):
-            StateWeighting("two-point-mixture", locations=(0.0,), weights=(1.0,))
-        with pytest.raises(DivergenceError):
-            StateWeighting("explicit-density")
-        with pytest.raises(DivergenceError):
-            StateWeighting("nope")
 
 
 # hypothesis property checks ------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the sampling regimes, the replication engine, and the verifiers."""
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bayesrates.divergences import (
     gaussian_density,
     h_affinity_gap,
     hellinger,
+    weighted_hellinger_between,
 )
 from bayesrates.experiments import (
     ExperimentError,
@@ -38,6 +40,7 @@ from bayesrates.experiments import (
     verify_numerator_bound,
 )
 from bayesrates.geometry import ConditionParams, RateSchedule
+from bayesrates.numerics import logsumexp
 from bayesrates.models import (
     MARKOV,
     REGRESSION,
@@ -152,7 +155,7 @@ class TestEngine:
         for i, y in enumerate(y_seq, start=1):
             state = inference.update(state, float(y))
             assert np.max(np.abs(state.log_weights - cum[:, i])) < 1e-10
-        lse = inference.log_evidence_ratio(state)
+        lse = logsumexp(state.log_weights)
         direct = math.log(np.exp(cum[:, -1] - cum[:, -1].max()).sum()) + cum[:, -1].max()
         assert abs(lse - direct) < 1e-10
 
@@ -419,13 +422,79 @@ class TestCertification:
         with pytest.raises(SubsetNotAdmissibleError, match="empty subset"):
             certify_subset(reg, (), delta=0.1, n=50, rng=np.random.default_rng(4))
 
-    def test_markov_certificate_reports_stationary_diagnostic(self):
+    def test_markov_certificate_clears_sup_form_hull_bound(self):
         reg = markov_regime(thetas=(0.6, -0.3, -0.4))
         cert = certify_subset(
             reg, (1, 2), delta=0.02, n=100, rng=np.random.default_rng(5), draws=60
         )
-        assert "stationary_hull_gap_bound" in cert.extras
-        assert cert.extras["stationary_hull_gap_bound"] > 0.0
+        assert cert.hull_gap_bound == reg.hull_gap_bound((1, 2))
+        assert cert.hull_gap_bound > cert.delta
+        assert cert.closure.closed
+
+
+def gauss_hellinger(mean_gap, sd=1.0):
+    """Closed-form Hellinger distance between equal-variance normals."""
+    return np.sqrt(2.0 * (1.0 - np.exp(-np.square(mean_gap) / (8.0 * sd * sd))))
+
+
+class TestHullBound:
+    """hull_gap_bound against the triangle bound written out per regime:
+    max over centers c of measure(((d(truth, c) - max_j d(c, j))_+)^2) / 2."""
+
+    @staticmethod
+    def triangle(ids, to_truth, between, measure):
+        return max(
+            measure(np.maximum(0.0, to_truth(c) - reduce(np.maximum, [between(c, j) for j in ids]))
+                    ** 2) / 2
+            for c in ids
+        )
+
+    def test_iid_scalar_hellinger(self):
+        reg = iid_regime(means=(0.0, 1.5, 2.0, 2.6))
+        ids = (1, 2, 3)
+        mean = {1: 1.5, 2: 2.0, 3: 2.6}
+        expect = self.triangle(
+            ids, lambda c: gauss_hellinger(mean[c]),
+            lambda c, j: gauss_hellinger(mean[c] - mean[j]), float,
+        )
+        assert reg.hull_gap_bound(ids) == pytest.approx(expect, abs=1e-9)
+
+    def test_regression_mean_over_design(self):
+        reg = regression_regime(slopes=(0.0, 3.0, 3.5, 4.0), length=200)
+        ids, n = (1, 2, 3), 150
+        x = np.arange(1, n + 1) / 200
+        slope = {1: 3.0, 2: 3.5, 3: 4.0}
+        expect = self.triangle(
+            ids, lambda c: gauss_hellinger(slope[c] * x),
+            lambda c, j: gauss_hellinger((slope[c] - slope[j]) * x), np.mean,
+        )
+        assert reg.hull_gap_bound(ids, n) == pytest.approx(expect, rel=1e-12)
+
+    def test_markov_max_over_window(self):
+        reg = markov_regime(thetas=(0.6, -0.3, -0.4, -0.5))
+        ids = (1, 2, 3)
+        states = np.linspace(0.0, reg.state_window, reg.sweep_points)
+        theta = {1: -0.3, 2: -0.4, 3: -0.5}
+        expect = self.triangle(
+            ids, lambda c: gauss_hellinger((0.6 - theta[c]) * states),
+            lambda c, j: gauss_hellinger((theta[c] - theta[j]) * states), np.max,
+        )
+        assert reg.hull_gap_bound(ids) == pytest.approx(expect, rel=1e-12)
+
+    def test_misspecified_weighted_hellinger(self):
+        reg = miss_regime(means=(0.5, 2.5, 2.8, 3.1))
+        ids = (1, 2, 3)
+        dens = {m.id: m.density for m in reg.prior.members}
+
+        def dist(f, g):
+            return weighted_hellinger_between(f, g, f_star=reg.true_density, f_circ=reg.f_circ)
+
+        expect = self.triangle(
+            ids, lambda c: dist(reg.f_circ, dens[c]),
+            lambda c, j: dist(dens[c], dens[j]), float,
+        )
+        assert reg.hull_gap_bound(ids) == pytest.approx(expect, rel=1e-12)
+        assert expect > 0.0
 
 
 class TestVerifications:

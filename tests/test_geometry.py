@@ -12,18 +12,14 @@ from bayesrates.geometry import (
     ConditionParams,
     GeometryError,
     RateSchedule,
-    admissible_m,
     build_sieve_from_cover,
-    check_separation,
-    condition_p_sum,
-    exhaustive_cover_count,
-    fitted_multiplier,
     greedy_cover,
     mixture_closure_report,
     separation_report,
     thickness_profile,
 )
 from bayesrates.models import build_gaussian_location_family, uniform_prior
+from helpers import exhaustive_cover_count
 
 GRID = default_grid()
 
@@ -58,14 +54,6 @@ class TestRateSchedule:
 
 
 class TestConditionParams:
-    def test_requires_gap_over_thickness_constant(self):
-        params = ConditionParams(C=0.5, c=2.0, d=1.2)
-        assert params.require_clears_thickness("c") == 2.0
-        with pytest.raises(GeometryError, match="exceed C \\+ 1"):
-            params.require_clears_thickness("d")
-        with pytest.raises(GeometryError, match="unset"):
-            params.require_clears_thickness("r")
-
     def test_field_validation(self):
         with pytest.raises(GeometryError, match="beta"):
             ConditionParams(C=0.1, beta=1.0)
@@ -73,10 +61,6 @@ class TestConditionParams:
             ConditionParams(C=0.1, eta=1.5)
         with pytest.raises(GeometryError, match="positive"):
             ConditionParams(C=0.1, r=-1.0)
-
-    def test_admissible_m_clears_proof_threshold(self):
-        m = admissible_m(c_thick=0.4, r_entropy=0.7)
-        assert m * m > 4.0 * ((0.4 + 1.0) + 2.0 * 0.7)
 
 
 class TestThickness:
@@ -140,11 +124,8 @@ class TestSeparation:
         assert hellinger(f_star, f0) > r
         for m in fam:
             assert hellinger(f0, m.density) <= r / 2.0
-        rep = check_separation(
-            f_star,
-            [m.density for m in fam],
-            delta=r * r / 8.0,
-            gap_fn=lambda a, b: 0.5 * hellinger(a, b) ** 2,
+        rep = separation_report(
+            [0.5 * hellinger(f_star, m.density) ** 2 for m in fam], delta=r * r / 8.0
         )
         assert rep.separated
 
@@ -158,14 +139,14 @@ class TestSeparation:
             take = rng.choice(9, size=rng.integers(1, 5), replace=False)
             members = [fam[i].density for i in take]
             delta = float(rng.uniform(0.0, 0.3))
-            rep = check_separation(f_star, members, delta, gap)
+            rep = separation_report([gap(f_star, m) for m in members], delta)
             manual = min(gap(f_star, m) for m in members)
             assert rep.min_gap == pytest.approx(manual, abs=1e-15)
             assert rep.separated == (manual > delta)
 
     def test_empty_subset_rejected(self):
         with pytest.raises(GeometryError, match="nonempty"):
-            check_separation(None, [], 0.1, lambda a, b: 0.0)
+            separation_report([], 0.1)
 
 
 class TestMixtureClosure:
@@ -266,29 +247,20 @@ def partition_balls(prior, groups, radius=0.1):
 
 
 class TestConditionPSum:
+    """S_n, the sum of ball-mass^(1/beta) that sizes the sieve."""
+
     def test_single_full_mass_ball(self):
         prior = flat_prior(2)
         cover = partition_balls(prior, [[0, 1]])
-        rep = condition_p_sum(cover, prior, beta=2.0, c_const=1.0, n=10, epsilon_n=0.1)
-        assert rep.s_n == pytest.approx(1.0)
-        assert rep.discounted == pytest.approx(math.exp(-0.1))
+        sieve = build_sieve_from_cover(cover, prior, 2.0, 1.0, 1.0, n=10, epsilon_n=0.1)
+        assert sieve.s_n == pytest.approx(1.0)
 
     def test_half_quarter_quarter(self):
         prior = flat_prior(3, weights=[0.5, 0.25, 0.25])
         cover = partition_balls(prior, [[0], [1], [2]])
-        rep = condition_p_sum(cover, prior, beta=2.0, c_const=1.0, n=1, epsilon_n=1e-6)
-        assert rep.s_n == pytest.approx(1.0 / math.sqrt(2.0) + 0.5 + 0.5, abs=1e-12)
-        assert rep.s_n == pytest.approx(1.7071067811865475, abs=1e-12)
-
-    def test_discounted_shrinks_along_schedule(self):
-        prior = flat_prior(3)
-        cover = partition_balls(prior, [[0], [1], [2]])
-        sched = RateSchedule((100, 200, 400), a=1.0)
-        vals = [
-            condition_p_sum(cover, prior, 2.0, 0.5, n, sched.epsilon(n)).discounted
-            for n in sched.n_values
-        ]
-        assert vals[0] > vals[1] > vals[2]
+        sieve = build_sieve_from_cover(cover, prior, 2.0, 1.0, 1.0, n=1, epsilon_n=1e-6)
+        assert sieve.s_n == pytest.approx(1.0 / math.sqrt(2.0) + 0.5 + 0.5, abs=1e-12)
+        assert sieve.s_n == pytest.approx(1.7071067811865475, abs=1e-12)
 
 
 class TestSieve:
@@ -382,15 +354,6 @@ class TestSieve:
         # and with c too small for the discounted sum, the certificate may fail
         weak = build_sieve_from_cover(cover, prior, beta, r, 0.4, n, eps)
         assert not weak.log_j_ok
-
-
-class TestFittedMultiplier:
-    def test_smallest_multiplier(self):
-        assert fitted_multiplier([1.0, 2.0], [2.0, 10.0]) == pytest.approx(0.5)
-        with pytest.raises(GeometryError):
-            fitted_multiplier([1.0], [0.0])
-        with pytest.raises(GeometryError):
-            fitted_multiplier([], [])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,29 +1,36 @@
-"""Sequential updating against hand Bayes, brute-force joints, and path identities."""
-import json
+"""Sequential updating against hand Bayes, brute-force joints, and path identities.
+
+The restricted numerator path and the posterior masses are computed by the
+replication engine from its cumulative log-ratio matrix; the sequential
+posterior here is their oracle.
+"""
 import math
 
 import numpy as np
 import pytest
 
 from bayesrates.divergences import Grid, default_grid, gaussian_density
+from bayesrates.experiments import (
+    ExperimentError,
+    ExperimentPlan,
+    IidRegime,
+    MarkovRegime,
+    MarkovSample,
+    RegressionRegime,
+    cumulative_log_ratio,
+    generate_data,
+    replicate,
+)
+from bayesrates.geometry import RateSchedule
 from bayesrates.inference import (
     FactorizationReport,
     InferenceError,
-    PosteriorState,
-    RestrictedPosteriorUndefinedError,
-    average_predictive,
     conditional_sqrt_ratio_identity,
-    dump_state,
     factorization_check,
     initial_state,
-    log_evidence_ratio,
-    posterior_mass,
     predictive_density,
     predictive_logpdf,
-    restricted_path,
-    restricted_posterior_mass,
     update,
-    update_path,
 )
 from bayesrates.models import (
     AtomicPrior,
@@ -36,6 +43,7 @@ from bayesrates.models import (
     log_likelihood,
     uniform_prior,
 )
+from bayesrates.numerics import logsumexp
 
 GRID = default_grid()
 
@@ -133,7 +141,7 @@ class TestUpdate:
         for y in rng.normal(size=40):
             state = update(state, float(y))
         assert abs(
-            state.log_evidence - (log_evidence_ratio(state) + state.log_r_denominator)
+            state.log_evidence - (logsumexp(state.log_weights) + state.log_r_denominator)
         ) < 1e-9
 
     def test_exchangeable_data_orders_agree(self):
@@ -147,7 +155,7 @@ class TestUpdate:
         for y in data[::-1]:
             b = update(b, float(y))
         np.testing.assert_allclose(a.normalized_weights(), b.normalized_weights(), atol=1e-10)
-        assert abs(log_evidence_ratio(a) - log_evidence_ratio(b)) < 1e-9
+        assert abs(logsumexp(a.log_weights) - logsumexp(b.log_weights)) < 1e-9
 
 
 class TestFactorization:
@@ -177,57 +185,82 @@ class TestFactorization:
         assert r0.log_joint_direct == r2.log_joint_direct
 
 
+def restricted_log_path(regime, data, subset):
+    """The engine's restricted numerator path: logsumexp of the subset rows."""
+    rows = [regime.prior.index_of(m) for m in sorted(set(subset))]
+    return logsumexp(cumulative_log_ratio(regime, data)[rows], axis=0)
+
+
 class TestRestrictedPath:
     def test_full_set_path_is_evidence_ratio_path(self):
         rng = np.random.default_rng(21)
         prior = location_prior([0.0, 0.8, -0.8, 1.6])
-        data = [float(y) for y in rng.normal(size=18)]
-        path = restricted_path(prior, data, [m.id for m in prior.members])
-        states = update_path(initial_state(prior), data)
-        direct = np.array([log_evidence_ratio(s) for s in states])
-        np.testing.assert_allclose(path.log_l, direct, atol=1e-12)
+        regime = IidRegime(prior, gaussian_density(GRID, 0.0, 1.0))
+        data = rng.normal(size=18)
+        path = restricted_log_path(regime, data, [m.id for m in prior.members])
+        state = initial_state(prior, regime.reference)
+        direct = [logsumexp(state.log_weights)]
+        for y in data:
+            state = update(state, float(y))
+            direct.append(logsumexp(state.log_weights))
+        np.testing.assert_allclose(path, np.array(direct), atol=1e-10)
 
     def test_singleton_path_telescopes_loglik_differences(self):
         rng = np.random.default_rng(22)
         prior = location_prior([0.0, 1.0, 2.0])
         ref = prior.members[0]
-        data = [float(y) for y in rng.normal(size=25)]
-        path = restricted_path(prior, data, [2], reference=ref)
+        regime = IidRegime(prior, ref.density)
+        data = rng.normal(size=25)
+        path = restricted_log_path(regime, data, [2])
         acc = math.log(prior.weights[2])
         expect = [acc]
         for y in data:
-            acc += log_likelihood(prior.members[2], y) - log_likelihood(ref, y)
+            acc += log_likelihood(prior.members[2], float(y)) - log_likelihood(ref, float(y))
             expect.append(acc)
-        np.testing.assert_allclose(path.log_l, np.array(expect), atol=1e-10)
-        assert path.log_prior_mass == pytest.approx(math.log(1.0 / 3.0), abs=1e-12)
+        np.testing.assert_allclose(path, np.array(expect), atol=1e-10)
+        assert path[0] == pytest.approx(math.log(1.0 / 3.0), abs=1e-12)
 
     @pytest.mark.parametrize(
-        "prior,subset,seed",
+        "regime,subset,seed",
         [
-            (location_prior(list(np.linspace(-1.5, 1.5, 7))), [4, 5, 6], 31),
-            (markov_prior([-0.4, 0.1, 0.5, 0.7]), [0, 3], 32),
-            (regression_prior([0.0, 1.0, 2.0, 2.5], 30), [2, 3], 33),
+            (IidRegime(location_prior(list(np.linspace(-1.5, 1.5, 7))),
+                       gaussian_density(GRID, 0.0, 1.0)), [4, 5, 6], 31),
+            (MarkovRegime(markov_prior([-0.4, 0.1, 0.5, 0.7]), MarkovParam(0.5)), [0, 3], 32),
+            (RegressionRegime(regression_prior([0.0, 1.0, 2.0, 2.5], 30),
+                              linear_regression_function(0.0, 30)), [2, 3], 33),
         ],
         ids=["iid", "markov", "regression"],
     )
-    def test_ratio_identity_holds_stepwise(self, prior, subset, seed):
-        rng = np.random.default_rng(seed)
-        data = [float(y) for y in rng.normal(size=30)]
-        path = restricted_path(prior, data, subset)
-        assert path.ratio_identity_max_abs_err <= 1e-10
-        assert len(path.log_l) == len(data) + 1
+    def test_ratio_identity_holds_stepwise(self, regime, subset, seed):
+        # each increment is the log ratio of the restricted predictive to the
+        # reference density at the new observation
+        data = generate_data(regime, 30, seed)
+        y0 = data.y0 if isinstance(data, MarkovSample) else None
+        y_seq = data.y if isinstance(data, MarkovSample) else data
+        path = restricted_log_path(regime, data, subset)
+        ref_ll = regime.ref_loglik(data)
+        assert len(path) == len(y_seq) + 1
+        state = initial_state(regime.prior, regime.reference, y0=y0)
+        for i, y in enumerate(y_seq):
+            step = predictive_logpdf(state, float(y), member_ids=subset) - ref_ll[i]
+            assert abs((path[i + 1] - path[i]) - step) <= 1e-10
+            state = update(state, float(y))
 
     def test_empty_subset_rejected(self):
-        prior = location_prior([0.0, 1.0])
-        with pytest.raises(RestrictedPosteriorUndefinedError, match="empty"):
-            restricted_path(prior, [0.1], [])
+        regime = IidRegime(location_prior([0.0, 1.0]), gaussian_density(GRID, 0.0, 1.0))
+        with pytest.raises(ExperimentError, match="subset_ids"):
+            ExperimentPlan(regime=regime, schedule=RateSchedule((10,)), replications=1,
+                           seed=0, collect=("sqrt_l",), subset_ids=())
 
     def test_duplicate_ids_collapse(self):
-        prior = location_prior([0.0, 1.0, 2.0])
-        data = [0.3, -0.1]
-        once = restricted_path(prior, data, [1])
-        doubled = restricted_path(prior, data, [1, 1])
-        np.testing.assert_array_equal(once.log_l, doubled.log_l)
+        regime = IidRegime(location_prior([0.0, 1.0, 2.0]), gaussian_density(GRID, 0.0, 1.0))
+        stats = [
+            replicate(ExperimentPlan(regime=regime, schedule=RateSchedule((5, 10)),
+                                     replications=1, seed=3, collect=("sqrt_l",),
+                                     subset_ids=ids), 0).stats["sqrt_l"]
+            for ids in ((1,), (1, 1))
+        ]
+        np.testing.assert_array_equal(stats[0], stats[1])
 
 
 class TestPredictive:
@@ -289,14 +322,6 @@ class TestPredictive:
                 pred.log_interp(y), abs=1e-9
             )
 
-    def test_average_predictive_is_uniform_mixture(self):
-        a = gaussian_density(GRID, 0.0, 1.0)
-        b = gaussian_density(GRID, 1.0, 1.0)
-        avg = average_predictive([a, b])
-        np.testing.assert_allclose(avg.values, 0.5 * a.values + 0.5 * b.values, atol=1e-12)
-        with pytest.raises(InferenceError):
-            average_predictive([])
-
 
 class TestSqrtRatioIdentity:
     def test_iid_identity_against_reference(self):
@@ -327,34 +352,14 @@ class TestSqrtRatioIdentity:
 class TestMassAndDump:
     def test_posterior_mass_sums_normalized_weights(self):
         prior = location_prior([0.0, 1.0, 2.0])
-        state = update(initial_state(prior), 0.2)
-        w = state.normalized_weights()
-        assert posterior_mass(state, [0, 2]) == pytest.approx(w[0] + w[2], abs=1e-12)
-        assert posterior_mass(state, [0, 1, 2]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_underflowing_restricted_mass_raises(self):
-        prior = location_prior([0.0, 1.0])
-        state = PosteriorState(
-            prior=prior,
-            reference=prior.members[0],
-            log_weights=np.array([0.0, -800.0]),
-            n_observed=5,
-            log_evidence=0.0,
-            log_r_denominator=0.0,
-            last_observation=0.0,
-        )
-        with pytest.raises(RestrictedPosteriorUndefinedError, match="underflow"):
-            restricted_posterior_mass(state, [1])
-        assert restricted_posterior_mass(state, [0]) == pytest.approx(1.0)
-
-    def test_dump_is_stable_json_keyed_by_atom_id(self):
-        prior = location_prior([0.0, 1.0])
-        state = update(initial_state(prior), 0.3)
-        text = dump_state(state)
-        assert text == dump_state(state)
-        payload = json.loads(text)
-        assert payload["n_observed"] == 1
-        assert set(payload["atoms"]) == {"0", "1"}
-        np.testing.assert_allclose(
-            [payload["atoms"]["0"], payload["atoms"]["1"]], state.log_weights
-        )
+        regime = IidRegime(prior, gaussian_density(GRID, 0.0, 1.0))
+        plan = ExperimentPlan(regime=regime, schedule=RateSchedule((1, 6)), replications=1,
+                              seed=4, collect=("posterior_mass",), b_sets=((0, 2), (0, 1, 2)))
+        got = replicate(plan, 0).stats["posterior_mass"]
+        state = initial_state(prior)
+        for k, y in enumerate(generate_data(regime, 6, plan.seed), start=1):
+            state = update(state, float(y))
+            if k == 1:
+                w = state.normalized_weights()
+                assert got[0] == pytest.approx(w[0] + w[2], abs=1e-12)
+        assert got[1] == pytest.approx(1.0, abs=1e-12)

@@ -26,15 +26,11 @@ from bayesrates.models import (
     RegressionFunction,
     build_gaussian_location_family,
     design_points,
-    kl_projection,
-    kl_projection_continuous,
-    likelihood,
     linear_regression_function,
     log_likelihood,
-    stationary_density,
     uniform_prior,
 )
-from helpers import random_gaussian_mixture
+from helpers import kl_projection, random_gaussian_mixture
 
 GRID = default_grid()
 
@@ -105,14 +101,6 @@ class TestKlProjection:
             f_circ = fam[proj_id].density
             for m in fam:
                 assert kl_contrast(f_circ, m.density, f_star) >= -1e-9
-
-    def test_continuous_two_stage(self):
-        f_star = gaussian_density(GRID, 0.3, 1.0)
-        t, val = kl_projection_continuous(
-            f_star, lambda t: gaussian_density(GRID, t, 1.0), -2.0, 2.0
-        )
-        assert t == pytest.approx(0.3, abs=1e-5)
-        assert val == pytest.approx(0.0, abs=1e-9)
 
 
 class TestPrior:
@@ -199,26 +187,24 @@ class TestLikelihood:
         expected0 = -0.5 * (1.1 / sd) ** 2 - 0.5 * math.log(2 * math.pi) - math.log(sd)
         assert log_likelihood(member, 1.1) == pytest.approx(expected0, abs=1e-12)
 
-    def test_likelihood_is_exp_of_log(self):
-        fam = build_gaussian_location_family(GRID, [0.3])
-        assert likelihood(fam[0], 0.9) == pytest.approx(
-            math.exp(log_likelihood(fam[0], 0.9))
-        )
+
+def stationary_density(param: MarkovParam):
+    return gaussian_density(GRID, 0.0, param.stationary_sd)
 
 
 class TestStationary:
     def test_zero_coefficient_is_standard_normal(self):
-        d = stationary_density(MarkovParam(0.0), GRID)
+        d = stationary_density(MarkovParam(0.0))
         ref = gaussian_density(GRID, 0.0, 1.0)
         assert_allclose(d.values, ref.values, rtol=1e-12)
 
     def test_variance_closed_form(self):
-        d = stationary_density(MarkovParam(0.6), GRID)
+        d = stationary_density(MarkovParam(0.6))
         assert d.variance() == pytest.approx(1.5625, abs=1e-6)
 
     def test_invariance_fixed_point(self):
         theta = 0.6
-        u = stationary_density(MarkovParam(theta), GRID)
+        u = stationary_density(MarkovParam(theta))
         probe = GRID.x[::50]
         kernel = np.exp(-0.5 * (probe[:, None] - theta * GRID.x[None, :]) ** 2) / math.sqrt(
             2 * math.pi
