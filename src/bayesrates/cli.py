@@ -179,6 +179,10 @@ class ConfigError(Exception):
         super().__init__("\n".join(self.errors))
 
 
+class SummaryError(Exception):
+    """A summary.json that parses but does not have the shape ``_update_summary`` writes."""
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -843,9 +847,20 @@ _RUNNERS = {
 
 def _read_summary(path: Path) -> dict:
     try:
-        return json.loads(path.read_text())
+        data = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise json.JSONDecodeError(f"corrupt {path}: {e.msg}", e.doc, e.pos) from None
+    entries = data.get("verifications") if isinstance(data, dict) else None
+    if not (
+        isinstance(entries, dict)
+        and type(data.get("seed")) is int
+        and all(isinstance(e, dict) and "passed" in e for e in entries.values())
+    ):
+        raise SummaryError(
+            f'malformed {path}: expected {{"seed": int, "verifications": '
+            f'{{name: {{"passed": ...}}}}}}'
+        )
+    return data
 
 
 def _update_summary(out: Path, seed: int, results: Sequence[VerificationResult]) -> None:
@@ -869,7 +884,7 @@ def _report(out: Path, verbose: bool) -> int:
         print(f"no summary.json under {out}; run check/simulate/sieve first", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     data = _read_summary(path)
-    entries = sorted(data.get("verifications", {}).items())
+    entries = sorted(data["verifications"].items())
     if not entries:
         print("summary.json lists no verifications", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -882,7 +897,7 @@ def _report(out: Path, verbose: bool) -> int:
         ["verification", "passed", "detail", "csv"],
         ["name", "flag", "text", "filename"],
         "aggregated pass/fail state of every verification recorded in this directory",
-        int(data.get("seed", 0)),
+        data["seed"],
         rows,
     )
     all_passed = all(r[1] for r in rows)
@@ -925,7 +940,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _main(args)
     except (ModelError, GeometryError, DivergenceError, ExperimentError,
-            OSError, json.JSONDecodeError) as e:
+            OSError, json.JSONDecodeError, SummaryError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
 

@@ -365,19 +365,12 @@ def _check_transition_support(grid: Grid, theta: float, max_abs_state: float, no
         )
 
 
-def _per_state_kvh(
-    grid: Grid, theta_a: float, theta_b: float, states: np.ndarray, noise_sd: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-state (kl, v, squared hellinger) between the two transition rows."""
-    rows_a = _transition_rows(grid, theta_a, states, noise_sd)
-    rows_b = _transition_rows(grid, theta_b, states, noise_sd)
-    log_diff = np.log(rows_a) - np.log(rows_b)
-    wq = grid.quad_weights
-    k = (rows_a * log_diff) @ wq
-    v = (rows_a * log_diff * log_diff) @ wq
-    sq = np.sqrt(rows_a) - np.sqrt(rows_b)
-    h2 = (sq * sq) @ wq
-    return np.maximum(k, 0.0), v, np.maximum(h2, 0.0)
+def check_state_window(grid: Grid, thetas: Sequence[float], window: float, noise_sd: float) -> None:
+    """Refuse an empty state window, or one from which the grid clips a transition."""
+    if not window > 0.0:
+        raise DivergenceError(f"state window must be positive, got {window}")
+    for theta in thetas:
+        _check_transition_support(grid, theta, window, noise_sd)
 
 
 def state_sup_hellinger(
@@ -392,13 +385,63 @@ def state_sup_hellinger(
     """sup over |y| <= window of the Hellinger distance between transitions from y."""
     if grid is None:
         grid = default_grid()
-    if not window > 0.0:
-        raise DivergenceError(f"state window must be positive, got {window}")
-    for theta in (theta_a, theta_b):
-        _check_transition_support(grid, theta, window, noise_sd)
+    check_state_window(grid, (theta_a, theta_b), window, noise_sd)
     states = np.linspace(-window, window, sweep_points)
-    _, _, h2 = _per_state_kvh(grid, theta_a, theta_b, states, noise_sd)
+    sq = (np.sqrt(_transition_rows(grid, theta_a, states, noise_sd))
+          - np.sqrt(_transition_rows(grid, theta_b, states, noise_sd)))
+    h2 = np.maximum((sq * sq) @ grid.quad_weights, 0.0)
     return min(math.sqrt(float(np.max(h2))), SQRT2)
+
+
+def stationary_divergences(
+    theta_star: float,
+    thetas: Sequence[float],
+    *,
+    grid: Grid | None = None,
+    noise_sd: float = 1.0,
+    state_points: int = 401,
+) -> list[tuple[float, float, float]]:
+    """State-averaged (kl, v, h_q) from the ``theta_star`` transitions to each theta's.
+
+    The per-state kl, v and Hellinger distance between the transition rows
+    are integrated against the stationary density of ``theta_star`` over
+    +-6 stationary standard deviations.  The truth's rows, with their logs
+    and square roots, are built once for all thetas.
+    """
+    if grid is None:
+        grid = default_grid()
+    sd_star = ar1_stationary_sd(theta_star, noise_sd)
+    for theta in thetas:
+        if not abs(theta) < 1.0:
+            raise NonstationaryError(f"coefficient {theta} has no stationary density")
+    half = 6.0 * sd_star
+    for theta in (theta_star, *thetas):
+        _check_transition_support(grid, theta, half, noise_sd)
+    states = np.linspace(-half, half, state_points)
+    u = np.exp(-0.5 * (states / sd_star) ** 2)
+    state_w = np.full(state_points, states[1] - states[0])
+    state_w[0] *= 0.5
+    state_w[-1] *= 0.5
+    u_mass = state_w @ u
+
+    wq = grid.quad_weights
+    rows_a = _transition_rows(grid, theta_star, states, noise_sd)
+    log_a = np.log(rows_a)
+    sqrt_a = np.sqrt(rows_a)
+    out = []
+    for theta in thetas:
+        rows_b = _transition_rows(grid, theta, states, noise_sd)
+        log_diff = log_a - np.log(rows_b)
+        k_s = np.maximum((rows_a * log_diff) @ wq, 0.0)
+        v_s = (rows_a * log_diff * log_diff) @ wq
+        sq = sqrt_a - np.sqrt(rows_b)
+        h2 = np.maximum((sq * sq) @ wq, 0.0)
+        out.append((
+            float(state_w @ (u * k_s)) / u_mass,
+            float(state_w @ (u * v_s)) / u_mass,
+            float(state_w @ (u / u_mass * np.sqrt(h2))),
+        ))
+    return out
 
 
 def markov_divergences(
@@ -413,33 +456,15 @@ def markov_divergences(
 ) -> MarkovDivergences:
     """State-averaged divergences between two AR(1) transition families.
 
-    kl, v and h_q integrate the per-state kl, v and Hellinger distance
-    against the stationary density of ``theta_star``; h_inf_truncated is the
-    per-state Hellinger sup over |y| <= state_window (default window: 5
-    stationary standard deviations).
+    kl, v and h_q are ``stationary_divergences`` for the one theta;
+    h_inf_truncated is the per-state Hellinger sup over |y| <= state_window
+    (default window: 5 stationary standard deviations).
     """
-    if grid is None:
-        grid = default_grid()
-    sd_star = ar1_stationary_sd(theta_star, noise_sd)
-    if not abs(theta) < 1.0:
-        raise NonstationaryError(f"coefficient {theta} has no stationary density")
     if state_window is None:
-        state_window = 5.0 * sd_star
-
-    half = 6.0 * sd_star
-    for th in (theta_star, theta):
-        _check_transition_support(grid, th, half, noise_sd)
-    states = np.linspace(-half, half, state_points)
-    k_s, v_s, h2 = _per_state_kvh(grid, theta_star, theta, states, noise_sd)
-    u = np.exp(-0.5 * (states / sd_star) ** 2)
-    state_w = np.full(state_points, states[1] - states[0])
-    state_w[0] *= 0.5
-    state_w[-1] *= 0.5
-    u_mass = state_w @ u
-    k_val = float(state_w @ (u * k_s)) / u_mass
-    v_val = float(state_w @ (u * v_s)) / u_mass
-    h_q = float(state_w @ (u / u_mass * np.sqrt(h2)))
-
+        state_window = 5.0 * ar1_stationary_sd(theta_star, noise_sd)
+    [(k_val, v_val, h_q)] = stationary_divergences(
+        theta_star, [theta], grid=grid, noise_sd=noise_sd, state_points=state_points
+    )
     h_inf = state_sup_hellinger(
         theta_star, theta, state_window, grid=grid, noise_sd=noise_sd, sweep_points=sweep_points
     )

@@ -36,14 +36,15 @@ import numpy as np
 from .divergences import (
     Grid,
     GridDensity,
+    check_state_window,
     default_grid,
     h_affinity_gap,
     h_star,
     hellinger,
     kl_contrast,
     kleijn_certificate,
-    markov_divergences,
     mixture_density,
+    stationary_divergences,
     v_divergence,
     v_star,
     kl,
@@ -133,15 +134,37 @@ def _triangle_bound(member_ids, to_truth, between, measure=float) -> float:
 
 def _gaussian_mixture_kls(grid: Grid, means: np.ndarray, truth_means: np.ndarray,
                           sd: float, weights_before: np.ndarray) -> np.ndarray:
-    """Per-step kl(N(truth_means[i], sd), sum_j w[j, i] N(means[j, i], sd)) on the grid."""
+    """Per-step kl(N(truth_means[i], sd), sum_j w[j, i] N(means[j, i], sd)) on the grid.
+
+    Each step writes its J component rows and then its truth row into one
+    buffer, in place, with the operations of ``_gauss_row``; z * z times
+    -0.5 rounds like -0.5 * z times z, since halving is exact.
+    """
     x = grid.x
     qw = grid.quad_weights
+    norm = sd * math.sqrt(2.0 * math.pi)
+    j = len(means)
+    centers = np.vstack([means, truth_means])
+    buf = np.empty((j + 1, len(x)))
+    integrand = np.empty(len(x))
     out = np.empty(len(truth_means))
     for i in range(len(truth_means)):
-        rows = _gauss_row(x[None, :], means[:, i, None], sd)
-        mix = np.maximum(weights_before[:, i] @ rows, 1e-300)
-        truth = _gauss_row(x, truth_means[i], sd)
-        out[i] = float(qw @ (truth * (np.log(np.maximum(truth, 1e-300)) - np.log(mix))))
+        np.subtract(x, centers[:, i, None], out=buf)
+        if sd != 1.0:  # x / 1.0 == x exactly, so skipping it changes no bit
+            buf /= sd
+        np.multiply(buf, buf, out=buf)
+        buf *= -0.5
+        np.exp(buf, out=buf)
+        buf /= norm
+        truth = buf[j]
+        mix = weights_before[:, i] @ buf[:j]
+        np.maximum(mix, 1e-300, out=mix)
+        np.log(mix, out=mix)
+        np.maximum(truth, 1e-300, out=integrand)
+        np.log(integrand, out=integrand)
+        integrand -= mix
+        integrand *= truth
+        out[i] = float(qw @ integrand)
     return np.maximum(out, 0.0)
 
 
@@ -507,7 +530,7 @@ class MarkovRegime:
         self.sweep_points = sweep_points
         self.reference = FamilyMember(id=REF_ID, kind=MARKOV, payload=theta_star)
         self._thetas = np.array([m.payload.theta for m in prior.members])
-        self._md_cache: dict[int, tuple[float, float, float, float]] = {}
+        self._md_cache: dict[int, tuple[float, float, float]] = {}
 
     def sample(self, n: int, rng: np.random.Generator) -> MarkovSample:
         y0 = float(self.stationary_sd * rng.standard_normal())
@@ -542,18 +565,19 @@ class MarkovRegime:
             return ("transition-tail-clipped",)
         return ()
 
-    def _divergences(self, member_id: int):
-        if member_id not in self._md_cache:
-            m = self.prior.members[self.prior.index_of(member_id)]
-            md = markov_divergences(
-                self.theta_star.theta,
-                m.payload.theta,
-                state_window=self.state_window,
-                grid=self.grid,
-                noise_sd=self.noise_sd,
-                sweep_points=self.sweep_points,
+    def _divergences(self, member_id: int) -> tuple[float, float, float]:
+        """(kl, v, h_q) of one atom; the first call computes every atom's."""
+        if not self._md_cache:
+            thetas = [m.payload.theta for m in self.prior.members]
+            rows = stationary_divergences(
+                self.theta_star.theta, thetas, grid=self.grid, noise_sd=self.noise_sd
             )
-            self._md_cache[member_id] = (md.kl, md.v, md.h_q, md.h_inf_truncated)
+            # vet the state window that separation_gaps, pair_dist and the
+            # sup-form bounds measure over
+            check_state_window(
+                self.grid, (self.theta_star.theta, *thetas), self.state_window, self.noise_sd
+            )
+            self._md_cache = {m.id: r for m, r in zip(self.prior.members, rows)}
         return self._md_cache[member_id]
 
     def atom_kv(self, n: int | None = None) -> np.ndarray:

@@ -19,8 +19,10 @@ import numpy as np
 from scipy import optimize
 
 from bayesrates.divergences import (
+    FLOOR,
     Grid,
     GridDensity,
+    ar1_stationary_sd,
     gaussian_density,
     kl,
     mixture_density,
@@ -134,3 +136,64 @@ def exhaustive_cover_count(
             if got >= universe:
                 return k
     return len(ids)
+
+
+def _gauss_row(x: np.ndarray, mean, sd: float) -> np.ndarray:
+    z = (x - np.asarray(mean)) / sd
+    return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+
+
+def gaussian_mixture_kls_oracle(grid: Grid, means: np.ndarray, truth_means: np.ndarray,
+                                sd: float, weights_before: np.ndarray) -> np.ndarray:
+    """Per-step kl(N(truth_means[i], sd), sum_j w[j, i] N(means[j, i], sd)).
+
+    The reference form of the Cesaro kernel: every step builds fresh
+    component and truth rows, with no buffer reused.
+    """
+    x = grid.x
+    qw = grid.quad_weights
+    out = np.empty(len(truth_means))
+    for i in range(len(truth_means)):
+        rows = _gauss_row(x[None, :], means[:, i, None], sd)
+        mix = np.maximum(weights_before[:, i] @ rows, 1e-300)
+        truth = _gauss_row(x, truth_means[i], sd)
+        out[i] = float(qw @ (truth * (np.log(np.maximum(truth, 1e-300)) - np.log(mix))))
+    return np.maximum(out, 0.0)
+
+
+def _transition_rows(grid: Grid, theta: float, states: np.ndarray, noise_sd: float) -> np.ndarray:
+    z = (grid.x[None, :] - theta * states[:, None]) / noise_sd
+    rows = np.exp(-0.5 * z * z) / (noise_sd * math.sqrt(2.0 * math.pi))
+    rows = np.maximum(rows, FLOOR)
+    rows /= rows @ grid.quad_weights[:, None]
+    return np.maximum(rows, FLOOR)
+
+
+def markov_kvh_oracle(theta_star: float, theta: float, *, grid: Grid,
+                      noise_sd: float = 1.0, state_points: int = 401) -> tuple[float, float, float]:
+    """State-averaged (kl, v, h_q) for one coefficient, both row sets built afresh.
+
+    The reference form of ``stationary_divergences``: the truth's rows are
+    rebuilt for every coefficient.
+    """
+    sd_star = ar1_stationary_sd(theta_star, noise_sd)
+    half = 6.0 * sd_star
+    states = np.linspace(-half, half, state_points)
+    rows_a = _transition_rows(grid, theta_star, states, noise_sd)
+    rows_b = _transition_rows(grid, theta, states, noise_sd)
+    log_diff = np.log(rows_a) - np.log(rows_b)
+    wq = grid.quad_weights
+    k_s = np.maximum((rows_a * log_diff) @ wq, 0.0)
+    v_s = (rows_a * log_diff * log_diff) @ wq
+    sq = np.sqrt(rows_a) - np.sqrt(rows_b)
+    h2 = np.maximum((sq * sq) @ wq, 0.0)
+    u = np.exp(-0.5 * (states / sd_star) ** 2)
+    state_w = np.full(state_points, states[1] - states[0])
+    state_w[0] *= 0.5
+    state_w[-1] *= 0.5
+    u_mass = state_w @ u
+    return (
+        float(state_w @ (u * k_s)) / u_mass,
+        float(state_w @ (u * v_s)) / u_mass,
+        float(state_w @ (u / u_mass * np.sqrt(h2))),
+    )

@@ -228,6 +228,27 @@ verify: [numerator-bound]
 out: {out}
 """
 
+MARKOV_WINDOW = """\
+regime: markov
+family:
+  thetas: [0.6, -0.4]
+  state_window: {window}
+truth:
+  theta: 0.6
+schedule:
+  n_values: [100]
+params:
+  C: 0.0
+  c: 1.5
+  d: 1.8
+  r: 1.0
+  beta: 2.0
+  M: 1.0
+seed: 17
+verify: [thickness, cover, sieve]
+out: {out}
+"""
+
 
 class TestMain:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -418,3 +439,43 @@ class TestOverridesAndRuntimeFaults:
         data = json.loads((out / "summary.json").read_text())
         assert data["seed"] == 99
         assert set(data["verifications"]) == {"conditional-identity"}
+
+    @pytest.mark.parametrize("command", ["check", "sieve"])
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ("-1.0", "state window must be positive, got -1.0"),
+            ("0.0", "state window must be positive, got 0.0"),
+            ("100.0", "grid clips transition density"),
+        ],
+        ids=["negative", "zero", "clipped"],
+    )
+    def test_bad_state_window_exits_4(self, tmp_path, capsys, command, window, message):
+        path = write_config(tmp_path, MARKOV_WINDOW.format(window=window, out=tmp_path / "out"))
+        code = main([command, "--config", str(path)])
+        assert code == EXIT_RUNTIME_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime error: {message}")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("report", "[]"),
+            ("check", "[]"),
+            ("report", '{"seed": 17, "verifications": []}'),
+            ("report", '{"seed": 17, "verifications": {"factorization": {"detail": ""}}}'),
+        ],
+        ids=["report-list", "check-list", "report-list-of-verifications", "report-no-passed"],
+    )
+    def test_malformed_summary_exits_4(self, tmp_path, capsys, command, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_text(text)
+        path = write_config(tmp_path, SMALL_CHECK.format(out=out))
+        code = main([command, "--config", str(path)])
+        assert code == EXIT_RUNTIME_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: malformed")
+        assert str(out / "summary.json") in err
+        assert len(err.strip().splitlines()) == 1

@@ -28,12 +28,13 @@ from bayesrates.divergences import (
     mean_hellinger,
     mixture_density,
     state_sup_hellinger,
+    stationary_divergences,
     v_divergence,
     v_star,
     weighted_hellinger,
     weighted_hellinger_between,
 )
-from helpers import moment_constrained_triple, random_gaussian_mixture
+from helpers import markov_kvh_oracle, moment_constrained_triple, random_gaussian_mixture
 
 GRID = default_grid()
 
@@ -336,7 +337,19 @@ class TestMarkov:
         out = markov_divergences(0.6, 0.3, state_window=5.0)
         assert a == pytest.approx(out.h_inf_truncated, abs=1e-12)
 
+    @pytest.mark.parametrize("theta_star", [0.6, 0.2, -0.5])
+    def test_all_atoms_form_equals_per_atom_oracle(self, theta_star):
+        thetas = [0.6, -0.3, 0.9]
+        rows = stationary_divergences(theta_star, thetas)
+        for theta, row in zip(thetas, rows):
+            expected = markov_kvh_oracle(theta_star, theta, grid=GRID)
+            assert row == expected
+            out = markov_divergences(theta_star, theta)
+            assert (out.kl, out.v, out.h_q) == expected
+
     def test_nonstationary_rejected(self):
+        with pytest.raises(NonstationaryError):
+            stationary_divergences(0.6, [0.3, -1.0])
         with pytest.raises(NonstationaryError):
             markov_divergences(1.0, 0.3)
         with pytest.raises(NonstationaryError):

@@ -1,11 +1,13 @@
 """Tests for the sampling regimes, the replication engine, and the verifiers."""
 import math
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bayesrates import inference
+from bayesrates.cli import build_regime, parse_config
 from bayesrates.divergences import (
     Grid,
     default_grid,
@@ -23,6 +25,7 @@ from bayesrates.experiments import (
     RegressionRegime,
     ReplicationRecord,
     SubsetNotAdmissibleError,
+    _gaussian_mixture_kls,
     certify_subset,
     concentration_sets,
     cumulative_log_ratio,
@@ -40,7 +43,7 @@ from bayesrates.experiments import (
     verify_numerator_bound,
 )
 from bayesrates.geometry import ConditionParams, RateSchedule
-from bayesrates.numerics import logsumexp
+from bayesrates.numerics import logsumexp, softmax
 from bayesrates.models import (
     MARKOV,
     REGRESSION,
@@ -53,7 +56,10 @@ from bayesrates.models import (
     uniform_prior,
 )
 
+from helpers import gaussian_mixture_kls_oracle, markov_kvh_oracle
+
 GRID = default_grid()
+MARKOV_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "markov.yaml"
 
 
 def iid_regime(means=(0.0, 0.3, 2.0), truth_mean=0.0):
@@ -173,20 +179,22 @@ class TestEngine:
         for key in ("log_evidence", "cesaro_kl"):
             assert np.array_equal(stat_matrix(a, key), stat_matrix(b, key))
 
-    def test_parallel_matches_serial(self):
-        reg = iid_regime()
+    @pytest.mark.parametrize(
+        "make, stat",
+        [(iid_regime, "log_evidence"), (markov_regime, "cesaro_kl")],
+        ids=["iid-log_evidence", "markov-cesaro_kl"],
+    )
+    def test_parallel_matches_serial(self, make, stat):
         plan = ExperimentPlan(
-            regime=reg,
+            regime=make(),
             schedule=RateSchedule((20, 50)),
             replications=6,
             seed=5,
-            collect=("log_evidence",),
+            collect=(stat,),
         )
         serial = run_replications(plan, jobs=1)
         parallel = run_replications(plan, jobs=2)
-        assert np.array_equal(
-            stat_matrix(serial, "log_evidence"), stat_matrix(parallel, "log_evidence")
-        )
+        assert np.array_equal(stat_matrix(serial, stat), stat_matrix(parallel, stat))
 
     def test_singleton_subset_numerator_path(self):
         reg = iid_regime()
@@ -357,6 +365,61 @@ class TestCesaro:
 
         avg = mixture_density(preds, np.full(len(preds), 1.0 / len(preds)))
         assert h_affinity_gap(truth, avg) <= np.mean(gaps) + 1e-9
+
+
+class TestFastPathOracles:
+    """The in-place Cesaro kernel and the all-atoms stationary divergences
+    equal their reference forms in ``helpers`` bit for bit."""
+
+    def test_markov_config_replications(self):
+        cfg = parse_config(MARKOV_CONFIG)
+        reg = build_regime(cfg)
+        n = cfg.schedule.n_values[-1]
+        thetas = np.array([m.payload.theta for m in reg.prior.members])
+        for rep in range(4):
+            sample = generate_data(reg, n, seed=cfg.seed + rep)
+            w = softmax(cumulative_log_ratio(reg, sample)[:, :-1], axis=0)
+            prev = np.concatenate(([sample.y0], sample.y[:-1]))
+            expected = gaussian_mixture_kls_oracle(
+                reg.grid, thetas[:, None] * prev[None, :], reg.theta_star.theta * prev,
+                reg.noise_sd, w,
+            )
+            assert np.array_equal(reg.cesaro_kls(sample, w), expected)
+
+    def test_regression_inputs(self):
+        reg = regression_regime(slopes=(0.0, 0.4, 3.0, -1.0), length=120)
+        data = generate_data(reg, 120, seed=8)
+        w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
+        means = np.stack([m.payload.values_at_design for m in reg.prior.members])
+        expected = gaussian_mixture_kls_oracle(
+            GRID, means, np.asarray(reg.truth.values_at_design), 1.0, w
+        )
+        assert np.array_equal(reg.cesaro_kls(data, w), expected)
+
+    @pytest.mark.parametrize("sd", [0.7, 1.3])
+    def test_random_four_atoms_off_unit_sd(self, sd):
+        rng = np.random.default_rng(31)
+        means = rng.normal(0.0, 2.0, size=(4, 150))
+        truth_means = rng.normal(0.0, 1.0, size=150)
+        w = rng.dirichlet(np.ones(4), size=150).T
+        got = _gaussian_mixture_kls(GRID, means, truth_means, sd, w)
+        assert np.array_equal(got, gaussian_mixture_kls_oracle(GRID, means, truth_means, sd, w))
+
+    @pytest.mark.parametrize("noise_sd", [1.0, 0.8])
+    def test_markov_atom_divergences(self, noise_sd):
+        thetas = (0.6, 0.5, 0.7, -0.3, -0.4, -0.5)
+        members = [
+            FamilyMember(j, MARKOV, MarkovParam(t, noise_sd=noise_sd))
+            for j, t in enumerate(thetas)
+        ]
+        reg = MarkovRegime(uniform_prior(members), MarkovParam(0.6, noise_sd=noise_sd))
+        kv = reg.atom_kv()
+        for k, m in enumerate(members):
+            kl_val, v_val, h_q = markov_kvh_oracle(
+                0.6, m.payload.theta, grid=GRID, noise_sd=noise_sd
+            )
+            assert kv[k, 0] == kl_val and kv[k, 1] == v_val
+            assert reg.truth_dist(m.id) == h_q
 
 
 class TestThicknessWiring:
