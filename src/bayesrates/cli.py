@@ -15,6 +15,7 @@ byte-identical CSVs (17 significant digits, LF endings, no timestamps).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -863,12 +864,13 @@ def _read_summary(path: Path) -> dict:
     return data
 
 
-def _update_summary(out: Path, seed: int, results: Sequence[VerificationResult]) -> None:
-    """Merge results into summary.json; entries from another seed are dropped."""
+def _update_summary(out: Path, seed: int, config: str,
+                    results: Sequence[VerificationResult]) -> None:
+    """Merge results into summary.json; another seed or config sha256 starts it over."""
     path = out / "summary.json"
     data = _read_summary(path) if path.exists() else {}
-    if data.get("seed") != seed:
-        data = {"seed": seed, "verifications": {}}
+    if (data.get("seed"), data.get("config")) != (seed, config):
+        data = {"seed": seed, "config": config, "verifications": {}}
     for r in results:
         data["verifications"][r.name] = {
             "passed": bool(r.passed),
@@ -1001,7 +1003,8 @@ def _main(args: argparse.Namespace) -> int:
         results = [r for r in _run_cover_and_sieve(cfg, regime, out) if r.name in selected]
     else:
         results = [_RUNNERS[name](cfg, regime, out) for name in selected]
-    _update_summary(out, cfg.seed, results)
+    config = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
+    _update_summary(out, cfg.seed, config, results)
     if cfg.verbosity > 0:
         for r in results:
             print(f"{r.name}: {'pass' if r.passed else 'FAIL'} ({r.detail})")

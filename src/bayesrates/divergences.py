@@ -29,6 +29,11 @@ DEFAULT_LOWER = -12.0
 DEFAULT_UPPER = 12.0
 DEFAULT_POINTS = 4001
 
+# stationary-averaged transition divergences integrate over this many
+# states; the Hellinger sup sweeps this many states of its window
+STATE_POINTS = 401
+SWEEP_POINTS = 1001
+
 
 class DivergenceError(ValueError):
     """Base class for grid/divergence input errors."""
@@ -208,13 +213,6 @@ def kl(f: GridDensity, g: GridDensity) -> float:
     return val
 
 
-def v_divergence(f: GridDensity, g: GridDensity) -> float:
-    """Uncentered second moment int (log(f/g))^2 f dmu."""
-    _require_same_grid(f, g)
-    diff = f.log_values - g.log_values
-    return float((f.grid.quad_weights * f.values) @ (diff * diff))
-
-
 def hellinger(f: GridDensity, g: GridDensity) -> float:
     """Hellinger distance sqrt(int (sqrt f - sqrt g)^2 dmu), in [0, sqrt 2]."""
     _require_same_grid(f, g)
@@ -380,13 +378,12 @@ def state_sup_hellinger(
     *,
     grid: Grid | None = None,
     noise_sd: float = 1.0,
-    sweep_points: int = 1001,
 ) -> float:
     """sup over |y| <= window of the Hellinger distance between transitions from y."""
     if grid is None:
         grid = default_grid()
     check_state_window(grid, (theta_a, theta_b), window, noise_sd)
-    states = np.linspace(-window, window, sweep_points)
+    states = np.linspace(-window, window, SWEEP_POINTS)
     sq = (np.sqrt(_transition_rows(grid, theta_a, states, noise_sd))
           - np.sqrt(_transition_rows(grid, theta_b, states, noise_sd)))
     h2 = np.maximum((sq * sq) @ grid.quad_weights, 0.0)
@@ -399,7 +396,6 @@ def stationary_divergences(
     *,
     grid: Grid | None = None,
     noise_sd: float = 1.0,
-    state_points: int = 401,
 ) -> list[tuple[float, float, float]]:
     """State-averaged (kl, v, h_q) from the ``theta_star`` transitions to each theta's.
 
@@ -417,9 +413,9 @@ def stationary_divergences(
     half = 6.0 * sd_star
     for theta in (theta_star, *thetas):
         _check_transition_support(grid, theta, half, noise_sd)
-    states = np.linspace(-half, half, state_points)
+    states = np.linspace(-half, half, STATE_POINTS)
     u = np.exp(-0.5 * (states / sd_star) ** 2)
-    state_w = np.full(state_points, states[1] - states[0])
+    state_w = np.full(STATE_POINTS, states[1] - states[0])
     state_w[0] *= 0.5
     state_w[-1] *= 0.5
     u_mass = state_w @ u
@@ -451,8 +447,6 @@ def markov_divergences(
     *,
     grid: Grid | None = None,
     noise_sd: float = 1.0,
-    state_points: int = 401,
-    sweep_points: int = 1001,
 ) -> MarkovDivergences:
     """State-averaged divergences between two AR(1) transition families.
 
@@ -463,11 +457,9 @@ def markov_divergences(
     if state_window is None:
         state_window = 5.0 * ar1_stationary_sd(theta_star, noise_sd)
     [(k_val, v_val, h_q)] = stationary_divergences(
-        theta_star, [theta], grid=grid, noise_sd=noise_sd, state_points=state_points
+        theta_star, [theta], grid=grid, noise_sd=noise_sd
     )
-    h_inf = state_sup_hellinger(
-        theta_star, theta, state_window, grid=grid, noise_sd=noise_sd, sweep_points=sweep_points
-    )
+    h_inf = state_sup_hellinger(theta_star, theta, state_window, grid=grid, noise_sd=noise_sd)
     return MarkovDivergences(
         kl=k_val, v=v_val, h_q=h_q, h_inf_truncated=h_inf, state_window=state_window
     )

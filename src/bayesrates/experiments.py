@@ -2,10 +2,10 @@
 
 Four regimes share one engine.  Each regime knows how to sample its data,
 score every prior atom's log likelihood (with the right conditioning), and
-measure its own divergences: plain (K, V, H, h) for iid data, the
-projection-weighted starred family under misspecification, per-design-index
-averages for regression, and realized-state conditional quantities for the
-AR(1) chain.
+measure its own divergences: for iid data the starred family anchored at
+the truth (where it is the plain K, V, H, h) or, under misspecification, at
+the kl projection, in one class; per-design-index averages for regression;
+and realized-state conditional quantities for the AR(1) chain.
 
 A replication builds one cumulative log-likelihood-ratio matrix
 
@@ -34,20 +34,17 @@ from typing import Sequence
 import numpy as np
 
 from .divergences import (
+    SWEEP_POINTS,
     Grid,
     GridDensity,
     check_state_window,
     default_grid,
-    h_affinity_gap,
     h_star,
-    hellinger,
     kl_contrast,
     kleijn_certificate,
     mixture_density,
     stationary_divergences,
-    v_divergence,
     v_star,
-    kl,
     weighted_hellinger,
     weighted_hellinger_between,
 )
@@ -83,6 +80,9 @@ STAT_KEYS = ("cesaro_kl", "log_evidence", "posterior_mass", "u_mass", "sqrt_l")
 # offset mixed into the plan seed for certification draws, so the
 # admissibility randomness never aliases a replication stream
 CERT_SEED_OFFSET = 202_020
+
+# mixture weights tabulated by the two-atom Cesaro table
+MIX_TABLE_POINTS = 2049
 
 
 class ExperimentError(ValueError):
@@ -171,9 +171,8 @@ def _gaussian_mixture_kls(grid: Grid, means: np.ndarray, truth_means: np.ndarray
 class _MixLogTable:
     """w -> integral of weight_density * log(w f0 + (1-w) f1), tabulated."""
 
-    def __init__(self, weight: GridDensity, f0: GridDensity, f1: GridDensity,
-                 points: int = 2049):
-        w = np.linspace(0.0, 1.0, points)
+    def __init__(self, weight: GridDensity, f0: GridDensity, f1: GridDensity):
+        w = np.linspace(0.0, 1.0, MIX_TABLE_POINTS)
         mix = w[:, None] * f0.values[None, :] + (1.0 - w)[:, None] * f1.values[None, :]
         kern = weight.grid.quad_weights * weight.values
         self.w_grid = w
@@ -188,12 +187,15 @@ class _MixLogTable:
 
 
 class IidRegime:
-    """Independent draws from a fixed density; ratios are taken against it."""
+    """Independent draws from a fixed density, measured against an anchor.
 
-    kind = "iid"
-    well_specified = True
+    The anchor is the truth (``anchor=None``, well specified) or the prior's
+    kl projection member.  Every functional is the starred one anchored at
+    ``f_circ``; at the truth the weight f_star / f_circ is exactly one.
+    """
 
-    def __init__(self, prior: AtomicPrior, true_density: GridDensity):
+    def __init__(self, prior: AtomicPrior, true_density: GridDensity,
+                 anchor: FamilyMember | None = None):
         if prior.kind != IID:
             raise ExperimentError(f"iid regime needs density atoms, got {prior.kind!r}")
         self.grid = true_density.grid
@@ -202,10 +204,15 @@ class IidRegime:
                 raise ExperimentError("prior atoms and truth must share one grid")
         self.prior = prior
         self.true_density = true_density
-        self.reference = FamilyMember(id=REF_ID, kind=IID, payload=true_density)
+        self.well_specified = anchor is None
+        self.kind = "iid" if anchor is None else "misspecified"
+        self.reference = (
+            FamilyMember(id=REF_ID, kind=IID, payload=true_density) if anchor is None else anchor
+        )
+        self.f_circ = self.reference.density
         self._cdf = true_density.cdf_values()
         kern = self.grid.quad_weights * true_density.values
-        self._entropy_term = float(kern @ true_density.log_values)
+        self._anchor_term = float(kern @ self.f_circ.log_values)
         self._kern = kern
         self._member_values = np.stack([m.density.values for m in prior.members])
         self._table: _MixLogTable | None = None
@@ -219,7 +226,7 @@ class IidRegime:
         return np.stack([m.density.log_interp(data) for m in self.prior.members])
 
     def ref_loglik(self, data: np.ndarray) -> np.ndarray:
-        return np.asarray(self.true_density.log_interp(data))
+        return np.asarray(self.f_circ.log_interp(data))
 
     def quality_flags(self, data) -> tuple[str, ...]:
         return ()
@@ -227,107 +234,9 @@ class IidRegime:
     # -- divergences
 
     def atom_kv(self, n: int | None = None) -> np.ndarray:
-        return np.array(
-            [[kl(self.true_density, m.density), v_divergence(self.true_density, m.density)]
-             for m in self.prior.members]
-        )
-
-    def theta0_mask(self) -> np.ndarray | None:
-        return None
-
-    def _density(self, member_id: int) -> GridDensity:
-        return self.prior.members[self.prior.index_of(member_id)].density
-
-    def truth_dist(self, member_id: int, n: int | None = None) -> float:
-        return hellinger(self.true_density, self._density(member_id))
-
-    def separation_gaps(self, member_ids: Sequence[int], n: int | None = None) -> np.ndarray:
-        return np.array(
-            [h_affinity_gap(self.true_density, self._density(i)) for i in member_ids]
-        )
-
-    def pair_dist(self, id_a: int, id_b: int, n: int | None = None) -> float:
-        return hellinger(self._density(id_a), self._density(id_b))
-
-    def _mixture(self, member_ids: Sequence[int], w: np.ndarray) -> GridDensity:
-        return mixture_density([self._density(i) for i in member_ids], w)
-
-    def mixture_truth_gap(self, member_ids, w, n: int | None = None) -> float:
-        return h_affinity_gap(self.true_density, self._mixture(member_ids, w))
-
-    def closure_violation(self, member_ids, center_id: int, w, n: int | None = None) -> float:
-        center = self._density(center_id)
-        radius = max(h_affinity_gap(center, self._density(i)) for i in member_ids)
-        return h_affinity_gap(center, self._mixture(member_ids, w)) - radius
-
-    def hull_gap_bound(self, member_ids: Sequence[int], n: int | None = None) -> float:
-        """Triangle bound in Hellinger distance."""
-        return _triangle_bound(
-            member_ids,
-            lambda c: hellinger(self.true_density, self._density(c)),
-            lambda c, j: hellinger(self._density(c), self._density(j)),
-        )
-
-    # -- Cesaro statistic
-
-    def cesaro_kls(self, data, weights_before: np.ndarray) -> np.ndarray:
-        if len(self.prior) == 2:
-            if self._table is None:
-                self._table = _MixLogTable(
-                    self.true_density,
-                    self.prior.members[0].density,
-                    self.prior.members[1].density,
-                )
-            vals = self._entropy_term - self._table(weights_before[0])
-        else:
-            mix = self._member_values.T @ weights_before
-            vals = self._entropy_term - np.log(mix).T @ self._kern
-        return np.maximum(vals, 0.0)
-
-
-class MisspecifiedRegime:
-    """Truth outside the family; everything is measured against the projection."""
-
-    kind = "misspecified"
-    well_specified = False
-
-    def __init__(self, setup: MisspecifiedSetup):
-        self.setup = setup
-        self.prior = setup.prior
-        self.true_density = setup.true_density
-        proj = setup.prior.members[setup.prior.index_of(setup.projection_id)]
-        self.projection = proj
-        self.f_circ = proj.density
-        self.grid = self.true_density.grid
-        for m in self.prior.members:
-            if m.density.grid != self.grid:
-                raise ExperimentError("prior atoms and truth must share one grid")
-        self.reference = proj
-        self._cdf = self.true_density.cdf_values()
-        kern = self.grid.quad_weights * self.true_density.values
-        self._contrast_term = float(kern @ self.f_circ.log_values)
-        self._kern = kern
-        self._member_values = np.stack([m.density.values for m in self.prior.members])
-        self._table: _MixLogTable | None = None
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.interp(rng.random(n), self._cdf, self.grid.x)
-
-    def loglik_matrix(self, data: np.ndarray) -> np.ndarray:
-        return np.stack([m.density.log_interp(data) for m in self.prior.members])
-
-    def ref_loglik(self, data: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f_circ.log_interp(data))
-
-    def quality_flags(self, data) -> tuple[str, ...]:
-        return ()
-
-    def atom_kv(self, n: int | None = None) -> np.ndarray:
-        rows = []
-        for m in self.prior.members:
-            k = kl_contrast(self.f_circ, m.density, self.true_density)
-            rows.append([max(0.0, k), v_star(self.f_circ, m.density, self.true_density)])
-        return np.array(rows)
+        f_circ, f_star = self.f_circ, self.true_density
+        return np.array([[max(0.0, kl_contrast(f_circ, m.density, f_star)),
+                          v_star(f_circ, m.density, f_star)] for m in self.prior.members])
 
     def theta0_mask(self) -> np.ndarray | None:
         return None
@@ -341,7 +250,7 @@ class MisspecifiedRegime:
     def truth_dist(self, member_id: int, n: int | None = None) -> float:
         return weighted_hellinger(self.f_circ, self._density(member_id), self.true_density)
 
-    def separation_gaps(self, member_ids, n: int | None = None) -> np.ndarray:
+    def separation_gaps(self, member_ids: Sequence[int], n: int | None = None) -> np.ndarray:
         return np.array(
             [h_star(self.f_circ, self._density(i), self.true_density) for i in member_ids]
         )
@@ -356,18 +265,18 @@ class MisspecifiedRegime:
              for i in member_ids]
         )
 
-    def _mixture(self, member_ids, w) -> GridDensity:
+    def _mixture(self, member_ids: Sequence[int], w: np.ndarray) -> GridDensity:
         return mixture_density([self._density(i) for i in member_ids], w)
 
     def mixture_truth_gap(self, member_ids, w, n: int | None = None) -> float:
         return h_star(self.f_circ, self._mixture(member_ids, w), self.true_density)
 
-    def closure_violation(self, member_ids, center_id, w, n: int | None = None) -> float:
+    def closure_violation(self, member_ids, center_id: int, w, n: int | None = None) -> float:
         center = self._density(center_id)
         radius = max(self._dist(center, self._density(i)) for i in member_ids)
         return self._dist(center, self._mixture(member_ids, w)) - radius
 
-    def hull_gap_bound(self, member_ids, n: int | None = None) -> float:
+    def hull_gap_bound(self, member_ids: Sequence[int], n: int | None = None) -> float:
         """Weighted-Hellinger triangle bound on the hull's affinity gap.
 
         Valid because the squared weighted distance is convex in mixtures and
@@ -380,18 +289,28 @@ class MisspecifiedRegime:
             lambda c, j: self._dist(self._density(c), self._density(j)),
         )
 
+    # -- Cesaro statistic
+
     def cesaro_kls(self, data, weights_before: np.ndarray) -> np.ndarray:
         """Contrast statistic: int log(f_circ / predictive) f_star."""
         if len(self.prior) == 2:
             if self._table is None:
-                self._table = _MixLogTable(
-                    self.true_density,
-                    self.prior.members[0].density,
-                    self.prior.members[1].density,
-                )
-            return self._contrast_term - self._table(weights_before[0])
-        mix = self._member_values.T @ weights_before
-        return self._contrast_term - np.log(mix).T @ self._kern
+                self._table = _MixLogTable(self.true_density,
+                                           *(m.density for m in self.prior.members))
+            vals = self._anchor_term - self._table(weights_before[0])
+        else:
+            mix = self._member_values.T @ weights_before
+            vals = self._anchor_term - np.log(mix).T @ self._kern
+        return np.maximum(vals, 0.0) if self.well_specified else vals
+
+
+class MisspecifiedRegime(IidRegime):
+    """Truth outside the family; everything is measured against the projection."""
+
+    def __init__(self, setup: MisspecifiedSetup):
+        prior = setup.prior
+        super().__init__(prior, setup.true_density,
+                         anchor=prior.members[prior.index_of(setup.projection_id)])
 
 
 class RegressionRegime:
@@ -511,7 +430,7 @@ class MarkovRegime:
 
     def __init__(self, prior: AtomicPrior, theta_star: MarkovParam,
                  grid: Grid | None = None, state_window: float | None = None,
-                 theta0_bound: float = 1.0, sweep_points: int = 1001):
+                 theta0_bound: float = 1.0):
         if prior.kind != MARKOV:
             raise ExperimentError(f"markov regime needs chain atoms, got {prior.kind!r}")
         sd = theta_star.noise_sd
@@ -527,7 +446,6 @@ class MarkovRegime:
             5.0 * self.stationary_sd if state_window is None else float(state_window)
         )
         self.theta0_bound = theta0_bound
-        self.sweep_points = sweep_points
         self.reference = FamilyMember(id=REF_ID, kind=MARKOV, payload=theta_star)
         self._thetas = np.array([m.payload.theta for m in prior.members])
         self._md_cache: dict[int, tuple[float, float, float]] = {}
@@ -619,7 +537,7 @@ class MarkovRegime:
         gap at every realized state, so the Monte Carlo check stays the
         authority on the bound itself.
         """
-        states = np.linspace(0.0, self.state_window, self.sweep_points)
+        states = np.linspace(0.0, self.state_window, SWEEP_POINTS)
         t = self.theta_star.theta
         return _triangle_bound(
             member_ids,
@@ -874,7 +792,7 @@ def certify_subset(regime, member_ids, delta: float, n: int,
     if not ids:
         raise SubsetNotAdmissibleError("subset not admissible: empty subset")
 
-    if hasattr(regime, "vertex_certificates"):
+    if not regime.well_specified:
         certs = regime.vertex_certificates(ids)
         if np.any(certs > 1.0 + 1e-9):
             raise SubsetNotAdmissibleError(

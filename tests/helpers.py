@@ -93,6 +93,12 @@ def moment_constrained_triple(
     raise RuntimeError("could not build a moment-constrained triple")
 
 
+def v_divergence(f: GridDensity, g: GridDensity) -> float:
+    """Uncentered second moment int (log(f/g))^2 f dmu: the plain V, unanchored."""
+    diff = f.log_values - g.log_values
+    return float((f.grid.quad_weights * f.values) @ (diff * diff))
+
+
 def kl_projection(f_star: GridDensity, family: Sequence[FamilyMember]) -> tuple[int, float]:
     """(member id, kl value) minimizing kl(f_star, member) over the family.
 

@@ -2,6 +2,7 @@
 number, all errors are collected in one raise, exit codes follow the contract
 (0 pass, 2 check failed, 3 bad config, 4 runtime), and CSV output is
 byte-identical across reruns of the same config and seed."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from bayesrates.cli import (
     main,
     parse_config,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """\
 regime: iid
@@ -440,6 +443,32 @@ class TestOverridesAndRuntimeFaults:
         assert data["seed"] == 99
         assert set(data["verifications"]) == {"conditional-identity"}
 
+    def test_summary_drops_entries_from_another_config(self, tmp_path):
+        # iid's check runs smoke's two verifications and two more
+        out = tmp_path / "out"
+        for name in ("iid", "smoke"):
+            config = str(ROOT / "configs" / f"{name}.yaml")
+            code = main(["check", "--config", config, "--seed", "7", "--out", str(out)])
+            assert code == EXIT_PASS
+        alone = tmp_path / "alone"
+        assert main(["check", "--config", str(ROOT / "configs" / "smoke.yaml"),
+                     "--out", str(alone)]) == EXIT_PASS
+        data = json.loads((out / "summary.json").read_text())
+        assert data == json.loads((alone / "summary.json").read_text())
+        assert set(data["verifications"]) == {"factorization", "conditional-identity"}
+
+    def test_summary_without_config_key_is_stale(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_text(
+            '{"seed": 17, "verifications": {"thickness": {"passed": true}}}'
+        )
+        path = write_config(tmp_path, SMALL_CHECK.format(out=out))
+        assert main(["check", "--config", str(path), "--verify", "factorization"]) == EXIT_PASS
+        data = json.loads((out / "summary.json").read_text())
+        assert data["config"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert set(data["verifications"]) == {"factorization"}
+
     @pytest.mark.parametrize("command", ["check", "sieve"])
     @pytest.mark.parametrize(
         "window, message",
@@ -479,3 +508,18 @@ class TestOverridesAndRuntimeFaults:
         assert err.startswith("runtime error: malformed")
         assert str(out / "summary.json") in err
         assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["iid", "misspecified", "sieve", "smoke", "markov"])
+def test_check_and_sieve_reproduce_committed_csvs(tmp_path, name):
+    """The committed out/ CSVs are what check and sieve write, byte for byte.
+
+    regression is left out: its check alone takes tens of seconds.
+    """
+    config = str(ROOT / "configs" / f"{name}.yaml")
+    for command in ("check", "sieve"):
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == EXIT_PASS
+    written = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert written
+    for fname in written:
+        assert (tmp_path / fname).read_bytes() == (ROOT / "out" / name / fname).read_bytes(), fname

@@ -29,12 +29,16 @@ from bayesrates.divergences import (
     mixture_density,
     state_sup_hellinger,
     stationary_divergences,
-    v_divergence,
     v_star,
     weighted_hellinger,
     weighted_hellinger_between,
 )
-from helpers import markov_kvh_oracle, moment_constrained_triple, random_gaussian_mixture
+from helpers import (
+    markov_kvh_oracle,
+    moment_constrained_triple,
+    random_gaussian_mixture,
+    v_divergence,
+)
 
 GRID = default_grid()
 

@@ -9,11 +9,14 @@ import pytest
 from bayesrates import inference
 from bayesrates.cli import build_regime, parse_config
 from bayesrates.divergences import (
+    SWEEP_POINTS,
     Grid,
     default_grid,
     gaussian_density,
     h_affinity_gap,
     hellinger,
+    kl,
+    mixture_density,
     weighted_hellinger_between,
 )
 from bayesrates.experiments import (
@@ -25,7 +28,9 @@ from bayesrates.experiments import (
     RegressionRegime,
     ReplicationRecord,
     SubsetNotAdmissibleError,
+    _MixLogTable,
     _gaussian_mixture_kls,
+    _triangle_bound,
     certify_subset,
     concentration_sets,
     cumulative_log_ratio,
@@ -56,7 +61,7 @@ from bayesrates.models import (
     uniform_prior,
 )
 
-from helpers import gaussian_mixture_kls_oracle, markov_kvh_oracle
+from helpers import gaussian_mixture_kls_oracle, markov_kvh_oracle, v_divergence
 
 GRID = default_grid()
 MARKOV_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "markov.yaml"
@@ -422,6 +427,54 @@ class TestFastPathOracles:
             assert reg.truth_dist(m.id) == h_q
 
 
+class TestAnchoredAtTruth:
+    """The density regime with its anchor at the truth against the plain
+    functionals: where the starred weight exp(log f_star - log f_circ) is
+    exactly one, the two forms round alike; the affinity gaps take
+    different roads (sqrt f sqrt g against exp of half the log ratio)."""
+
+    PRIORS = [((0.7,), 0.0), ((0.0, 1.0), 0.0), ((-0.5, 2.0), 0.3),
+              ((0.0, 0.3, -0.3, 0.6, -0.6, 2.0, 2.3, 2.6), 0.0)]
+
+    @pytest.mark.parametrize("means, truth_mean", PRIORS, ids=["j1", "j2", "j2-off", "j8"])
+    def test_plain_forms(self, means, truth_mean):
+        reg = iid_regime(means=means, truth_mean=truth_mean)
+        truth = reg.true_density
+        dens = {m.id: m.density for m in reg.prior.members}
+        ids = tuple(dens)
+        assert reg.well_specified and reg.f_circ is truth
+
+        expect_kv = np.array([[kl(truth, f), v_divergence(truth, f)] for f in dens.values()])
+        assert np.array_equal(reg.atom_kv(), expect_kv)
+        for a in ids:
+            assert reg.truth_dist(a) == hellinger(truth, dens[a])
+            for b in ids:
+                assert reg.pair_dist(a, b) == hellinger(dens[a], dens[b])
+        assert reg.hull_gap_bound(ids) == _triangle_bound(
+            ids, lambda c: hellinger(truth, dens[c]), lambda c, j: hellinger(dens[c], dens[j])
+        )
+        gaps = [h_affinity_gap(truth, f) for f in dens.values()]
+        assert np.max(np.abs(reg.separation_gaps(ids) - gaps)) <= 1e-15
+        assert np.max(np.abs(reg.vertex_certificates(ids) - 1.0)) <= 1e-12
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            w = rng.dirichlet(np.ones(len(ids)))
+            plain = h_affinity_gap(truth, mixture_density(list(dens.values()), w))
+            assert abs(reg.mixture_truth_gap(ids, w) - plain) <= 1e-15
+
+        data = generate_data(reg, 200, seed=6)
+        w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
+        kern = GRID.quad_weights * truth.values
+        entropy = float(kern @ truth.log_values)
+        if len(ids) == 2:
+            table = _MixLogTable(truth, dens[0], dens[1])
+            plain = np.maximum(entropy - table(w[0]), 0.0)
+        else:
+            values = np.stack([f.values for f in dens.values()])
+            plain = np.maximum(entropy - np.log(values.T @ w).T @ kern, 0.0)
+        assert np.array_equal(reg.cesaro_kls(data, w), plain)
+
+
 class TestThicknessWiring:
     def test_iid_records_match_manual_mass(self):
         reg = iid_regime(means=(0.0, 0.3, 2.0))
@@ -536,7 +589,7 @@ class TestHullBound:
     def test_markov_max_over_window(self):
         reg = markov_regime(thetas=(0.6, -0.3, -0.4, -0.5))
         ids = (1, 2, 3)
-        states = np.linspace(0.0, reg.state_window, reg.sweep_points)
+        states = np.linspace(0.0, reg.state_window, SWEEP_POINTS)
         theta = {1: -0.3, 2: -0.4, 3: -0.5}
         expect = self.triangle(
             ids, lambda c: gauss_hellinger((0.6 - theta[c]) * states),
