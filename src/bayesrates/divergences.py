@@ -33,6 +33,10 @@ DEFAULT_POINTS = 4001
 # states; the Hellinger sup sweeps this many states of its window
 STATE_POINTS = 401
 SWEEP_POINTS = 1001
+# states per block of rows held at once by ``stationary_divergences``; a
+# multiple of 16, so the row sums group rows as they do over all states and
+# round alike (a block of 50 changes last digits)
+STATE_BLOCK = 64
 
 
 class DivergenceError(ValueError):
@@ -268,10 +272,14 @@ def weighted_hellinger_between(
     This is the metric under which covering balls are built in the
     misspecified regime; ``weighted_hellinger`` is the special case g == f_circ.
     """
-    _require_same_grid(f, g)
     _require_same_grid(f, f_star)
     _require_same_grid(f, f_circ)
-    weight = np.exp(f_star.log_values - f_circ.log_values)
+    return hellinger_with_weight(f, g, np.exp(f_star.log_values - f_circ.log_values))
+
+
+def hellinger_with_weight(f: GridDensity, g: GridDensity, weight: np.ndarray) -> float:
+    """sqrt(int (sqrt f - sqrt g)^2 weight dmu) for a weight on the shared grid."""
+    _require_same_grid(f, g)
     diff = f.sqrt_values - g.sqrt_values
     val = float(f.grid.quad_weights @ (diff * diff * weight))
     return math.sqrt(max(val, 0.0))
@@ -401,8 +409,10 @@ def stationary_divergences(
 
     The per-state kl, v and Hellinger distance between the transition rows
     are integrated against the stationary density of ``theta_star`` over
-    +-6 stationary standard deviations.  The truth's rows, with their logs
-    and square roots, are built once for all thetas.
+    +-6 stationary standard deviations.  The states go in blocks of
+    ``STATE_BLOCK``: each block's truth rows, with their logs and square
+    roots, are built once for all thetas, so every theta meets exactly one
+    truth row set and no (STATE_POINTS, grid) array is held.
     """
     if grid is None:
         grid = default_grid()
@@ -421,23 +431,29 @@ def stationary_divergences(
     u_mass = state_w @ u
 
     wq = grid.quad_weights
-    rows_a = _transition_rows(grid, theta_star, states, noise_sd)
-    log_a = np.log(rows_a)
-    sqrt_a = np.sqrt(rows_a)
-    out = []
-    for theta in thetas:
-        rows_b = _transition_rows(grid, theta, states, noise_sd)
-        log_diff = log_a - np.log(rows_b)
-        k_s = np.maximum((rows_a * log_diff) @ wq, 0.0)
-        v_s = (rows_a * log_diff * log_diff) @ wq
-        sq = sqrt_a - np.sqrt(rows_b)
-        h2 = np.maximum((sq * sq) @ wq, 0.0)
-        out.append((
-            float(state_w @ (u * k_s)) / u_mass,
-            float(state_w @ (u * v_s)) / u_mass,
-            float(state_w @ (u / u_mass * np.sqrt(h2))),
-        ))
-    return out
+    k_s = np.empty((len(thetas), STATE_POINTS))
+    v_s = np.empty_like(k_s)
+    h2 = np.empty_like(k_s)
+    for s in range(0, STATE_POINTS, STATE_BLOCK):
+        block = slice(s, s + STATE_BLOCK)
+        rows_a = _transition_rows(grid, theta_star, states[block], noise_sd)
+        log_a = np.log(rows_a)
+        sqrt_a = np.sqrt(rows_a)
+        for k, theta in enumerate(thetas):
+            rows_b = _transition_rows(grid, theta, states[block], noise_sd)
+            log_diff = log_a - np.log(rows_b)
+            k_s[k, block] = np.maximum((rows_a * log_diff) @ wq, 0.0)
+            v_s[k, block] = (rows_a * log_diff * log_diff) @ wq
+            sq = sqrt_a - np.sqrt(rows_b)
+            h2[k, block] = np.maximum((sq * sq) @ wq, 0.0)
+    return [
+        (
+            float(state_w @ (u * k_s[k])) / u_mass,
+            float(state_w @ (u * v_s[k])) / u_mass,
+            float(state_w @ (u / u_mass * np.sqrt(h2[k]))),
+        )
+        for k in range(len(thetas))
+    ]
 
 
 def markov_divergences(

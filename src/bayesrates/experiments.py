@@ -40,13 +40,12 @@ from .divergences import (
     check_state_window,
     default_grid,
     h_star,
+    hellinger_with_weight,
     kl_contrast,
     kleijn_certificate,
     mixture_density,
     stationary_divergences,
     v_star,
-    weighted_hellinger,
-    weighted_hellinger_between,
 )
 from .geometry import (
     ClosureReport,
@@ -83,6 +82,11 @@ CERT_SEED_OFFSET = 202_020
 
 # mixture weights tabulated by the two-atom Cesaro table
 MIX_TABLE_POINTS = 2049
+
+# steps per block of the dense iid Cesaro kernel: a block takes 16 to 31
+# steps, so its (4001, steps) buffer stays within 1 MB, in cache between
+# the product and the log
+CESARO_BLOCK = 16
 
 
 class ExperimentError(ValueError):
@@ -215,6 +219,8 @@ class IidRegime:
         self._anchor_term = float(kern @ self.f_circ.log_values)
         self._kern = kern
         self._member_values = np.stack([m.density.values for m in prior.members])
+        # the weight f_star / f_circ of every weighted Hellinger distance
+        self._weight = np.exp(true_density.log_values - self.f_circ.log_values)
         self._table: _MixLogTable | None = None
 
     # -- data
@@ -245,10 +251,10 @@ class IidRegime:
         return self.prior.members[self.prior.index_of(member_id)].density
 
     def _dist(self, f: GridDensity, g: GridDensity) -> float:
-        return weighted_hellinger_between(f, g, f_star=self.true_density, f_circ=self.f_circ)
+        return hellinger_with_weight(f, g, self._weight)
 
     def truth_dist(self, member_id: int, n: int | None = None) -> float:
-        return weighted_hellinger(self.f_circ, self._density(member_id), self.true_density)
+        return self._dist(self._density(member_id), self.f_circ)
 
     def separation_gaps(self, member_ids: Sequence[int], n: int | None = None) -> np.ndarray:
         return np.array(
@@ -292,15 +298,32 @@ class IidRegime:
     # -- Cesaro statistic
 
     def cesaro_kls(self, data, weights_before: np.ndarray) -> np.ndarray:
-        """Contrast statistic: int log(f_circ / predictive) f_star."""
+        """Contrast statistic: int log(f_circ / predictive) f_star.
+
+        Two atoms read a tabulated mixture log.  Otherwise the steps go in
+        blocks of ``CESARO_BLOCK``, and each block's predictive densities
+        are formed, logged and integrated in one buffer, so the (grid,
+        steps) matrix is never built.  The last block takes the remainder
+        rather than leaving a short one: a product a few steps wide goes to
+        other BLAS kernels and rounds unlike the whole-matrix product.
+        """
         if len(self.prior) == 2:
             if self._table is None:
                 self._table = _MixLogTable(self.true_density,
                                            *(m.density for m in self.prior.members))
             vals = self._anchor_term - self._table(weights_before[0])
         else:
-            mix = self._member_values.T @ weights_before
-            vals = self._anchor_term - np.log(mix).T @ self._kern
+            values = self._member_values.T  # (grid, atoms)
+            points, n = len(values), weights_before.shape[1]
+            starts = list(range(0, n - CESARO_BLOCK + 1, CESARO_BLOCK)) or [0]
+            buf = np.empty(points * (n - starts[-1]))
+            vals = np.empty(n)
+            for s, e in zip(starts, starts[1:] + [n]):
+                block = buf[:points * (e - s)].reshape(points, e - s)
+                np.matmul(values, weights_before[:, s:e], out=block)
+                np.log(block, out=block)
+                vals[s:e] = block.T @ self._kern
+            vals = self._anchor_term - vals
         return np.maximum(vals, 0.0) if self.well_specified else vals
 
 

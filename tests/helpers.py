@@ -167,6 +167,19 @@ def gaussian_mixture_kls_oracle(grid: Grid, means: np.ndarray, truth_means: np.n
     return np.maximum(out, 0.0)
 
 
+def iid_cesaro_oracle(regime, weights_before: np.ndarray) -> np.ndarray:
+    """Per-step Cesaro contrast of a density regime from the whole mixture matrix.
+
+    The reference form of ``IidRegime.cesaro_kls`` for three or more atoms:
+    the (grid, steps) predictive densities and their logs are built in full.
+    """
+    kern = regime.grid.quad_weights * regime.true_density.values
+    anchor_term = float(kern @ regime.f_circ.log_values)
+    values = np.stack([m.density.values for m in regime.prior.members])
+    vals = anchor_term - np.log(values.T @ weights_before).T @ kern
+    return np.maximum(vals, 0.0) if regime.well_specified else vals
+
+
 def _transition_rows(grid: Grid, theta: float, states: np.ndarray, noise_sd: float) -> np.ndarray:
     z = (grid.x[None, :] - theta * states[:, None]) / noise_sd
     rows = np.exp(-0.5 * z * z) / (noise_sd * math.sqrt(2.0 * math.pi))

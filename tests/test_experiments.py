@@ -1,6 +1,7 @@
 """Tests for the sampling regimes, the replication engine, and the verifiers."""
 import math
-from functools import reduce
+import tracemalloc
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +62,16 @@ from bayesrates.models import (
     uniform_prior,
 )
 
-from helpers import gaussian_mixture_kls_oracle, markov_kvh_oracle, v_divergence
+from helpers import (
+    gaussian_mixture_kls_oracle,
+    iid_cesaro_oracle,
+    markov_kvh_oracle,
+    v_divergence,
+)
 
 GRID = default_grid()
-MARKOV_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "markov.yaml"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+MARKOV_CONFIG = CONFIGS / "markov.yaml"
 
 
 def iid_regime(means=(0.0, 0.3, 2.0), truth_mean=0.0):
@@ -186,8 +193,9 @@ class TestEngine:
 
     @pytest.mark.parametrize(
         "make, stat",
-        [(iid_regime, "log_evidence"), (markov_regime, "cesaro_kl")],
-        ids=["iid-log_evidence", "markov-cesaro_kl"],
+        [(iid_regime, "log_evidence"), (markov_regime, "cesaro_kl"),
+         (partial(miss_regime, means=(0.5, 1.5, 2.5, 3.0)), "cesaro_kl")],
+        ids=["iid-log_evidence", "markov-cesaro_kl", "misspecified-cesaro_kl"],
     )
     def test_parallel_matches_serial(self, make, stat):
         plan = ExperimentPlan(
@@ -373,8 +381,52 @@ class TestCesaro:
 
 
 class TestFastPathOracles:
-    """The in-place Cesaro kernel and the all-atoms stationary divergences
-    equal their reference forms in ``helpers`` bit for bit."""
+    """The in-place and blocked Cesaro kernels and the all-atoms stationary
+    divergences equal their reference forms in ``helpers`` bit for bit."""
+
+    @pytest.mark.parametrize("name", ["iid", "misspecified"])
+    def test_iid_config_replications(self, name):
+        cfg = parse_config(CONFIGS / f"{name}.yaml")
+        reg = build_regime(cfg)
+        n = cfg.schedule.n_values[-1]
+        for rep in range(6):
+            data = generate_data(reg, n, seed=cfg.seed + rep)
+            w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
+            assert np.array_equal(reg.cesaro_kls(data, w), iid_cesaro_oracle(reg, w))
+
+    @pytest.mark.parametrize("n", [1, 31, 33, 400])
+    @pytest.mark.parametrize("atoms", [3, 5, 10])
+    def test_iid_random_atoms(self, atoms, n):
+        rng = np.random.default_rng(100 * atoms + n)
+        reg = iid_regime(means=tuple(rng.normal(0.0, 1.5, atoms)), truth_mean=0.1)
+        w = rng.dirichlet(np.ones(atoms), size=n).T
+        assert np.array_equal(reg.cesaro_kls(None, w), iid_cesaro_oracle(reg, w))
+
+    @pytest.mark.parametrize("atoms", [3, 5, 10])
+    def test_iid_random_atoms_past_blas_row_blocking(self, atoms):
+        """At 401 steps the whole-matrix product itself rounds some steps
+        by other BLAS kernels than at 400 (past its row blocking, and by
+        thread count), so it is matched to rounding, not bit for bit; the
+        blocked kernel gives the first 400 steps the same bits either way."""
+        rng = np.random.default_rng(atoms)
+        reg = iid_regime(means=tuple(rng.normal(0.0, 1.5, atoms)), truth_mean=0.1)
+        w = rng.dirichlet(np.ones(atoms), size=401).T
+        got = reg.cesaro_kls(None, w)
+        assert np.max(np.abs(got - iid_cesaro_oracle(reg, w))) <= 1e-13
+        assert np.array_equal(got[:400], reg.cesaro_kls(None, w[:, :400]))
+
+    def test_iid_kernel_builds_no_full_matrix(self):
+        cfg = parse_config(CONFIGS / "iid.yaml")
+        reg = build_regime(cfg)
+        data = generate_data(reg, 400, seed=cfg.seed)
+        w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
+        tracemalloc.start()
+        try:
+            reg.cesaro_kls(data, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_markov_config_replications(self):
         cfg = parse_config(MARKOV_CONFIG)
