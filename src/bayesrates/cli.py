@@ -938,11 +938,14 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_arg_parser().parse_args(argv)
     # config faults are reported as exit 3 inside; what escapes is a fault of
-    # the run itself: an output file, a recorded summary, or the numerics
+    # the run itself: an output file, a recorded summary, or the numerics.
+    # A NaN, an infinity or a division by zero raises; underflow in the
+    # Gaussian tails is expected and stays silent.
     try:
-        return _main(args)
+        with np.errstate(divide="raise", invalid="raise", over="raise", under="ignore"):
+            return _main(args)
     except (ModelError, GeometryError, DivergenceError, ExperimentError,
-            OSError, json.JSONDecodeError, SummaryError) as e:
+            OSError, json.JSONDecodeError, SummaryError, FloatingPointError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
 

@@ -83,10 +83,16 @@ CERT_SEED_OFFSET = 202_020
 # mixture weights tabulated by the two-atom Cesaro table
 MIX_TABLE_POINTS = 2049
 
-# steps per block of the dense iid Cesaro kernel: a block takes 16 to 31
+# steps per block of the Cesaro kernels: a dense iid block takes 16 to 31
 # steps, so its (4001, steps) buffer stays within 1 MB, in cache between
-# the product and the log
+# the product and the log; a Gaussian-row block takes 16 steps of J + 1 rows
 CESARO_BLOCK = 16
+
+# nodes per noise sd on the grid of exact Gaussian rows (regression and
+# markov): on markov.yaml chains the Cesaro kernel agrees with the
+# 4001-point grid to 1.3e-16 per step down to 5 nodes per sd, and is off by
+# 3e-15 at 4 and 8e-12 at 3; 10 leaves a factor of two
+ROW_POINTS_PER_SD = 10
 
 
 class ExperimentError(ValueError):
@@ -136,39 +142,57 @@ def _triangle_bound(member_ids, to_truth, between, measure=float) -> float:
     return best
 
 
+def gaussian_row_grid(span: Grid, sd: float) -> Grid:
+    """``span``'s bounds at spacing at most sd / ROW_POINTS_PER_SD.
+
+    The quadrature grid for integrands built from exact Gaussian rows of
+    standard deviation ``sd``: on such smooth, fast-decaying integrands the
+    trapezoid rule is accurate to rounding long before the shared grid's
+    4001 points.
+    """
+    return Grid(span.lower, span.upper,
+                math.ceil(ROW_POINTS_PER_SD * (span.upper - span.lower) / sd) + 1)
+
+
 def _gaussian_mixture_kls(grid: Grid, means: np.ndarray, truth_means: np.ndarray,
                           sd: float, weights_before: np.ndarray) -> np.ndarray:
     """Per-step kl(N(truth_means[i], sd), sum_j w[j, i] N(means[j, i], sd)) on the grid.
 
-    Each step writes its J component rows and then its truth row into one
-    buffer, in place, with the operations of ``_gauss_row``; z * z times
-    -0.5 rounds like -0.5 * z times z, since halving is exact.
+    The steps go in blocks of ``CESARO_BLOCK``: each block writes its
+    component and truth rows into one reused (steps, J + 1, grid) buffer,
+    in place, with the operations of ``_gauss_row``; z * z times -0.5
+    rounds like -0.5 * z times z, since halving is exact.  The mixture
+    product and the integral stay one step at a time, so every step rounds
+    as the per-step form does.
     """
     x = grid.x
     qw = grid.quad_weights
     norm = sd * math.sqrt(2.0 * math.pi)
-    j = len(means)
-    centers = np.vstack([means, truth_means])
-    buf = np.empty((j + 1, len(x)))
+    j, n = means.shape
+    centers = np.vstack([means, truth_means]).T  # (steps, J + 1)
+    buf = np.empty((min(n, CESARO_BLOCK), j + 1, len(x)))
     integrand = np.empty(len(x))
-    out = np.empty(len(truth_means))
-    for i in range(len(truth_means)):
-        np.subtract(x, centers[:, i, None], out=buf)
+    out = np.empty(n)
+    for s in range(0, n, CESARO_BLOCK):
+        e = min(s + CESARO_BLOCK, n)
+        rows = buf[:e - s]
+        np.subtract(x, centers[s:e, :, None], out=rows)
         if sd != 1.0:  # x / 1.0 == x exactly, so skipping it changes no bit
-            buf /= sd
-        np.multiply(buf, buf, out=buf)
-        buf *= -0.5
-        np.exp(buf, out=buf)
-        buf /= norm
-        truth = buf[j]
-        mix = weights_before[:, i] @ buf[:j]
-        np.maximum(mix, 1e-300, out=mix)
-        np.log(mix, out=mix)
-        np.maximum(truth, 1e-300, out=integrand)
-        np.log(integrand, out=integrand)
-        integrand -= mix
-        integrand *= truth
-        out[i] = float(qw @ integrand)
+            rows /= sd
+        np.multiply(rows, rows, out=rows)
+        rows *= -0.5
+        np.exp(rows, out=rows)
+        rows /= norm
+        for i in range(s, e):
+            truth = rows[i - s, j]
+            mix = weights_before[:, i] @ rows[i - s, :j]
+            np.maximum(mix, 1e-300, out=mix)
+            np.log(mix, out=mix)
+            np.maximum(truth, 1e-300, out=integrand)
+            np.log(integrand, out=integrand)
+            integrand -= mix
+            integrand *= truth
+            out[i] = float(qw @ integrand)
     return np.maximum(out, 0.0)
 
 
@@ -337,7 +361,12 @@ class MisspecifiedRegime(IidRegime):
 
 
 class RegressionRegime:
-    """Gaussian responses around a design-indexed mean function."""
+    """Gaussian responses around a design-indexed mean function.
+
+    Everything that integrates exact Gaussian rows (the Cesaro kernel and
+    the certification draws) does so on ``row_grid``, the unit-noise row
+    grid over ``grid``'s bounds.
+    """
 
     kind = "regression"
     well_specified = True
@@ -357,9 +386,18 @@ class RegressionRegime:
         self.prior = prior
         self.truth = truth
         self.grid = grid if grid is not None else default_grid()
+        self.row_grid = gaussian_row_grid(self.grid, 1.0)
         self.reference = FamilyMember(id=REF_ID, kind=REGRESSION, payload=truth)
         self._means = np.stack([np.asarray(m.payload.values_at_design) for m in prior.members])
         self._truth_means = np.asarray(truth.values_at_design)
+        self._rows: dict[tuple[int, ...], np.ndarray] = {}
+        self._rows_n: int | None = None
+
+    def __getstate__(self) -> dict:
+        # the certification rows stay out of the pickle the process pool ships
+        state = self.__dict__.copy()
+        state["_rows"], state["_rows_n"] = {}, None
+        return state
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n > len(self.truth):
@@ -391,6 +429,8 @@ class RegressionRegime:
         return None
 
     def _row(self, member_id: int) -> np.ndarray:
+        if member_id == REF_ID:
+            return self._truth_means
         return self._means[self.prior.index_of(member_id)]
 
     def truth_dist(self, member_id: int, n: int) -> float:
@@ -405,26 +445,40 @@ class RegressionRegime:
         h2 = _pairwise_h2(self._gaps_sq(self._row(id_a), self._row(id_b), n))
         return math.sqrt(float(h2.mean()))
 
-    def _mixture_rows(self, member_ids, w, n: int) -> np.ndarray:
-        """Mixture predictive values, one grid row per design index."""
-        means = np.stack([self._row(i)[:n] for i in member_ids])  # (J, n)
-        rows = _gauss_row(self.grid.x[None, None, :], means[:, :, None], 1.0)
-        return np.einsum("j,jng->ng", np.asarray(w), rows)
+    def _gauss_rows(self, member_ids, n: int) -> np.ndarray:
+        """(len(member_ids), n, row grid) rows of the members' first n means.
 
-    def _mean_gap_to(self, ref_means: np.ndarray, member_ids, w, n: int) -> float:
+        Certification asks for the same rows at each of its Dirichlet
+        draws, so the rows of one n are kept, per id tuple.
+        """
+        ids = tuple(member_ids)
+        if self._rows_n != n:
+            self._rows, self._rows_n = {}, n
+        rows = self._rows.get(ids)
+        if rows is None:
+            means = np.stack([self._row(i)[:n] for i in ids])  # (J, n)
+            rows = _gauss_row(self.row_grid.x[None, None, :], means[:, :, None], 1.0)
+            self._rows[ids] = rows
+        return rows
+
+    def _mixture_rows(self, member_ids, w, n: int) -> np.ndarray:
+        """Mixture predictive values, one row-grid row per design index."""
+        return np.einsum("j,jng->ng", np.asarray(w), self._gauss_rows(member_ids, n))
+
+    def _mean_gap_to(self, ref_id: int, member_ids, w, n: int) -> float:
         mix = self._mixture_rows(member_ids, w, n)
-        ref = _gauss_row(self.grid.x[None, :], ref_means[:n, None], 1.0)
-        affinity = np.sqrt(ref * mix) @ self.grid.quad_weights
+        ref = self._gauss_rows((ref_id,), n)[0]
+        affinity = np.sqrt(ref * mix) @ self.row_grid.quad_weights
         return float(np.mean(1.0 - affinity))
 
     def mixture_truth_gap(self, member_ids, w, n: int) -> float:
-        return self._mean_gap_to(self._truth_means, member_ids, w, n)
+        return self._mean_gap_to(REF_ID, member_ids, w, n)
 
     def closure_violation(self, member_ids, center_id, w, n: int) -> float:
         radius = max(
             0.5 * self.pair_dist(center_id, i, n) ** 2 for i in member_ids
         )
-        return self._mean_gap_to(self._row(center_id), member_ids, w, n) - radius
+        return self._mean_gap_to(center_id, member_ids, w, n) - radius
 
     def hull_gap_bound(self, member_ids, n: int) -> float:
         """Per-index triangle bound averaged over the design."""
@@ -441,12 +495,18 @@ class RegressionRegime:
     def cesaro_kls(self, data, weights_before: np.ndarray) -> np.ndarray:
         n = len(data)
         return _gaussian_mixture_kls(
-            self.grid, self._means[:, :n], self._truth_means[:n], 1.0, weights_before
+            self.row_grid, self._means[:, :n], self._truth_means[:n], 1.0, weights_before
         )
 
 
 class MarkovRegime:
-    """Stationary AR(1) chains; likelihoods condition on the realized state."""
+    """Stationary AR(1) chains; likelihoods condition on the realized state.
+
+    The stationary divergences and the state-window checks use ``grid``;
+    everything that integrates exact Gaussian transition rows (the Cesaro
+    kernel and the certification draws) uses ``row_grid``, the row grid
+    of the noise sd over ``grid``'s bounds.
+    """
 
     kind = "markov"
     well_specified = True
@@ -463,6 +523,7 @@ class MarkovRegime:
         self.prior = prior
         self.theta_star = theta_star
         self.grid = grid if grid is not None else default_grid()
+        self.row_grid = gaussian_row_grid(self.grid, sd)
         self.noise_sd = sd
         self.stationary_sd = theta_star.stationary_sd
         self.state_window = (
@@ -574,16 +635,16 @@ class MarkovRegime:
 
     def _transition_mix(self, member_ids, w, y: float) -> np.ndarray:
         means = np.array([self._theta_of(i) * y for i in member_ids])
-        rows = _gauss_row(self.grid.x[None, :], means[:, None], self.noise_sd)
+        rows = _gauss_row(self.row_grid.x[None, :], means[:, None], self.noise_sd)
         return np.asarray(w) @ rows
 
     def mixture_truth_gap(self, member_ids, w, n: int | None = None) -> float:
         """Worst-state affinity gap of the mixture over the probe states."""
-        qw = self.grid.quad_weights
+        qw = self.row_grid.quad_weights
         t = self.theta_star.theta
         gaps = []
         for y in self._probe_states():
-            truth = _gauss_row(self.grid.x, t * y, self.noise_sd)
+            truth = _gauss_row(self.row_grid.x, t * y, self.noise_sd)
             mix = self._transition_mix(member_ids, w, y)
             gaps.append(1.0 - float(qw @ np.sqrt(truth * mix)))
         return max(gaps)
@@ -593,11 +654,11 @@ class MarkovRegime:
         return 1.0 - math.exp(-d2 / 8.0)
 
     def closure_violation(self, member_ids, center_id, w, n: int | None = None) -> float:
-        qw = self.grid.quad_weights
+        qw = self.row_grid.quad_weights
         tc = self._theta_of(center_id)
         worst = -math.inf
         for y in self._probe_states():
-            center = _gauss_row(self.grid.x, tc * y, self.noise_sd)
+            center = _gauss_row(self.row_grid.x, tc * y, self.noise_sd)
             mix = self._transition_mix(member_ids, w, y)
             gap = 1.0 - float(qw @ np.sqrt(center * mix))
             rho = max(
@@ -609,7 +670,7 @@ class MarkovRegime:
     def cesaro_kls(self, sample: MarkovSample, weights_before: np.ndarray) -> np.ndarray:
         prev = self._prev_chain(sample)
         return _gaussian_mixture_kls(
-            self.grid, self._thetas[:, None] * prev[None, :], self.theta_star.theta * prev,
+            self.row_grid, self._thetas[:, None] * prev[None, :], self.theta_star.theta * prev,
             self.noise_sd, weights_before,
         )
 
@@ -741,6 +802,7 @@ def run_replications(plan: ExperimentPlan, jobs: int = 1) -> list[ReplicationRec
     if jobs <= 1:
         records = [replicate(plan, i) for i in ids]
     else:
+        # forked workers inherit the caller's floating-point error handling
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, plan.replications // (8 * jobs))
             records = list(pool.map(partial(replicate, plan), ids, chunksize=chunk))

@@ -167,6 +167,21 @@ def gaussian_mixture_kls_oracle(grid: Grid, means: np.ndarray, truth_means: np.n
     return np.maximum(out, 0.0)
 
 
+def gaussian_affinity_gaps_oracle(grid: Grid, means: np.ndarray, ref_means: np.ndarray,
+                                  sd: float, w) -> np.ndarray:
+    """Per-row 1 - int sqrt(N(ref_means[k], sd) * sum_j w[j] N(means[j, k], sd)).
+
+    The reference form of the regression and markov certification gaps:
+    each row is built afresh on ``grid``, one row index at a time.
+    """
+    out = np.empty(len(ref_means))
+    for k in range(len(ref_means)):
+        mix = np.asarray(w) @ _gauss_row(grid.x[None, :], means[:, k, None], sd)
+        ref = _gauss_row(grid.x, ref_means[k], sd)
+        out[k] = 1.0 - grid.integrate(np.sqrt(ref * mix))
+    return out
+
+
 def iid_cesaro_oracle(regime, weights_before: np.ndarray) -> np.ndarray:
     """Per-step Cesaro contrast of a density regime from the whole mixture matrix.
 

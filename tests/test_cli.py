@@ -6,6 +6,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bayesrates.cli import (
@@ -18,6 +19,7 @@ from bayesrates.cli import (
     main,
     parse_config,
 )
+from bayesrates.experiments import IidRegime
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -512,26 +514,25 @@ class TestOverridesAndRuntimeFaults:
 
 CHECK_AND_SIEVE = (("check",), ("sieve",))
 CESARO = (("simulate", "--verify", "cesaro"),)
+EVERY_COMMAND = CHECK_AND_SIEVE + (("simulate",),)
 REPRODUCED_RUNS = {
     "iid": CHECK_AND_SIEVE + CESARO,
     "misspecified": CHECK_AND_SIEVE + CESARO,
     "sieve": CHECK_AND_SIEVE,
     "smoke": CHECK_AND_SIEVE,
-    "markov": CHECK_AND_SIEVE,
-    "regression": (
-        ("check", "--verify", "factorization,conditional-identity,thickness"),
-        ("sieve",),
-    ),
+    "markov": EVERY_COMMAND,
+    "regression": EVERY_COMMAND,
 }
 
 
 @pytest.mark.parametrize("name", list(REPRODUCED_RUNS))
 def test_check_and_sieve_reproduce_committed_csvs(tmp_path, name):
     """The committed out/ CSVs are what check and sieve write, byte for byte,
-    and for iid and misspecified also what the Cesaro simulation writes.
+    for markov and regression also what every simulation writes, and for
+    iid and misspecified what the Cesaro simulation writes.
 
-    Left out for time: regression's separation check (tens of seconds), and
-    every simulation but the two dense Cesaro ones.
+    The iid and misspecified bound simulations (about 2 s each) are left
+    out; the location-lab benchmark workload compares them with out/.
     """
     config = str(ROOT / "configs" / f"{name}.yaml")
     for command, *extra in REPRODUCED_RUNS[name]:
@@ -541,3 +542,34 @@ def test_check_and_sieve_reproduce_committed_csvs(tmp_path, name):
     assert written
     for fname in written:
         assert (tmp_path / fname).read_bytes() == (ROOT / "out" / name / fname).read_bytes(), fname
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda v: np.sqrt(v - 1.0), "invalid value encountered in sqrt"),
+        (lambda v: np.log(0.0 * v), "divide by zero encountered in log"),
+        (lambda v: np.exp(v + 1000.0), "overflow encountered in exp"),
+    ],
+    ids=["invalid", "divide", "overflow"],
+)
+def test_floating_point_error_exits_4(tmp_path, capsys, monkeypatch, jobs, fault, message):
+    """A NaN, a division by zero or an overflow anywhere in a run is a
+    runtime fault, also inside the replication workers."""
+    cesaro_kls = IidRegime.cesaro_kls
+    monkeypatch.setattr(IidRegime, "cesaro_kls", lambda *a: fault(cesaro_kls(*a)))
+    path = write_config(tmp_path, SMALL_CESARO.format(out=tmp_path / "out"))
+    code = main(["simulate", "--config", str(path), "--jobs", jobs])
+    assert code == EXIT_RUNTIME_ERROR
+    err = capsys.readouterr().err
+    assert err == f"runtime error: {message}\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_underflow_stays_silent(tmp_path, monkeypatch, jobs):
+    cesaro_kls = IidRegime.cesaro_kls
+    monkeypatch.setattr(IidRegime, "cesaro_kls",
+                        lambda *a: cesaro_kls(*a) + np.exp(-1000.0 - np.arange(len(a[2][0]))))
+    path = write_config(tmp_path, SMALL_CESARO.format(out=tmp_path / "out"))
+    assert main(["simulate", "--config", str(path), "--jobs", jobs]) == EXIT_PASS

@@ -1,5 +1,6 @@
 """Tests for the sampling regimes, the replication engine, and the verifiers."""
 import math
+import pickle
 import tracemalloc
 from functools import partial, reduce
 from pathlib import Path
@@ -32,6 +33,7 @@ from bayesrates.experiments import (
     _MixLogTable,
     _gaussian_mixture_kls,
     _triangle_bound,
+    gaussian_row_grid,
     certify_subset,
     concentration_sets,
     cumulative_log_ratio,
@@ -63,6 +65,7 @@ from bayesrates.models import (
 )
 
 from helpers import (
+    gaussian_affinity_gaps_oracle,
     gaussian_mixture_kls_oracle,
     iid_cesaro_oracle,
     markov_kvh_oracle,
@@ -438,7 +441,7 @@ class TestFastPathOracles:
             w = softmax(cumulative_log_ratio(reg, sample)[:, :-1], axis=0)
             prev = np.concatenate(([sample.y0], sample.y[:-1]))
             expected = gaussian_mixture_kls_oracle(
-                reg.grid, thetas[:, None] * prev[None, :], reg.theta_star.theta * prev,
+                reg.row_grid, thetas[:, None] * prev[None, :], reg.theta_star.theta * prev,
                 reg.noise_sd, w,
             )
             assert np.array_equal(reg.cesaro_kls(sample, w), expected)
@@ -449,7 +452,7 @@ class TestFastPathOracles:
         w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
         means = np.stack([m.payload.values_at_design for m in reg.prior.members])
         expected = gaussian_mixture_kls_oracle(
-            GRID, means, np.asarray(reg.truth.values_at_design), 1.0, w
+            reg.row_grid, means, np.asarray(reg.truth.values_at_design), 1.0, w
         )
         assert np.array_equal(reg.cesaro_kls(data, w), expected)
 
@@ -461,6 +464,16 @@ class TestFastPathOracles:
         w = rng.dirichlet(np.ones(4), size=150).T
         got = _gaussian_mixture_kls(GRID, means, truth_means, sd, w)
         assert np.array_equal(got, gaussian_mixture_kls_oracle(GRID, means, truth_means, sd, w))
+
+    @pytest.mark.parametrize("sd", [0.7, 1.0, 1.3])
+    def test_random_four_atoms_on_row_grid(self, sd):
+        rng = np.random.default_rng(32)
+        means = rng.normal(0.0, 2.0, size=(4, 150))
+        truth_means = rng.normal(0.0, 1.0, size=150)
+        w = rng.dirichlet(np.ones(4), size=150).T
+        grid = gaussian_row_grid(GRID, sd)
+        got = _gaussian_mixture_kls(grid, means, truth_means, sd, w)
+        assert np.array_equal(got, gaussian_mixture_kls_oracle(grid, means, truth_means, sd, w))
 
     @pytest.mark.parametrize("noise_sd", [1.0, 0.8])
     def test_markov_atom_divergences(self, noise_sd):
@@ -477,6 +490,109 @@ class TestFastPathOracles:
             )
             assert kv[k, 0] == kl_val and kv[k, 1] == v_val
             assert reg.truth_dist(m.id) == h_q
+
+
+def markov_config_regime(noise_sd):
+    thetas = (0.6, 0.5, 0.7, -0.3, -0.4, -0.5)
+    members = [FamilyMember(j, MARKOV, MarkovParam(t, noise_sd=noise_sd))
+               for j, t in enumerate(thetas)]
+    return MarkovRegime(uniform_prior(members), MarkovParam(0.6, noise_sd=noise_sd))
+
+
+class TestRowGrid:
+    """The Gaussian-row quadrature on the noise-scaled row grid against the
+    shared 4001-point grid.
+
+    Where the rows stay well inside the +-12 span the two agree to
+    rounding.  Where they reach its ends (sd 1.3 chains past a state of
+    about 5), both lose the tail beyond the span; there the trapezoid's
+    end-point term, h^2 / 12 times the integrand's slope at the ends, makes
+    the row grid's extra error a few percent of that loss.  ``tail`` is
+    the 4001-point grid's own distance to a +-24 grid of the same spacing.
+    """
+
+    WIDE = Grid(-24.0, 24.0, 8001)
+
+    @pytest.mark.parametrize("sd, points", [(0.5, 481), (0.7, 344), (1.0, 241), (1.3, 186)])
+    def test_grid_points_from_noise_sd(self, sd, points):
+        grid = gaussian_row_grid(GRID, sd)
+        assert (grid.lower, grid.upper, grid.points) == (GRID.lower, GRID.upper, points)
+        assert grid.spacing <= sd / 10.0 < 24.0 / (points - 2)
+        assert markov_config_regime(sd).row_grid == grid
+        if sd == 1.0:
+            assert regression_regime().row_grid == grid
+
+    @pytest.mark.parametrize("sd", [0.5, 0.7, 1.0, 1.3])
+    def test_cesaro_kernel_against_4001_points(self, sd):
+        reg = markov_config_regime(sd)
+        steps = np.arange(1, 401)
+        schedule = np.array([100, 200, 400]) - 1  # where cesaro.csv reads the mean
+        for rep in range(4):
+            sample = generate_data(reg, 400, seed=rep)
+            w = softmax(cumulative_log_ratio(reg, sample)[:, :-1], axis=0)
+            prev = np.concatenate(([sample.y0], sample.y[:-1]))
+            args = (reg._thetas[:, None] * prev[None, :], reg.theta_star.theta * prev, sd, w)
+            got = reg.cesaro_kls(sample, w)
+            dense = gaussian_mixture_kls_oracle(GRID, *args)
+            tail = np.abs(dense - gaussian_mixture_kls_oracle(self.WIDE, *args))
+            assert np.all(np.abs(got - dense) <= 1e-15 + 0.1 * tail)
+            if sd <= 1.0:
+                assert np.max(np.abs(got - dense)) <= 1e-15
+            run_got, run_dense = np.cumsum(got) / steps, np.cumsum(dense) / steps
+            run_tail = np.cumsum(tail) / steps
+            err = np.abs(run_got - run_dense)[schedule]
+            assert np.all(err <= 1e-14 * run_dense[schedule] + 0.1 * run_tail[schedule])
+
+    @pytest.mark.parametrize("sd", [0.5, 0.7, 1.0, 1.3])
+    def test_markov_certification_gaps_against_4001_points(self, sd):
+        reg = markov_config_regime(sd)
+        states = reg._probe_states()
+        rng = np.random.default_rng(5)
+        for ids in [(3, 4, 5), (1, 2), (0, 1, 2, 3, 4, 5)]:
+            thetas = np.array([reg._theta_of(i) for i in ids])
+            center = reg._theta_of(ids[0])
+            rho = np.array([max(reg._gap_at_state(center, t, float(y)) for t in thetas)
+                            for y in states])
+            for _ in range(4):
+                w = rng.dirichlet(np.ones(len(ids)))
+                for got, ref_theta, offset in (
+                    (reg.mixture_truth_gap(ids, w), reg.theta_star.theta, 0.0),
+                    (reg.closure_violation(ids, ids[0], w), center, rho),
+                ):
+                    args = (thetas[:, None] * states[None, :], ref_theta * states, sd, w)
+                    dense = gaussian_affinity_gaps_oracle(GRID, *args)
+                    tail = np.abs(dense - gaussian_affinity_gaps_oracle(self.WIDE, *args))
+                    assert abs(got - np.max(dense - offset)) <= 1e-15 + 0.1 * np.max(tail)
+                    if sd <= 1.0:
+                        assert abs(got - np.max(dense - offset)) <= 1e-15
+
+    def test_regression_certification_gaps_against_4001_points(self):
+        cfg = parse_config(CONFIGS / "regression.yaml")
+        reg = build_regime(cfg)
+        rng = np.random.default_rng(6)
+        ids = tuple(cfg.subset)
+        means = reg._means[list(ids)]
+        for n in cfg.schedule.n_values:
+            radius = max(0.5 * reg.pair_dist(ids[0], i, n) ** 2 for i in ids)
+            for _ in range(4):
+                w = rng.dirichlet(np.ones(len(ids)))
+                truth_gaps = gaussian_affinity_gaps_oracle(
+                    GRID, means[:, :n], reg._truth_means[:n], 1.0, w)
+                center_gaps = gaussian_affinity_gaps_oracle(
+                    GRID, means[:, :n], means[0, :n], 1.0, w)
+                assert abs(reg.mixture_truth_gap(ids, w, n) - truth_gaps.mean()) <= 1e-15
+                got = reg.closure_violation(ids, ids[0], w, n)
+                assert abs(got - (center_gaps.mean() - radius)) <= 1e-15
+
+    def test_regression_rows_are_not_pickled(self):
+        reg = regression_regime()
+        reg.mixture_truth_gap((1, 2), np.array([0.5, 0.5]), 100)
+        assert reg._rows
+        clone = pickle.loads(pickle.dumps(reg))
+        assert clone._rows == {} and clone._rows_n is None
+        assert reg._rows
+        w = np.array([0.3, 0.7])
+        assert clone.mixture_truth_gap((1, 2), w, 100) == reg.mixture_truth_gap((1, 2), w, 100)
 
 
 class TestAnchoredAtTruth:
