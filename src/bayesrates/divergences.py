@@ -1,7 +1,8 @@
 """Grid densities and divergence functionals.
 
-Continuous densities live on a uniform grid and every integral is a
-trapezoidal quadrature on that grid.  The default working grid for
+Continuous densities live on a uniform grid and every integral here is a
+trapezoidal quadrature on that grid (the Cesaro kernels in ``experiments``
+use coarser grids over the same span).  The default working grid for
 unit-scale Gaussian work is [-12, 12] with 4001 points.  Densities are
 floored at ``FLOOR`` before use so that logarithms stay finite; any
 construction that actually hits the floor sets a tail-truncation quality

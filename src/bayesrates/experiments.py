@@ -80,16 +80,13 @@ STAT_KEYS = ("cesaro_kl", "log_evidence", "posterior_mass", "u_mass", "sqrt_l")
 # admissibility randomness never aliases a replication stream
 CERT_SEED_OFFSET = 202_020
 
-# mixture weights tabulated by the two-atom Cesaro table
-MIX_TABLE_POINTS = 2049
-
 # steps per block of the Cesaro kernels: a dense iid block takes 16 to 31
-# steps, so its (4001, steps) buffer stays within 1 MB, in cache between
-# the product and the log; a Gaussian-row block takes 16 steps of J + 1 rows
+# steps, so its (nodes, steps) buffer stays in cache between the product
+# and the log; a Gaussian-row block takes 16 steps of J + 1 rows
 CESARO_BLOCK = 16
 
-# nodes per noise sd on the grid of exact Gaussian rows (regression and
-# markov): on markov.yaml chains the Cesaro kernel agrees with the
+# nodes per sd of the Cesaro quadrature (regression and markov row grid, iid
+# grid stride): on markov.yaml chains the Gaussian-row kernel agrees with the
 # 4001-point grid to 1.3e-16 per step down to 5 nodes per sd, and is off by
 # 3e-15 at 4 and 8e-12 at 3; 10 leaves a factor of two
 ROW_POINTS_PER_SD = 10
@@ -196,18 +193,11 @@ def _gaussian_mixture_kls(grid: Grid, means: np.ndarray, truth_means: np.ndarray
     return np.maximum(out, 0.0)
 
 
-class _MixLogTable:
-    """w -> integral of weight_density * log(w f0 + (1-w) f1), tabulated."""
-
-    def __init__(self, weight: GridDensity, f0: GridDensity, f1: GridDensity):
-        w = np.linspace(0.0, 1.0, MIX_TABLE_POINTS)
-        mix = w[:, None] * f0.values[None, :] + (1.0 - w)[:, None] * f1.values[None, :]
-        kern = weight.grid.quad_weights * weight.values
-        self.w_grid = w
-        self.table = np.log(mix) @ kern
-
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        return np.interp(w, self.w_grid, self.table)
+def _density_stride(grid: Grid, sd: float) -> int:
+    """Largest divisor s of points - 1 with s * spacing <= sd / ROW_POINTS_PER_SD."""
+    limit = sd / ROW_POINTS_PER_SD
+    return max((s for s in range(2, grid.points)
+                if (grid.points - 1) % s == 0 and s * grid.spacing <= limit), default=1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +229,17 @@ class IidRegime:
         )
         self.f_circ = self.reference.density
         self._cdf = true_density.cdf_values()
-        kern = self.grid.quad_weights * true_density.values
-        self._anchor_term = float(kern @ self.f_circ.log_values)
-        self._kern = kern
-        self._member_values = np.stack([m.density.values for m in prior.members])
+        # the Cesaro kernel's trapezoid on every stride-th node of the densities
+        sd = min(math.sqrt(f.variance())
+                 for f in (true_density, *(m.density for m in prior.members)))
+        stride = self.cesaro_stride = _density_stride(self.grid, sd)
+        nodes = Grid(self.grid.lower, self.grid.upper, (self.grid.points - 1) // stride + 1)
+        self._cesaro_kern = nodes.quad_weights * true_density.values[::stride]
+        self._cesaro_anchor = float(self._cesaro_kern @ self.f_circ.log_values[::stride])
+        self._cesaro_values = np.stack(
+            [m.density.values[::stride] for m in prior.members]).T  # (nodes, atoms)
         # the weight f_star / f_circ of every weighted Hellinger distance
         self._weight = np.exp(true_density.log_values - self.f_circ.log_values)
-        self._table: _MixLogTable | None = None
 
     # -- data
 
@@ -324,30 +318,25 @@ class IidRegime:
     def cesaro_kls(self, data, weights_before: np.ndarray) -> np.ndarray:
         """Contrast statistic: int log(f_circ / predictive) f_star.
 
-        Two atoms read a tabulated mixture log.  Otherwise the steps go in
-        blocks of ``CESARO_BLOCK``, and each block's predictive densities
-        are formed, logged and integrated in one buffer, so the (grid,
-        steps) matrix is never built.  The last block takes the remainder
-        rather than leaving a short one: a product a few steps wide goes to
-        other BLAS kernels and rounds unlike the whole-matrix product.
+        The trapezoid rule on every ``cesaro_stride``-th grid node, anchor
+        term included.  The steps go in blocks of ``CESARO_BLOCK``, and each
+        block's predictive densities are formed, logged and integrated in
+        one buffer, so the (nodes, steps) matrix is never built.  The last
+        block takes the remainder rather than leaving a short one: a product
+        a few steps wide goes to other BLAS kernels and rounds unlike the
+        whole-matrix product.
         """
-        if len(self.prior) == 2:
-            if self._table is None:
-                self._table = _MixLogTable(self.true_density,
-                                           *(m.density for m in self.prior.members))
-            vals = self._anchor_term - self._table(weights_before[0])
-        else:
-            values = self._member_values.T  # (grid, atoms)
-            points, n = len(values), weights_before.shape[1]
-            starts = list(range(0, n - CESARO_BLOCK + 1, CESARO_BLOCK)) or [0]
-            buf = np.empty(points * (n - starts[-1]))
-            vals = np.empty(n)
-            for s, e in zip(starts, starts[1:] + [n]):
-                block = buf[:points * (e - s)].reshape(points, e - s)
-                np.matmul(values, weights_before[:, s:e], out=block)
-                np.log(block, out=block)
-                vals[s:e] = block.T @ self._kern
-            vals = self._anchor_term - vals
+        values = self._cesaro_values
+        points, n = len(values), weights_before.shape[1]
+        starts = list(range(0, n - CESARO_BLOCK + 1, CESARO_BLOCK)) or [0]
+        buf = np.empty(points * (n - starts[-1]))
+        vals = np.empty(n)
+        for s, e in zip(starts, starts[1:] + [n]):
+            block = buf[:points * (e - s)].reshape(points, e - s)
+            np.matmul(values, weights_before[:, s:e], out=block)
+            np.log(block, out=block)
+            vals[s:e] = block.T @ self._cesaro_kern
+        vals = self._cesaro_anchor - vals
         return np.maximum(vals, 0.0) if self.well_specified else vals
 
 

@@ -182,17 +182,23 @@ def gaussian_affinity_gaps_oracle(grid: Grid, means: np.ndarray, ref_means: np.n
     return out
 
 
-def iid_cesaro_oracle(regime, weights_before: np.ndarray) -> np.ndarray:
+def iid_cesaro_oracle(regime, weights_before: np.ndarray, stride: int,
+                      dtype=np.float64) -> np.ndarray:
     """Per-step Cesaro contrast of a density regime from the whole mixture matrix.
 
-    The reference form of ``IidRegime.cesaro_kls`` for three or more atoms:
-    the (grid, steps) predictive densities and their logs are built in full.
+    The reference form of ``IidRegime.cesaro_kls``: the trapezoid rule on
+    every ``stride``-th node of the regime's grid (all 4001 at stride 1),
+    with the (nodes, steps) predictive densities and their logs built in
+    full, in ``dtype`` arithmetic.
     """
-    kern = regime.grid.quad_weights * regime.true_density.values
-    anchor_term = float(kern @ regime.f_circ.log_values)
-    values = np.stack([m.density.values for m in regime.prior.members])
-    vals = anchor_term - np.log(values.T @ weights_before).T @ kern
-    return np.maximum(vals, 0.0) if regime.well_specified else vals
+    grid = regime.grid
+    nodes = Grid(grid.lower, grid.upper, (grid.points - 1) // stride + 1)
+    kern = nodes.quad_weights.astype(dtype) * regime.true_density.values[::stride].astype(dtype)
+    anchor_term = kern @ np.log(regime.f_circ.values.astype(dtype))[::stride]
+    values = np.stack([m.density.values[::stride] for m in regime.prior.members]).astype(dtype)
+    vals = anchor_term - np.log(values.T @ weights_before.astype(dtype)).T @ kern
+    vals = np.maximum(vals, 0.0) if regime.well_specified else vals
+    return vals.astype(np.float64)
 
 
 def _transition_rows(grid: Grid, theta: float, states: np.ndarray, noise_sd: float) -> np.ndarray:

@@ -513,11 +513,10 @@ class TestOverridesAndRuntimeFaults:
 
 
 CHECK_AND_SIEVE = (("check",), ("sieve",))
-CESARO = (("simulate", "--verify", "cesaro"),)
 EVERY_COMMAND = CHECK_AND_SIEVE + (("simulate",),)
 REPRODUCED_RUNS = {
-    "iid": CHECK_AND_SIEVE + CESARO,
-    "misspecified": CHECK_AND_SIEVE + CESARO,
+    "iid": EVERY_COMMAND,
+    "misspecified": EVERY_COMMAND,
     "sieve": CHECK_AND_SIEVE,
     "smoke": CHECK_AND_SIEVE,
     "markov": EVERY_COMMAND,
@@ -528,12 +527,8 @@ REPRODUCED_RUNS = {
 @pytest.mark.parametrize("name", list(REPRODUCED_RUNS))
 def test_check_and_sieve_reproduce_committed_csvs(tmp_path, name):
     """The committed out/ CSVs are what check and sieve write, byte for byte,
-    for markov and regression also what every simulation writes, and for
-    iid and misspecified what the Cesaro simulation writes.
-
-    The iid and misspecified bound simulations (about 2 s each) are left
-    out; the location-lab benchmark workload compares them with out/.
-    """
+    and for iid, misspecified, markov and regression also what every
+    simulation writes."""
     config = str(ROOT / "configs" / f"{name}.yaml")
     for command, *extra in REPRODUCED_RUNS[name]:
         argv = [command, "--config", config, "--out", str(tmp_path), *extra]

@@ -30,7 +30,6 @@ from bayesrates.experiments import (
     RegressionRegime,
     ReplicationRecord,
     SubsetNotAdmissibleError,
-    _MixLogTable,
     _gaussian_mixture_kls,
     _triangle_bound,
     gaussian_row_grid,
@@ -315,15 +314,12 @@ class TestCesaro:
         )
         assert abs(rec.stats["cesaro_kl"][0]) <= 1e-12
 
-    def test_two_atom_table_matches_direct_quadrature(self):
+    def test_two_atoms_match_direct_quadrature(self):
         fam = build_gaussian_location_family(GRID, [0.0, 1.0])
         truth = gaussian_density(GRID, 0.0, 1.0)
         reg = IidRegime(uniform_prior(fam), truth)
         data = generate_data(reg, 30, seed=17)
-        cum = cumulative_log_ratio(reg, data)
-        from bayesrates.numerics import softmax
-
-        w = softmax(cum[:, :-1], axis=0)
+        w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
         fast = reg.cesaro_kls(data, w)
         kern = GRID.quad_weights * truth.values
         entropy = kern @ truth.log_values
@@ -334,7 +330,7 @@ class TestCesaro:
                 for i in range(w.shape[1])
             ]
         )
-        assert np.max(np.abs(fast - np.maximum(direct, 0.0))) < 1e-5
+        assert np.max(np.abs(fast - np.maximum(direct, 0.0))) <= 1e-14
 
     def test_markov_one_hot_weights_give_state_conditional_kl(self):
         reg = markov_regime(thetas=(0.6, 0.2))
@@ -395,15 +391,17 @@ class TestFastPathOracles:
         for rep in range(6):
             data = generate_data(reg, n, seed=cfg.seed + rep)
             w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
-            assert np.array_equal(reg.cesaro_kls(data, w), iid_cesaro_oracle(reg, w))
+            assert np.array_equal(reg.cesaro_kls(data, w),
+                                  iid_cesaro_oracle(reg, w, reg.cesaro_stride))
 
     @pytest.mark.parametrize("n", [1, 31, 33, 400])
-    @pytest.mark.parametrize("atoms", [3, 5, 10])
+    @pytest.mark.parametrize("atoms", [2, 3, 5, 10])
     def test_iid_random_atoms(self, atoms, n):
         rng = np.random.default_rng(100 * atoms + n)
         reg = iid_regime(means=tuple(rng.normal(0.0, 1.5, atoms)), truth_mean=0.1)
         w = rng.dirichlet(np.ones(atoms), size=n).T
-        assert np.array_equal(reg.cesaro_kls(None, w), iid_cesaro_oracle(reg, w))
+        assert np.array_equal(reg.cesaro_kls(None, w),
+                              iid_cesaro_oracle(reg, w, reg.cesaro_stride))
 
     @pytest.mark.parametrize("atoms", [3, 5, 10])
     def test_iid_random_atoms_past_blas_row_blocking(self, atoms):
@@ -415,7 +413,7 @@ class TestFastPathOracles:
         reg = iid_regime(means=tuple(rng.normal(0.0, 1.5, atoms)), truth_mean=0.1)
         w = rng.dirichlet(np.ones(atoms), size=401).T
         got = reg.cesaro_kls(None, w)
-        assert np.max(np.abs(got - iid_cesaro_oracle(reg, w))) <= 1e-13
+        assert np.max(np.abs(got - iid_cesaro_oracle(reg, w, reg.cesaro_stride))) <= 1e-13
         assert np.array_equal(got[:400], reg.cesaro_kls(None, w[:, :400]))
 
     def test_iid_kernel_builds_no_full_matrix(self):
@@ -490,6 +488,43 @@ class TestFastPathOracles:
             )
             assert kv[k, 0] == kl_val and kv[k, 1] == v_val
             assert reg.truth_dist(m.id) == h_q
+
+
+class TestDensityStride:
+    """The iid Cesaro kernel integrates on every ``cesaro_stride``-th node
+    of the density grid; against the integral on all 4001 nodes it differs
+    by rounding."""
+
+    @pytest.mark.parametrize("sd, stride", [(1.0, 16), (0.7, 10), (0.5, 8), (1.3, 20)])
+    def test_stride_from_smallest_sd(self, sd, stride):
+        wide = build_gaussian_location_family(GRID, [0.0, 0.5], sd=1.5)
+        narrow = build_gaussian_location_family(GRID, [1.0], sd=sd, start_id=2)
+        wide_truth = gaussian_density(GRID, 0.0, 1.5)
+        for prior, truth in ((uniform_prior(wide + narrow), wide_truth),
+                             (uniform_prior(wide), gaussian_density(GRID, 0.0, sd))):
+            assert IidRegime(prior, truth).cesaro_stride == stride
+        assert (GRID.points - 1) % stride == 0
+        assert stride * GRID.spacing <= sd / 10.0
+
+    @pytest.mark.parametrize("sd", [0.5, 0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("atoms", [2, 5])
+    def test_per_step_against_4001_points(self, atoms, sd):
+        rng = np.random.default_rng(7 * atoms)
+        fam = build_gaussian_location_family(GRID, list(rng.normal(0.0, 1.5, atoms)), sd=sd)
+        reg = IidRegime(uniform_prior(fam), gaussian_density(GRID, 0.1, sd))
+        w = rng.dirichlet(np.ones(atoms), size=400).T
+        dense = iid_cesaro_oracle(reg, w, 1)
+        assert np.max(np.abs(reg.cesaro_kls(None, w) - dense)) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["iid", "misspecified"])
+    def test_config_replications_against_long_double(self, name):
+        cfg = parse_config(CONFIGS / f"{name}.yaml")
+        reg = build_regime(cfg)
+        for rep in range(4):
+            data = generate_data(reg, 400, seed=cfg.seed + rep)
+            w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
+            exact = iid_cesaro_oracle(reg, w, 1, np.longdouble)
+            assert np.max(np.abs(reg.cesaro_kls(data, w) - exact)) <= 2e-15
 
 
 def markov_config_regime(noise_sd):
@@ -632,14 +667,12 @@ class TestAnchoredAtTruth:
 
         data = generate_data(reg, 200, seed=6)
         w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
-        kern = GRID.quad_weights * truth.values
-        entropy = float(kern @ truth.log_values)
-        if len(ids) == 2:
-            table = _MixLogTable(truth, dens[0], dens[1])
-            plain = np.maximum(entropy - table(w[0]), 0.0)
-        else:
-            values = np.stack([f.values for f in dens.values()])
-            plain = np.maximum(entropy - np.log(values.T @ w).T @ kern, 0.0)
+        stride = reg.cesaro_stride
+        nodes = Grid(GRID.lower, GRID.upper, (GRID.points - 1) // stride + 1)
+        kern = nodes.quad_weights * truth.values[::stride]
+        entropy = float(kern @ truth.log_values[::stride])
+        values = np.stack([f.values[::stride] for f in dens.values()])
+        plain = np.maximum(entropy - np.log(values.T @ w).T @ kern, 0.0)
         assert np.array_equal(reg.cesaro_kls(data, w), plain)
 
 
