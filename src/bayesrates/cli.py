@@ -35,19 +35,23 @@ from .experiments import (
     IidRegime,
     MarkovRegime,
     MisspecifiedRegime,
+    PreconditionError,
     RegressionRegime,
     SubsetNotAdmissibleError,
+    certify_numerator,
     certify_subset,
+    check_evidence_thickness,
+    concentration_report,
+    concentration_sets,
+    evidence_report,
     fit_rate,
     fitted_thickness_constant,
     generate_data,
     mean_and_se,
-    posterior_mass_path,
+    numerator_report,
     run_replications,
     stat_quantile,
     thickness_records,
-    verify_evidence_bound,
-    verify_numerator_bound,
 )
 from .geometry import (
     ConditionParams,
@@ -77,7 +81,8 @@ class Verification:
     """Where a verification runs, what it needs, and the CSV it writes.
 
     ``optional`` holds trailing (column, unit) pairs that appear only when
-    the rows carry them.
+    the rows carry them.  ``stats`` names the replication statistics a
+    ``simulate`` verification reads; ``u_mass`` only with a configured u_set.
     """
 
     command: str
@@ -88,6 +93,7 @@ class Verification:
     needs: tuple[str, ...] = ()
     needs_subset: bool = False
     optional: tuple[tuple[str, str], ...] = ()
+    stats: tuple[str, ...] = ()
 
 
 VERIFICATIONS = {
@@ -143,13 +149,14 @@ VERIFICATIONS = {
         ("count", "rate", "nat", "nat", "nat"),
         "running average of one-step predictive divergences from the sampling "
         "density, across replications",
+        stats=("cesaro_kl",),
     ),
     "numerator-bound": Verification(
         "simulate", "numerator_bound.csv",
         ("n", "mean_sqrt_numerator", "std_error", "bound"),
         ("count", "sqrt-mass", "sqrt-mass", "sqrt-mass"),
         "mean square-root restricted numerator vs its certified exponential bound",
-        needs=("d",), needs_subset=True,
+        needs=("d",), needs_subset=True, stats=("sqrt_l",),
     ),
     "evidence-bound": Verification(
         "simulate", "evidence_bound.csv",
@@ -157,7 +164,7 @@ VERIFICATIONS = {
         ("count", "log", "probability"),
         "fraction of replications whose log evidence ratio falls below the "
         "thickness threshold",
-        needs=("c",),
+        needs=("c",), stats=("log_evidence",),
     ),
     "posterior-mass": Verification(
         "simulate", "posterior_mass.csv",
@@ -165,6 +172,7 @@ VERIFICATIONS = {
         ("count", "rate", "count", "probability", "probability"),
         "posterior mass of atoms farther than M * rate from the sampling truth",
         needs=("M",), optional=(("near_set_median_mass", "probability"),),
+        stats=("posterior_mass", "u_mass"),
     ),
 }
 
@@ -684,15 +692,7 @@ def _run_separation(cfg: RunConfig, regime, out: Path) -> VerificationResult:
     return _record("separation", cfg, out, rows, not failure, detail)
 
 
-def _run_cesaro(cfg: RunConfig, regime, out: Path) -> VerificationResult:
-    plan = ExperimentPlan(
-        regime=regime,
-        schedule=cfg.schedule,
-        replications=cfg.replications,
-        seed=cfg.seed,
-        collect=("cesaro_kl",),
-    )
-    records = run_replications(plan, jobs=cfg.jobs)
+def _cesaro_rows(cfg: RunConfig, records):
     mean, se = mean_and_se(records, "cesaro_kl")
     med = stat_quantile(records, "cesaro_kl", 0.5)
     ns = cfg.schedule.n_values
@@ -701,87 +701,82 @@ def _run_cesaro(cfg: RunConfig, regime, out: Path) -> VerificationResult:
         slope = fit_rate(ns, mean, epsilons=cfg.schedule.epsilons).slope
     except ExperimentError:
         pass
-    rows = [
-        (n, cfg.schedule.epsilon(n), mean[k], se[k], med[k]) for k, n in enumerate(ns)
-    ]
-    passed = bool(np.all(np.diff(med) < 0.0))
+    rows = [(n, cfg.schedule.epsilon(n), mean[k], se[k], med[k]) for k, n in enumerate(ns)]
     detail = f"median path {med[0]:.4g} -> {med[-1]:.4g}, mean log-log slope {slope:.3g}"
-    return _record("cesaro", cfg, out, rows, passed, detail)
+    return rows, bool(np.all(np.diff(med) < 0.0)), detail
 
 
-def _run_numerator_bound(cfg: RunConfig, regime, out: Path) -> VerificationResult:
-    plan = ExperimentPlan(
-        regime=regime,
-        schedule=cfg.schedule,
-        replications=cfg.replications,
-        seed=cfg.seed,
-        collect=("sqrt_l",),
-        subset_ids=cfg.subset,
-        params=cfg.params,
-    )
-    try:
-        report = verify_numerator_bound(plan, jobs=cfg.jobs, closure_draws=100)
-    except SubsetNotAdmissibleError as e:
-        return _record("numerator-bound", cfg, out, [], False, str(e))
-    rows = [
-        (n, report.empirical_mean[k], report.std_error[k], report.bound[k])
-        for k, n in enumerate(report.n_values)
-    ]
-    detail = (
-        f"d = {report.d}, implied C = {report.implied_c:.4g}, "
-        f"worst margin {float(np.max(report.empirical_mean - report.bound)):.3g}"
-    )
-    return _record("numerator-bound", cfg, out, rows, report.passed, detail)
+def _numerator_rows(report):
+    rows = [(n, report.empirical_mean[k], report.std_error[k], report.bound[k])
+            for k, n in enumerate(report.n_values)]
+    worst = float(np.max(report.empirical_mean - report.bound))
+    detail = f"d = {report.d}, implied C = {report.implied_c:.4g}, worst margin {worst:.3g}"
+    return rows, report.passed, detail
 
 
-def _run_evidence_bound(cfg: RunConfig, regime, out: Path) -> VerificationResult:
-    plan = ExperimentPlan(
-        regime=regime,
-        schedule=cfg.schedule,
-        replications=cfg.replications,
-        seed=cfg.seed,
-        params=cfg.params,
-    )
-    try:
-        report = verify_evidence_bound(
-            plan, jobs=cfg.jobs, enforce_thickness=not cfg.allow_thin_evidence
-        )
-    except ExperimentError as e:
-        return _record("evidence-bound", cfg, out, [], False, str(e))
-    rows = [
-        (n, report.thresholds[k], report.fractions[k])
-        for k, n in enumerate(report.n_values)
-    ]
+def _evidence_rows(report):
+    rows = [(n, report.thresholds[k], report.fractions[k]) for k, n in enumerate(report.n_values)]
     passed = bool(report.fractions[-1] <= 0.1 and report.trend_slope <= 1e-12)
-    detail = (
-        f"final fraction {report.fractions[-1]:.4g}, trend slope {report.trend_slope:.3g}"
-    )
-    return _record("evidence-bound", cfg, out, rows, passed, detail)
+    detail = f"final fraction {report.fractions[-1]:.4g}, trend slope {report.trend_slope:.3g}"
+    return rows, passed, detail
 
 
-def _run_posterior_mass(cfg: RunConfig, regime, out: Path) -> VerificationResult:
-    plan = ExperimentPlan(
-        regime=regime,
-        schedule=cfg.schedule,
-        replications=cfg.replications,
-        seed=cfg.seed,
-        u_set=cfg.u_set,
-    )
-    report = posterior_mass_path(plan, multiplier=cfg.params.M, jobs=cfg.jobs)
-    rows = []
-    for k, n in enumerate(report.n_values):
-        row = [n, cfg.schedule.epsilon(n), len(report.b_sets[k]),
-               report.medians[k], report.upper_quartiles[k]]
-        if report.u_medians is not None:
-            row.append(report.u_medians[k])
-        rows.append(tuple(row))
+def _posterior_mass_rows(cfg: RunConfig, report):
+    u = report.u_medians
+    rows = [(n, cfg.schedule.epsilon(n), len(report.b_sets[k]), report.medians[k],
+             report.upper_quartiles[k]) + (() if u is None else (u[k],))
+            for k, n in enumerate(report.n_values)]
     # the far set grows as the rate shrinks, so the median path need not be
     # monotone step to step; the claim is decay overall and at the cap
     final_ok = report.medians[-1] < 0.05
     trend_ok = report.medians[0] == 0.0 or report.medians[-1] <= report.medians[0]
-    passed = bool(final_ok and trend_ok)
     detail = f"median far mass {report.medians[0]:.4g} -> {report.medians[-1]:.4g}"
-    return _record("posterior-mass", cfg, out, rows, passed, detail)
+    return rows, bool(final_ok and trend_ok), detail
+
+
+def _run_simulations(cfg: RunConfig, regime, out: Path,
+                     selected: Sequence[str]) -> list[VerificationResult]:
+    """Every selected Monte Carlo verification from one replication pass.
+
+    The preconditions run first, in the order listed; a refusal is that
+    verification's failed criterion.  The others read one pass that
+    collects the union of their statistics.
+    """
+    plan = ExperimentPlan(regime=regime, schedule=cfg.schedule, replications=cfg.replications,
+                          seed=cfg.seed, collect=(), subset_ids=cfg.subset, u_set=cfg.u_set,
+                          params=cfg.params)
+    enforce = not cfg.allow_thin_evidence
+    implied = math.nan
+    if {"numerator-bound", "evidence-bound"} & set(selected):
+        implied = fitted_thickness_constant(thickness_records(regime, cfg.schedule))
+    ready, refused = {}, {}
+    for name, precondition in {
+        "cesaro": lambda: None,
+        "numerator-bound": lambda: certify_numerator(plan, implied, closure_draws=100),
+        "evidence-bound": lambda: check_evidence_thickness(plan, implied, enforce),
+        "posterior-mass": lambda: concentration_sets(regime, cfg.schedule, cfg.params.M),
+    }.items():
+        if name in selected:
+            try:
+                ready[name] = precondition()
+            except PreconditionError as e:
+                refused[name] = str(e)
+    stats = tuple(dict.fromkeys(key for name in ready for key in VERIFICATIONS[name].stats
+                                if key != "u_mass" or cfg.u_set is not None))
+    plan = plan.collecting(stats, b_sets=ready.get("posterior-mass"))
+    records = run_replications(plan, jobs=cfg.jobs) if stats else []
+    rows_of = {
+        "cesaro": lambda: _cesaro_rows(cfg, records),
+        "numerator-bound": lambda: _numerator_rows(
+            numerator_report(plan, records, implied, ready["numerator-bound"])),
+        "evidence-bound": lambda: _evidence_rows(evidence_report(plan, records, implied, enforce)),
+        "posterior-mass": lambda: _posterior_mass_rows(cfg, concentration_report(plan, records)),
+    }
+    results = []
+    for name in selected:
+        rows, passed, detail = ([], False, refused[name]) if name in refused else rows_of[name]()
+        results.append(_record(name, cfg, out, rows, passed, detail))
+    return results
 
 
 def _run_cover_and_sieve(cfg: RunConfig, regime, out: Path) -> list[VerificationResult]:
@@ -790,12 +785,9 @@ def _run_cover_and_sieve(cfg: RunConfig, regime, out: Path) -> list[Verification
     sieve_rows = []
     cover_ok, sieve_ok = True, True
     notes = []
-    for n in cfg.schedule.n_values:
+    for n, far in zip(cfg.schedule.n_values, concentration_sets(regime, cfg.schedule, p.M)):
         eps = cfg.schedule.epsilon(n)
         radius = p.M * eps / 2.0
-        far = [
-            m.id for m in regime.prior.members if regime.truth_dist(m.id, n) > p.M * eps
-        ]
         if not far:
             cover_rows.append((n, eps, radius, 0, 0, True))
             notes.append(f"n={n}: empty far set")
@@ -835,10 +827,6 @@ _RUNNERS = {
     "conditional-identity": _run_conditional_identity,
     "thickness": _run_thickness,
     "separation": _run_separation,
-    "cesaro": _run_cesaro,
-    "numerator-bound": _run_numerator_bound,
-    "evidence-bound": _run_evidence_bound,
-    "posterior-mass": _run_posterior_mass,
 }
 
 
@@ -1004,6 +992,8 @@ def _main(args: argparse.Namespace) -> int:
 
     if args.command == "sieve":
         results = [r for r in _run_cover_and_sieve(cfg, regime, out) if r.name in selected]
+    elif args.command == "simulate":
+        results = _run_simulations(cfg, regime, out, selected)
     else:
         results = [_RUNNERS[name](cfg, regime, out) for name in selected]
     config = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()

@@ -96,7 +96,11 @@ class ExperimentError(ValueError):
     """Invalid plan, regime wiring, or verification request."""
 
 
-class SubsetNotAdmissibleError(ExperimentError):
+class PreconditionError(ExperimentError):
+    """A verification's precondition refused: a failed criterion, not a fault."""
+
+
+class SubsetNotAdmissibleError(PreconditionError):
     """A lemma-check subset failed its certification."""
 
 
@@ -552,7 +556,9 @@ class MarkovRegime:
         reach = float(np.max(np.abs(prev))) * max(
             abs(self.theta_star.theta), float(np.max(np.abs(self._thetas)))
         )
-        if reach + 6.0 * self.noise_sd > self.grid.upper:
+        # at noise sd 1.3 on markov.yaml's atoms, chains whose Cesaro kernel is
+        # off a +-24 grid by over 1e-12 per step reach within 6.7 sd of the end
+        if reach + 8.0 * self.noise_sd > self.grid.upper:
             return ("transition-tail-clipped",)
         return ()
 
@@ -711,6 +717,12 @@ class ExperimentPlan:
         if "u_mass" in self.collect and self.u_set is None:
             raise ExperimentError("u_mass needs u_set")
 
+    def collecting(self, stats: Sequence[str], b_sets=None) -> ExperimentPlan:
+        """This plan collecting ``stats`` (over far sets ``b_sets``, if given).  A record
+        depends on (seed + r, data) alone, so one pass can serve many verifications."""
+        return replace(self, collect=tuple(stats),
+                       b_sets=self.b_sets if b_sets is None else b_sets)
+
 
 @dataclass(frozen=True, eq=False)
 class ReplicationRecord:
@@ -755,18 +767,14 @@ def replicate(plan: ExperimentPlan, rep_id: int) -> ReplicationRecord:
         rows = _subset_rows(regime.prior, plan.subset_ids)
         log_l = logsumexp(cum[rows], axis=0)
         stats["sqrt_l"] = np.exp(0.5 * log_l[idx])
-    need_weights = ("posterior_mass" in plan.collect) or ("u_mass" in plan.collect)
-    if need_weights:
+    if "posterior_mass" in plan.collect or "u_mass" in plan.collect:
         weights = softmax(cum, axis=0)
     if "posterior_mass" in plan.collect:
-        masses = np.empty(len(n_values))
-        for k, (n, ids) in enumerate(zip(n_values, plan.b_sets)):
-            rows = _subset_rows(regime.prior, ids) if ids else []
-            masses[k] = float(weights[rows, n].sum()) if rows else 0.0
+        masses = [weights[_subset_rows(regime.prior, ids), n].sum()
+                  for n, ids in zip(n_values, plan.b_sets)]
         stats["posterior_mass"] = np.clip(masses, 0.0, 1.0)
     if "u_mass" in plan.collect:
-        rows = _subset_rows(regime.prior, plan.u_set) if plan.u_set else []
-        vals = weights[rows][:, idx].sum(axis=0) if rows else np.zeros(len(n_values))
+        vals = weights[_subset_rows(regime.prior, plan.u_set)][:, idx].sum(axis=0)
         stats["u_mass"] = np.clip(vals, 0.0, 1.0)
     if "cesaro_kl" in plan.collect:
         weights_before = softmax(cum[:, :-1], axis=0)
@@ -892,10 +900,7 @@ def certify_subset(regime, member_ids, delta: float, n: int,
     # the center achieving the triangle bound, for the closure ball
     center_id = ids[0]
     if len(ids) > 1:
-        per_center = []
-        for c in ids:
-            per_center.append((_center_bound(regime, ids, c, n), c))
-        center_id = max(per_center)[1]
+        center_id = max((_center_bound(regime, ids, c, n), c) for c in ids)[1]
 
     closure = mixture_closure_report(
         lambda w: regime.closure_violation(ids, center_id, w, n),
@@ -958,19 +963,20 @@ class NumeratorBoundReport:
     certificates: tuple[SubsetCertificate, ...]
     implied_c: float
     d: float
-    subset_prior_mass: float
 
 
-def verify_numerator_bound(plan: ExperimentPlan, jobs: int = 1,
-                           closure_draws: int = 200) -> NumeratorBoundReport:
-    """Monte Carlo check of mean sqrt(restricted numerator) against its bound."""
+def certify_numerator(plan: ExperimentPlan, implied: float,
+                      closure_draws: int = 200) -> tuple[SubsetCertificate, ...]:
+    """The numerator bound's preconditions, given the implied thickness C.
+
+    Refuses unless the prior is thick, d > implied C + 1, and the subset
+    certifies at every schedule point (draws from seed + CERT_SEED_OFFSET).
+    """
     if plan.params is None or plan.params.d is None:
         raise ExperimentError("numerator bound needs params with d set")
     if not plan.subset_ids:
         raise ExperimentError("numerator bound needs subset_ids")
     d = plan.params.d
-    schedule = plan.schedule
-    implied = fitted_thickness_constant(thickness_records(plan.regime, schedule))
     if not math.isfinite(implied):
         raise SubsetNotAdmissibleError(
             "subset not admissible: prior is not thick at this schedule "
@@ -980,34 +986,35 @@ def verify_numerator_bound(plan: ExperimentPlan, jobs: int = 1,
         raise SubsetNotAdmissibleError(
             f"subset not admissible: d = {d} must exceed implied C + 1 = {implied + 1.0:.6g}"
         )
-
     cert_rng = np.random.default_rng(plan.seed + CERT_SEED_OFFSET)
-    certificates = []
-    for n in schedule.n_values:
-        delta = d * schedule.epsilon(n) ** 2
-        certificates.append(
-            certify_subset(plan.regime, plan.subset_ids, delta, n, cert_rng,
-                           draws=closure_draws)
-        )
+    return tuple(
+        certify_subset(plan.regime, plan.subset_ids, d * plan.schedule.epsilon(n) ** 2, n,
+                       cert_rng, draws=closure_draws)
+        for n in plan.schedule.n_values
+    )
 
-    records = run_replications(replace(plan, collect=("sqrt_l",)), jobs=jobs)
+
+def numerator_report(plan: ExperimentPlan, records: Sequence[ReplicationRecord],
+                     implied: float, certificates) -> NumeratorBoundReport:
+    """Mean sqrt(restricted numerator) of the records against its bound."""
+    d, eps = plan.params.d, plan.schedule.epsilons
     mean, se = mean_and_se(records, "sqrt_l")
     mass = plan.regime.prior.mass_of(plan.subset_ids)
-    eps = schedule.epsilons
-    ns = np.asarray(schedule.n_values)
-    bound = math.sqrt(mass) * np.exp(-d * ns * eps * eps)
-    passed = bool(np.all(mean <= bound + 3.0 * se))
+    bound = math.sqrt(mass) * np.exp(-d * np.asarray(plan.schedule.n_values) * eps * eps)
     return NumeratorBoundReport(
-        n_values=schedule.n_values,
-        empirical_mean=mean,
-        std_error=se,
-        bound=bound,
-        passed=passed,
-        certificates=tuple(certificates),
-        implied_c=implied,
-        d=d,
-        subset_prior_mass=mass,
+        n_values=plan.schedule.n_values, empirical_mean=mean, std_error=se, bound=bound,
+        passed=bool(np.all(mean <= bound + 3.0 * se)), certificates=tuple(certificates),
+        implied_c=implied, d=d,
     )
+
+
+def verify_numerator_bound(plan: ExperimentPlan, jobs: int = 1,
+                           closure_draws: int = 200) -> NumeratorBoundReport:
+    """Monte Carlo check of mean sqrt(restricted numerator) against its bound."""
+    implied = fitted_thickness_constant(thickness_records(plan.regime, plan.schedule))
+    certificates = certify_numerator(plan, implied, closure_draws)
+    records = run_replications(plan.collecting(("sqrt_l",)), jobs=jobs)
+    return numerator_report(plan, records, implied, certificates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1021,43 +1028,44 @@ class EvidenceBoundReport:
     thickness_enforced: bool
 
 
-def verify_evidence_bound(plan: ExperimentPlan, jobs: int = 1,
-                          enforce_thickness: bool = True) -> EvidenceBoundReport:
-    """Fraction of replications whose evidence falls below exp(-c n eps^2)."""
+def check_evidence_thickness(plan: ExperimentPlan, implied: float,
+                             enforce_thickness: bool = True) -> None:
+    """The evidence bound's precondition: c > implied C + 1, unless waived."""
     if plan.params is None or plan.params.c is None:
         raise ExperimentError("evidence bound needs params with c set")
-    c = plan.params.c
-    schedule = plan.schedule
-    implied = fitted_thickness_constant(thickness_records(plan.regime, schedule))
-    if enforce_thickness and not c > implied + 1.0:
-        raise ExperimentError(
+    if enforce_thickness and not plan.params.c > implied + 1.0:
+        raise PreconditionError(
             f"evidence bound needs c > implied C + 1 = {implied + 1.0:.6g}; "
             "pass enforce_thickness=False for a diagnostic run"
         )
-    records = run_replications(replace(plan, collect=("log_evidence",)), jobs=jobs)
-    ns = np.asarray(schedule.n_values, dtype=float)
-    eps = schedule.epsilons
+
+
+def evidence_report(plan: ExperimentPlan, records: Sequence[ReplicationRecord],
+                    implied: float, enforce_thickness: bool) -> EvidenceBoundReport:
+    """Fraction of the records whose evidence falls below exp(-c n eps^2)."""
+    c, eps = plan.params.c, plan.schedule.epsilons
+    ns = np.asarray(plan.schedule.n_values, dtype=float)
     thresholds = -c * ns * eps * eps
-    log_i = stat_matrix(records, "log_evidence")
-    fractions = (log_i <= thresholds[None, :]).mean(axis=0)
-    slope = 0.0
-    if len(ns) >= 2:
-        slope = float(np.polyfit(ns, fractions, 1)[0])
+    fractions = (stat_matrix(records, "log_evidence") <= thresholds[None, :]).mean(axis=0)
+    slope = float(np.polyfit(ns, fractions, 1)[0]) if len(ns) >= 2 else 0.0
     return EvidenceBoundReport(
-        n_values=schedule.n_values,
-        thresholds=thresholds,
-        fractions=fractions,
-        trend_slope=slope,
-        implied_c=implied,
-        c=c,
-        thickness_enforced=enforce_thickness,
+        n_values=plan.schedule.n_values, thresholds=thresholds, fractions=fractions,
+        trend_slope=slope, implied_c=implied, c=c, thickness_enforced=enforce_thickness,
     )
+
+
+def verify_evidence_bound(plan: ExperimentPlan, jobs: int = 1,
+                          enforce_thickness: bool = True) -> EvidenceBoundReport:
+    """Fraction of replications whose evidence falls below exp(-c n eps^2)."""
+    implied = fitted_thickness_constant(thickness_records(plan.regime, plan.schedule))
+    check_evidence_thickness(plan, implied, enforce_thickness)
+    records = run_replications(plan.collecting(("log_evidence",)), jobs=jobs)
+    return evidence_report(plan, records, implied, enforce_thickness)
 
 
 @dataclass(frozen=True, eq=False)
 class ConcentrationReport:
     n_values: tuple[int, ...]
-    multiplier: float
     b_sets: tuple[tuple[int, ...], ...]
     medians: np.ndarray
     upper_quartiles: np.ndarray
@@ -1075,25 +1083,24 @@ def concentration_sets(regime, schedule: RateSchedule, multiplier: float):
     return tuple(sets)
 
 
+def concentration_report(plan: ExperimentPlan,
+                         records: Sequence[ReplicationRecord]) -> ConcentrationReport:
+    """Median posterior mass of the plan's far sets B_n in the records."""
+    return ConcentrationReport(
+        n_values=plan.schedule.n_values, b_sets=plan.b_sets,
+        medians=stat_quantile(records, "posterior_mass", 0.5),
+        upper_quartiles=stat_quantile(records, "posterior_mass", 0.75),
+        u_medians=stat_quantile(records, "u_mass", 0.5) if plan.u_set is not None else None,
+    )
+
+
 def posterior_mass_path(plan: ExperimentPlan, multiplier: float,
                         jobs: int = 1) -> ConcentrationReport:
     """Median posterior mass of the far set B_n along the schedule."""
     b_sets = concentration_sets(plan.regime, plan.schedule, multiplier)
-    collect = ("posterior_mass",) + (("u_mass",) if plan.u_set is not None else ())
-    records = run_replications(
-        replace(plan, collect=collect, b_sets=b_sets), jobs=jobs
-    )
-    medians = stat_quantile(records, "posterior_mass", 0.5)
-    uq = stat_quantile(records, "posterior_mass", 0.75)
-    u_med = stat_quantile(records, "u_mass", 0.5) if plan.u_set is not None else None
-    return ConcentrationReport(
-        n_values=plan.schedule.n_values,
-        multiplier=multiplier,
-        b_sets=b_sets,
-        medians=medians,
-        upper_quartiles=uq,
-        u_medians=u_med,
-    )
+    stats = ("posterior_mass",) + (("u_mass",) if plan.u_set is not None else ())
+    plan = plan.collecting(stats, b_sets)
+    return concentration_report(plan, run_replications(plan, jobs=jobs))
 
 
 @dataclass(frozen=True)

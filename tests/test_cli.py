@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bayesrates import cli, experiments
 from bayesrates.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_CRITERION_FAIL,
@@ -19,7 +20,7 @@ from bayesrates.cli import (
     main,
     parse_config,
 )
-from bayesrates.experiments import IidRegime
+from bayesrates.experiments import ExperimentError, IidRegime
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -233,6 +234,23 @@ verify: [numerator-bound]
 out: {out}
 """
 
+SMALL_SIMULATE = """\
+regime: iid
+family:
+  means: [0.0, 1.0]
+truth:
+  mean: 0.0
+schedule:
+  n_values: [25, 50]
+seed: 17
+replications: 8
+params:
+  c: {c}
+  M: 1.0
+verify: [cesaro, evidence-bound, posterior-mass]
+out: {out}
+"""
+
 MARKOV_WINDOW = """\
 regime: markov
 family:
@@ -398,6 +416,86 @@ class TestMain:
         assert {"factorization", "cover", "sieve", "posterior-mass"} <= names
 
 
+def count_passes(monkeypatch) -> list[set[str]]:
+    """Record each replication pass a run makes: the statistics its records carry."""
+    passes = []
+    run_replications = experiments.run_replications
+
+    def counting(plan, jobs=1):
+        records = run_replications(plan, jobs=jobs)
+        passes.append({key for r in records for key in r.stats})
+        return records
+
+    monkeypatch.setattr(cli, "run_replications", counting)
+    monkeypatch.setattr(experiments, "run_replications", counting)
+    return passes
+
+
+def broken_replicate(plan, rep_id):
+    # module level, so the process pool can pickle it by name
+    raise ExperimentError("statistic log_evidence has NaN entries")
+
+
+class TestSharedPass:
+    """simulate builds each replication once; every selected verification
+    reads the statistics it needs from that one pass."""
+
+    @pytest.mark.parametrize("verify, stats", [
+        (None, {"cesaro_kl", "sqrt_l", "log_evidence", "posterior_mass", "u_mass"}),
+        ("cesaro", {"cesaro_kl"}),
+        ("numerator-bound,posterior-mass", {"sqrt_l", "posterior_mass", "u_mass"}),
+    ])
+    def test_one_pass_on_iid(self, tmp_path, monkeypatch, verify, stats):
+        passes = count_passes(monkeypatch)
+        argv = ["simulate", "--config", str(ROOT / "configs" / "iid.yaml"),
+                "--out", str(tmp_path)]
+        assert main(argv + (["--verify", verify] if verify else [])) == EXIT_PASS
+        assert passes == [stats]
+
+    def test_posterior_mass_without_u_set(self, tmp_path, monkeypatch):
+        passes = count_passes(monkeypatch)
+        path = write_config(tmp_path, SMALL_SIMULATE.format(c=1.5, out=tmp_path / "out"))
+        code = main(["simulate", "--config", str(path), "--verify", "posterior-mass"])
+        assert code == EXIT_PASS
+        assert passes == [{"posterior_mass"}]
+        header = (tmp_path / "out" / "posterior_mass.csv").read_text().splitlines()[4]
+        assert "near_set_median_mass" not in header
+
+    def test_refused_verification_adds_no_statistic(self, tmp_path, monkeypatch):
+        # implied C + 1 is 1.237 here: the evidence bound refuses, the others
+        # still read their one pass
+        passes = count_passes(monkeypatch)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, SMALL_SIMULATE.format(c=1.2, out=out))
+        assert main(["simulate", "--config", str(path)]) == EXIT_CRITERION_FAIL
+        assert passes == [{"cesaro_kl", "posterior_mass"}]
+        entries = json.loads((out / "summary.json").read_text())["verifications"]
+        assert entries["evidence-bound"]["passed"] is False
+        assert "needs c > implied C + 1" in entries["evidence-bound"]["detail"]
+        assert entries["cesaro"]["passed"] and entries["posterior-mass"]["passed"]
+
+    def test_no_pass_when_every_precondition_refuses(self, tmp_path, monkeypatch):
+        passes = count_passes(monkeypatch)
+        path = write_config(tmp_path, NEAR_SUBSET_SIMULATE.format(out=tmp_path / "out"))
+        assert main(["simulate", "--config", str(path)]) == EXIT_CRITERION_FAIL
+        assert passes == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_fault_in_the_pass_exits_4(self, tmp_path, capsys, monkeypatch, jobs):
+        """A fault while replicating is a runtime error under any verification,
+        not a failed criterion of the one it happens to serve."""
+        monkeypatch.setattr(experiments, "replicate", broken_replicate)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, SMALL_SIMULATE.format(c=1.5, out=out))
+        code = main(["simulate", "--config", str(path), "--verify", "evidence-bound",
+                     "--jobs", jobs])
+        assert code == EXIT_RUNTIME_ERROR
+        assert capsys.readouterr().err == (
+            "runtime error: statistic log_evidence has NaN entries\n"
+        )
+        assert not (out / "summary.json").exists()
+
+
 class TestOverridesAndRuntimeFaults:
     def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_CHECK.format(out=tmp_path / "out"))
@@ -537,6 +635,24 @@ def test_check_and_sieve_reproduce_committed_csvs(tmp_path, name):
     assert written
     for fname in written:
         assert (tmp_path / fname).read_bytes() == (ROOT / "out" / name / fname).read_bytes(), fname
+
+
+@pytest.mark.parametrize("name", ["iid", "markov"])
+def test_parallel_simulate_reproduces_committed_output(tmp_path, name):
+    """simulate --jobs 2 writes the committed out/ CSVs and summary entries,
+    byte for byte."""
+    config = ROOT / "configs" / f"{name}.yaml"
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path),
+                 "--jobs", "2"]) == EXIT_PASS
+    ref = ROOT / "out" / name
+    written = json.loads((tmp_path / "summary.json").read_text())
+    committed = json.loads((ref / "summary.json").read_text())
+    assert (written["seed"], written["config"]) == (committed["seed"], committed["config"])
+    assert len(written["verifications"]) == 4
+    for entry in written["verifications"].values():
+        assert entry in committed["verifications"].values()
+        csv = entry["csv"]
+        assert (tmp_path / csv).read_bytes() == (ref / csv).read_bytes(), csv
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

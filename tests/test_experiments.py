@@ -578,6 +578,27 @@ class TestRowGrid:
             err = np.abs(run_got - run_dense)[schedule]
             assert np.all(err <= 1e-14 * run_dense[schedule] + 0.1 * run_tail[schedule])
 
+    @pytest.mark.parametrize("sd", [1.0, 1.3])
+    def test_tail_clipped_flag_marks_every_clipped_chain(self, sd):
+        """A chain whose Cesaro kernel is off a +-24 grid by more than 1e-12
+        per step carries ``transition-tail-clipped``; at sd 1.0 none is off
+        and none is flagged."""
+        reg = markov_config_regime(sd)
+        off_chains = 0
+        for seed in range(8):
+            sample = generate_data(reg, 400, seed=seed)
+            w = softmax(cumulative_log_ratio(reg, sample)[:, :-1], axis=0)
+            prev = np.concatenate(([sample.y0], sample.y[:-1]))
+            args = (reg._thetas[:, None] * prev[None, :], reg.theta_star.theta * prev, sd, w)
+            off = np.max(np.abs(reg.cesaro_kls(sample, w)
+                                - gaussian_mixture_kls_oracle(self.WIDE, *args)))
+            flagged = reg.quality_flags(sample) == ("transition-tail-clipped",)
+            off_chains += off > 1e-12
+            assert flagged or off <= 1e-12, f"seed {seed}: off by {off:.2g}, no flag"
+            if sd == 1.0:
+                assert not flagged and off <= 1e-15
+        assert off_chains == (6 if sd == 1.3 else 0)
+
     @pytest.mark.parametrize("sd", [0.5, 0.7, 1.0, 1.3])
     def test_markov_certification_gaps_against_4001_points(self, sd):
         reg = markov_config_regime(sd)
