@@ -1,12 +1,14 @@
 """Grid densities and divergence functionals.
 
-Continuous densities live on a uniform grid and every integral here is a
-trapezoidal quadrature on that grid (the Cesaro kernels in ``experiments``
-use coarser grids over the same span).  The default working grid for
-unit-scale Gaussian work is [-12, 12] with 4001 points.  Densities are
-floored at ``FLOOR`` before use so that logarithms stay finite; any
-construction that actually hits the floor sets a tail-truncation quality
-flag on the density instead of raising.
+Continuous densities live on a uniform grid and every integral over a
+density here is a trapezoidal quadrature on that grid (the Cesaro kernels
+in ``experiments`` use coarser grids over the same span).  The default
+working grid for unit-scale Gaussian work is [-12, 12] with 4001 points.
+The divergences between two normals of one sd (regression indices, AR(1)
+transitions from one state) are exact, from ``gaussian_shift_kvh``.
+Densities are floored at ``FLOOR`` before use so that logarithms stay
+finite; any construction that actually hits the floor sets a
+tail-truncation quality flag on the density instead of raising.
 
 Naming convention for the asymmetric functionals: the first density
 argument is the one the integral is weighted by, so ``kl(f, g)`` is
@@ -31,13 +33,9 @@ DEFAULT_UPPER = 12.0
 DEFAULT_POINTS = 4001
 
 # stationary-averaged transition divergences integrate over this many
-# states; the Hellinger sup sweeps this many states of its window
+# states; the sup-form hull bound sweeps this many states of its window
 STATE_POINTS = 401
 SWEEP_POINTS = 1001
-# states per block of rows held at once by ``stationary_divergences``; a
-# multiple of 16, so the row sums group rows as they do over all states and
-# round alike (a block of 50 changes last digits)
-STATE_BLOCK = 64
 
 
 class DivergenceError(ValueError):
@@ -336,8 +334,23 @@ def _per_index_squared_hellinger(
 
 
 # ---------------------------------------------------------------------------
-# autoregressive transition divergences
+# Gaussian shifts and autoregressive transition divergences
 # ---------------------------------------------------------------------------
+
+def gaussian_shift_kvh(d2):
+    """(kl, v, h^2) between two normals of one sd whose means are sqrt(d2) sds apart.
+
+    Exact, elementwise over an array of d2: the log ratio is linear in the
+    observation, so kl = d2/2, v = int log(f/g)^2 f = d2 + d2^2/4 and the
+    squared Hellinger distance is 2(1 - exp(-d2/8)).
+    """
+    return d2 / 2.0, d2 + d2 * d2 / 4.0, 2.0 * (1.0 - np.exp(-d2 / 8.0))
+
+
+def transition_shift_sq(theta_a: float, theta_b, states, noise_sd: float):
+    """Squared gap, in noise sds, between the AR(1) transition means from ``states``."""
+    return (theta_a - theta_b) ** 2 * states * states / noise_sd**2
+
 
 @dataclass(frozen=True)
 class MarkovDivergences:
@@ -352,15 +365,6 @@ def ar1_stationary_sd(theta: float, noise_sd: float = 1.0) -> float:
     if not abs(theta) < 1.0:
         raise NonstationaryError(f"coefficient {theta} has no stationary density")
     return noise_sd / math.sqrt(1.0 - theta * theta)
-
-
-def _transition_rows(grid: Grid, theta: float, states: np.ndarray, noise_sd: float) -> np.ndarray:
-    """Row s holds the renormalized transition density from state s on the grid."""
-    z = (grid.x[None, :] - theta * states[:, None]) / noise_sd
-    rows = np.exp(-0.5 * z * z) / (noise_sd * math.sqrt(2.0 * math.pi))
-    rows = np.maximum(rows, FLOOR)
-    rows /= rows @ grid.quad_weights[:, None]
-    return np.maximum(rows, FLOOR)
 
 
 def _check_transition_support(grid: Grid, theta: float, max_abs_state: float, noise_sd: float) -> None:
@@ -388,15 +392,15 @@ def state_sup_hellinger(
     grid: Grid | None = None,
     noise_sd: float = 1.0,
 ) -> float:
-    """sup over |y| <= window of the Hellinger distance between transitions from y."""
+    """sup over |y| <= window of the Hellinger distance between transitions from y.
+
+    The per-state distance grows with |y|, so the sup sits at the window edge.
+    """
     if grid is None:
         grid = default_grid()
     check_state_window(grid, (theta_a, theta_b), window, noise_sd)
-    states = np.linspace(-window, window, SWEEP_POINTS)
-    sq = (np.sqrt(_transition_rows(grid, theta_a, states, noise_sd))
-          - np.sqrt(_transition_rows(grid, theta_b, states, noise_sd)))
-    h2 = np.maximum((sq * sq) @ grid.quad_weights, 0.0)
-    return min(math.sqrt(float(np.max(h2))), SQRT2)
+    _, _, h2 = gaussian_shift_kvh(transition_shift_sq(theta_a, theta_b, window, noise_sd))
+    return math.sqrt(float(h2))
 
 
 def stationary_divergences(
@@ -408,12 +412,10 @@ def stationary_divergences(
 ) -> list[tuple[float, float, float]]:
     """State-averaged (kl, v, h_q) from the ``theta_star`` transitions to each theta's.
 
-    The per-state kl, v and Hellinger distance between the transition rows
-    are integrated against the stationary density of ``theta_star`` over
-    +-6 stationary standard deviations.  The states go in blocks of
-    ``STATE_BLOCK``: each block's truth rows, with their logs and square
-    roots, are built once for all thetas, so every theta meets exactly one
-    truth row set and no (STATE_POINTS, grid) array is held.
+    The per-state kl, v and Hellinger distance between the transitions
+    (``gaussian_shift_kvh``) are integrated against the stationary density
+    of ``theta_star`` over +-6 stationary standard deviations.  The grid
+    only vets that those transitions fit on it.
     """
     if grid is None:
         grid = default_grid()
@@ -431,30 +433,15 @@ def stationary_divergences(
     state_w[-1] *= 0.5
     u_mass = state_w @ u
 
-    wq = grid.quad_weights
-    k_s = np.empty((len(thetas), STATE_POINTS))
-    v_s = np.empty_like(k_s)
-    h2 = np.empty_like(k_s)
-    for s in range(0, STATE_POINTS, STATE_BLOCK):
-        block = slice(s, s + STATE_BLOCK)
-        rows_a = _transition_rows(grid, theta_star, states[block], noise_sd)
-        log_a = np.log(rows_a)
-        sqrt_a = np.sqrt(rows_a)
-        for k, theta in enumerate(thetas):
-            rows_b = _transition_rows(grid, theta, states[block], noise_sd)
-            log_diff = log_a - np.log(rows_b)
-            k_s[k, block] = np.maximum((rows_a * log_diff) @ wq, 0.0)
-            v_s[k, block] = (rows_a * log_diff * log_diff) @ wq
-            sq = sqrt_a - np.sqrt(rows_b)
-            h2[k, block] = np.maximum((sq * sq) @ wq, 0.0)
-    return [
-        (
-            float(state_w @ (u * k_s[k])) / u_mass,
-            float(state_w @ (u * v_s[k])) / u_mass,
-            float(state_w @ (u / u_mass * np.sqrt(h2[k]))),
-        )
-        for k in range(len(thetas))
-    ]
+    out = []
+    for theta in thetas:
+        k_s, v_s, h2 = gaussian_shift_kvh(transition_shift_sq(theta_star, theta, states, noise_sd))
+        out.append((
+            float(state_w @ (u * k_s)) / u_mass,
+            float(state_w @ (u * v_s)) / u_mass,
+            float(state_w @ (u / u_mass * np.sqrt(h2))),
+        ))
+    return out
 
 
 def markov_divergences(

@@ -26,7 +26,6 @@ misspecification.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -39,12 +38,15 @@ from .divergences import (
     GridDensity,
     check_state_window,
     default_grid,
+    gaussian_shift_kvh,
     h_star,
     hellinger_with_weight,
     kl_contrast,
     kleijn_certificate,
     mixture_density,
+    state_sup_hellinger,
     stationary_divergences,
+    transition_shift_sq,
     v_star,
 )
 from .geometry import (
@@ -118,11 +120,6 @@ class MarkovSample:
 def _gauss_row(x: np.ndarray, mean, sd: float) -> np.ndarray:
     z = (x - np.asarray(mean)) / sd
     return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-
-
-def _pairwise_h2(delta_sq: np.ndarray) -> np.ndarray:
-    """Squared Hellinger between unit-variance normals at squared mean gap."""
-    return 2.0 * (1.0 - np.exp(-delta_sq / 8.0))
 
 
 def _triangle_bound(member_ids, to_truth, between, measure=float) -> float:
@@ -409,14 +406,13 @@ class RegressionRegime:
     def quality_flags(self, data) -> tuple[str, ...]:
         return ()
 
-    def _gaps_sq(self, means_a: np.ndarray, means_b: np.ndarray, n: int) -> np.ndarray:
-        return (means_a[:n] - means_b[:n]) ** 2
+    def _h2(self, means_a: np.ndarray, means_b: np.ndarray, n: int) -> np.ndarray:
+        """Per-index squared Hellinger distances over the first n indices."""
+        return gaussian_shift_kvh((means_a[:n] - means_b[:n]) ** 2)[2]
 
     def atom_kv(self, n: int) -> np.ndarray:
-        d2 = (self._means[:, :n] - self._truth_means[None, :n]) ** 2
-        k = d2.mean(axis=1) / 2.0
-        v = (d2 + d2 * d2 / 4.0).mean(axis=1)
-        return np.stack([k, v], axis=1)
+        k, v, _ = gaussian_shift_kvh((self._means[:, :n] - self._truth_means[None, :n]) ** 2)
+        return np.stack([k.mean(axis=1), v.mean(axis=1)], axis=1)
 
     def theta0_mask(self) -> np.ndarray | None:
         return None
@@ -428,15 +424,13 @@ class RegressionRegime:
 
     def truth_dist(self, member_id: int, n: int) -> float:
         """Root mean per-index squared Hellinger over the first n indices."""
-        h2 = _pairwise_h2(self._gaps_sq(self._row(member_id), self._truth_means, n))
-        return math.sqrt(float(h2.mean()))
+        return math.sqrt(float(self._h2(self._row(member_id), self._truth_means, n).mean()))
 
     def separation_gaps(self, member_ids, n: int) -> np.ndarray:
         return np.array([0.5 * self.truth_dist(i, n) ** 2 for i in member_ids])
 
     def pair_dist(self, id_a: int, id_b: int, n: int) -> float:
-        h2 = _pairwise_h2(self._gaps_sq(self._row(id_a), self._row(id_b), n))
-        return math.sqrt(float(h2.mean()))
+        return math.sqrt(float(self._h2(self._row(id_a), self._row(id_b), n).mean()))
 
     def _gauss_rows(self, member_ids, n: int) -> np.ndarray:
         """(len(member_ids), n, row grid) rows of the members' first n means.
@@ -476,7 +470,7 @@ class RegressionRegime:
     def hull_gap_bound(self, member_ids, n: int) -> float:
         """Per-index triangle bound averaged over the design."""
         def h(means_a, means_b):
-            return np.sqrt(_pairwise_h2(self._gaps_sq(means_a, means_b, n)))
+            return np.sqrt(self._h2(means_a, means_b, n))
 
         return _triangle_bound(
             member_ids,
@@ -495,10 +489,13 @@ class RegressionRegime:
 class MarkovRegime:
     """Stationary AR(1) chains; likelihoods condition on the realized state.
 
-    The stationary divergences and the state-window checks use ``grid``;
-    everything that integrates exact Gaussian transition rows (the Cesaro
-    kernel and the certification draws) uses ``row_grid``, the row grid
-    of the noise sd over ``grid``'s bounds.
+    Two transitions from one state are normals of one sd, so every
+    divergence between them is the exact ``gaussian_shift_kvh``, averaged
+    over the truth's stationary density or taken at the state window's
+    edge; ``grid`` only vets that those transitions fit on it.  The Cesaro
+    kernel and the certification draws integrate exact Gaussian transition
+    rows (of mixtures, which have no closed form) on ``row_grid``, the row
+    grid of the noise sd over ``grid``'s bounds.
     """
 
     kind = "markov"
@@ -569,8 +566,7 @@ class MarkovRegime:
             rows = stationary_divergences(
                 self.theta_star.theta, thetas, grid=self.grid, noise_sd=self.noise_sd
             )
-            # vet the state window that separation_gaps, pair_dist and the
-            # sup-form bounds measure over
+            # vet the state window that the sup-form bounds measure over
             check_state_window(
                 self.grid, (self.theta_star.theta, *thetas), self.state_window, self.noise_sd
             )
@@ -589,9 +585,9 @@ class MarkovRegime:
         return self._divergences(member_id)[2]
 
     def _sup_h(self, theta_a: float, theta_b: float) -> float:
-        y = self.state_window
-        d2 = (theta_a - theta_b) ** 2 * y * y / (self.noise_sd**2)
-        return math.sqrt(float(_pairwise_h2(np.array(d2))))
+        return state_sup_hellinger(
+            theta_a, theta_b, self.state_window, grid=self.grid, noise_sd=self.noise_sd
+        )
 
     def separation_gaps(self, member_ids, n: int | None = None) -> np.ndarray:
         t = self.theta_star.theta
@@ -605,9 +601,9 @@ class MarkovRegime:
     def pair_dist(self, id_a: int, id_b: int, n: int | None = None) -> float:
         return self._sup_h(self._theta_of(id_a), self._theta_of(id_b))
 
-    def _h_at_states(self, theta_a: float, theta_b: float, states: np.ndarray) -> np.ndarray:
-        d2 = (theta_a - theta_b) ** 2 * states * states / (self.noise_sd**2)
-        return np.sqrt(_pairwise_h2(d2))
+    def _h2_at_states(self, theta_a: float, theta_b, states) -> np.ndarray:
+        """Squared Hellinger distances between the transitions from ``states``."""
+        return gaussian_shift_kvh(transition_shift_sq(theta_a, theta_b, states, self.noise_sd))[2]
 
     def hull_gap_bound(self, member_ids, n: int | None = None) -> float:
         """Sup over window states of the per-state triangle bound.
@@ -620,8 +616,8 @@ class MarkovRegime:
         t = self.theta_star.theta
         return _triangle_bound(
             member_ids,
-            lambda c: self._h_at_states(t, self._theta_of(c), states),
-            lambda c, j: self._h_at_states(self._theta_of(c), self._theta_of(j), states),
+            lambda c: np.sqrt(self._h2_at_states(t, self._theta_of(c), states)),
+            lambda c, j: np.sqrt(self._h2_at_states(self._theta_of(c), self._theta_of(j), states)),
             np.max,
         )
 
@@ -644,10 +640,6 @@ class MarkovRegime:
             gaps.append(1.0 - float(qw @ np.sqrt(truth * mix)))
         return max(gaps)
 
-    def _gap_at_state(self, theta_a: float, theta_b: float, y: float) -> float:
-        d2 = (theta_a - theta_b) ** 2 * y * y / (self.noise_sd**2)
-        return 1.0 - math.exp(-d2 / 8.0)
-
     def closure_violation(self, member_ids, center_id, w, n: int | None = None) -> float:
         qw = self.row_grid.quad_weights
         tc = self._theta_of(center_id)
@@ -657,7 +649,8 @@ class MarkovRegime:
             mix = self._transition_mix(member_ids, w, y)
             gap = 1.0 - float(qw @ np.sqrt(center * mix))
             rho = max(
-                self._gap_at_state(tc, self._theta_of(j), float(y)) for j in member_ids
+                0.5 * float(self._h2_at_states(tc, self._theta_of(j), float(y)))
+                for j in member_ids
             )
             worst = max(worst, gap - rho)
         return worst
@@ -799,7 +792,10 @@ def run_replications(plan: ExperimentPlan, jobs: int = 1) -> list[ReplicationRec
     if jobs <= 1:
         records = [replicate(plan, i) for i in ids]
     else:
-        # forked workers inherit the caller's floating-point error handling
+        # imported here: only a pool run pays for multiprocessing; forked
+        # workers inherit the caller's floating-point error handling
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, plan.replications // (8 * jobs))
             records = list(pool.map(partial(replicate, plan), ids, chunksize=chunk))

@@ -4,6 +4,9 @@ number, all errors are collected in one raise, exit codes follow the contract
 byte-identical across reruns of the same config and seed."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -684,3 +687,16 @@ def test_underflow_stays_silent(tmp_path, monkeypatch, jobs):
                         lambda *a: cesaro_kls(*a) + np.exp(-1000.0 - np.arange(len(a[2][0]))))
     path = write_config(tmp_path, SMALL_CESARO.format(out=tmp_path / "out"))
     assert main(["simulate", "--config", str(path), "--jobs", jobs]) == EXIT_PASS
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """Only a run with --jobs above 1 loads the process pool, so a fresh
+    process that imports the CLI does not pay for multiprocessing."""
+    code = (
+        "import sys, bayesrates.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

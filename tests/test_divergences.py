@@ -17,6 +17,7 @@ from bayesrates.divergences import (
     ar1_stationary_sd,
     default_grid,
     gaussian_density,
+    gaussian_shift_kvh,
     h_affinity_gap,
     h_star,
     hellinger,
@@ -33,6 +34,8 @@ from bayesrates.divergences import (
     weighted_hellinger,
     weighted_hellinger_between,
 )
+from bayesrates.experiments import MarkovRegime
+from bayesrates.models import MARKOV, FamilyMember, MarkovParam, uniform_prior
 from helpers import (
     markov_kvh_oracle,
     moment_constrained_triple,
@@ -336,6 +339,30 @@ class TestMarkov:
         sup = out.h_inf_truncated
         assert 0.0 < out.h_q < sup
 
+    @pytest.mark.parametrize("noise_sd", [1.0, 0.5])
+    @pytest.mark.parametrize("d", [0.0, 0.25, 1.0, 3.0])
+    def test_gaussian_shift_kvh_against_quadrature(self, d, noise_sd):
+        f = gaussian_density(GRID, 0.0, noise_sd)
+        g = gaussian_density(GRID, d * noise_sd, noise_sd)
+        got = gaussian_shift_kvh(d * d)
+        expected = (kl(f, g), v_star(f, g, f), hellinger(f, g) ** 2)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("noise_sd", [1.0, 0.8])
+    @pytest.mark.parametrize("window", [2.0, 5.0])
+    def test_state_sup_equals_regime_pair_dist(self, window, noise_sd):
+        thetas = (0.6, -0.3, 0.5)
+        members = [
+            FamilyMember(j, MARKOV, MarkovParam(t, noise_sd=noise_sd))
+            for j, t in enumerate(thetas)
+        ]
+        reg = MarkovRegime(
+            uniform_prior(members), MarkovParam(0.6, noise_sd=noise_sd), state_window=window
+        )
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            got = state_sup_hellinger(thetas[a], thetas[b], window, noise_sd=noise_sd)
+            assert got == reg.pair_dist(a, b)
+
     def test_state_sup_helper_matches(self):
         a = state_sup_hellinger(0.6, 0.3, 5.0)
         out = markov_divergences(0.6, 0.3, state_window=5.0)
@@ -346,10 +373,13 @@ class TestMarkov:
         thetas = [0.6, -0.3, 0.9]
         rows = stationary_divergences(theta_star, thetas)
         for theta, row in zip(thetas, rows):
-            expected = markov_kvh_oracle(theta_star, theta, grid=GRID)
-            assert row == expected
             out = markov_divergences(theta_star, theta)
-            assert (out.kl, out.v, out.h_q) == expected
+            assert (out.kl, out.v, out.h_q) == row
+            if theta == theta_star:
+                assert row == (0.0, 0.0, 0.0)
+            else:
+                expected = markov_kvh_oracle(theta_star, theta, grid=GRID)
+                assert row == pytest.approx(expected, rel=1e-12)
 
     def test_nonstationary_rejected(self):
         with pytest.raises(NonstationaryError):
