@@ -412,7 +412,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     params_sec = _Section(params_node, "params", errors)
     raw_params = {
         name: params_sec.get(name, "float")
-        for name in ("C", "c", "d", "r", "beta", "M", "eta")
+        for name in ("C", "c", "d", "r", "beta", "M")
     }
     allow_thin = bool(params_sec.get("allow_thin_evidence", "bool", default=False))
     params_sec.sweep_unknown()
@@ -426,7 +426,6 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
                 r=raw_params["r"],
                 beta=raw_params["beta"],
                 M=raw_params["M"],
-                eta=raw_params["eta"],
             )
         except GeometryError as e:
             line = params_sec.key_line("beta") or params_sec.key_line("C")
@@ -446,20 +445,14 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 
     verify_node = top.fields.get("verify", (None, None))[1]
     top.used.add("verify")
-    verify: tuple[str, ...] = ()
+    verify, verify_at = None, []
     if verify_node is None:
         errors.append("key 'verify' is required (which verifications to run)")
     else:
         names = _sequence(verify_node, "str", "verify", errors)
         if names is not None:
-            for i, name in enumerate(names):
-                if name not in VERIFICATIONS:
-                    errors.append(
-                        f"unknown verification {name!r} at line {_line(verify_node.value[i])}"
-                    )
             verify = tuple(names)
-            if not verify:
-                errors.append("verify must select at least one verification")
+            verify_at = [f"at line {_line(node)}" for node in verify_node.value]
 
     replications = top.get("replications", "int", default=200)
     seed = top.get("seed", "int", required=True)
@@ -490,12 +483,17 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         seed=seed,
         out=out,
         jobs=jobs,
-        verify=verify,
+        verify=verify or (),
         subset=tuple(subset) if subset else None,
         u_set=tuple(u_set) if u_set else None,
         verbosity=verbosity,
     )
-    cfg = replace(cfg, **(overrides or {}))
+    overrides = overrides or {}
+    cfg = replace(cfg, **overrides)
+    if "verify" in overrides:
+        verify, verify_at = cfg.verify, ["in --verify"] * len(cfg.verify)
+    if verify == ():
+        errors.append("verify must select at least one verification")
 
     if cfg.replications is not None and cfg.replications < 1:
         errors.append(f"replications must be at least 1, got {cfg.replications}")
@@ -503,10 +501,11 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         errors.append(f"jobs must be at least 1, got {cfg.jobs}")
     if cfg.seed is not None and cfg.seed < 0:
         errors.append(f"seed must be nonnegative, got {cfg.seed}")
-    for name in cfg.verify:
+    for name, at in zip(cfg.verify, verify_at):
         spec = VERIFICATIONS.get(name)
         if spec is None:
-            continue  # reported where the name was read
+            errors.append(f"unknown verification {name!r} {at}")
+            continue
         for const in spec.needs:
             if cfg.params is None or getattr(cfg.params, const) is None:
                 errors.append(f"verification '{name}' needs params.{const} to be set")
@@ -745,7 +744,6 @@ def _run_simulations(cfg: RunConfig, regime, out: Path,
     plan = ExperimentPlan(regime=regime, schedule=cfg.schedule, replications=cfg.replications,
                           seed=cfg.seed, collect=(), subset_ids=cfg.subset, u_set=cfg.u_set,
                           params=cfg.params)
-    enforce = not cfg.allow_thin_evidence
     implied = math.nan
     if {"numerator-bound", "evidence-bound"} & set(selected):
         implied = fitted_thickness_constant(thickness_records(regime, cfg.schedule))
@@ -753,7 +751,8 @@ def _run_simulations(cfg: RunConfig, regime, out: Path,
     for name, precondition in {
         "cesaro": lambda: None,
         "numerator-bound": lambda: certify_numerator(plan, implied, closure_draws=100),
-        "evidence-bound": lambda: check_evidence_thickness(plan, implied, enforce),
+        "evidence-bound": lambda: check_evidence_thickness(
+            plan, implied, enforce_thickness=not cfg.allow_thin_evidence),
         "posterior-mass": lambda: concentration_sets(regime, cfg.schedule, cfg.params.M),
     }.items():
         if name in selected:
@@ -767,9 +766,8 @@ def _run_simulations(cfg: RunConfig, regime, out: Path,
     records = run_replications(plan, jobs=cfg.jobs) if stats else []
     rows_of = {
         "cesaro": lambda: _cesaro_rows(cfg, records),
-        "numerator-bound": lambda: _numerator_rows(
-            numerator_report(plan, records, implied, ready["numerator-bound"])),
-        "evidence-bound": lambda: _evidence_rows(evidence_report(plan, records, implied, enforce)),
+        "numerator-bound": lambda: _numerator_rows(numerator_report(plan, records, implied)),
+        "evidence-bound": lambda: _evidence_rows(evidence_report(plan, records)),
         "posterior-mass": lambda: _posterior_mass_rows(cfg, concentration_report(plan, records)),
     }
     results = []
@@ -948,12 +946,7 @@ def _main(args: argparse.Namespace) -> int:
         if value is not None
     }
     if args.verify is not None:
-        names = tuple(s.strip() for s in args.verify.split(",") if s.strip())
-        bad = [n for n in names if n not in VERIFICATIONS]
-        if bad or not names:
-            print(f"config error: unknown verifications {bad or '(empty)'}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        overrides["verify"] = names
+        overrides["verify"] = tuple(s.strip() for s in args.verify.split(",") if s.strip())
     try:
         cfg = parse_config(args.config, overrides)
     except ConfigError as e:

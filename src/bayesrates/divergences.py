@@ -90,9 +90,6 @@ class Grid:
     def integrate(self, values: np.ndarray) -> float:
         return float(self.quad_weights @ values)
 
-    def contains(self, y: float) -> bool:
-        return self.lower <= y <= self.upper
-
 
 def default_grid() -> Grid:
     return Grid(DEFAULT_LOWER, DEFAULT_UPPER, DEFAULT_POINTS)
@@ -144,9 +141,6 @@ class GridDensity:
         out = np.sqrt(self.values)
         out.flags.writeable = False
         return out
-
-    def integral(self) -> float:
-        return self.grid.integrate(self.values)
 
     def mean(self) -> float:
         return float(self.grid.quad_weights @ (self.grid.x * self.values))
@@ -355,10 +349,6 @@ def transition_shift_sq(theta_a: float, theta_b, states, noise_sd: float):
 @dataclass(frozen=True)
 class MarkovDivergences:
     kl: float
-    v: float
-    h_q: float
-    h_inf_truncated: float
-    state_window: float
 
 
 def ar1_stationary_sd(theta: float, noise_sd: float = 1.0) -> float:
@@ -447,23 +437,13 @@ def stationary_divergences(
 def markov_divergences(
     theta_star: float,
     theta: float,
-    state_window: float | None = None,
     *,
     grid: Grid | None = None,
     noise_sd: float = 1.0,
 ) -> MarkovDivergences:
-    """State-averaged divergences between two AR(1) transition families.
+    """Stationary-averaged kl between two AR(1) transition families.
 
-    kl, v and h_q are ``stationary_divergences`` for the one theta;
-    h_inf_truncated is the per-state Hellinger sup over |y| <= state_window
-    (default window: 5 stationary standard deviations).
+    The kl of ``stationary_divergences`` for the one theta.
     """
-    if state_window is None:
-        state_window = 5.0 * ar1_stationary_sd(theta_star, noise_sd)
-    [(k_val, v_val, h_q)] = stationary_divergences(
-        theta_star, [theta], grid=grid, noise_sd=noise_sd
-    )
-    h_inf = state_sup_hellinger(theta_star, theta, state_window, grid=grid, noise_sd=noise_sd)
-    return MarkovDivergences(
-        kl=k_val, v=v_val, h_q=h_q, h_inf_truncated=h_inf, state_window=state_window
-    )
+    [(k_val, _, _)] = stationary_divergences(theta_star, [theta], grid=grid, noise_sd=noise_sd)
+    return MarkovDivergences(kl=k_val)

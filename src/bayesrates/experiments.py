@@ -122,22 +122,23 @@ def _gauss_row(x: np.ndarray, mean, sd: float) -> np.ndarray:
     return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
 
-def _triangle_bound(member_ids, to_truth, between, measure=float) -> float:
-    """Convex-hull certificate: max over centers c of the triangle bound.
+def _triangle_bound(member_ids, to_truth, between, measure=float) -> tuple[float, int]:
+    """Convex-hull certificate: the best triangle bound and its center.
 
     At each index or state, a mixture of the members sits within
     rho_c = max_j d(c, j) of the center c, so it is at least
     (d(truth, c) - rho_c)_+ from the truth.  ``to_truth(c)`` and
     ``between(c, j)`` give d as a scalar or as one value per index or
     state; ``measure`` collapses the squared shortfall over that index or
-    state set, and half of it bounds the hull's affinity gap.
+    state set, and half of it bounds the hull's affinity gap.  Returns the
+    max over centers c and the c attaining it (ties to the larger id).
     """
-    best = 0.0
-    for c in member_ids:
+    def bound(c):
         rho = np.max([between(c, j) for j in member_ids], axis=0)
         shortfall = np.maximum(0.0, to_truth(c) - rho)
-        best = max(best, float(measure(shortfall ** 2)) / 2.0)
-    return best
+        return float(measure(shortfall ** 2)) / 2.0
+
+    return max((bound(c), c) for c in member_ids)
 
 
 def gaussian_row_grid(span: Grid, sd: float) -> Grid:
@@ -301,8 +302,9 @@ class IidRegime:
         radius = max(self._dist(center, self._density(i)) for i in member_ids)
         return self._dist(center, self._mixture(member_ids, w)) - radius
 
-    def hull_gap_bound(self, member_ids: Sequence[int], n: int | None = None) -> float:
-        """Weighted-Hellinger triangle bound on the hull's affinity gap.
+    def hull_gap_bound(self, member_ids: Sequence[int],
+                       n: int | None = None) -> tuple[float, int]:
+        """Weighted-Hellinger triangle bound on the hull's affinity gap, and its center.
 
         Valid because the squared weighted distance is convex in mixtures and
         the half-square lower-bounds the starred gap whenever the vertex
@@ -467,8 +469,8 @@ class RegressionRegime:
         )
         return self._mean_gap_to(center_id, member_ids, w, n) - radius
 
-    def hull_gap_bound(self, member_ids, n: int) -> float:
-        """Per-index triangle bound averaged over the design."""
+    def hull_gap_bound(self, member_ids, n: int) -> tuple[float, int]:
+        """Per-index triangle bound averaged over the design, and its center."""
         def h(means_a, means_b):
             return np.sqrt(self._h2(means_a, means_b, n))
 
@@ -605,8 +607,8 @@ class MarkovRegime:
         """Squared Hellinger distances between the transitions from ``states``."""
         return gaussian_shift_kvh(transition_shift_sq(theta_a, theta_b, states, self.noise_sd))[2]
 
-    def hull_gap_bound(self, member_ids, n: int | None = None) -> float:
-        """Sup over window states of the per-state triangle bound.
+    def hull_gap_bound(self, member_ids, n: int | None = None) -> tuple[float, int]:
+        """Sup over window states of the per-state triangle bound, and its center.
 
         A sup-form certificate: it bounds the hull's worst-state gap, not the
         gap at every realized state, so the Monte Carlo check stays the
@@ -847,10 +849,6 @@ def fitted_thickness_constant(records: Sequence[ThicknessRecord]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SubsetCertificate:
-    member_ids: tuple[int, ...]
-    n: int
-    delta: float
-    center_id: int
     vertex: SeparationReport
     hull_gap_bound: float
     closure: ClosureReport
@@ -862,9 +860,9 @@ def certify_subset(regime, member_ids, delta: float, n: int,
     """Machine-check the numerator bound's preconditions for one subset.
 
     Refuses (raises) unless the vertices clear delta, the convex hull clears
-    delta by the triangle certificate, random mixtures stay within the best
-    ball around the certifying center, and (under misspecification) every
-    vertex ratio certificate is at most one.
+    delta by the triangle certificate, random mixtures stay within the ball
+    around the center attaining that certificate, and (under
+    misspecification) every vertex ratio certificate is at most one.
     """
     ids = tuple(sorted(set(member_ids)))
     if not ids:
@@ -886,22 +884,16 @@ def certify_subset(regime, member_ids, delta: float, n: int,
             f"(min gap {vertex.min_gap:.6g} <= delta {delta:.6g})"
         )
 
-    hull = regime.hull_gap_bound(ids, n)
+    hull, center_id = regime.hull_gap_bound(ids, n)
     if hull <= delta:
         raise SubsetNotAdmissibleError(
             f"subset not admissible: convex-hull separation not certified "
             f"(triangle bound {hull:.6g} <= delta {delta:.6g})"
         )
 
-    # the center achieving the triangle bound, for the closure ball
-    center_id = ids[0]
-    if len(ids) > 1:
-        center_id = max((_center_bound(regime, ids, c, n), c) for c in ids)[1]
-
     closure = mixture_closure_report(
         lambda w: regime.closure_violation(ids, center_id, w, n),
         len(ids),
-        radius=0.0,
         draws=draws,
         rng=rng,
     )
@@ -925,24 +917,11 @@ def certify_subset(regime, member_ids, delta: float, n: int,
             )
 
     return SubsetCertificate(
-        member_ids=ids,
-        n=n,
-        delta=delta,
-        center_id=center_id,
         vertex=vertex,
         hull_gap_bound=hull,
         closure=closure,
         mixture_min_gap=mixture_min,
     )
-
-
-def _center_bound(regime, ids, center, n) -> float:
-    """Triangle bound when a specific center certifies the whole subset."""
-    d = regime.separation_gaps((center,), n)
-    # distances in the metric (not gap) form
-    dist_to_truth = math.sqrt(max(0.0, 2.0 * float(d[0])))
-    rho = max(regime.pair_dist(center, j, n) for j in ids)
-    return max(0.0, dist_to_truth - rho) ** 2 / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -956,13 +935,11 @@ class NumeratorBoundReport:
     std_error: np.ndarray
     bound: np.ndarray
     passed: bool
-    certificates: tuple[SubsetCertificate, ...]
     implied_c: float
     d: float
 
 
-def certify_numerator(plan: ExperimentPlan, implied: float,
-                      closure_draws: int = 200) -> tuple[SubsetCertificate, ...]:
+def certify_numerator(plan: ExperimentPlan, implied: float, closure_draws: int = 200) -> None:
     """The numerator bound's preconditions, given the implied thickness C.
 
     Refuses unless the prior is thick, d > implied C + 1, and the subset
@@ -983,15 +960,13 @@ def certify_numerator(plan: ExperimentPlan, implied: float,
             f"subset not admissible: d = {d} must exceed implied C + 1 = {implied + 1.0:.6g}"
         )
     cert_rng = np.random.default_rng(plan.seed + CERT_SEED_OFFSET)
-    return tuple(
+    for n in plan.schedule.n_values:
         certify_subset(plan.regime, plan.subset_ids, d * plan.schedule.epsilon(n) ** 2, n,
                        cert_rng, draws=closure_draws)
-        for n in plan.schedule.n_values
-    )
 
 
 def numerator_report(plan: ExperimentPlan, records: Sequence[ReplicationRecord],
-                     implied: float, certificates) -> NumeratorBoundReport:
+                     implied: float) -> NumeratorBoundReport:
     """Mean sqrt(restricted numerator) of the records against its bound."""
     d, eps = plan.params.d, plan.schedule.epsilons
     mean, se = mean_and_se(records, "sqrt_l")
@@ -999,8 +974,7 @@ def numerator_report(plan: ExperimentPlan, records: Sequence[ReplicationRecord],
     bound = math.sqrt(mass) * np.exp(-d * np.asarray(plan.schedule.n_values) * eps * eps)
     return NumeratorBoundReport(
         n_values=plan.schedule.n_values, empirical_mean=mean, std_error=se, bound=bound,
-        passed=bool(np.all(mean <= bound + 3.0 * se)), certificates=tuple(certificates),
-        implied_c=implied, d=d,
+        passed=bool(np.all(mean <= bound + 3.0 * se)), implied_c=implied, d=d,
     )
 
 
@@ -1008,9 +982,9 @@ def verify_numerator_bound(plan: ExperimentPlan, jobs: int = 1,
                            closure_draws: int = 200) -> NumeratorBoundReport:
     """Monte Carlo check of mean sqrt(restricted numerator) against its bound."""
     implied = fitted_thickness_constant(thickness_records(plan.regime, plan.schedule))
-    certificates = certify_numerator(plan, implied, closure_draws)
+    certify_numerator(plan, implied, closure_draws)
     records = run_replications(plan.collecting(("sqrt_l",)), jobs=jobs)
-    return numerator_report(plan, records, implied, certificates)
+    return numerator_report(plan, records, implied)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1019,9 +993,6 @@ class EvidenceBoundReport:
     thresholds: np.ndarray
     fractions: np.ndarray
     trend_slope: float
-    implied_c: float
-    c: float
-    thickness_enforced: bool
 
 
 def check_evidence_thickness(plan: ExperimentPlan, implied: float,
@@ -1032,12 +1003,12 @@ def check_evidence_thickness(plan: ExperimentPlan, implied: float,
     if enforce_thickness and not plan.params.c > implied + 1.0:
         raise PreconditionError(
             f"evidence bound needs c > implied C + 1 = {implied + 1.0:.6g}; "
-            "pass enforce_thickness=False for a diagnostic run"
+            "set allow_thin_evidence: true for a diagnostic run"
         )
 
 
-def evidence_report(plan: ExperimentPlan, records: Sequence[ReplicationRecord],
-                    implied: float, enforce_thickness: bool) -> EvidenceBoundReport:
+def evidence_report(plan: ExperimentPlan,
+                    records: Sequence[ReplicationRecord]) -> EvidenceBoundReport:
     """Fraction of the records whose evidence falls below exp(-c n eps^2)."""
     c, eps = plan.params.c, plan.schedule.epsilons
     ns = np.asarray(plan.schedule.n_values, dtype=float)
@@ -1046,7 +1017,7 @@ def evidence_report(plan: ExperimentPlan, records: Sequence[ReplicationRecord],
     slope = float(np.polyfit(ns, fractions, 1)[0]) if len(ns) >= 2 else 0.0
     return EvidenceBoundReport(
         n_values=plan.schedule.n_values, thresholds=thresholds, fractions=fractions,
-        trend_slope=slope, implied_c=implied, c=c, thickness_enforced=enforce_thickness,
+        trend_slope=slope,
     )
 
 
@@ -1056,7 +1027,7 @@ def verify_evidence_bound(plan: ExperimentPlan, jobs: int = 1,
     implied = fitted_thickness_constant(thickness_records(plan.regime, plan.schedule))
     check_evidence_thickness(plan, implied, enforce_thickness)
     records = run_replications(plan.collecting(("log_evidence",)), jobs=jobs)
-    return evidence_report(plan, records, implied, enforce_thickness)
+    return evidence_report(plan, records)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1102,43 +1073,29 @@ def posterior_mass_path(plan: ExperimentPlan, multiplier: float,
 @dataclass(frozen=True)
 class RateFit:
     slope: float
-    intercept: float
-    r_squared: float
     fitted_constant: float
-    n_used: tuple[int, ...]
-    excluded: tuple[int, ...]
 
 
 def fit_rate(n_values: Sequence[int], stats: Sequence[float],
              epsilons: Sequence[float] | None = None) -> RateFit:
-    """Least-squares slope of log statistic on log n, plus the envelope constant."""
+    """Least-squares slope of log statistic on log n, plus the envelope constant.
+
+    Nonpositive statistics have no logarithm and are left out of both.
+    """
     ns = np.asarray(n_values, dtype=float)
     vals = np.asarray(stats, dtype=float)
     if ns.shape != vals.shape:
         raise ExperimentError("n_values and stats must align")
     keep = vals > 0.0
-    excluded = tuple(int(n) for n in ns[~keep])
     if keep.sum() < 3:
         raise ExperimentError(
             f"rate fit needs at least 3 positive points, got {int(keep.sum())}"
         )
-    x = np.log(ns[keep])
-    y = np.log(vals[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    slope = np.polyfit(np.log(ns[keep]), np.log(vals[keep]), 1)[0]
     fitted_constant = math.nan
     if epsilons is not None:
         eps = np.asarray(epsilons, dtype=float)
         if eps.shape != ns.shape:
             raise ExperimentError("epsilons must align with n_values")
         fitted_constant = float(np.max(vals[keep] / eps[keep] ** 2))
-    return RateFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=float(min(max(r_squared, 0.0), 1.0)),
-        fitted_constant=fitted_constant,
-        n_used=tuple(int(n) for n in ns[keep]),
-        excluded=excluded,
-    )
+    return RateFit(slope=float(slope), fitted_constant=fitted_constant)

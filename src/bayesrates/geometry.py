@@ -63,10 +63,6 @@ class RateSchedule:
     def epsilons(self) -> np.ndarray:
         return np.array([self.epsilon(n) for n in self.n_values])
 
-    def n_eps_sq(self, n: int) -> float:
-        e = self.epsilon(n)
-        return n * e * e
-
 
 @dataclass(frozen=True)
 class ConditionParams:
@@ -75,7 +71,7 @@ class ConditionParams:
     ``C`` is the thickness constant; ``c``, ``d``, ``r`` drive the evidence,
     numerator, and sieve bounds and must clear C + 1 at the point where a
     bound is actually checked; ``beta`` > 1 shapes the mass-root sums; ``M``
-    and ``eta`` scale the covering radius and the posterior target.
+    scales the covering radius and the posterior far set.
     """
 
     C: float
@@ -84,7 +80,6 @@ class ConditionParams:
     r: float | None = None
     beta: float | None = None
     M: float | None = None
-    eta: float | None = None
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.C) and self.C >= 0.0):
@@ -97,8 +92,6 @@ class ConditionParams:
             raise GeometryError(
                 f"mass-root exponent beta must exceed 1, got {self.beta}"
             )
-        if self.eta is not None and not 0.0 < self.eta < 1.0:
-            raise GeometryError(f"eta must lie in (0, 1), got {self.eta}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +148,6 @@ def thickness_profile(
 
 @dataclass(frozen=True)
 class SeparationReport:
-    delta: float
     min_gap: float
     separated: bool
 
@@ -166,20 +158,18 @@ def separation_report(gaps: Sequence[float], delta: float) -> SeparationReport:
     if g.size == 0:
         raise GeometryError("separation needs a nonempty subset")
     min_gap = float(g.min())
-    return SeparationReport(delta=delta, min_gap=min_gap, separated=min_gap > delta)
+    return SeparationReport(min_gap=min_gap, separated=min_gap > delta)
 
 
 @dataclass(frozen=True)
 class ClosureReport:
     closed: bool
     worst_violation: float
-    draws: int
 
 
 def mixture_closure_report(
     gap_of_weights: Callable[[np.ndarray], float],
     n_members: int,
-    radius: float,
     draws: int,
     rng: np.random.Generator,
     tol: float = 1e-9,
@@ -187,22 +177,21 @@ def mixture_closure_report(
     """Random-mixture check that a ball is closed under convex combination.
 
     ``gap_of_weights`` maps a probability vector over the ball's members to
-    the metric value between the ball's center and that mixture.  Weights are
-    drawn flat Dirichlet.  A singleton ball is checked once with weight 1.
+    how far that mixture lies outside the ball: its metric value from the
+    ball's center minus the ball's radius.  Weights are drawn flat
+    Dirichlet.  A singleton ball is checked once with weight 1.
     """
     if n_members < 1:
         raise GeometryError("closure check needs at least one member")
-    if radius < 0.0:
-        raise GeometryError(f"radius must be nonnegative, got {radius}")
     worst = -math.inf
     if n_members == 1:
-        worst = gap_of_weights(np.ones(1)) - radius
+        worst = gap_of_weights(np.ones(1))
     else:
         for _ in range(draws):
             w = rng.dirichlet(np.ones(n_members))
-            worst = max(worst, gap_of_weights(w) - radius)
+            worst = max(worst, gap_of_weights(w))
     worst = max(0.0, worst)
-    return ClosureReport(closed=worst <= tol, worst_violation=worst, draws=draws)
+    return ClosureReport(closed=worst <= tol, worst_violation=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -255,47 +244,36 @@ def greedy_cover(
 
 @dataclass(frozen=True, eq=False)
 class CoveringAndSieve:
-    """A mass-sorted cover, the retained prefix, and its numerical certificates.
+    """The sieve kept from a mass-sorted cover, and its numerical certificates.
 
-    Balls are sorted by descending prior mass (ties by center id).  ``j_n``
-    is how many balls the sieve keeps; ``j_requested`` is the exact solution
-    of the defining inequality j^(beta-1) >= S_n^beta * exp(r n eps^2) and is
-    None when it overflows any integer range worth storing.  When the request
-    exceeds the available balls the sieve is the full union and ``exhausted``
-    is set.
+    The cover's balls are sorted by descending prior mass (ties by center
+    id).  ``j_n`` is how many balls the sieve keeps; ``j_requested`` is the
+    exact solution of the defining inequality
+    j^(beta-1) >= S_n^beta * exp(r n eps^2) and is None when it overflows any
+    integer range worth storing.  When the request exceeds the available
+    balls the sieve is the full union and ``exhausted`` is set.
 
-    Certificates: ``complement_fit`` is the multiplier making
-    complement_mass <= fit * exp(-r n eps^2) tight; ``log_j_bound`` is
-    (r + beta c)/(beta - 1) * n eps^2 and ``log_j_ok`` says whether the
-    requested count respects it; ``mass_bound_max_violation`` is the largest
-    per-index excess of sorted ball mass over S_n^beta / j^beta;
-    ``tail_bound`` is the partial sum of S_n^beta / j^beta past j_n, and
-    ``uncovered_mass`` is prior mass no ball reaches (the tail chain bounds
-    complement_mass by tail_bound + uncovered_mass).
+    Certificates: ``log_j_bound`` is (r + beta c)/(beta - 1) * n eps^2 and
+    ``log_j_ok`` says whether the requested count respects it;
+    ``mass_bound_max_violation`` is the largest per-index excess of sorted
+    ball mass over S_n^beta / j^beta; ``tail_bound`` is the partial sum of
+    S_n^beta / j^beta past j_n, and ``uncovered_mass`` is prior mass no ball
+    reaches (the tail chain bounds complement_mass by tail_bound +
+    uncovered_mass).
     """
 
-    target_ids: tuple[int, ...]
-    balls: tuple[Ball, ...]
-    ball_masses: tuple[float, ...]
     j_n: int
     j_requested: int | None
     s_n: float
     sieve_ids: tuple[int, ...]
     complement_mass: float
-    log_cover_count: float
     exhausted: bool
     log_j_requested: float
     log_j_bound: float
     log_j_ok: bool
-    complement_fit: float
     mass_bound_max_violation: float
     tail_bound: float
     uncovered_mass: float
-    n: int
-    epsilon_n: float
-    beta: float
-    r_const: float
-    c_const: float
 
 
 def _smallest_j(beta: float, log_s: float, rne2: float) -> tuple[int | None, float]:
@@ -363,36 +341,18 @@ def build_sieve_from_cover(
     mass_bound_max_violation = float(np.max(np.asarray(ball_masses) - per_index_cap))
     tail_bound = float(per_index_cap[j_n:].sum())
 
-    if complement_mass == 0.0:
-        complement_fit = 0.0
-    else:
-        # exp can overflow for aggressive r; an infinite fit is an honest report
-        complement_fit = (
-            complement_mass * math.exp(rne2) if rne2 < 700.0 else math.inf
-        )
-
     log_j_bound = (r_const + beta * c_const) / (beta - 1.0) * n * epsilon_n**2
     return CoveringAndSieve(
-        target_ids=tuple(sorted(target)),
-        balls=balls,
-        ball_masses=ball_masses,
         j_n=j_n,
         j_requested=j_requested,
         s_n=s_n,
         sieve_ids=tuple(sorted(sieve)),
         complement_mass=complement_mass,
-        log_cover_count=math.log(j_n),
         exhausted=exhausted,
         log_j_requested=log_j_requested,
         log_j_bound=log_j_bound,
         log_j_ok=log_j_requested <= log_j_bound + 1e-12,
-        complement_fit=complement_fit,
         mass_bound_max_violation=mass_bound_max_violation,
         tail_bound=tail_bound,
         uncovered_mass=uncovered_mass,
-        n=n,
-        epsilon_n=epsilon_n,
-        beta=beta,
-        r_const=r_const,
-        c_const=c_const,
     )

@@ -31,7 +31,7 @@ from .divergences import (
     h_affinity_gap,
 )
 from .models import IID, MARKOV, REGRESSION, AtomicPrior, FamilyMember, log_likelihood
-from .numerics import log_softmax, logsumexp
+from .numerics import logsumexp
 
 
 class InferenceError(ValueError):
@@ -48,19 +48,11 @@ class PosteriorState:
     reference: FamilyMember
     log_weights: np.ndarray
     n_observed: int
-    log_evidence: float
-    log_r_denominator: float
     last_observation: float | None
 
     @property
     def kind(self) -> str:
         return self.prior.kind
-
-    def log_normalized_weights(self) -> np.ndarray:
-        return log_softmax(self.log_weights)
-
-    def normalized_weights(self) -> np.ndarray:
-        return np.exp(self.log_normalized_weights())
 
 
 def initial_state(
@@ -87,8 +79,6 @@ def initial_state(
         reference=reference,
         log_weights=np.log(prior.weights),
         n_observed=0,
-        log_evidence=0.0,
-        log_r_denominator=0.0,
         last_observation=None if y0 is None else float(y0),
     )
 
@@ -107,14 +97,11 @@ def update(state: PosteriorState, y: float) -> PosteriorState:
     ctx = _context(state)
     loglik = np.array([log_likelihood(m, y, **ctx) for m in state.prior.members])
     ref_ll = log_likelihood(state.reference, y, **ctx)
-    increment = float(logsumexp(state.log_weights + loglik) - logsumexp(state.log_weights))
     return PosteriorState(
         prior=state.prior,
         reference=state.reference,
         log_weights=state.log_weights + (loglik - ref_ll),
         n_observed=state.n_observed + 1,
-        log_evidence=state.log_evidence + increment,
-        log_r_denominator=state.log_r_denominator + ref_ll,
         last_observation=float(y),
     )
 
@@ -241,21 +228,18 @@ class IdentityReport:
 
 
 def conditional_sqrt_ratio_identity(
-    state: PosteriorState,
-    member_ids: Iterable[int] | None = None,
-    f_star: GridDensity | None = None,
-    grid: Grid | None = None,
+    state: PosteriorState, member_ids: Iterable[int] | None = None
 ) -> IdentityReport:
     """One-step conditional expectation of the root likelihood ratio.
 
+    f_star is the reference member's next-observation conditional density.
     lhs integrates sqrt(predictive/f_star) against f_star through the
     log-ratio route; rhs is one minus the affinity gap between f_star and the
     restricted predictive.  The two are the same integral computed through
     different code paths and must agree to float accuracy.
     """
-    pred = predictive_density(state, member_ids=member_ids, grid=grid)
-    if f_star is None:
-        f_star = _reference_conditional_density(state, pred.grid)
+    pred = predictive_density(state, member_ids=member_ids)
+    f_star = _reference_conditional_density(state, pred.grid)
     half = np.exp(0.5 * (pred.log_values - f_star.log_values))
     lhs = float((pred.grid.quad_weights * f_star.values) @ half)
     rhs = 1.0 - h_affinity_gap(f_star, pred)
@@ -273,8 +257,6 @@ def _reference_conditional_density(state: PosteriorState, grid: Grid) -> GridDen
         reference=ref,
         log_weights=np.zeros(1),
         n_observed=state.n_observed,
-        log_evidence=0.0,
-        log_r_denominator=0.0,
         last_observation=state.last_observation,
     )
     return predictive_density(proxy, grid=grid)

@@ -202,10 +202,6 @@ class MisspecifiedSetup:
                     f"member {m.id} beats declared projection {self.projection_id} in kl"
                 )
 
-    @property
-    def projection(self) -> GridDensity:
-        return self.prior.members[self.prior.index_of(self.projection_id)].density
-
 
 def log_likelihood(
     member: FamilyMember,

@@ -358,7 +358,7 @@ class TestMain:
         path = write_config(tmp_path, SMALL_CHECK.format(out=tmp_path / "out"))
         code = main(["check", "--config", str(path), "--verify", "bogus"])
         assert code == EXIT_CONFIG_ERROR
-        assert "unknown verifications" in capsys.readouterr().err
+        assert "unknown verification 'bogus' in --verify" in capsys.readouterr().err
 
     def test_verify_override_revalidates_requirements(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_CHECK.format(out=tmp_path / "out"))
@@ -475,6 +475,7 @@ class TestSharedPass:
         entries = json.loads((out / "summary.json").read_text())["verifications"]
         assert entries["evidence-bound"]["passed"] is False
         assert "needs c > implied C + 1" in entries["evidence-bound"]["detail"]
+        assert "set allow_thin_evidence: true" in entries["evidence-bound"]["detail"]
         assert entries["cesaro"]["passed"] and entries["posterior-mass"]["passed"]
 
     def test_no_pass_when_every_precondition_refuses(self, tmp_path, monkeypatch):

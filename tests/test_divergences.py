@@ -75,7 +75,7 @@ class TestGrid:
 class TestGridDensity:
     def test_normalization(self):
         d = gaussian_density(GRID, 0.3, 1.1)
-        assert abs(d.integral() - 1.0) < 1e-12
+        assert abs(GRID.integrate(d.values) - 1.0) < 1e-12
 
     def test_rejects_negative_values(self):
         with pytest.raises(DivergenceError):
@@ -300,11 +300,11 @@ class TestSequences:
 
 class TestMarkov:
     def test_equal_coefficients_vanish(self):
-        out = markov_divergences(0.6, 0.6)
-        assert out.kl == 0.0
-        assert out.v == pytest.approx(0.0, abs=1e-12)
-        assert out.h_q == pytest.approx(0.0, abs=1e-12)
-        assert out.h_inf_truncated == pytest.approx(0.0, abs=1e-12)
+        assert markov_divergences(0.6, 0.6).kl == 0.0
+        [(_, v, h_q)] = stationary_divergences(0.6, [0.6])
+        assert v == pytest.approx(0.0, abs=1e-12)
+        assert h_q == pytest.approx(0.0, abs=1e-12)
+        assert state_sup_hellinger(0.6, 0.6, 5.0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("theta_star", [0.6, 0.3])
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6])
@@ -320,24 +320,24 @@ class TestMarkov:
         d = theta_star - theta
         var = 1.0 / (1 - theta_star ** 2)
         expected = (d ** 4) * 3 * var ** 2 / 4 + d ** 2 * var
-        out = markov_divergences(theta_star, theta)
-        assert out.v == pytest.approx(expected, rel=1e-4)
+        [(_, v, _)] = stationary_divergences(theta_star, [theta])
+        assert v == pytest.approx(expected, rel=1e-4)
 
     def test_h_inf_truncated_window_oracle(self):
         theta_star, theta, window = 0.6, 0.3, 5.0
-        out = markov_divergences(theta_star, theta, state_window=window)
+        got = state_sup_hellinger(theta_star, theta, window)
         expected = math.sqrt(2 * (1 - math.exp(-((theta_star - theta) ** 2) * window ** 2 / 8)))
-        assert out.h_inf_truncated == pytest.approx(expected, abs=1e-6)
-        assert out.state_window == window
+        assert got == pytest.approx(expected, abs=1e-6)
 
     def test_default_window_is_five_stationary_sds(self):
-        out = markov_divergences(0.6, 0.3)
-        assert out.state_window == pytest.approx(5.0 * ar1_stationary_sd(0.6))
+        members = [FamilyMember(0, MARKOV, MarkovParam(0.3))]
+        reg = MarkovRegime(uniform_prior(members), MarkovParam(0.6))
+        assert reg.state_window == pytest.approx(5.0 * ar1_stationary_sd(0.6))
 
     def test_stationary_h_q_between_bounds(self):
-        out = markov_divergences(0.6, 0.2)
-        sup = out.h_inf_truncated
-        assert 0.0 < out.h_q < sup
+        [(_, _, h_q)] = stationary_divergences(0.6, [0.2])
+        sup = state_sup_hellinger(0.6, 0.2, 5.0 * ar1_stationary_sd(0.6))
+        assert 0.0 < h_q < sup
 
     @pytest.mark.parametrize("noise_sd", [1.0, 0.5])
     @pytest.mark.parametrize("d", [0.0, 0.25, 1.0, 3.0])
@@ -364,17 +364,20 @@ class TestMarkov:
             assert got == reg.pair_dist(a, b)
 
     def test_state_sup_helper_matches(self):
+        # the sup over a sweep of the window, by quadrature, sits at its edge
         a = state_sup_hellinger(0.6, 0.3, 5.0)
-        out = markov_divergences(0.6, 0.3, state_window=5.0)
-        assert a == pytest.approx(out.h_inf_truncated, abs=1e-12)
+        swept = max(
+            hellinger(gaussian_density(GRID, 0.6 * y, 1.0), gaussian_density(GRID, 0.3 * y, 1.0))
+            for y in np.linspace(-5.0, 5.0, 41)
+        )
+        assert a == pytest.approx(swept, abs=1e-12)
 
     @pytest.mark.parametrize("theta_star", [0.6, 0.2, -0.5])
     def test_all_atoms_form_equals_per_atom_oracle(self, theta_star):
         thetas = [0.6, -0.3, 0.9]
         rows = stationary_divergences(theta_star, thetas)
         for theta, row in zip(thetas, rows):
-            out = markov_divergences(theta_star, theta)
-            assert (out.kl, out.v, out.h_q) == row
+            assert markov_divergences(theta_star, theta).kl == row[0]
             if theta == theta_star:
                 assert row == (0.0, 0.0, 0.0)
             else:

@@ -33,7 +33,6 @@ class TestRateSchedule:
         sched = RateSchedule((50, 100, 200), a=0.8, gamma=1.0 / 3.0)
         assert sched.epsilon(100) == pytest.approx(0.8 * 100 ** (-1 / 3))
         assert len(sched.epsilons) == 3
-        assert sched.n_eps_sq(50) == pytest.approx(50 * sched.epsilon(50) ** 2)
 
     def test_epsilon_must_decrease(self):
         # kappa-heavy envelopes rise over small n
@@ -57,8 +56,6 @@ class TestConditionParams:
     def test_field_validation(self):
         with pytest.raises(GeometryError, match="beta"):
             ConditionParams(C=0.1, beta=1.0)
-        with pytest.raises(GeometryError, match="eta"):
-            ConditionParams(C=0.1, eta=1.5)
         with pytest.raises(GeometryError, match="positive"):
             ConditionParams(C=0.1, r=-1.0)
 
@@ -151,7 +148,7 @@ class TestSeparation:
 
 class TestMixtureClosure:
     def test_singleton_ball_trivially_closed(self):
-        rep = mixture_closure_report(lambda w: 0.3, 1, radius=0.3, draws=50,
+        rep = mixture_closure_report(lambda w: 0.3 - 0.3, 1, draws=50,
                                      rng=np.random.default_rng(0))
         assert rep.closed
         assert rep.worst_violation == 0.0
@@ -163,9 +160,9 @@ class TestMixtureClosure:
         radius = max(h_affinity_gap(center, m) for m in members)
 
         def gap(w):
-            return h_affinity_gap(center, mixture_density(members, w))
+            return h_affinity_gap(center, mixture_density(members, w)) - radius
 
-        rep = mixture_closure_report(gap, len(members), radius, draws=200,
+        rep = mixture_closure_report(gap, len(members), draws=200,
                                      rng=np.random.default_rng(3))
         assert rep.closed
 
@@ -179,7 +176,7 @@ class TestMixtureClosure:
             assert h_affinity_gap(center, mix) <= radius + 1e-12
 
     def test_violation_reported_when_radius_too_small(self):
-        rep = mixture_closure_report(lambda w: 0.5, 2, radius=0.2, draws=10,
+        rep = mixture_closure_report(lambda w: 0.5 - 0.2, 2, draws=10,
                                      rng=np.random.default_rng(1))
         assert not rep.closed
         assert rep.worst_violation == pytest.approx(0.3)
@@ -298,7 +295,6 @@ class TestSieve:
         assert sieve.j_requested == direct
         assert sieve.j_n == direct
         assert sieve.s_n == pytest.approx(s, abs=1e-12)
-        assert sieve.log_cover_count == pytest.approx(math.log(direct))
 
     def test_tail_chain_holds_both_ways(self):
         prior = self.geometric_prior(20)
@@ -321,7 +317,8 @@ class TestSieve:
         assert a.sieve_ids == b.sieve_ids
         assert a.j_n == b.j_n
         assert a.s_n == b.s_n
-        assert a.ball_masses == b.ball_masses
+        assert a.mass_bound_max_violation == b.mass_bound_max_violation
+        assert a.tail_bound == b.tail_bound
 
     def test_exhaustion_flagged_and_sieve_is_full_union(self):
         prior = flat_prior(3, weights=[0.5, 0.3, 0.2])
