@@ -1,8 +1,8 @@
 """Grid densities and divergence functionals.
 
 Continuous densities live on a uniform grid and every integral over a
-density here is a trapezoidal quadrature on that grid (the Cesaro kernels
-in ``experiments`` use coarser grids over the same span).  The default
+density here is a trapezoidal quadrature on that grid (the iid Cesaro
+kernel in ``experiments`` uses every s-th node of it).  The default
 working grid for unit-scale Gaussian work is [-12, 12] with 4001 points.
 The divergences between two normals of one sd (regression indices, AR(1)
 transitions from one state) are exact, from ``gaussian_shift_kvh``.

@@ -72,6 +72,7 @@ from .models import (
 from .numerics import logsumexp, softmax
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # reserved id for reference members that are not prior atoms
 REF_ID = -1
@@ -82,16 +83,81 @@ STAT_KEYS = ("cesaro_kl", "log_evidence", "posterior_mass", "u_mass", "sqrt_l")
 # admissibility randomness never aliases a replication stream
 CERT_SEED_OFFSET = 202_020
 
-# steps per block of the Cesaro kernels: a dense iid block takes 16 to 31
-# steps, so its (nodes, steps) buffer stays in cache between the product
-# and the log; a Gaussian-row block takes 16 steps of J + 1 rows
+# steps per block of the dense iid Cesaro kernel: a block takes 16 to 31
+# steps, so its (nodes, steps) buffer stays in cache between the product and
+# the log
 CESARO_BLOCK = 16
 
-# nodes per sd of the Cesaro quadrature (regression and markov row grid, iid
-# grid stride): on markov.yaml chains the Gaussian-row kernel agrees with the
-# 4001-point grid to 1.3e-16 per step down to 5 nodes per sd, and is off by
-# 3e-15 at 4 and 8e-12 at 3; 10 leaves a factor of two
+# nodes per sd of the iid Cesaro kernel's stride over the density grid: on
+# the iid and misspecified configs its trapezoid is within 2e-15 per step
+# of the long-double integral on all 4001 nodes; on Gaussian-mixture
+# integrands 4 nodes per sd were off by 3e-15 per step and 3 by 8e-12, so
+# 10 leaves a factor of two
 ROW_POINTS_PER_SD = 10
+
+# the z-node rule of the Gaussian-mixture integrals.  Substituting
+# x = centre + sd * z turns each into a trapezoid against the standard
+# normal density, whatever the noise sd or the states, out to Z_REACH beyond
+# every term's centre: the normal tail left out is below 1e-18.
+# - On a Gaussian the trapezoid at spacing h is off by about
+#   exp(-2 pi^2 / h^2), 5e-35 at Z_STEP.
+# - The log or root of a mixture turns over from one term to the next, at
+#   complex distance pi / D from the real line for two terms whose offsets
+#   differ by D, which costs about exp(-2 pi^2 / (h D)).  So a column whose
+#   offsets spread by D takes h = Z_STEP / m, m the least whole number with
+#   h D <= Z_RESOLVE (7e-18).  On random three-term mixtures the rule is at
+#   rounding (1.5e-15 relative) up to h D = 0.6, off by 1e-13 at 0.7 and by
+#   3e-12 at 0.8; at the 0.2 spacing alone it was off by 1.5e-6 per step
+#   on four atoms spread over 15 sds.
+# - Columns go in chunks of at most Z_BUFFER node values (512 kB), so a
+#   wide spread costs time, not memory.
+Z_STEP = 0.5
+Z_REACH = 9.0
+Z_RESOLVE = 0.5
+Z_BUFFER = 1 << 16
+
+# an affinity term whose offset exceeds Z_FAR adds less than
+# exp(-Z_FAR^2 / 8) = 2.6e-18 to the affinity, since sqrt(a + b) - sqrt(a)
+# <= sqrt(b): the affinity nodes neither span nor resolve offsets beyond it
+Z_FAR = 18.0
+
+
+def _mixtures_on_z(deltas: np.ndarray, weights: np.ndarray, affinity: bool = False):
+    """Yield (columns, nodes, mix): the mixtures of some columns on their z nodes.
+
+    mix[c, k] = sum_j weights[j, c] exp(z_k d - d^2 / 2) with d = deltas[j, c],
+    tilted by -z_k^2 for an ``affinity`` (the square of phi, taken inside its
+    root).  The nodes span [-Z_REACH, Z_REACH], or for an affinity
+    [min(0, min d / 2) - Z_REACH, max(0, max d / 2) + Z_REACH] over the
+    offsets within Z_FAR, where its terms' mass sits.  Each chunk of columns
+    is summed one atom at a time into one buffer: a (J, columns, nodes)
+    array is never built.
+    """
+    near = np.clip(deltas, -Z_FAR, Z_FAR) if affinity else deltas
+    spread = near.max(axis=0) - near.min(axis=0)
+    parts = np.maximum(np.ceil(spread * (Z_STEP / Z_RESOLVE)), 1.0).astype(int)
+    for m in sorted(set(parts.tolist())):  # not np.unique, which imports numpy.ma
+        group = np.flatnonzero(parts == m)
+        lower, upper = -Z_REACH, Z_REACH
+        if affinity:
+            lower += min(0.0, 0.5 * float(near[:, group].min()))
+            upper += max(0.0, 0.5 * float(near[:, group].max()))
+        nodes = Grid(lower, upper, math.ceil((upper - lower) * m / Z_STEP) + 1)
+        tilt = -nodes.x ** 2 if affinity else None
+        width = max(1, Z_BUFFER // nodes.points)
+        for s in range(0, len(group), width):
+            cols = group[s:s + width]
+            mix = np.zeros((len(cols), nodes.points))
+            term = np.empty_like(mix)
+            for d, w in zip(deltas[:, cols], weights[:, cols]):
+                np.multiply(d[:, None], nodes.x, out=term)
+                if tilt is not None:
+                    term += tilt
+                term -= (0.5 * d * d)[:, None]
+                np.exp(term, out=term)
+                term *= w[:, None]
+                mix += term
+            yield cols, nodes, mix
 
 
 class ExperimentError(ValueError):
@@ -117,11 +183,6 @@ class MarkovSample:
         return len(self.y)
 
 
-def _gauss_row(x: np.ndarray, mean, sd: float) -> np.ndarray:
-    z = (x - np.asarray(mean)) / sd
-    return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-
-
 def _triangle_bound(member_ids, to_truth, between, measure=float) -> tuple[float, int]:
     """Convex-hull certificate: the best triangle bound and its center.
 
@@ -141,58 +202,41 @@ def _triangle_bound(member_ids, to_truth, between, measure=float) -> tuple[float
     return max((bound(c), c) for c in member_ids)
 
 
-def gaussian_row_grid(span: Grid, sd: float) -> Grid:
-    """``span``'s bounds at spacing at most sd / ROW_POINTS_PER_SD.
+def _gaussian_mixture_kls(deltas: np.ndarray, weights_before: np.ndarray) -> np.ndarray:
+    """Per-step kl(N(0, 1), sum_j w[j, i] N(deltas[j, i], 1)).
 
-    The quadrature grid for integrands built from exact Gaussian rows of
-    standard deviation ``sd``: on such smooth, fast-decaying integrands the
-    trapezoid rule is accurate to rounding long before the shared grid's
-    4001 points.
+    ``deltas`` are the components' offsets from the truth in noise sds, so
+    this is the kl from the truth's normal of any sd to the mixture of its
+    shifts.  Centred on the truth it is
+
+        -int phi(z) log sum_j w[j, i] exp(z deltas[j, i] - deltas[j, i]^2 / 2) dz,
+
+    by the z-node rule, all steps of one spacing at once (37 nodes at
+    Z_STEP).  The exponent is at most z^2 / 2 <= 40.5, so it cannot
+    overflow; the 1e-300 floor catches a mixture whose every atom underflows.
     """
-    return Grid(span.lower, span.upper,
-                math.ceil(ROW_POINTS_PER_SD * (span.upper - span.lower) / sd) + 1)
-
-
-def _gaussian_mixture_kls(grid: Grid, means: np.ndarray, truth_means: np.ndarray,
-                          sd: float, weights_before: np.ndarray) -> np.ndarray:
-    """Per-step kl(N(truth_means[i], sd), sum_j w[j, i] N(means[j, i], sd)) on the grid.
-
-    The steps go in blocks of ``CESARO_BLOCK``: each block writes its
-    component and truth rows into one reused (steps, J + 1, grid) buffer,
-    in place, with the operations of ``_gauss_row``; z * z times -0.5
-    rounds like -0.5 * z times z, since halving is exact.  The mixture
-    product and the integral stay one step at a time, so every step rounds
-    as the per-step form does.
-    """
-    x = grid.x
-    qw = grid.quad_weights
-    norm = sd * math.sqrt(2.0 * math.pi)
-    j, n = means.shape
-    centers = np.vstack([means, truth_means]).T  # (steps, J + 1)
-    buf = np.empty((min(n, CESARO_BLOCK), j + 1, len(x)))
-    integrand = np.empty(len(x))
-    out = np.empty(n)
-    for s in range(0, n, CESARO_BLOCK):
-        e = min(s + CESARO_BLOCK, n)
-        rows = buf[:e - s]
-        np.subtract(x, centers[s:e, :, None], out=rows)
-        if sd != 1.0:  # x / 1.0 == x exactly, so skipping it changes no bit
-            rows /= sd
-        np.multiply(rows, rows, out=rows)
-        rows *= -0.5
-        np.exp(rows, out=rows)
-        rows /= norm
-        for i in range(s, e):
-            truth = rows[i - s, j]
-            mix = weights_before[:, i] @ rows[i - s, :j]
-            np.maximum(mix, 1e-300, out=mix)
-            np.log(mix, out=mix)
-            np.maximum(truth, 1e-300, out=integrand)
-            np.log(integrand, out=integrand)
-            integrand -= mix
-            integrand *= truth
-            out[i] = float(qw @ integrand)
+    out = np.empty(deltas.shape[1])
+    for cols, nodes, mix in _mixtures_on_z(deltas, weights_before):
+        np.maximum(mix, 1e-300, out=mix)
+        np.log(mix, out=mix)
+        out[cols] = -(mix @ (nodes.quad_weights * np.exp(-0.5 * nodes.x ** 2) / SQRT_2PI))
     return np.maximum(out, 0.0)
+
+
+def _affinity_gaps(deltas: np.ndarray, w) -> np.ndarray:
+    """Per-row 1 - int sqrt(N(0, 1) * sum_j w[j] N(deltas[j, k], 1)).
+
+    The mixture-to-reference affinity gap of every row k, centred on the
+    reference: 1 - int phi(z) sqrt(sum_j w[j] exp(z d - d^2 / 2)) dz with
+    d = deltas[j, k], by the z-node rule.  phi goes inside the root, so the
+    exponent is -(z - d / 2)^2 - d^2 / 4, never positive: no offset overflows.
+    """
+    weights = np.broadcast_to(np.asarray(w)[:, None], deltas.shape)
+    out = np.empty(deltas.shape[1])
+    for cols, nodes, mix in _mixtures_on_z(deltas, weights, affinity=True):
+        np.sqrt(mix, out=mix)
+        out[cols] = 1.0 - (mix @ nodes.quad_weights) / SQRT_2PI
+    return out
 
 
 def _density_stride(grid: Grid, sd: float) -> int:
@@ -234,7 +278,7 @@ class IidRegime:
         # the Cesaro kernel's trapezoid on every stride-th node of the densities
         sd = min(math.sqrt(f.variance())
                  for f in (true_density, *(m.density for m in prior.members)))
-        stride = self.cesaro_stride = _density_stride(self.grid, sd)
+        stride = _density_stride(self.grid, sd)
         nodes = Grid(self.grid.lower, self.grid.upper, (self.grid.points - 1) // stride + 1)
         self._cesaro_kern = nodes.quad_weights * true_density.values[::stride]
         self._cesaro_anchor = float(self._cesaro_kern @ self.f_circ.log_values[::stride])
@@ -253,9 +297,6 @@ class IidRegime:
 
     def ref_loglik(self, data: np.ndarray) -> np.ndarray:
         return np.asarray(self.f_circ.log_interp(data))
-
-    def quality_flags(self, data) -> tuple[str, ...]:
-        return ()
 
     # -- divergences
 
@@ -321,7 +362,7 @@ class IidRegime:
     def cesaro_kls(self, data, weights_before: np.ndarray) -> np.ndarray:
         """Contrast statistic: int log(f_circ / predictive) f_star.
 
-        The trapezoid rule on every ``cesaro_stride``-th grid node, anchor
+        The trapezoid rule on every stride-th grid node, anchor
         term included.  The steps go in blocks of ``CESARO_BLOCK``, and each
         block's predictive densities are formed, logged and integrated in
         one buffer, so the (nodes, steps) matrix is never built.  The last
@@ -355,16 +396,17 @@ class MisspecifiedRegime(IidRegime):
 class RegressionRegime:
     """Gaussian responses around a design-indexed mean function.
 
-    Everything that integrates exact Gaussian rows (the Cesaro kernel and
-    the certification draws) does so on ``row_grid``, the unit-noise row
-    grid over ``grid``'s bounds.
+    Two responses at one design index are unit normals, so every divergence
+    between them is the exact ``gaussian_shift_kvh``.  Mixtures have no
+    closed form: the Cesaro kernel and the certification draws integrate
+    them by the z-node rule, on the atoms' offsets from the truth or the
+    reference row, all design indices at once.
     """
 
     kind = "regression"
     well_specified = True
 
-    def __init__(self, prior: AtomicPrior, truth: RegressionFunction,
-                 grid: Grid | None = None):
+    def __init__(self, prior: AtomicPrior, truth: RegressionFunction):
         if prior.kind != REGRESSION:
             raise ExperimentError(
                 f"regression regime needs function atoms, got {prior.kind!r}"
@@ -377,19 +419,9 @@ class RegressionRegime:
                 )
         self.prior = prior
         self.truth = truth
-        self.grid = grid if grid is not None else default_grid()
-        self.row_grid = gaussian_row_grid(self.grid, 1.0)
         self.reference = FamilyMember(id=REF_ID, kind=REGRESSION, payload=truth)
         self._means = np.stack([np.asarray(m.payload.values_at_design) for m in prior.members])
         self._truth_means = np.asarray(truth.values_at_design)
-        self._rows: dict[tuple[int, ...], np.ndarray] = {}
-        self._rows_n: int | None = None
-
-    def __getstate__(self) -> dict:
-        # the certification rows stay out of the pickle the process pool ships
-        state = self.__dict__.copy()
-        state["_rows"], state["_rows_n"] = {}, None
-        return state
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n > len(self.truth):
@@ -404,9 +436,6 @@ class RegressionRegime:
     def ref_loglik(self, data: np.ndarray) -> np.ndarray:
         z = data - self._truth_means[: len(data)]
         return -0.5 * z * z - LOG_SQRT_2PI
-
-    def quality_flags(self, data) -> tuple[str, ...]:
-        return ()
 
     def _h2(self, means_a: np.ndarray, means_b: np.ndarray, n: int) -> np.ndarray:
         """Per-index squared Hellinger distances over the first n indices."""
@@ -434,31 +463,10 @@ class RegressionRegime:
     def pair_dist(self, id_a: int, id_b: int, n: int) -> float:
         return math.sqrt(float(self._h2(self._row(id_a), self._row(id_b), n).mean()))
 
-    def _gauss_rows(self, member_ids, n: int) -> np.ndarray:
-        """(len(member_ids), n, row grid) rows of the members' first n means.
-
-        Certification asks for the same rows at each of its Dirichlet
-        draws, so the rows of one n are kept, per id tuple.
-        """
-        ids = tuple(member_ids)
-        if self._rows_n != n:
-            self._rows, self._rows_n = {}, n
-        rows = self._rows.get(ids)
-        if rows is None:
-            means = np.stack([self._row(i)[:n] for i in ids])  # (J, n)
-            rows = _gauss_row(self.row_grid.x[None, None, :], means[:, :, None], 1.0)
-            self._rows[ids] = rows
-        return rows
-
-    def _mixture_rows(self, member_ids, w, n: int) -> np.ndarray:
-        """Mixture predictive values, one row-grid row per design index."""
-        return np.einsum("j,jng->ng", np.asarray(w), self._gauss_rows(member_ids, n))
-
     def _mean_gap_to(self, ref_id: int, member_ids, w, n: int) -> float:
-        mix = self._mixture_rows(member_ids, w, n)
-        ref = self._gauss_rows((ref_id,), n)[0]
-        affinity = np.sqrt(ref * mix) @ self.row_grid.quad_weights
-        return float(np.mean(1.0 - affinity))
+        """Mean over the first n indices of the mixture's affinity gap to ``ref_id``."""
+        deltas = np.stack([self._row(i)[:n] for i in member_ids]) - self._row(ref_id)[:n]
+        return float(np.mean(_affinity_gaps(deltas, w)))
 
     def mixture_truth_gap(self, member_ids, w, n: int) -> float:
         return self._mean_gap_to(REF_ID, member_ids, w, n)
@@ -483,9 +491,7 @@ class RegressionRegime:
 
     def cesaro_kls(self, data, weights_before: np.ndarray) -> np.ndarray:
         n = len(data)
-        return _gaussian_mixture_kls(
-            self.row_grid, self._means[:, :n], self._truth_means[:n], 1.0, weights_before
-        )
+        return _gaussian_mixture_kls(self._means[:, :n] - self._truth_means[:n], weights_before)
 
 
 class MarkovRegime:
@@ -494,10 +500,11 @@ class MarkovRegime:
     Two transitions from one state are normals of one sd, so every
     divergence between them is the exact ``gaussian_shift_kvh``, averaged
     over the truth's stationary density or taken at the state window's
-    edge; ``grid`` only vets that those transitions fit on it.  The Cesaro
-    kernel and the certification draws integrate exact Gaussian transition
-    rows (of mixtures, which have no closed form) on ``row_grid``, the row
-    grid of the noise sd over ``grid``'s bounds.
+    edge; ``grid`` only vets that those transitions fit on it.  Mixtures of
+    transitions have no closed form: the Cesaro kernel (at every realized
+    state) and the certification draws (at the probe states) integrate them
+    by the z-node rule, on the atoms' offsets in noise sds, with no span to
+    clip however far the chain wanders.
     """
 
     kind = "markov"
@@ -515,7 +522,6 @@ class MarkovRegime:
         self.prior = prior
         self.theta_star = theta_star
         self.grid = grid if grid is not None else default_grid()
-        self.row_grid = gaussian_row_grid(self.grid, sd)
         self.noise_sd = sd
         self.stationary_sd = theta_star.stationary_sd
         self.state_window = (
@@ -549,17 +555,6 @@ class MarkovRegime:
         prev = self._prev_chain(sample)
         z = (sample.y - self.theta_star.theta * prev) / self.noise_sd
         return -0.5 * z * z - math.log(self.noise_sd) - LOG_SQRT_2PI
-
-    def quality_flags(self, sample: MarkovSample) -> tuple[str, ...]:
-        prev = self._prev_chain(sample)
-        reach = float(np.max(np.abs(prev))) * max(
-            abs(self.theta_star.theta), float(np.max(np.abs(self._thetas)))
-        )
-        # at noise sd 1.3 on markov.yaml's atoms, chains whose Cesaro kernel is
-        # off a +-24 grid by over 1e-12 per step reach within 6.7 sd of the end
-        if reach + 8.0 * self.noise_sd > self.grid.upper:
-            return ("transition-tail-clipped",)
-        return ()
 
     def _divergences(self, member_id: int) -> tuple[float, float, float]:
         """(kl, v, h_q) of one atom; the first call computes every atom's."""
@@ -626,43 +621,27 @@ class MarkovRegime:
     def _probe_states(self, count: int = 7) -> np.ndarray:
         return np.linspace(self.state_window / count, self.state_window, count)
 
-    def _transition_mix(self, member_ids, w, y: float) -> np.ndarray:
-        means = np.array([self._theta_of(i) * y for i in member_ids])
-        rows = _gauss_row(self.row_grid.x[None, :], means[:, None], self.noise_sd)
-        return np.asarray(w) @ rows
+    def _probe_gaps(self, member_ids, ref_theta: float, w) -> np.ndarray:
+        """The mixture's affinity gap to the transition of ``ref_theta``, per probe state."""
+        thetas = np.array([self._theta_of(i) for i in member_ids])
+        deltas = np.outer(thetas - ref_theta, self._probe_states()) / self.noise_sd
+        return _affinity_gaps(deltas, w)
 
     def mixture_truth_gap(self, member_ids, w, n: int | None = None) -> float:
         """Worst-state affinity gap of the mixture over the probe states."""
-        qw = self.row_grid.quad_weights
-        t = self.theta_star.theta
-        gaps = []
-        for y in self._probe_states():
-            truth = _gauss_row(self.row_grid.x, t * y, self.noise_sd)
-            mix = self._transition_mix(member_ids, w, y)
-            gaps.append(1.0 - float(qw @ np.sqrt(truth * mix)))
-        return max(gaps)
+        return float(np.max(self._probe_gaps(member_ids, self.theta_star.theta, w)))
 
     def closure_violation(self, member_ids, center_id, w, n: int | None = None) -> float:
-        qw = self.row_grid.quad_weights
         tc = self._theta_of(center_id)
-        worst = -math.inf
-        for y in self._probe_states():
-            center = _gauss_row(self.row_grid.x, tc * y, self.noise_sd)
-            mix = self._transition_mix(member_ids, w, y)
-            gap = 1.0 - float(qw @ np.sqrt(center * mix))
-            rho = max(
-                0.5 * float(self._h2_at_states(tc, self._theta_of(j), float(y)))
-                for j in member_ids
-            )
-            worst = max(worst, gap - rho)
-        return worst
+        states = self._probe_states()
+        rho = np.max([0.5 * self._h2_at_states(tc, self._theta_of(j), states)
+                      for j in member_ids], axis=0)
+        return float(np.max(self._probe_gaps(member_ids, tc, w) - rho))
 
     def cesaro_kls(self, sample: MarkovSample, weights_before: np.ndarray) -> np.ndarray:
         prev = self._prev_chain(sample)
-        return _gaussian_mixture_kls(
-            self.row_grid, self._thetas[:, None] * prev[None, :], self.theta_star.theta * prev,
-            self.noise_sd, weights_before,
-        )
+        deltas = np.outer(self._thetas - self.theta_star.theta, prev) / self.noise_sd
+        return _gaussian_mixture_kls(deltas, weights_before)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +703,6 @@ class ReplicationRecord:
     rep_id: int
     n_values: tuple[int, ...]
     stats: dict[str, np.ndarray]
-    flags: tuple[str, ...]
 
     def __post_init__(self) -> None:
         for key, arr in self.stats.items():
@@ -780,12 +758,7 @@ def replicate(plan: ExperimentPlan, rep_id: int) -> ReplicationRecord:
             raise ExperimentError("negative Cesaro statistic in a well-specified run")
         stats["cesaro_kl"] = vals
 
-    return ReplicationRecord(
-        rep_id=rep_id,
-        n_values=n_values,
-        stats=stats,
-        flags=tuple(regime.quality_flags(data)),
-    )
+    return ReplicationRecord(rep_id=rep_id, n_values=n_values, stats=stats)
 
 
 def run_replications(plan: ExperimentPlan, jobs: int = 1) -> list[ReplicationRecord]:
@@ -797,10 +770,14 @@ def run_replications(plan: ExperimentPlan, jobs: int = 1) -> list[ReplicationRec
         # imported here: only a pool run pays for multiprocessing; forked
         # workers inherit the caller's floating-point error handling
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, plan.replications // (8 * jobs))
-            records = list(pool.map(partial(replicate, plan), ids, chunksize=chunk))
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                chunk = max(1, plan.replications // (8 * jobs))
+                records = list(pool.map(partial(replicate, plan), ids, chunksize=chunk))
+        except BrokenProcessPool as e:
+            raise ExperimentError(f"a replication worker died: {e}") from e
     return sorted(records, key=lambda r: r.rep_id)
 
 

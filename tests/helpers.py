@@ -146,23 +146,26 @@ def exhaustive_cover_count(
 
 def _gauss_row(x: np.ndarray, mean, sd: float) -> np.ndarray:
     z = (x - np.asarray(mean)) / sd
-    return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+    return np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi, dtype=z.dtype))
 
 
 def gaussian_mixture_kls_oracle(grid: Grid, means: np.ndarray, truth_means: np.ndarray,
-                                sd: float, weights_before: np.ndarray) -> np.ndarray:
+                                sd: float, weights_before: np.ndarray,
+                                dtype=np.float64) -> np.ndarray:
     """Per-step kl(N(truth_means[i], sd), sum_j w[j, i] N(means[j, i], sd)).
 
-    The reference form of the Cesaro kernel: every step builds fresh
-    component and truth rows, with no buffer reused.
+    The reference form of the Gaussian-mixture Cesaro kernel: the trapezoid
+    rule in x on ``grid``, every step building fresh component and truth
+    rows, in ``dtype`` arithmetic.
     """
-    x = grid.x
-    qw = grid.quad_weights
+    x = grid.x.astype(dtype)
+    qw = grid.quad_weights.astype(dtype)
+    sd = dtype(sd)
     out = np.empty(len(truth_means))
     for i in range(len(truth_means)):
-        rows = _gauss_row(x[None, :], means[:, i, None], sd)
-        mix = np.maximum(weights_before[:, i] @ rows, 1e-300)
-        truth = _gauss_row(x, truth_means[i], sd)
+        rows = _gauss_row(x[None, :], means[:, i, None].astype(dtype), sd)
+        mix = np.maximum(weights_before[:, i].astype(dtype) @ rows, 1e-300)
+        truth = _gauss_row(x, dtype(truth_means[i]), sd)
         out[i] = float(qw @ (truth * (np.log(np.maximum(truth, 1e-300)) - np.log(mix))))
     return np.maximum(out, 0.0)
 

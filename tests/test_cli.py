@@ -439,6 +439,10 @@ def broken_replicate(plan, rep_id):
     raise ExperimentError("statistic log_evidence has NaN entries")
 
 
+def dying_replicate(plan, rep_id):
+    os._exit(9)
+
+
 class TestSharedPass:
     """simulate builds each replication once; every selected verification
     reads the statistics it needs from that one pass."""
@@ -497,6 +501,19 @@ class TestSharedPass:
         assert capsys.readouterr().err == (
             "runtime error: statistic log_evidence has NaN entries\n"
         )
+        assert not (out / "summary.json").exists()
+
+    def test_dead_worker_exits_4(self, tmp_path, capsys, monkeypatch):
+        """A pool worker that dies mid-pass is a runtime error with one line,
+        not a traceback; forked workers inherit the patched replicate."""
+        monkeypatch.setattr(experiments, "replicate", dying_replicate)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, SMALL_SIMULATE.format(c=1.5, out=out))
+        code = main(["simulate", "--config", str(path), "--verify", "cesaro", "--jobs", "2"])
+        assert code == EXIT_RUNTIME_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: a replication worker died: ")
+        assert err.count("\n") == 1
         assert not (out / "summary.json").exists()
 
 

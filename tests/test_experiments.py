@@ -1,6 +1,5 @@
 """Tests for the sampling regimes, the replication engine, and the verifiers."""
 import math
-import pickle
 import tracemalloc
 from functools import partial, reduce
 from pathlib import Path
@@ -30,9 +29,10 @@ from bayesrates.experiments import (
     RegressionRegime,
     ReplicationRecord,
     SubsetNotAdmissibleError,
+    _affinity_gaps,
+    _density_stride,
     _gaussian_mixture_kls,
     _triangle_bound,
-    gaussian_row_grid,
     certify_subset,
     concentration_sets,
     cumulative_log_ratio,
@@ -72,6 +72,8 @@ from helpers import (
 )
 
 GRID = default_grid()
+WIDE = Grid(-24.0, 24.0, 8001)
+UNIT_STRIDE = _density_stride(GRID, 1.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MARKOV_CONFIG = CONFIGS / "markov.yaml"
 
@@ -247,21 +249,6 @@ class TestEngine:
             assert m[1] == 0.0
             assert 0.0 <= r.stats["u_mass"][0] <= 1.0
 
-    def test_quality_flag_on_narrow_grid(self):
-        narrow = Grid(-3.0, 3.0, 1201)
-        reg = markov_regime(grid=narrow)
-        rec = replicate(
-            ExperimentPlan(
-                regime=reg,
-                schedule=RateSchedule((30,)),
-                replications=1,
-                seed=2,
-                collect=("log_evidence",),
-            ),
-            0,
-        )
-        assert "transition-tail-clipped" in rec.flags
-
     def test_records_sorted_by_id(self):
         reg = iid_regime()
         plan = ExperimentPlan(
@@ -380,9 +367,10 @@ class TestCesaro:
 
 
 class TestFastPathOracles:
-    """The in-place and blocked Cesaro kernels equal their reference forms in
-    ``helpers`` bit for bit; the closed-form stationary divergences match the
-    transition-row quadrature to rounding."""
+    """The blocked iid Cesaro kernel equals its reference form in ``helpers``
+    bit for bit, and the Gaussian-mixture kernel matches the x-grid
+    quadrature on +-24 to 1e-15 per step; the closed-form stationary
+    divergences match the transition-row quadrature to rounding."""
 
     @pytest.mark.parametrize("name", ["iid", "misspecified"])
     def test_iid_config_replications(self, name):
@@ -393,7 +381,7 @@ class TestFastPathOracles:
             data = generate_data(reg, n, seed=cfg.seed + rep)
             w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
             assert np.array_equal(reg.cesaro_kls(data, w),
-                                  iid_cesaro_oracle(reg, w, reg.cesaro_stride))
+                                  iid_cesaro_oracle(reg, w, UNIT_STRIDE))
 
     @pytest.mark.parametrize("n", [1, 31, 33, 400])
     @pytest.mark.parametrize("atoms", [2, 3, 5, 10])
@@ -402,7 +390,7 @@ class TestFastPathOracles:
         reg = iid_regime(means=tuple(rng.normal(0.0, 1.5, atoms)), truth_mean=0.1)
         w = rng.dirichlet(np.ones(atoms), size=n).T
         assert np.array_equal(reg.cesaro_kls(None, w),
-                              iid_cesaro_oracle(reg, w, reg.cesaro_stride))
+                              iid_cesaro_oracle(reg, w, UNIT_STRIDE))
 
     @pytest.mark.parametrize("atoms", [3, 5, 10])
     def test_iid_random_atoms_past_blas_row_blocking(self, atoms):
@@ -414,7 +402,7 @@ class TestFastPathOracles:
         reg = iid_regime(means=tuple(rng.normal(0.0, 1.5, atoms)), truth_mean=0.1)
         w = rng.dirichlet(np.ones(atoms), size=401).T
         got = reg.cesaro_kls(None, w)
-        assert np.max(np.abs(got - iid_cesaro_oracle(reg, w, reg.cesaro_stride))) <= 1e-13
+        assert np.max(np.abs(got - iid_cesaro_oracle(reg, w, UNIT_STRIDE))) <= 1e-13
         assert np.array_equal(got[:400], reg.cesaro_kls(None, w[:, :400]))
 
     def test_iid_kernel_builds_no_full_matrix(self):
@@ -440,10 +428,10 @@ class TestFastPathOracles:
             w = softmax(cumulative_log_ratio(reg, sample)[:, :-1], axis=0)
             prev = np.concatenate(([sample.y0], sample.y[:-1]))
             expected = gaussian_mixture_kls_oracle(
-                reg.row_grid, thetas[:, None] * prev[None, :], reg.theta_star.theta * prev,
+                WIDE, thetas[:, None] * prev[None, :], reg.theta_star.theta * prev,
                 reg.noise_sd, w,
             )
-            assert np.array_equal(reg.cesaro_kls(sample, w), expected)
+            assert np.max(np.abs(reg.cesaro_kls(sample, w) - expected)) <= 1e-15
 
     def test_regression_inputs(self):
         reg = regression_regime(slopes=(0.0, 0.4, 3.0, -1.0), length=120)
@@ -451,28 +439,61 @@ class TestFastPathOracles:
         w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
         means = np.stack([m.payload.values_at_design for m in reg.prior.members])
         expected = gaussian_mixture_kls_oracle(
-            reg.row_grid, means, np.asarray(reg.truth.values_at_design), 1.0, w
+            WIDE, means, np.asarray(reg.truth.values_at_design), 1.0, w
         )
-        assert np.array_equal(reg.cesaro_kls(data, w), expected)
+        assert np.max(np.abs(reg.cesaro_kls(data, w) - expected)) <= 1e-15
+
+    @staticmethod
+    def _check_random_four_atoms(seed, sd):
+        """Far-apart components, offsets spread over up to 15 sds, against the
+        x-grid quadrature in long double: within 1e-15 per step, per unit
+        of the step's kl where it exceeds one (an ulp of 10 is 1.8e-15)."""
+        rng = np.random.default_rng(seed)
+        means = rng.normal(0.0, 2.0, size=(4, 150))
+        truth_means = rng.normal(0.0, 1.0, size=150)
+        w = rng.dirichlet(np.ones(4), size=150).T
+        got = _gaussian_mixture_kls((means - truth_means) / sd, w)
+        exact = gaussian_mixture_kls_oracle(WIDE, means, truth_means, sd, w, np.longdouble)
+        assert np.all(np.abs(got - exact) <= 1e-15 * np.maximum(1.0, exact))
 
     @pytest.mark.parametrize("sd", [0.7, 1.3])
     def test_random_four_atoms_off_unit_sd(self, sd):
-        rng = np.random.default_rng(31)
-        means = rng.normal(0.0, 2.0, size=(4, 150))
-        truth_means = rng.normal(0.0, 1.0, size=150)
-        w = rng.dirichlet(np.ones(4), size=150).T
-        got = _gaussian_mixture_kls(GRID, means, truth_means, sd, w)
-        assert np.array_equal(got, gaussian_mixture_kls_oracle(GRID, means, truth_means, sd, w))
+        self._check_random_four_atoms(31, sd)
 
-    @pytest.mark.parametrize("sd", [0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("sd", [0.7, 1.3])
     def test_random_four_atoms_on_row_grid(self, sd):
-        rng = np.random.default_rng(32)
-        means = rng.normal(0.0, 2.0, size=(4, 150))
-        truth_means = rng.normal(0.0, 1.0, size=150)
-        w = rng.dirichlet(np.ones(4), size=150).T
-        grid = gaussian_row_grid(GRID, sd)
-        got = _gaussian_mixture_kls(grid, means, truth_means, sd, w)
-        assert np.array_equal(got, gaussian_mixture_kls_oracle(grid, means, truth_means, sd, w))
+        """The seed-32 inputs once integrated on the sd-sized row grid; with
+        that grid gone they are held to the same +-24 long-double oracle."""
+        self._check_random_four_atoms(32, sd)
+
+    def test_columns_past_one_buffer(self):
+        """At 4000 columns the spacings of 73 and 109 nodes overflow one
+        Z_BUFFER chunk each; every column's kl and gap match those of
+        300-column calls to rounding."""
+        rng = np.random.default_rng(4)
+        deltas = rng.normal(0.0, 1.0, size=(3, 4000))
+        w = rng.dirichlet(np.ones(3), size=4000).T
+        pieces = range(0, 4000, 300)
+        kls = np.concatenate([_gaussian_mixture_kls(deltas[:, s:s + 300], w[:, s:s + 300])
+                              for s in pieces])
+        assert np.max(np.abs(_gaussian_mixture_kls(deltas, w) - kls)) <= 1e-15
+        gaps = np.concatenate([_affinity_gaps(deltas[:, s:s + 300], w[:, 0]) for s in pieces])
+        assert np.max(np.abs(_affinity_gaps(deltas, w[:, 0]) - gaps)) <= 1e-15
+
+    def test_gaussian_mixture_kernel_builds_no_full_array(self):
+        """The mixture is summed one atom at a time: on this chain that peaks at
+        0.4 MB, and building each spacing's (atoms, steps, nodes) array at 1.4 MB."""
+        cfg = parse_config(MARKOV_CONFIG)
+        reg = build_regime(cfg)
+        sample = generate_data(reg, 400, seed=cfg.seed)
+        w = softmax(cumulative_log_ratio(reg, sample)[:, :-1], axis=0)
+        tracemalloc.start()
+        try:
+            reg.cesaro_kls(sample, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e5
 
     @pytest.mark.parametrize("noise_sd", [1.0, 0.8, 0.3])
     def test_markov_atom_divergences(self, noise_sd):
@@ -495,18 +516,24 @@ class TestFastPathOracles:
 
 
 class TestDensityStride:
-    """The iid Cesaro kernel integrates on every ``cesaro_stride``-th node
-    of the density grid; against the integral on all 4001 nodes it differs
-    by rounding."""
+    """The iid Cesaro kernel integrates on every stride-th node of the
+    density grid, the stride ``_density_stride`` gives at the smallest sd;
+    against the integral on all 4001 nodes it differs by rounding."""
 
     @pytest.mark.parametrize("sd, stride", [(1.0, 16), (0.7, 10), (0.5, 8), (1.3, 20)])
     def test_stride_from_smallest_sd(self, sd, stride):
+        assert _density_stride(GRID, sd) == stride
         wide = build_gaussian_location_family(GRID, [0.0, 0.5], sd=1.5)
         narrow = build_gaussian_location_family(GRID, [1.0], sd=sd, start_id=2)
         wide_truth = gaussian_density(GRID, 0.0, 1.5)
+        rng = np.random.default_rng(3)
         for prior, truth in ((uniform_prior(wide + narrow), wide_truth),
                              (uniform_prior(wide), gaussian_density(GRID, 0.0, sd))):
-            assert IidRegime(prior, truth).cesaro_stride == stride
+            reg = IidRegime(prior, truth)
+            w = rng.dirichlet(np.ones(len(prior.members)), size=40).T
+            got = reg.cesaro_kls(None, w)
+            assert np.array_equal(got, iid_cesaro_oracle(reg, w, stride))
+            assert not np.array_equal(got, iid_cesaro_oracle(reg, w, _density_stride(GRID, 1.5)))
         assert (GRID.points - 1) % stride == 0
         assert stride * GRID.spacing <= sd / 10.0
 
@@ -539,27 +566,12 @@ def markov_config_regime(noise_sd):
 
 
 class TestRowGrid:
-    """The Gaussian-row quadrature on the noise-scaled row grid against the
-    shared 4001-point grid.
-
-    Where the rows stay well inside the +-12 span the two agree to
-    rounding.  Where they reach its ends (sd 1.3 chains past a state of
-    about 5), both lose the tail beyond the span; there the trapezoid's
-    end-point term, h^2 / 12 times the integrand's slope at the ends, makes
-    the row grid's extra error a few percent of that loss.  ``tail`` is
-    the 4001-point grid's own distance to a +-24 grid of the same spacing.
+    """The Gaussian-mixture integrals of regression and markov (the Cesaro
+    kl and the certification affinity gaps) against trapezoids over Gaussian
+    rows on a grid in x: a +-24 grid of 8001 points everywhere, and the
+    shared 4001-point grid where its +-12 span holds the rows to rounding.
+    The z-node rule has no span: it follows the chain however far it goes.
     """
-
-    WIDE = Grid(-24.0, 24.0, 8001)
-
-    @pytest.mark.parametrize("sd, points", [(0.5, 481), (0.7, 344), (1.0, 241), (1.3, 186)])
-    def test_grid_points_from_noise_sd(self, sd, points):
-        grid = gaussian_row_grid(GRID, sd)
-        assert (grid.lower, grid.upper, grid.points) == (GRID.lower, GRID.upper, points)
-        assert grid.spacing <= sd / 10.0 < 24.0 / (points - 2)
-        assert markov_config_regime(sd).row_grid == grid
-        if sd == 1.0:
-            assert regression_regime().row_grid == grid
 
     @pytest.mark.parametrize("sd", [0.5, 0.7, 1.0, 1.3])
     def test_cesaro_kernel_against_4001_points(self, sd):
@@ -572,39 +584,34 @@ class TestRowGrid:
             prev = np.concatenate(([sample.y0], sample.y[:-1]))
             args = (reg._thetas[:, None] * prev[None, :], reg.theta_star.theta * prev, sd, w)
             got = reg.cesaro_kls(sample, w)
-            dense = gaussian_mixture_kls_oracle(GRID, *args)
-            tail = np.abs(dense - gaussian_mixture_kls_oracle(self.WIDE, *args))
-            assert np.all(np.abs(got - dense) <= 1e-15 + 0.1 * tail)
+            wide = gaussian_mixture_kls_oracle(WIDE, *args)
+            assert np.max(np.abs(got - wide)) <= 1e-15
             if sd <= 1.0:
-                assert np.max(np.abs(got - dense)) <= 1e-15
-            run_got, run_dense = np.cumsum(got) / steps, np.cumsum(dense) / steps
-            run_tail = np.cumsum(tail) / steps
-            err = np.abs(run_got - run_dense)[schedule]
-            assert np.all(err <= 1e-14 * run_dense[schedule] + 0.1 * run_tail[schedule])
+                assert np.max(np.abs(got - gaussian_mixture_kls_oracle(GRID, *args))) <= 1e-15
+            run_got, run_wide = np.cumsum(got) / steps, np.cumsum(wide) / steps
+            err = np.abs(run_got - run_wide)[schedule]
+            assert np.all(err <= 1e-14 * run_wide[schedule])
 
-    @pytest.mark.parametrize("sd", [1.0, 1.3])
-    def test_tail_clipped_flag_marks_every_clipped_chain(self, sd):
-        """A chain whose Cesaro kernel is off a +-24 grid by more than 1e-12
-        per step carries ``transition-tail-clipped``; at sd 1.0 none is off
-        and none is flagged."""
-        reg = markov_config_regime(sd)
-        off_chains = 0
+    def test_cesaro_kernel_where_the_span_clips(self):
+        """At noise sd 1.3, six of eight markov.yaml chains reach past the
+        +-12 span (the 4001-point grid is off the +-24 one by over 1e-12
+        per step); the kernel matches the +-24 grid on all eight."""
+        reg = markov_config_regime(1.3)
+        clipped = 0
         for seed in range(8):
             sample = generate_data(reg, 400, seed=seed)
             w = softmax(cumulative_log_ratio(reg, sample)[:, :-1], axis=0)
             prev = np.concatenate(([sample.y0], sample.y[:-1]))
-            args = (reg._thetas[:, None] * prev[None, :], reg.theta_star.theta * prev, sd, w)
-            off = np.max(np.abs(reg.cesaro_kls(sample, w)
-                                - gaussian_mixture_kls_oracle(self.WIDE, *args)))
-            flagged = reg.quality_flags(sample) == ("transition-tail-clipped",)
-            off_chains += off > 1e-12
-            assert flagged or off <= 1e-12, f"seed {seed}: off by {off:.2g}, no flag"
-            if sd == 1.0:
-                assert not flagged and off <= 1e-15
-        assert off_chains == (6 if sd == 1.3 else 0)
+            args = (reg._thetas[:, None] * prev[None, :], reg.theta_star.theta * prev, 1.3, w)
+            wide = gaussian_mixture_kls_oracle(WIDE, *args)
+            clipped += np.max(np.abs(gaussian_mixture_kls_oracle(GRID, *args) - wide)) > 1e-12
+            assert np.max(np.abs(reg.cesaro_kls(sample, w) - wide)) <= 1e-15, f"seed {seed}"
+        assert clipped == 6
 
     @pytest.mark.parametrize("sd", [0.5, 0.7, 1.0, 1.3])
     def test_markov_certification_gaps_against_4001_points(self, sd):
+        """The probe states reach 5 stationary sds, so the +-12 span holds
+        their rows to rounding only up to sd 0.7."""
         reg = markov_config_regime(sd)
         states = reg._probe_states()
         rng = np.random.default_rng(5)
@@ -621,10 +628,10 @@ class TestRowGrid:
                     (reg.closure_violation(ids, ids[0], w), center, rho),
                 ):
                     args = (thetas[:, None] * states[None, :], ref_theta * states, sd, w)
-                    dense = gaussian_affinity_gaps_oracle(GRID, *args)
-                    tail = np.abs(dense - gaussian_affinity_gaps_oracle(self.WIDE, *args))
-                    assert abs(got - np.max(dense - offset)) <= 1e-15 + 0.1 * np.max(tail)
-                    if sd <= 1.0:
+                    wide = gaussian_affinity_gaps_oracle(WIDE, *args)
+                    assert abs(got - np.max(wide - offset)) <= 1e-15
+                    if sd <= 0.7:
+                        dense = gaussian_affinity_gaps_oracle(GRID, *args)
                         assert abs(got - np.max(dense - offset)) <= 1e-15
 
     def test_regression_certification_gaps_against_4001_points(self):
@@ -645,15 +652,15 @@ class TestRowGrid:
                 got = reg.closure_violation(ids, ids[0], w, n)
                 assert abs(got - (center_gaps.mean() - radius)) <= 1e-15
 
-    def test_regression_rows_are_not_pickled(self):
-        reg = regression_regime()
-        reg.mixture_truth_gap((1, 2), np.array([0.5, 0.5]), 100)
-        assert reg._rows
-        clone = pickle.loads(pickle.dumps(reg))
-        assert clone._rows == {} and clone._rows_n is None
-        assert reg._rows
-        w = np.array([0.3, 0.7])
-        assert clone.mixture_truth_gap((1, 2), w, 100) == reg.mixture_truth_gap((1, 2), w, 100)
+    def test_far_offsets_raise_no_overflow(self):
+        """Offsets of 200 and 400 sds: every term of a far mixture underflows
+        and none overflows, and a far term beside a near one adds nothing."""
+        deltas = np.array([[200.0, 0.0, 0.0], [400.0, 0.0, 200.0]])
+        with np.errstate(over="raise", invalid="raise"):
+            gaps = _affinity_gaps(deltas, np.array([0.5, 0.5]))
+        assert gaps[0] == 1.0
+        assert abs(gaps[1]) <= 1e-15
+        assert abs(gaps[2] - (1.0 - math.sqrt(0.5))) <= 1e-15
 
 
 class TestAnchoredAtTruth:
@@ -693,7 +700,7 @@ class TestAnchoredAtTruth:
 
         data = generate_data(reg, 200, seed=6)
         w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
-        stride = reg.cesaro_stride
+        stride = UNIT_STRIDE
         nodes = Grid(GRID.lower, GRID.upper, (GRID.points - 1) // stride + 1)
         kern = nodes.quad_weights * truth.values[::stride]
         entropy = float(kern @ truth.log_values[::stride])
@@ -1044,7 +1051,6 @@ class TestPlanAndRecordValidation:
                 rep_id=0,
                 n_values=(10, 20),
                 stats={"log_evidence": np.zeros(3)},
-                flags=(),
             )
 
     def test_record_mass_bounds(self):
@@ -1053,7 +1059,6 @@ class TestPlanAndRecordValidation:
                 rep_id=0,
                 n_values=(10,),
                 stats={"posterior_mass": np.array([1.5])},
-                flags=(),
             )
 
     def test_record_rejects_nan(self):
@@ -1062,5 +1067,4 @@ class TestPlanAndRecordValidation:
                 rep_id=0,
                 n_values=(10,),
                 stats={"log_evidence": np.array([math.nan])},
-                flags=(),
             )
