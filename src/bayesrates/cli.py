@@ -276,6 +276,10 @@ def _sequence(node: yaml.Node, kind: str, where: str, errors: list[str]):
     return vals
 
 
+# the default of a key the config must give
+_REQUIRED = object()
+
+
 class _Section:
     """One mapping section: typed getters plus an unknown-key sweep."""
 
@@ -288,17 +292,26 @@ class _Section:
                 self.fields[key] = (k_node, v_node)
         self.used: set[str] = set()
 
-    def get(self, key: str, kind: str, default=None, required: bool = False):
+    def get(self, key: str, kind: str, default=None):
         self.used.add(key)
         if key not in self.fields:
-            if required:
+            if default is _REQUIRED:
                 self.errors.append(f"section '{self.name}' is missing key '{key}'")
+                return None
             return default
         _, v_node = self.fields[key]
         where = f"{self.name}.{key}"
         if kind.endswith("-list"):
             return _sequence(v_node, kind[:-5], where, self.errors)
         return _scalar(v_node, kind, where, self.errors)
+
+    def node(self, key: str, missing: str = "") -> yaml.Node | None:
+        """The raw node under ``key``, marked used; ``missing`` is the complaint if absent."""
+        self.used.add(key)
+        node = self.fields.get(key, (None, None))[1]
+        if node is None and missing:
+            self.errors.append(missing)
+        return node
 
     def key_line(self, key: str) -> int | None:
         if key in self.fields:
@@ -331,24 +344,26 @@ class RunConfig:
     verbosity: int
 
 
+# (kind, default) of each family and truth key, per regime; weights default
+# to uniform and the state window to 5 stationary sds of the truth
 _FAMILY_KEYS = {
-    "iid": {"means": ("float-list", True), "sd": ("float", False),
-            "weights": ("float-list", False)},
-    "misspecified": {"means": ("float-list", True), "sd": ("float", False),
-                     "weights": ("float-list", False)},
-    "regression": {"slopes": ("float-list", True), "design_length": ("int", True),
-                   "weights": ("float-list", False)},
-    "markov": {"thetas": ("float-list", True), "noise_sd": ("float", False),
-               "state_window": ("float", False), "theta0_bound": ("float", False),
-               "weights": ("float-list", False)},
+    "iid": {"means": ("float-list", _REQUIRED), "sd": ("float", 1.0),
+            "weights": ("float-list", None)},
+    "misspecified": {"means": ("float-list", _REQUIRED), "sd": ("float", 1.0),
+                     "weights": ("float-list", None)},
+    "regression": {"slopes": ("float-list", _REQUIRED), "design_length": ("int", _REQUIRED),
+                   "weights": ("float-list", None)},
+    "markov": {"thetas": ("float-list", _REQUIRED), "noise_sd": ("float", 1.0),
+               "state_window": ("float", None), "theta0_bound": ("float", 1.0),
+               "weights": ("float-list", None)},
 }
 
 _TRUTH_KEYS = {
-    "iid": {"mean": ("float", True), "sd": ("float", False)},
-    "misspecified": {"mean": ("float", True), "sd": ("float", False),
-                     "projection_id": ("int", True)},
-    "regression": {"slope": ("float", True)},
-    "markov": {"theta": ("float", True)},
+    "iid": {"mean": ("float", _REQUIRED), "sd": ("float", 1.0)},
+    "misspecified": {"mean": ("float", _REQUIRED), "sd": ("float", 1.0),
+                     "projection_id": ("int", _REQUIRED)},
+    "regression": {"slope": ("float", _REQUIRED)},
+    "markov": {"theta": ("float", _REQUIRED)},
 }
 
 
@@ -362,7 +377,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     root = _compose(Path(path))
     top = _Section(root, "top level", errors)
 
-    regime = top.get("regime", "str", required=True)
+    regime = top.get("regime", "str", _REQUIRED)
     if regime is not None and regime not in REGIMES:
         line = top.key_line("regime")
         errors.append(
@@ -372,30 +387,20 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 
     family: dict = {}
     truth: dict = {}
+    fam_node = top.node("family", "section 'family' is required")
+    truth_node = top.node("truth", "section 'truth' is required")
     if regime is not None:
-        top.used.add("family")
-        top.used.add("truth")
-        fam_node = top.fields.get("family", (None, None))[1]
-        if fam_node is None:
-            errors.append("section 'family' is required")
-        truth_node = top.fields.get("truth", (None, None))[1]
-        if truth_node is None:
-            errors.append("section 'truth' is required")
         fam_sec = _Section(fam_node, "family", errors)
-        for key, (kind, required) in _FAMILY_KEYS[regime].items():
-            family[key] = fam_sec.get(key, kind, required=required)
+        for key, (kind, default) in _FAMILY_KEYS[regime].items():
+            family[key] = fam_sec.get(key, kind, default)
         fam_sec.sweep_unknown()
         truth_sec = _Section(truth_node, "truth", errors)
-        for key, (kind, required) in _TRUTH_KEYS[regime].items():
-            truth[key] = truth_sec.get(key, kind, required=required)
+        for key, (kind, default) in _TRUTH_KEYS[regime].items():
+            truth[key] = truth_sec.get(key, kind, default)
         truth_sec.sweep_unknown()
 
-    top.used.add("schedule")
-    sched_node = top.fields.get("schedule", (None, None))[1]
-    if sched_node is None:
-        errors.append("section 'schedule' is required")
-    sched_sec = _Section(sched_node, "schedule", errors)
-    n_values = sched_sec.get("n_values", "int-list", required=True)
+    sched_sec = _Section(top.node("schedule", "section 'schedule' is required"), "schedule", errors)
+    n_values = sched_sec.get("n_values", "int-list", _REQUIRED)
     a = sched_sec.get("a", "float", default=1.0)
     gamma = sched_sec.get("gamma", "float", default=1.0 / 3.0)
     kappa = sched_sec.get("kappa", "float", default=0.0)
@@ -406,9 +411,14 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             schedule = RateSchedule(tuple(n_values), a=a, gamma=gamma, kappa=kappa)
         except GeometryError as e:
             errors.append(f"invalid schedule: {e}")
+    length = family.get("design_length")
+    if schedule is not None and length is not None and schedule.n_values[-1] > length:
+        errors.append(
+            f"schedule runs to n = {schedule.n_values[-1]}, past family.design_length = "
+            f"{length} (line {fam_sec.key_line('design_length')})"
+        )
 
-    top.used.add("params")
-    params_node = top.fields.get("params", (None, None))[1]
+    params_node = top.node("params")
     params_sec = _Section(params_node, "params", errors)
     raw_params = {
         name: params_sec.get(name, "float")
@@ -443,19 +453,16 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             "the thickness margin, or set allow_thin_evidence: true for a diagnostic run"
         )
 
-    verify_node = top.fields.get("verify", (None, None))[1]
-    top.used.add("verify")
+    verify_node = top.node("verify", "key 'verify' is required (which verifications to run)")
     verify, verify_at = None, []
-    if verify_node is None:
-        errors.append("key 'verify' is required (which verifications to run)")
-    else:
+    if verify_node is not None:
         names = _sequence(verify_node, "str", "verify", errors)
         if names is not None:
             verify = tuple(names)
             verify_at = [f"at line {_line(node)}" for node in verify_node.value]
 
     replications = top.get("replications", "int", default=200)
-    seed = top.get("seed", "int", required=True)
+    seed = top.get("seed", "int", _REQUIRED)
     out = top.get("out", "str", default="out")
     jobs = top.get("jobs", "int", default=1)
     verbosity = top.get("verbosity", "int", default=1)
@@ -522,44 +529,36 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 
 
 def build_regime(cfg: RunConfig):
-    grid = default_grid()
-    fam = cfg.family
-    weights = fam.get("weights")
+    fam, truth = cfg.family, cfg.truth
     if cfg.regime in ("iid", "misspecified"):
-        members = build_gaussian_location_family(
-            grid, fam["means"], sd=fam.get("sd") or 1.0
-        )
-        prior = AtomicPrior(members, weights) if weights else uniform_prior(members)
-        truth = gaussian_density(grid, cfg.truth["mean"], cfg.truth.get("sd") or 1.0)
-        if cfg.regime == "iid":
-            return IidRegime(prior, truth)
-        setup = MisspecifiedSetup(
-            prior=prior, true_density=truth, projection_id=cfg.truth["projection_id"]
-        )
-        return MisspecifiedRegime(setup)
-    if cfg.regime == "regression":
-        length = fam["design_length"]
+        grid = default_grid()
+        members = build_gaussian_location_family(grid, fam["means"], sd=fam["sd"])
+    elif cfg.regime == "regression":
         members = [
-            FamilyMember(j, REGRESSION, linear_regression_function(s, length))
+            FamilyMember(j, REGRESSION, linear_regression_function(s, fam["design_length"]))
             for j, s in enumerate(fam["slopes"])
         ]
-        prior = AtomicPrior(members, weights) if weights else uniform_prior(members)
-        return RegressionRegime(prior, linear_regression_function(cfg.truth["slope"], length))
-    members = [
-        FamilyMember(j, MARKOV, MarkovParam(t, noise_sd=fam.get("noise_sd") or 1.0))
-        for j, t in enumerate(fam["thetas"])
-    ]
+    else:
+        members = [
+            FamilyMember(j, MARKOV, MarkovParam(t, noise_sd=fam["noise_sd"]))
+            for j, t in enumerate(fam["thetas"])
+        ]
+    weights = fam["weights"]
     prior = AtomicPrior(members, weights) if weights else uniform_prior(members)
-    kwargs = {}
-    if fam.get("state_window") is not None:
-        kwargs["state_window"] = fam["state_window"]
-    if fam.get("theta0_bound") is not None:
-        kwargs["theta0_bound"] = fam["theta0_bound"]
+    if cfg.regime == "iid":
+        return IidRegime(prior, gaussian_density(grid, truth["mean"], truth["sd"]))
+    if cfg.regime == "misspecified":
+        return MisspecifiedRegime(MisspecifiedSetup(
+            prior=prior, true_density=gaussian_density(grid, truth["mean"], truth["sd"]),
+            projection_id=truth["projection_id"],
+        ))
+    if cfg.regime == "regression":
+        return RegressionRegime(
+            prior, linear_regression_function(truth["slope"], fam["design_length"])
+        )
     return MarkovRegime(
-        prior,
-        MarkovParam(cfg.truth["theta"], noise_sd=fam.get("noise_sd") or 1.0),
-        grid=grid,
-        **kwargs,
+        prior, MarkovParam(truth["theta"], noise_sd=fam["noise_sd"]),
+        state_window=fam["state_window"], theta0_bound=fam["theta0_bound"],
     )
 
 
@@ -954,12 +953,6 @@ def _main(args: argparse.Namespace) -> int:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    if args.command == "report":
-        return _report(out, verbose=cfg.verbosity > 0)
-
     try:
         regime = build_regime(cfg)
     except (ModelError, GeometryError, DivergenceError, ExperimentError) as e:
@@ -976,6 +969,12 @@ def _main(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_CONFIG_ERROR
+
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    if args.command == "report":
+        return _report(out, verbose=cfg.verbosity > 0)
 
     selected = [v for v in cfg.verify if VERIFICATIONS[v].command == args.command]
     if not selected:

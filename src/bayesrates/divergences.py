@@ -252,22 +252,12 @@ def v_star(f_circ: GridDensity, f: GridDensity, f_star: GridDensity) -> float:
 def weighted_hellinger(f_circ: GridDensity, f: GridDensity, f_star: GridDensity) -> float:
     """sqrt(int (sqrt f - sqrt f_circ)^2 (f_star/f_circ) dmu).
 
-    Reduces to hellinger(f_circ, f) when f_circ == f_star.
-    """
-    return weighted_hellinger_between(f, f_circ, f_star=f_star, f_circ=f_circ)
-
-
-def weighted_hellinger_between(
-    f: GridDensity, g: GridDensity, *, f_star: GridDensity, f_circ: GridDensity
-) -> float:
-    """Weighted Hellinger distance between f and g with weight f_star/f_circ.
-
-    This is the metric under which covering balls are built in the
-    misspecified regime; ``weighted_hellinger`` is the special case g == f_circ.
+    The metric under which covering balls are built in the misspecified
+    regime; reduces to hellinger(f_circ, f) when f_circ == f_star.
     """
     _require_same_grid(f, f_star)
     _require_same_grid(f, f_circ)
-    return hellinger_with_weight(f, g, np.exp(f_star.log_values - f_circ.log_values))
+    return hellinger_with_weight(f, f_circ, np.exp(f_star.log_values - f_circ.log_values))
 
 
 def hellinger_with_weight(f: GridDensity, g: GridDensity, weight: np.ndarray) -> float:
@@ -357,65 +347,31 @@ def ar1_stationary_sd(theta: float, noise_sd: float = 1.0) -> float:
     return noise_sd / math.sqrt(1.0 - theta * theta)
 
 
-def _check_transition_support(grid: Grid, theta: float, max_abs_state: float, noise_sd: float) -> None:
-    reach = abs(theta) * max_abs_state + 4.0 * noise_sd
-    if reach > max(abs(grid.lower), abs(grid.upper)):
-        raise OutsideGridError(
-            f"grid clips transition density: coefficient {theta} from states up to "
-            f"+-{max_abs_state:.3g} needs +-{reach:.3g}"
-        )
-
-
-def check_state_window(grid: Grid, thetas: Sequence[float], window: float, noise_sd: float) -> None:
-    """Refuse an empty state window, or one from which the grid clips a transition."""
-    if not window > 0.0:
-        raise DivergenceError(f"state window must be positive, got {window}")
-    for theta in thetas:
-        _check_transition_support(grid, theta, window, noise_sd)
-
-
 def state_sup_hellinger(
-    theta_a: float,
-    theta_b: float,
-    window: float,
-    *,
-    grid: Grid | None = None,
-    noise_sd: float = 1.0,
+    theta_a: float, theta_b: float, window: float, *, noise_sd: float = 1.0
 ) -> float:
     """sup over |y| <= window of the Hellinger distance between transitions from y.
 
     The per-state distance grows with |y|, so the sup sits at the window edge.
     """
-    if grid is None:
-        grid = default_grid()
-    check_state_window(grid, (theta_a, theta_b), window, noise_sd)
     _, _, h2 = gaussian_shift_kvh(transition_shift_sq(theta_a, theta_b, window, noise_sd))
     return math.sqrt(float(h2))
 
 
 def stationary_divergences(
-    theta_star: float,
-    thetas: Sequence[float],
-    *,
-    grid: Grid | None = None,
-    noise_sd: float = 1.0,
+    theta_star: float, thetas: Sequence[float], *, noise_sd: float = 1.0
 ) -> list[tuple[float, float, float]]:
     """State-averaged (kl, v, h_q) from the ``theta_star`` transitions to each theta's.
 
     The per-state kl, v and Hellinger distance between the transitions
     (``gaussian_shift_kvh``) are integrated against the stationary density
-    of ``theta_star`` over +-6 stationary standard deviations.  The grid
-    only vets that those transitions fit on it.
+    of ``theta_star`` over +-6 stationary standard deviations.
     """
-    if grid is None:
-        grid = default_grid()
     sd_star = ar1_stationary_sd(theta_star, noise_sd)
     for theta in thetas:
         if not abs(theta) < 1.0:
             raise NonstationaryError(f"coefficient {theta} has no stationary density")
     half = 6.0 * sd_star
-    for theta in (theta_star, *thetas):
-        _check_transition_support(grid, theta, half, noise_sd)
     states = np.linspace(-half, half, STATE_POINTS)
     u = np.exp(-0.5 * (states / sd_star) ** 2)
     state_w = np.full(STATE_POINTS, states[1] - states[0])
@@ -434,16 +390,10 @@ def stationary_divergences(
     return out
 
 
-def markov_divergences(
-    theta_star: float,
-    theta: float,
-    *,
-    grid: Grid | None = None,
-    noise_sd: float = 1.0,
-) -> MarkovDivergences:
-    """Stationary-averaged kl between two AR(1) transition families.
+def markov_divergences(theta_star: float, theta: float) -> MarkovDivergences:
+    """Stationary-averaged kl between two AR(1) transition families of unit noise.
 
     The kl of ``stationary_divergences`` for the one theta.
     """
-    [(k_val, _, _)] = stationary_divergences(theta_star, [theta], grid=grid, noise_sd=noise_sd)
+    [(k_val, _, _)] = stationary_divergences(theta_star, [theta])
     return MarkovDivergences(kl=k_val)

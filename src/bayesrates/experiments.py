@@ -36,8 +36,6 @@ from .divergences import (
     SWEEP_POINTS,
     Grid,
     GridDensity,
-    check_state_window,
-    default_grid,
     gaussian_shift_kvh,
     h_star,
     hellinger_with_weight,
@@ -120,6 +118,10 @@ Z_BUFFER = 1 << 16
 # exp(-Z_FAR^2 / 8) = 2.6e-18 to the affinity, since sqrt(a + b) - sqrt(a)
 # <= sqrt(b): the affinity nodes neither span nor resolve offsets beyond it
 Z_FAR = 18.0
+
+# the markov certification draws measure each mixture at this many states,
+# evenly spaced out to the state window's edge
+PROBE_STATES = 7
 
 
 def _mixtures_on_z(deltas: np.ndarray, weights: np.ndarray, affinity: bool = False):
@@ -500,19 +502,17 @@ class MarkovRegime:
     Two transitions from one state are normals of one sd, so every
     divergence between them is the exact ``gaussian_shift_kvh``, averaged
     over the truth's stationary density or taken at the state window's
-    edge; ``grid`` only vets that those transitions fit on it.  Mixtures of
-    transitions have no closed form: the Cesaro kernel (at every realized
-    state) and the certification draws (at the probe states) integrate them
-    by the z-node rule, on the atoms' offsets in noise sds, with no span to
-    clip however far the chain wanders.
+    edge.  Mixtures of transitions have no closed form: the Cesaro kernel
+    (at every realized state) and the certification draws (at the probe
+    states) integrate them by the z-node rule, on the atoms' offsets in
+    noise sds, with no span to clip however far the chain wanders.
     """
 
     kind = "markov"
     well_specified = True
 
     def __init__(self, prior: AtomicPrior, theta_star: MarkovParam,
-                 grid: Grid | None = None, state_window: float | None = None,
-                 theta0_bound: float = 1.0):
+                 state_window: float | None = None, theta0_bound: float = 1.0):
         if prior.kind != MARKOV:
             raise ExperimentError(f"markov regime needs chain atoms, got {prior.kind!r}")
         sd = theta_star.noise_sd
@@ -521,16 +521,19 @@ class MarkovRegime:
                 raise ExperimentError("all chain atoms must share the truth's noise sd")
         self.prior = prior
         self.theta_star = theta_star
-        self.grid = grid if grid is not None else default_grid()
         self.noise_sd = sd
         self.stationary_sd = theta_star.stationary_sd
         self.state_window = (
             5.0 * self.stationary_sd if state_window is None else float(state_window)
         )
+        if not self.state_window > 0.0:
+            raise ExperimentError(f"state window must be positive, got {self.state_window}")
         self.theta0_bound = theta0_bound
         self.reference = FamilyMember(id=REF_ID, kind=MARKOV, payload=theta_star)
         self._thetas = np.array([m.payload.theta for m in prior.members])
-        self._md_cache: dict[int, tuple[float, float, float]] = {}
+        # every atom's stationary (kl, v, h_q), one row per prior member
+        self._kvh = np.array(stationary_divergences(theta_star.theta, self._thetas, noise_sd=sd))
+        self._kvh.flags.writeable = False
 
     def sample(self, n: int, rng: np.random.Generator) -> MarkovSample:
         y0 = float(self.stationary_sd * rng.standard_normal())
@@ -556,22 +559,8 @@ class MarkovRegime:
         z = (sample.y - self.theta_star.theta * prev) / self.noise_sd
         return -0.5 * z * z - math.log(self.noise_sd) - LOG_SQRT_2PI
 
-    def _divergences(self, member_id: int) -> tuple[float, float, float]:
-        """(kl, v, h_q) of one atom; the first call computes every atom's."""
-        if not self._md_cache:
-            thetas = [m.payload.theta for m in self.prior.members]
-            rows = stationary_divergences(
-                self.theta_star.theta, thetas, grid=self.grid, noise_sd=self.noise_sd
-            )
-            # vet the state window that the sup-form bounds measure over
-            check_state_window(
-                self.grid, (self.theta_star.theta, *thetas), self.state_window, self.noise_sd
-            )
-            self._md_cache = {m.id: r for m, r in zip(self.prior.members, rows)}
-        return self._md_cache[member_id]
-
     def atom_kv(self, n: int | None = None) -> np.ndarray:
-        return np.array([self._divergences(m.id)[:2] for m in self.prior.members])
+        return self._kvh[:, :2]
 
     def theta0_mask(self) -> np.ndarray:
         kv = self.atom_kv()
@@ -579,12 +568,10 @@ class MarkovRegime:
 
     def truth_dist(self, member_id: int, n: int | None = None) -> float:
         """Stationary-averaged per-state Hellinger distance."""
-        return self._divergences(member_id)[2]
+        return float(self._kvh[self.prior.index_of(member_id), 2])
 
     def _sup_h(self, theta_a: float, theta_b: float) -> float:
-        return state_sup_hellinger(
-            theta_a, theta_b, self.state_window, grid=self.grid, noise_sd=self.noise_sd
-        )
+        return state_sup_hellinger(theta_a, theta_b, self.state_window, noise_sd=self.noise_sd)
 
     def separation_gaps(self, member_ids, n: int | None = None) -> np.ndarray:
         t = self.theta_star.theta
@@ -618,8 +605,8 @@ class MarkovRegime:
             np.max,
         )
 
-    def _probe_states(self, count: int = 7) -> np.ndarray:
-        return np.linspace(self.state_window / count, self.state_window, count)
+    def _probe_states(self) -> np.ndarray:
+        return np.linspace(self.state_window / PROBE_STATES, self.state_window, PROBE_STATES)
 
     def _probe_gaps(self, member_ids, ref_theta: float, w) -> np.ndarray:
         """The mixture's affinity gap to the transition of ``ref_theta``, per probe state."""

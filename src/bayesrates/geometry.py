@@ -161,6 +161,10 @@ def separation_report(gaps: Sequence[float], delta: float) -> SeparationReport:
     return SeparationReport(min_gap=min_gap, separated=min_gap > delta)
 
 
+# a mixture may stick out of a ball by this much, rounding, and still count as inside
+CLOSURE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class ClosureReport:
     closed: bool
@@ -172,7 +176,6 @@ def mixture_closure_report(
     n_members: int,
     draws: int,
     rng: np.random.Generator,
-    tol: float = 1e-9,
 ) -> ClosureReport:
     """Random-mixture check that a ball is closed under convex combination.
 
@@ -191,7 +194,7 @@ def mixture_closure_report(
             w = rng.dirichlet(np.ones(n_members))
             worst = max(worst, gap_of_weights(w))
     worst = max(0.0, worst)
-    return ClosureReport(closed=worst <= tol, worst_violation=worst)
+    return ClosureReport(closed=worst <= CLOSURE_TOL, worst_violation=worst)
 
 
 # ---------------------------------------------------------------------------

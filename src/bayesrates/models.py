@@ -111,7 +111,7 @@ class FamilyMember:
 
 
 def build_gaussian_location_family(
-    grid: Grid, means: Sequence[float], sd: float = 1.0, start_id: int = 0
+    grid: Grid, means: Sequence[float], sd: float = 1.0
 ) -> list[FamilyMember]:
     """Unit-kind family of Gaussian location densities on a shared grid.
 
@@ -127,7 +127,7 @@ def build_gaussian_location_family(
                 f"grid clips density: mean {m} with sd {sd} needs "
                 f"[{m - 6 * sd}, {m + 6 * sd}] inside [{grid.lower}, {grid.upper}]"
             )
-        members.append(FamilyMember(start_id + j, IID, gaussian_density(grid, float(m), sd)))
+        members.append(FamilyMember(j, IID, gaussian_density(grid, float(m), sd)))
     return members
 
 

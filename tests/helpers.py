@@ -24,6 +24,7 @@ from bayesrates.divergences import (
     GridDensity,
     ar1_stationary_sd,
     gaussian_density,
+    hellinger_with_weight,
     kl,
     mixture_density,
 )
@@ -97,6 +98,17 @@ def v_divergence(f: GridDensity, g: GridDensity) -> float:
     """Uncentered second moment int (log(f/g))^2 f dmu: the plain V, unanchored."""
     diff = f.log_values - g.log_values
     return float((f.grid.quad_weights * f.values) @ (diff * diff))
+
+
+def weighted_hellinger_between(
+    f: GridDensity, g: GridDensity, *, f_star: GridDensity, f_circ: GridDensity
+) -> float:
+    """Weighted Hellinger distance between f and g with weight f_star/f_circ.
+
+    The misspecified covering metric between two atoms; ``weighted_hellinger``
+    is the special case g == f_circ.
+    """
+    return hellinger_with_weight(f, g, np.exp(f_star.log_values - f_circ.log_values))
 
 
 def kl_projection(f_star: GridDensity, family: Sequence[FamilyMember]) -> tuple[int, float]:

@@ -63,6 +63,8 @@ class TestParse:
         assert cfg.params is None
         assert cfg.replications == 200  # default
         assert cfg.jobs == 1
+        assert cfg.family == {"means": [0.0, 1.0], "sd": 1.0, "weights": None}
+        assert cfg.truth == {"mean": 0.0, "sd": 1.0}
 
     def test_beta_of_one_rejected_with_location(self, tmp_path):
         text = MINIMAL + "params:\n  beta: 1.0\n"
@@ -100,7 +102,9 @@ class TestParse:
     def test_unknown_regime_lists_choices(self, tmp_path):
         text = MINIMAL.replace("regime: iid", "regime: ar2")
         errors = parse_errors(tmp_path, text)
-        assert any("unknown regime 'ar2'" in e and "markov" in e for e in errors)
+        # the family and truth sections are not reported as unknown keys
+        assert errors == ["unknown regime 'ar2' at line 1; expected one of "
+                          "iid, misspecified, regression, markov"]
 
     def test_missing_seed(self, tmp_path):
         text = MINIMAL.replace("seed: 11\n", "")
@@ -190,7 +194,9 @@ class TestParse:
             "verify: [factorization]\n"
         )
         cfg = parse_config(write_config(tmp_path, text))
-        assert cfg.family["thetas"] == [0.6, -0.4]
+        assert cfg.family == {"thetas": [0.6, -0.4], "noise_sd": 1.0, "state_window": None,
+                              "theta0_bound": 1.0, "weights": None}
+        assert cfg.truth == {"theta": 0.6}
 
 
 SMALL_CHECK = """\
@@ -274,6 +280,41 @@ seed: 17
 verify: [thickness, cover, sieve]
 out: {out}
 """
+
+SHORT_DESIGN = """\
+regime: regression
+family:
+  slopes: [0.0, 1.0, 3.0]
+  design_length: 300
+truth:
+  slope: 0.0
+schedule:
+  n_values: [250, 350, 450]
+params:
+  C: 0.0
+  c: 1.5
+  d: 2.5
+  r: 1.0
+  beta: 2.0
+  M: 1.0
+seed: 17
+replications: 4
+verify: [factorization, thickness, cover, sieve, cesaro]
+out: {out}
+"""
+
+# a bad config value exits 3 from each of these, before any verification runs
+EVERY_SUBCOMMAND = [["check"], ["check", "--verify", "factorization"], ["simulate"],
+                    ["sieve"], ["report"]]
+SUBCOMMAND_IDS = ["check", "factorization", "simulate", "sieve", "report"]
+
+
+def assert_config_error(tmp_path: Path, capsys, argv, text: str, message: str) -> None:
+    """The run exits 3 with exactly one ``config error:`` line and writes nothing."""
+    path = write_config(tmp_path, text)
+    assert main([*argv, "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestMain:
@@ -590,23 +631,36 @@ class TestOverridesAndRuntimeFaults:
         assert data["config"] == hashlib.sha256(path.read_bytes()).hexdigest()
         assert set(data["verifications"]) == {"factorization"}
 
-    @pytest.mark.parametrize("command", ["check", "sieve"])
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+    @pytest.mark.parametrize("window", ["-1.0", "0.0"], ids=["negative", "zero"])
+    def test_bad_state_window_exits_3(self, tmp_path, capsys, argv, window):
+        text = MARKOV_WINDOW.format(window=window, out=tmp_path / "out")
+        assert_config_error(tmp_path, capsys, argv, text,
+                            f"state window must be positive, got {window}")
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
     @pytest.mark.parametrize(
-        "window, message",
+        "regime, family, truth, message",
         [
-            ("-1.0", "state window must be positive, got -1.0"),
-            ("0.0", "state window must be positive, got 0.0"),
-            ("100.0", "grid clips transition density"),
+            ("iid", "means: [0.0, 1.0]\n  sd: 0", "mean: 0.0", "sd must be positive"),
+            ("iid", "means: [0.0, 1.0]", "mean: 0.0\n  sd: 0", "sd must be positive"),
+            ("markov", "thetas: [0.6, -0.4]\n  noise_sd: 0", "theta: 0.6",
+             "noise sd must be positive"),
         ],
-        ids=["negative", "zero", "clipped"],
+        ids=["family.sd", "truth.sd", "family.noise_sd"],
     )
-    def test_bad_state_window_exits_4(self, tmp_path, capsys, command, window, message):
-        path = write_config(tmp_path, MARKOV_WINDOW.format(window=window, out=tmp_path / "out"))
-        code = main([command, "--config", str(path)])
-        assert code == EXIT_RUNTIME_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith(f"runtime error: {message}")
-        assert len(err.strip().splitlines()) == 1
+    def test_zero_sd_exits_3(self, tmp_path, capsys, argv, regime, family, truth, message):
+        text = (f"regime: {regime}\nfamily:\n  {family}\ntruth:\n  {truth}\n"
+                f"schedule:\n  n_values: [25, 50]\nseed: 11\nverify: [factorization]\n"
+                f"out: {tmp_path / 'out'}\n")
+        assert_config_error(tmp_path, capsys, argv, text, f"{message}, got 0.0")
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+    def test_schedule_past_design_length_exits_3(self, tmp_path, capsys, argv):
+        assert_config_error(
+            tmp_path, capsys, argv, SHORT_DESIGN.format(out=tmp_path / "out"),
+            "schedule runs to n = 450, past family.design_length = 300 (line 4)",
+        )
 
     @pytest.mark.parametrize(
         "command, text",

@@ -32,7 +32,6 @@ from bayesrates.divergences import (
     stationary_divergences,
     v_star,
     weighted_hellinger,
-    weighted_hellinger_between,
 )
 from bayesrates.experiments import MarkovRegime
 from bayesrates.models import MARKOV, FamilyMember, MarkovParam, uniform_prior
@@ -41,6 +40,7 @@ from helpers import (
     moment_constrained_triple,
     random_gaussian_mixture,
     v_divergence,
+    weighted_hellinger_between,
 )
 
 GRID = default_grid()
@@ -392,9 +392,11 @@ class TestMarkov:
         with pytest.raises(NonstationaryError):
             ar1_stationary_sd(-1.01)
 
-    def test_grid_clipping_rejected(self):
-        with pytest.raises(OutsideGridError):
-            markov_divergences(0.95, 0.3)
+    def test_kl_closed_form_near_a_unit_root(self):
+        # 6 stationary sds of 0.95 is 19.2, so the transitions from the
+        # averaged states reach past a +-12 grid; the closed form needs none
+        expected = (0.95 - 0.3) ** 2 / (2 * (1 - 0.95 ** 2))
+        assert markov_divergences(0.95, 0.3).kl == pytest.approx(expected, rel=1e-6)
 
 
 # hypothesis property checks ------------------------------------------------

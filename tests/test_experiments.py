@@ -18,7 +18,6 @@ from bayesrates.divergences import (
     hellinger,
     kl,
     mixture_density,
-    weighted_hellinger_between,
 )
 from bayesrates.experiments import (
     ExperimentError,
@@ -52,6 +51,7 @@ from bayesrates.experiments import (
 from bayesrates.geometry import ConditionParams, RateSchedule
 from bayesrates.numerics import logsumexp, softmax
 from bayesrates.models import (
+    IID,
     MARKOV,
     REGRESSION,
     AtomicPrior,
@@ -69,6 +69,7 @@ from helpers import (
     iid_cesaro_oracle,
     markov_kvh_oracle,
     v_divergence,
+    weighted_hellinger_between,
 )
 
 GRID = default_grid()
@@ -524,7 +525,7 @@ class TestDensityStride:
     def test_stride_from_smallest_sd(self, sd, stride):
         assert _density_stride(GRID, sd) == stride
         wide = build_gaussian_location_family(GRID, [0.0, 0.5], sd=1.5)
-        narrow = build_gaussian_location_family(GRID, [1.0], sd=sd, start_id=2)
+        narrow = [FamilyMember(2, IID, gaussian_density(GRID, 1.0, sd))]
         wide_truth = gaussian_density(GRID, 0.0, 1.5)
         rng = np.random.default_rng(3)
         for prior, truth in ((uniform_prior(wide + narrow), wide_truth),
@@ -565,7 +566,7 @@ def markov_config_regime(noise_sd):
     return MarkovRegime(uniform_prior(members), MarkovParam(0.6, noise_sd=noise_sd))
 
 
-class TestRowGrid:
+class TestZNodeRule:
     """The Gaussian-mixture integrals of regression and markov (the Cesaro
     kl and the certification affinity gaps) against trapezoids over Gaussian
     rows on a grid in x: a +-24 grid of 8001 points everywhere, and the
@@ -574,7 +575,7 @@ class TestRowGrid:
     """
 
     @pytest.mark.parametrize("sd", [0.5, 0.7, 1.0, 1.3])
-    def test_cesaro_kernel_against_4001_points(self, sd):
+    def test_cesaro_kernel_against_x_grids(self, sd):
         reg = markov_config_regime(sd)
         steps = np.arange(1, 401)
         schedule = np.array([100, 200, 400]) - 1  # where cesaro.csv reads the mean
@@ -609,7 +610,7 @@ class TestRowGrid:
         assert clipped == 6
 
     @pytest.mark.parametrize("sd", [0.5, 0.7, 1.0, 1.3])
-    def test_markov_certification_gaps_against_4001_points(self, sd):
+    def test_markov_certification_gaps_against_x_grids(self, sd):
         """The probe states reach 5 stationary sds, so the +-12 span holds
         their rows to rounding only up to sd 0.7."""
         reg = markov_config_regime(sd)
@@ -634,7 +635,7 @@ class TestRowGrid:
                         dense = gaussian_affinity_gaps_oracle(GRID, *args)
                         assert abs(got - np.max(dense - offset)) <= 1e-15
 
-    def test_regression_certification_gaps_against_4001_points(self):
+    def test_regression_certification_gaps_against_x_grid(self):
         cfg = parse_config(CONFIGS / "regression.yaml")
         reg = build_regime(cfg)
         rng = np.random.default_rng(6)
