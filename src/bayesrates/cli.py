@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -214,49 +214,23 @@ def _compose(path: Path) -> yaml.Node:
     return node
 
 
-def _items(node: yaml.Node, section: str, errors: list[str]):
-    """Mapping items with duplicate-key detection; both locations cited."""
-    if not isinstance(node, yaml.MappingNode):
-        errors.append(f"section '{section}' must be a mapping (line {_line(node)})")
-        return []
-    seen: dict[str, int] = {}
-    out = []
-    for k_node, v_node in node.value:
-        key = str(k_node.value)
-        if key in seen:
-            errors.append(
-                f"duplicate key '{key}' at line {seen[key]} and line {_line(k_node)}"
-            )
-            continue
-        seen[key] = _line(k_node)
-        out.append((key, k_node, v_node))
-    return out
+# the YAML tags each scalar kind accepts, and how it reads the text
+_KINDS = {
+    "int": ((":int",), int),
+    "float": ((":int", ":float"), float),
+    "bool": ((":bool",), lambda text: text.lower() in ("true", "yes", "on")),
+    "str": ((":str",), str),
+}
 
 
 def _scalar(node: yaml.Node, kind: str, where: str, errors: list[str]):
     if not isinstance(node, yaml.ScalarNode):
         errors.append(f"{where} must be a {kind} (line {_line(node)})")
         return None
-    tag = node.tag
+    tags, read = _KINDS[kind]
     try:
-        if kind == "int":
-            if not tag.endswith(":int"):
-                raise ValueError
-            return int(node.value)
-        if kind == "float":
-            if tag.endswith(":int"):
-                return float(int(node.value))
-            if not tag.endswith(":float"):
-                raise ValueError
-            return float(node.value)
-        if kind == "bool":
-            if not tag.endswith(":bool"):
-                raise ValueError
-            return node.value.lower() in ("true", "yes", "on")
-        if kind == "str":
-            if not tag.endswith(":str"):
-                raise ValueError
-            return str(node.value)
+        if node.tag.endswith(tags):
+            return read(node.value)
     except ValueError:
         pass
     errors.append(f"{where} must be a {kind}, got {node.value!r} (line {_line(node)})")
@@ -267,63 +241,110 @@ def _sequence(node: yaml.Node, kind: str, where: str, errors: list[str]):
     if not isinstance(node, yaml.SequenceNode):
         errors.append(f"{where} must be a list (line {_line(node)})")
         return None
-    vals = []
-    for i, child in enumerate(node.value):
-        v = _scalar(child, kind, f"{where}[{i}]", errors)
-        if v is None:
-            return None
-        vals.append(v)
-    return vals
+    vals = [_scalar(child, kind, f"{where}[{i}]", errors) for i, child in enumerate(node.value)]
+    return None if None in vals else vals
 
 
 # the default of a key the config must give
 _REQUIRED = object()
 
+# the rule of an id list: each entry numbers one of the family's atoms 0..J-1
+_ATOM = "atom id"
+
+# the range rules a value can carry, by the word the complaint uses; a ranged
+# number must also be finite (a float literal such as 1.0e+400 reads as inf)
+_RANGES = {
+    "positive": lambda v: v > 0,
+    "nonnegative": lambda v: v >= 0,
+    "at least 1": lambda v: v >= 1,
+    "greater than 1": lambda v: v > 1,
+}
+
+
+def _violation(v, rule: str, atoms: int | None) -> str | None:
+    """What ``v`` must be and is not under ``rule``; None when it complies."""
+    if rule == _ATOM:
+        return None if atoms is None or 0 <= v < atoms else f"an atom id below {atoms}"
+    if not math.isfinite(v):
+        return "finite"
+    return None if _RANGES[rule](v) else rule
+
 
 class _Section:
-    """One mapping section: typed getters plus an unknown-key sweep."""
+    """One mapping section: a key-table reader, raw nodes, and an unknown-key sweep.
 
-    def __init__(self, node: yaml.Node | None, name: str, errors: list[str]):
+    A duplicate key is a complaint citing both lines.  ``overrides`` (the
+    command-line flags) replace keys of the section; a complaint about one
+    names the flag where a file value names its line.  ``bad`` holds the
+    keys already complained about, whose values read None.
+    """
+
+    def __init__(self, node: yaml.Node | None, name: str, errors: list[str],
+                 overrides: dict | None = None):
         self.name = name
         self.errors = errors
-        self.fields = {}
-        if node is not None:
-            for key, k_node, v_node in _items(node, name, errors):
-                self.fields[key] = (k_node, v_node)
+        self.overrides = overrides or {}
+        self.nodes: dict[str, yaml.Node] = {}
+        self.lines: dict[str, int] = {}
         self.used: set[str] = set()
+        self.bad: set[str] = set()
+        if node is None:
+            return
+        if not isinstance(node, yaml.MappingNode):
+            errors.append(f"section '{name}' must be a mapping (line {_line(node)})")
+            return
+        for k_node, v_node in node.value:
+            key = str(k_node.value)
+            if key in self.lines:
+                errors.append(
+                    f"duplicate key '{key}' at line {self.lines[key]} and line {_line(k_node)}"
+                )
+                continue
+            self.nodes[key] = v_node
+            self.lines[key] = _line(k_node)
 
-    def get(self, key: str, kind: str, default=None):
+    def get(self, key: str, kind: str, default=None, rule: str | None = None,
+            atoms: int | None = None):
         self.used.add(key)
-        if key not in self.fields:
-            if default is _REQUIRED:
-                self.errors.append(f"section '{self.name}' is missing key '{key}'")
-                return None
+        where = key if self.name == "top level" else f"{self.name}.{key}"
+        listed = kind.endswith("-list")
+        if key in self.overrides:
+            value, at = self.overrides[key], f"--{key}"
+        elif key in self.nodes:
+            read = _sequence if listed else _scalar
+            value = read(self.nodes[key], kind.removesuffix("-list"), where, self.errors)
+            at = f"line {self.lines[key]}"
+        elif default is _REQUIRED:
+            self.errors.append(f"section '{self.name}' is missing key '{key}'")
+            value = None
+        else:
             return default
-        _, v_node = self.fields[key]
-        where = f"{self.name}.{key}"
-        if kind.endswith("-list"):
-            return _sequence(v_node, kind[:-5], where, self.errors)
-        return _scalar(v_node, kind, where, self.errors)
+        if value is not None and rule is not None:
+            for i, v in enumerate(value if listed else [value]):
+                must = _violation(v, rule, atoms)
+                if must is not None:
+                    name = f"{where}[{i}]" if listed else where
+                    self.errors.append(f"{name} must be {must}, got {v} ({at})")
+                    value = None
+                    break
+        if value is None:
+            self.bad.add(key)
+        return value
 
     def node(self, key: str, missing: str = "") -> yaml.Node | None:
         """The raw node under ``key``, marked used; ``missing`` is the complaint if absent."""
         self.used.add(key)
-        node = self.fields.get(key, (None, None))[1]
-        if node is None and missing:
+        if key not in self.nodes and missing:
             self.errors.append(missing)
-        return node
+        return self.nodes.get(key)
 
-    def key_line(self, key: str) -> int | None:
-        if key in self.fields:
-            return _line(self.fields[key][0])
-        return None
-
-    def sweep_unknown(self) -> None:
-        for key, (k_node, _) in self.fields.items():
+    def read(self, table: dict, atoms: int | None = None) -> dict:
+        """Every (kind, default, rule) key of ``table``, then the unknown-key sweep."""
+        values = {key: self.get(key, *entry, atoms=atoms) for key, entry in table.items()}
+        for key, line in self.lines.items():
             if key not in self.used:
-                self.errors.append(
-                    f"unknown key '{key}' in section '{self.name}' at line {_line(k_node)}"
-                )
+                self.errors.append(f"unknown key '{key}' in section '{self.name}' at line {line}")
+        return values
 
 
 @dataclass(frozen=True)
@@ -341,115 +362,120 @@ class RunConfig:
     verify: tuple[str, ...]
     subset: tuple[int, ...] | None
     u_set: tuple[int, ...] | None
-    verbosity: int
 
 
-# (kind, default) of each family and truth key, per regime; weights default
-# to uniform and the state window to 5 stationary sds of the truth
+# (kind, default, rule) of every key, per section and, for family and truth,
+# per regime.  The first family key lists the atoms, numbered 0..J-1; weights
+# default to uniform and the state window to 5 stationary sds of the truth.
+_WEIGHTS = ("float-list", None, "positive")
+_LOCATION = {"means": ("float-list", _REQUIRED, None), "sd": ("float", 1.0, "positive"),
+             "weights": _WEIGHTS}
 _FAMILY_KEYS = {
-    "iid": {"means": ("float-list", _REQUIRED), "sd": ("float", 1.0),
-            "weights": ("float-list", None)},
-    "misspecified": {"means": ("float-list", _REQUIRED), "sd": ("float", 1.0),
-                     "weights": ("float-list", None)},
-    "regression": {"slopes": ("float-list", _REQUIRED), "design_length": ("int", _REQUIRED),
-                   "weights": ("float-list", None)},
-    "markov": {"thetas": ("float-list", _REQUIRED), "noise_sd": ("float", 1.0),
-               "state_window": ("float", None), "theta0_bound": ("float", 1.0),
-               "weights": ("float-list", None)},
+    "iid": _LOCATION,
+    "misspecified": _LOCATION,
+    "regression": {"slopes": ("float-list", _REQUIRED, None),
+                   "design_length": ("int", _REQUIRED, "at least 1"), "weights": _WEIGHTS},
+    "markov": {"thetas": ("float-list", _REQUIRED, None),
+               "noise_sd": ("float", 1.0, "positive"),
+               "state_window": ("float", None, "positive"),
+               "theta0_bound": ("float", 1.0, "nonnegative"), "weights": _WEIGHTS},
 }
 
 _TRUTH_KEYS = {
-    "iid": {"mean": ("float", _REQUIRED), "sd": ("float", 1.0)},
-    "misspecified": {"mean": ("float", _REQUIRED), "sd": ("float", 1.0),
-                     "projection_id": ("int", _REQUIRED)},
-    "regression": {"slope": ("float", _REQUIRED)},
-    "markov": {"theta": ("float", _REQUIRED)},
+    "iid": {"mean": ("float", _REQUIRED, None), "sd": ("float", 1.0, "positive")},
+    "misspecified": {"mean": ("float", _REQUIRED, None), "sd": ("float", 1.0, "positive"),
+                     "projection_id": ("int", _REQUIRED, _ATOM)},
+    "regression": {"slope": ("float", _REQUIRED, None)},
+    "markov": {"theta": ("float", _REQUIRED, None)},
+}
+
+_SCHEDULE_KEYS = {
+    "n_values": ("int-list", _REQUIRED, "at least 1"),
+    "a": ("float", 1.0, "positive"),
+    "gamma": ("float", 1.0 / 3.0, None),
+    "kappa": ("float", 0.0, None),
+}
+
+_PARAMS_KEYS = {
+    "C": ("float", 0.0, "nonnegative"),
+    "c": ("float", None, "positive"),
+    "d": ("float", None, "positive"),
+    "r": ("float", None, "positive"),
+    "beta": ("float", None, "greater than 1"),
+    "M": ("float", None, "positive"),
+    "allow_thin_evidence": ("bool", False, None),
+}
+
+# the top-level keys besides regime, the four sections and verify
+_TOP_KEYS = {
+    "replications": ("int", 200, "at least 1"),
+    "seed": ("int", _REQUIRED, "nonnegative"),
+    "out": ("str", "out", None),
+    "jobs": ("int", 1, "at least 1"),
+    "subset": ("int-list", None, _ATOM),
+    "u_set": ("int-list", None, _ATOM),
 }
 
 
 def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Validate the whole file; raises ConfigError carrying every complaint.
 
-    ``overrides`` replaces top-level values (the command-line flags) before
-    the value checks run, so a flag is held to the same rules as the file.
+    ``overrides`` replaces top-level values (the command-line flags:
+    ``out``, ``seed``, ``jobs``, ``verify``) before the value checks run, so
+    a flag is held to the same rules as the file.
     """
     errors: list[str] = []
+    overrides = overrides or {}
     root = _compose(Path(path))
-    top = _Section(root, "top level", errors)
+    top = _Section(root, "top level", errors, overrides)
 
     regime = top.get("regime", "str", _REQUIRED)
     if regime is not None and regime not in REGIMES:
-        line = top.key_line("regime")
         errors.append(
-            f"unknown regime {regime!r} at line {line}; expected one of {', '.join(REGIMES)}"
+            f"unknown regime {regime!r} at line {top.lines['regime']}; "
+            f"expected one of {', '.join(REGIMES)}"
         )
         regime = None
 
     family: dict = {}
     truth: dict = {}
+    atoms = None
     fam_node = top.node("family", "section 'family' is required")
     truth_node = top.node("truth", "section 'truth' is required")
     if regime is not None:
         fam_sec = _Section(fam_node, "family", errors)
-        for key, (kind, default) in _FAMILY_KEYS[regime].items():
-            family[key] = fam_sec.get(key, kind, default)
-        fam_sec.sweep_unknown()
-        truth_sec = _Section(truth_node, "truth", errors)
-        for key, (kind, default) in _TRUTH_KEYS[regime].items():
-            truth[key] = truth_sec.get(key, kind, default)
-        truth_sec.sweep_unknown()
+        family = fam_sec.read(_FAMILY_KEYS[regime])
+        listed = family[next(iter(_FAMILY_KEYS[regime]))]
+        atoms = None if listed is None else len(listed)
+        truth = _Section(truth_node, "truth", errors).read(_TRUTH_KEYS[regime], atoms)
 
-    sched_sec = _Section(top.node("schedule", "section 'schedule' is required"), "schedule", errors)
-    n_values = sched_sec.get("n_values", "int-list", _REQUIRED)
-    a = sched_sec.get("a", "float", default=1.0)
-    gamma = sched_sec.get("gamma", "float", default=1.0 / 3.0)
-    kappa = sched_sec.get("kappa", "float", default=0.0)
-    sched_sec.sweep_unknown()
+    sched_node = top.node("schedule", "section 'schedule' is required")
+    sched_sec = _Section(sched_node, "schedule", errors)
+    sched = sched_sec.read(_SCHEDULE_KEYS)
     schedule = None
-    if n_values:
+    if not sched_sec.bad:
+        # the schedule's own conditions tie keys together: increasing n,
+        # decreasing epsilon and increasing n * epsilon^2
         try:
-            schedule = RateSchedule(tuple(n_values), a=a, gamma=gamma, kappa=kappa)
+            schedule = RateSchedule(**sched)
         except GeometryError as e:
-            errors.append(f"invalid schedule: {e}")
+            errors.append(f"invalid schedule: {e} (line {top.lines['schedule']})")
     length = family.get("design_length")
     if schedule is not None and length is not None and schedule.n_values[-1] > length:
         errors.append(
             f"schedule runs to n = {schedule.n_values[-1]}, past family.design_length = "
-            f"{length} (line {fam_sec.key_line('design_length')})"
+            f"{length} (line {fam_sec.lines['design_length']})"
         )
 
     params_node = top.node("params")
     params_sec = _Section(params_node, "params", errors)
-    raw_params = {
-        name: params_sec.get(name, "float")
-        for name in ("C", "c", "d", "r", "beta", "M")
-    }
-    allow_thin = bool(params_sec.get("allow_thin_evidence", "bool", default=False))
-    params_sec.sweep_unknown()
-    params = None
-    if params_node is not None:
-        try:
-            params = ConditionParams(
-                C=raw_params["C"] if raw_params["C"] is not None else 0.0,
-                c=raw_params["c"],
-                d=raw_params["d"],
-                r=raw_params["r"],
-                beta=raw_params["beta"],
-                M=raw_params["M"],
-            )
-        except GeometryError as e:
-            line = params_sec.key_line("beta") or params_sec.key_line("C")
-            loc = f" (params section, line {line})" if line else ""
-            errors.append(f"invalid params: {e}{loc}")
-    if (
-        params is not None
-        and params.c is not None
-        and not params.c > params.C + 1.0
-        and not allow_thin
-    ):
+    constants = params_sec.read(_PARAMS_KEYS)
+    allow_thin = constants.pop("allow_thin_evidence")
+    c, C = constants["c"], constants["C"]
+    if c is not None and C is not None and not c > C + 1.0 and not allow_thin:
         errors.append(
-            f"params.c = {params.c} does not exceed C + 1 = {params.C + 1.0} "
-            f"(line {params_sec.key_line('c')}); the evidence lower bound needs "
+            f"params.c = {c} does not exceed C + 1 = {C + 1.0} "
+            f"(line {params_sec.lines['c']}); the evidence lower bound needs "
             "the thickness margin, or set allow_thin_evidence: true for a diagnostic run"
         )
 
@@ -460,68 +486,42 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         if names is not None:
             verify = tuple(names)
             verify_at = [f"at line {_line(node)}" for node in verify_node.value]
-
-    replications = top.get("replications", "int", default=200)
-    seed = top.get("seed", "int", _REQUIRED)
-    out = top.get("out", "str", default="out")
-    jobs = top.get("jobs", "int", default=1)
-    verbosity = top.get("verbosity", "int", default=1)
-    subset = top.get("subset", "int-list")
-    u_set = top.get("u_set", "int-list")
-    top.sweep_unknown()
-
-    if family.get("weights") is not None:
-        size_key = {"regression": "slopes", "markov": "thetas"}.get(regime, "means")
-        atoms = family.get(size_key)
-        if atoms is not None and len(family["weights"]) != len(atoms):
-            errors.append(
-                f"family.weights has {len(family['weights'])} entries "
-                f"for {len(atoms)} atoms"
-            )
-
-    cfg = RunConfig(
-        regime=regime,
-        family=family,
-        truth=truth,
-        schedule=schedule,
-        params=params,
-        allow_thin_evidence=allow_thin,
-        replications=replications,
-        seed=seed,
-        out=out,
-        jobs=jobs,
-        verify=verify or (),
-        subset=tuple(subset) if subset else None,
-        u_set=tuple(u_set) if u_set else None,
-        verbosity=verbosity,
-    )
-    overrides = overrides or {}
-    cfg = replace(cfg, **overrides)
     if "verify" in overrides:
-        verify, verify_at = cfg.verify, ["in --verify"] * len(cfg.verify)
+        verify, verify_at = overrides["verify"], ["in --verify"] * len(overrides["verify"])
     if verify == ():
         errors.append("verify must select at least one verification")
 
-    if cfg.replications is not None and cfg.replications < 1:
-        errors.append(f"replications must be at least 1, got {cfg.replications}")
-    if cfg.jobs is not None and cfg.jobs < 1:
-        errors.append(f"jobs must be at least 1, got {cfg.jobs}")
-    if cfg.seed is not None and cfg.seed < 0:
-        errors.append(f"seed must be nonnegative, got {cfg.seed}")
-    for name, at in zip(cfg.verify, verify_at):
+    values = top.read(_TOP_KEYS, atoms)
+
+    weights = family.get("weights")
+    if weights is not None and atoms is not None and len(weights) != atoms:
+        errors.append(f"family.weights has {len(weights)} entries for {atoms} atoms")
+
+    for name, at in zip(verify or (), verify_at):
         spec = VERIFICATIONS.get(name)
         if spec is None:
             errors.append(f"unknown verification {name!r} {at}")
             continue
         for const in spec.needs:
-            if cfg.params is None or getattr(cfg.params, const) is None:
+            if constants[const] is None and const not in params_sec.bad:
                 errors.append(f"verification '{name}' needs params.{const} to be set")
-        if spec.needs_subset and not cfg.subset:
+        if spec.needs_subset and not values["subset"] and "subset" not in top.bad:
             errors.append(f"verification '{name}' needs a top-level subset list")
 
     if errors:
         raise ConfigError(errors)
-    return cfg
+    for ids in ("subset", "u_set"):
+        values[ids] = tuple(values[ids]) if values[ids] else None
+    return RunConfig(
+        regime=regime,
+        family=family,
+        truth=truth,
+        schedule=schedule,
+        params=ConditionParams(**constants) if params_node is not None else None,
+        allow_thin_evidence=allow_thin,
+        verify=verify,
+        **values,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +865,7 @@ def _update_summary(out: Path, seed: int, config: str,
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", newline="\n")
 
 
-def _report(out: Path, verbose: bool) -> int:
+def _report(out: Path) -> int:
     path = out / "summary.json"
     if not path.exists():
         print(f"no summary.json under {out}; run check/simulate/sieve first", file=sys.stderr)
@@ -888,10 +888,9 @@ def _report(out: Path, verbose: bool) -> int:
         rows,
     )
     all_passed = all(r[1] for r in rows)
-    if verbose:
-        for name, passed, detail, _ in rows:
-            print(f"{name}: {'pass' if passed else 'FAIL'} ({detail})")
-        print(f"wrote {out / 'summary.csv'}")
+    for name, passed, detail, _ in rows:
+        print(f"{name}: {'pass' if passed else 'FAIL'} ({detail})")
+    print(f"wrote {out / 'summary.csv'}")
     return EXIT_PASS if all_passed else EXIT_CRITERION_FAIL
 
 
@@ -937,7 +936,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _main(args: argparse.Namespace) -> int:
     if args.command == "report" and args.config is None:
-        return _report(Path(args.out or "out"), verbose=True)
+        return _report(Path(args.out or "out"))
 
     overrides = {
         key: value
@@ -959,27 +958,15 @@ def _main(args: argparse.Namespace) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    for ids, label in ((cfg.subset, "subset"), (cfg.u_set, "u_set")):
-        for i in ids or ():
-            try:
-                regime.prior.index_of(i)
-            except ModelError:
-                print(
-                    f"config error: {label} names id {i}, which is not a prior atom",
-                    file=sys.stderr,
-                )
-                return EXIT_CONFIG_ERROR
-
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.command == "report":
-        return _report(out, verbose=cfg.verbosity > 0)
+        return _report(out)
 
     selected = [v for v in cfg.verify if VERIFICATIONS[v].command == args.command]
     if not selected:
-        if cfg.verbosity > 0:
-            print(f"nothing to do: no selected verification belongs to '{args.command}'")
+        print(f"nothing to do: no selected verification belongs to '{args.command}'")
         return EXIT_PASS
 
     if args.command == "sieve":
@@ -990,9 +977,8 @@ def _main(args: argparse.Namespace) -> int:
         results = [_RUNNERS[name](cfg, regime, out) for name in selected]
     config = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
     _update_summary(out, cfg.seed, config, results)
-    if cfg.verbosity > 0:
-        for r in results:
-            print(f"{r.name}: {'pass' if r.passed else 'FAIL'} ({r.detail})")
+    for r in results:
+        print(f"{r.name}: {'pass' if r.passed else 'FAIL'} ({r.detail})")
     return EXIT_PASS if all(r.passed for r in results) else EXIT_CRITERION_FAIL
 
 

@@ -7,8 +7,7 @@ working grid for unit-scale Gaussian work is [-12, 12] with 4001 points.
 The divergences between two normals of one sd (regression indices, AR(1)
 transitions from one state) are exact, from ``gaussian_shift_kvh``.
 Densities are floored at ``FLOOR`` before use so that logarithms stay
-finite; any construction that actually hits the floor sets a
-tail-truncation quality flag on the density instead of raising.
+finite.
 
 Naming convention for the asymmetric functionals: the first density
 argument is the one the integral is weighted by, so ``kl(f, g)`` is
@@ -99,12 +98,10 @@ class GridDensity:
     """A probability density materialized on a grid.
 
     Values are floored at ``FLOOR`` and renormalized to unit trapezoidal
-    integral at construction.  ``floored`` records whether the floor was
-    ever active, which marks every downstream comparison as tail-truncated
-    rather than exact.
+    integral at construction.
     """
 
-    __slots__ = ("grid", "values", "floored", "__dict__")
+    __slots__ = ("grid", "values", "__dict__")
 
     def __init__(self, grid: Grid, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
@@ -116,7 +113,6 @@ class GridDensity:
             raise DivergenceError("density values must be finite")
         if np.any(values < 0.0):
             raise DivergenceError("density values must be nonnegative")
-        floored = bool(np.any(values < FLOOR))
         values = np.maximum(values, FLOOR)
         total = grid.integrate(values)
         if not total > 0.0 or not np.isfinite(total):
@@ -128,7 +124,6 @@ class GridDensity:
         values.flags.writeable = False
         self.grid = grid
         self.values = values
-        self.floored = floored
 
     @cached_property
     def log_values(self) -> np.ndarray:

@@ -5,8 +5,8 @@ A family member is an atom a prior can sit on.  Three kinds are supported:
 * ``iid-density``: a GridDensity; observations are iid draws from it.
 * ``regression-function``: a mean function evaluated at fixed design points;
   observation i is Gaussian with that mean and unit-scale noise.
-* ``markov-param``: an AR(1) coefficient with unit-scale innovations; the
-  chain starts from its stationary law.
+* ``markov-param``: an AR(1) coefficient with Gaussian innovations of sd
+  ``noise_sd`` (1 by default); the chain starts from its stationary law.
 
 Likelihoods for iid members interpolate the log density linearly between
 grid nodes; extrapolation outside the grid is an error, never a guess.

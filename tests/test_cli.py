@@ -69,9 +69,12 @@ class TestParse:
     def test_beta_of_one_rejected_with_location(self, tmp_path):
         text = MINIMAL + "params:\n  beta: 1.0\n"
         errors = parse_errors(tmp_path, text)
-        joined = "\n".join(errors)
-        assert "must exceed 1" in joined
-        assert "line 11" in joined  # the beta line
+        assert errors == ["params.beta must be greater than 1, got 1.0 (line 11)"]
+
+    def test_bad_constant_cites_its_own_line(self, tmp_path):
+        text = MINIMAL + "params:\n  beta: 2.0\n  d: -1.0\n"
+        errors = parse_errors(tmp_path, text)
+        assert errors == ["params.d must be positive, got -1.0 (line 12)"]
 
     def test_duplicate_key_cites_both_lines(self, tmp_path):
         text = MINIMAL + "seed: 12\n"
@@ -93,6 +96,10 @@ class TestParse:
         text = MINIMAL + "replicationz: 10\n"
         errors = parse_errors(tmp_path, text)
         assert any("unknown key 'replicationz'" in e and "top level" in e for e in errors)
+
+    def test_verbosity_is_not_a_key(self, tmp_path):
+        errors = parse_errors(tmp_path, MINIMAL + "verbosity: 2\n")
+        assert errors == ["unknown key 'verbosity' in section 'top level' at line 10"]
 
     def test_unknown_verification_name(self, tmp_path):
         text = MINIMAL.replace("verify: [factorization]", "verify: [factorizatoin]")
@@ -303,17 +310,53 @@ verify: [factorization, thickness, cover, sieve, cesaro]
 out: {out}
 """
 
+# (config, line replaced, its replacement, the one complaint) of each bad value
+BAD_VALUES = {
+    "family.weights": (SMALL_CHECK, "means: [0.0, 1.0]", "means: [0.0, 1.0]\n  weights: [1, -0.5]",
+                       "family.weights[1] must be positive, got -0.5 (line 4)"),
+    "family.design_length": (SHORT_DESIGN, "design_length: 300", "design_length: 0",
+                             "family.design_length must be at least 1, got 0 (line 4)"),
+    "schedule.n_values": (SMALL_CHECK, "n_values: [30]", "n_values: [0, 30]",
+                          "schedule.n_values[0] must be at least 1, got 0 (line 7)"),
+    "schedule.empty": (SMALL_CHECK, "n_values: [30]", "n_values: []",
+                       "invalid schedule: schedule needs at least one sample size (line 6)"),
+    "schedule.a": (SMALL_CHECK, "n_values: [30]", "n_values: [30]\n  a: -2.0",
+                   "schedule.a must be positive, got -2.0 (line 8)"),
+    "params.C": (MARKOV_WINDOW, "C: 0.0", "C: -0.5",
+                 "params.C must be nonnegative, got -0.5 (line 10)"),
+    "params.c": (MARKOV_WINDOW, "c: 1.5", "c: 0.0",
+                 "params.c must be positive, got 0.0 (line 11)"),
+    "params.d": (MARKOV_WINDOW, "d: 1.8", "d: -1.0",
+                 "params.d must be positive, got -1.0 (line 12)"),
+    "params.r": (MARKOV_WINDOW, "r: 1.0", "r: 0",
+                 "params.r must be positive, got 0.0 (line 13)"),
+    "params.beta": (MARKOV_WINDOW, "beta: 2.0", "beta: 0.5",
+                    "params.beta must be greater than 1, got 0.5 (line 14)"),
+    "params.M": (MARKOV_WINDOW, "M: 1.0", "M: -1.0",
+                 "params.M must be positive, got -1.0 (line 15)"),
+    "params.big": (MARKOV_WINDOW, "M: 1.0", "M: 1.0e+400",
+                   "params.M must be finite, got inf (line 15)"),
+    "replications": (SMALL_CESARO, "replications: 8", "replications: 0",
+                     "replications must be at least 1, got 0 (line 9)"),
+    "jobs": (SMALL_CHECK, "seed: 17", "seed: 17\njobs: 0",
+             "jobs must be at least 1, got 0 (line 9)"),
+    "seed": (SMALL_CHECK, "seed: 17", "seed: -3",
+             "seed must be nonnegative, got -3 (line 8)"),
+    "u_set": (SMALL_CHECK, "seed: 17", "seed: 17\nu_set: [-1]",
+              "u_set[0] must be an atom id below 2, got -1 (line 9)"),
+}
+
 # a bad config value exits 3 from each of these, before any verification runs
 EVERY_SUBCOMMAND = [["check"], ["check", "--verify", "factorization"], ["simulate"],
                     ["sieve"], ["report"]]
 SUBCOMMAND_IDS = ["check", "factorization", "simulate", "sieve", "report"]
 
 
-def assert_config_error(tmp_path: Path, capsys, argv, text: str, message: str) -> None:
-    """The run exits 3 with exactly one ``config error:`` line and writes nothing."""
+def assert_config_error(tmp_path: Path, capsys, argv, text: str, *messages: str) -> None:
+    """The run exits 3 with one ``config error:`` line per message and writes nothing."""
     path = write_config(tmp_path, text)
     assert main([*argv, "--config", str(path)]) == EXIT_CONFIG_ERROR
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == "".join(f"config error: {m}\n" for m in messages)
     assert not (tmp_path / "out").exists()
 
 
@@ -425,11 +468,9 @@ class TestMain:
         assert "nothing to do" in capsys.readouterr().out
 
     def test_subset_with_unknown_atom_id(self, tmp_path, capsys):
-        text = SMALL_CHECK.format(out=tmp_path / "out") + "subset: [9]\n"
-        path = write_config(tmp_path, text)
-        code = main(["check", "--config", str(path)])
-        assert code == EXIT_CONFIG_ERROR
-        assert "subset names id 9" in capsys.readouterr().err
+        text = SMALL_CHECK.format(out=tmp_path / "out") + "subset: [1, 9]\n"
+        assert_config_error(tmp_path, capsys, ["check"], text,
+                            "subset[1] must be an atom id below 2, got 9 (line 11)")
 
     def test_summary_merges_across_subcommands(self, tmp_path):
         out = tmp_path / "out"
@@ -563,13 +604,17 @@ class TestOverridesAndRuntimeFaults:
         path = write_config(tmp_path, SMALL_CHECK.format(out=tmp_path / "out"))
         code = main(["check", "--config", str(path), "--seed", "-1"])
         assert code == EXIT_CONFIG_ERROR
-        assert "config error: seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: seed must be nonnegative, got -1 (--seed)\n"
+        )
 
     def test_zero_jobs_override_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_CHECK.format(out=tmp_path / "out"))
         code = main(["check", "--config", str(path), "--jobs", "0"])
         assert code == EXIT_CONFIG_ERROR
-        assert "config error: jobs must be at least 1, got 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: jobs must be at least 1, got 0 (--jobs)\n"
+        )
 
     def test_unwritable_summary_exits_4(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -636,24 +681,63 @@ class TestOverridesAndRuntimeFaults:
     def test_bad_state_window_exits_3(self, tmp_path, capsys, argv, window):
         text = MARKOV_WINDOW.format(window=window, out=tmp_path / "out")
         assert_config_error(tmp_path, capsys, argv, text,
-                            f"state window must be positive, got {window}")
+                            f"family.state_window must be positive, got {window} (line 4)")
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+    def test_negative_theta0_bound_exits_3(self, tmp_path, capsys, argv):
+        text = MARKOV_WINDOW.format(window="2.0", out=tmp_path / "out")
+        text = text.replace("state_window: 2.0", "theta0_bound: -1.0")
+        assert_config_error(tmp_path, capsys, argv, text,
+                            "family.theta0_bound must be nonnegative, got -1.0 (line 4)")
 
     @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
     @pytest.mark.parametrize(
-        "regime, family, truth, message",
+        "regime, family, truth, key, line",
         [
-            ("iid", "means: [0.0, 1.0]\n  sd: 0", "mean: 0.0", "sd must be positive"),
-            ("iid", "means: [0.0, 1.0]", "mean: 0.0\n  sd: 0", "sd must be positive"),
+            ("iid", "means: [0.0, 1.0]\n  sd: 0", "mean: 0.0", "family.sd", 4),
+            ("iid", "means: [0.0, 1.0]", "mean: 0.0\n  sd: 0", "truth.sd", 6),
             ("markov", "thetas: [0.6, -0.4]\n  noise_sd: 0", "theta: 0.6",
-             "noise sd must be positive"),
+             "family.noise_sd", 4),
         ],
         ids=["family.sd", "truth.sd", "family.noise_sd"],
     )
-    def test_zero_sd_exits_3(self, tmp_path, capsys, argv, regime, family, truth, message):
+    def test_zero_sd_exits_3(self, tmp_path, capsys, argv, regime, family, truth, key, line):
         text = (f"regime: {regime}\nfamily:\n  {family}\ntruth:\n  {truth}\n"
                 f"schedule:\n  n_values: [25, 50]\nseed: 11\nverify: [factorization]\n"
                 f"out: {tmp_path / 'out'}\n")
-        assert_config_error(tmp_path, capsys, argv, text, f"{message}, got 0.0")
+        assert_config_error(tmp_path, capsys, argv, text,
+                            f"{key} must be positive, got 0.0 (line {line})")
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_bad_value_names_key_and_line(self, tmp_path, capsys, argv, case):
+        template, old, new, message = BAD_VALUES[case]
+        text = template.format(window="2.0", out=tmp_path / "out").replace(old, new)
+        assert_config_error(tmp_path, capsys, argv, text, message)
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+    def test_every_bad_key_reported_at_once(self, tmp_path, capsys, argv):
+        text = (
+            "regime: misspecified\n"
+            "family:\n"
+            "  means: [0.0, 1.0, 2.0]\n"
+            "truth:\n"
+            "  mean: 0.5\n"
+            "  sd: 0\n"
+            "  projection_id: 9\n"
+            "schedule:\n"
+            "  n_values: [25, 50]\n"
+            "seed: 11\n"
+            "subset: [7]\n"
+            "verify: [factorization]\n"
+            f"out: {tmp_path / 'out'}\n"
+        )
+        assert_config_error(
+            tmp_path, capsys, argv, text,
+            "truth.sd must be positive, got 0.0 (line 6)",
+            "truth.projection_id must be an atom id below 3, got 9 (line 7)",
+            "subset[0] must be an atom id below 3, got 7 (line 11)",
+        )
 
     @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
     def test_schedule_past_design_length_exits_3(self, tmp_path, capsys, argv):
@@ -759,6 +843,14 @@ def test_underflow_stays_silent(tmp_path, monkeypatch, jobs):
                         lambda *a: cesaro_kls(*a) + np.exp(-1000.0 - np.arange(len(a[2][0]))))
     path = write_config(tmp_path, SMALL_CESARO.format(out=tmp_path / "out"))
     assert main(["simulate", "--config", str(path), "--jobs", jobs]) == EXIT_PASS
+
+
+def test_readme_config_sketch_parses_and_builds(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    sketch = readme.split("### Config sketch", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write_config(tmp_path, sketch), {"out": str(tmp_path / "out")})
+    assert cfg.out == str(tmp_path / "out")
+    cli.build_regime(cfg)
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -4,11 +4,12 @@ Top level: a public function or class needs a caller, that is an
 identifier reference (a name, an attribute, or an import) outside the
 definition itself, in the package sources or in the acceptance gate.
 
-Class members: each annotated field and each non-dunder method or
-property of a package class needs a reader, that is an attribute load of
-its name in the package sources, a ``getattr`` with its name as a literal
-there, or its name used as an attribute or as a keyword argument in the
-acceptance gate (which builds some result types by keyword).
+Class members: each annotated field, each attribute a method assigns as
+``self.<name> = ...``, and each non-dunder method or property of a package
+class needs a reader, that is an attribute load of its name in the package
+sources, a ``getattr`` with its name as a literal there, or its name used
+as an attribute or as a keyword argument in the acceptance gate (which
+builds some result types by keyword).
 
 Mentions in docstrings and comments do not count, and unit tests do not
 count: a helper only the unit tests reach is dead code with its own tests,
@@ -75,14 +76,29 @@ def find_uncalled() -> list[str]:
     return uncalled
 
 
+def _self_attributes(method: ast.FunctionDef):
+    """Names the method stores on ``self`` by plain or annotated assignment."""
+    for node in ast.walk(method):
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        for target in targets:
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                yield target.attr
+
+
 def _members(cls: ast.ClassDef):
     for stmt in cls.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             yield stmt.target.id
-        elif isinstance(stmt, ast.FunctionDef) and not (
-            stmt.name.startswith("__") and stmt.name.endswith("__")
-        ):
-            yield stmt.name
+        elif isinstance(stmt, ast.FunctionDef):
+            yield from _self_attributes(stmt)
+            if not (stmt.name.startswith("__") and stmt.name.endswith("__")):
+                yield stmt.name
 
 
 def _attribute_reads(tree: ast.AST) -> set[str]:
@@ -122,7 +138,8 @@ def find_unread_members() -> list[str]:
     for module, tree in trees.items():
         for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
             unread.extend(
-                f"{module}.{cls.name}.{name}" for name in _members(cls) if name not in read
+                f"{module}.{cls.name}.{name}"
+                for name in dict.fromkeys(_members(cls)) if name not in read
             )
     return unread
 
@@ -138,6 +155,6 @@ def test_every_public_helper_has_a_caller():
 def test_every_class_member_has_a_reader():
     unread = find_unread_members()
     assert not unread, (
-        "class fields, methods or properties that nothing in src/ or the "
+        "class fields, attributes, methods or properties that nothing in src/ or the "
         "acceptance gate reads: " + ", ".join(unread)
     )

@@ -81,14 +81,9 @@ class TestGridDensity:
         with pytest.raises(DivergenceError):
             GridDensity(GRID, -np.ones(GRID.points))
 
-    def test_floor_flag_set_for_truncated_tails(self):
+    def test_truncated_tails_stay_positive(self):
         d = gaussian_density(GRID, -8.0, 0.1)
-        assert d.floored
         assert np.all(d.values > 0.0)
-
-    def test_floor_flag_clear_for_wide_density(self):
-        d = gaussian_density(GRID, 0.0, 1.0)
-        assert not d.floored
 
     def test_moments(self):
         d = gaussian_density(GRID, 0.7, 1.3)
