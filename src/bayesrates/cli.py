@@ -258,6 +258,8 @@ _RANGES = {
     "nonnegative": lambda v: v >= 0,
     "at least 1": lambda v: v >= 1,
     "greater than 1": lambda v: v > 1,
+    # an AR(1) coefficient with a stationary density
+    "inside (-1, 1)": lambda v: -1 < v < 1,
 }
 
 
@@ -273,24 +275,29 @@ def _violation(v, rule: str, atoms: int | None) -> str | None:
 class _Section:
     """One mapping section: a key-table reader, raw nodes, and an unknown-key sweep.
 
-    A duplicate key is a complaint citing both lines.  ``overrides`` (the
+    A duplicate key is a complaint citing both lines.  A missing required
+    key is a complaint citing ``line``, where the section starts; a section
+    that is absent (``node`` None) or not a mapping has already been
+    complained about, so its missing keys add nothing.  ``overrides`` (the
     command-line flags) replace keys of the section; a complaint about one
     names the flag where a file value names its line.  ``bad`` holds the
     keys already complained about, whose values read None.
     """
 
     def __init__(self, node: yaml.Node | None, name: str, errors: list[str],
-                 overrides: dict | None = None):
+                 overrides: dict | None = None, line: int | None = None):
         self.name = name
         self.errors = errors
         self.overrides = overrides or {}
+        self.line = line
         self.nodes: dict[str, yaml.Node] = {}
         self.lines: dict[str, int] = {}
         self.used: set[str] = set()
         self.bad: set[str] = set()
+        self.present = isinstance(node, yaml.MappingNode)
         if node is None:
             return
-        if not isinstance(node, yaml.MappingNode):
+        if not self.present:
             errors.append(f"section '{name}' must be a mapping (line {_line(node)})")
             return
         for k_node, v_node in node.value:
@@ -315,7 +322,7 @@ class _Section:
             value = read(self.nodes[key], kind.removesuffix("-list"), where, self.errors)
             at = f"line {self.lines[key]}"
         elif default is _REQUIRED:
-            self.errors.append(f"section '{self.name}' is missing key '{key}'")
+            self._missing(key)
             value = None
         else:
             return default
@@ -331,11 +338,16 @@ class _Section:
             self.bad.add(key)
         return value
 
-    def node(self, key: str, missing: str = "") -> yaml.Node | None:
-        """The raw node under ``key``, marked used; ``missing`` is the complaint if absent."""
+    def _missing(self, key: str) -> None:
+        if self.present:
+            self.errors.append(
+                f"section '{self.name}' is missing key '{key}' (line {self.line})")
+
+    def node(self, key: str, required: bool = False) -> yaml.Node | None:
+        """The raw node under ``key``, marked used."""
         self.used.add(key)
-        if key not in self.nodes and missing:
-            self.errors.append(missing)
+        if required and key not in self.nodes and key not in self.overrides:
+            self._missing(key)
         return self.nodes.get(key)
 
     def read(self, table: dict, atoms: int | None = None) -> dict:
@@ -375,7 +387,7 @@ _FAMILY_KEYS = {
     "misspecified": _LOCATION,
     "regression": {"slopes": ("float-list", _REQUIRED, None),
                    "design_length": ("int", _REQUIRED, "at least 1"), "weights": _WEIGHTS},
-    "markov": {"thetas": ("float-list", _REQUIRED, None),
+    "markov": {"thetas": ("float-list", _REQUIRED, "inside (-1, 1)"),
                "noise_sd": ("float", 1.0, "positive"),
                "state_window": ("float", None, "positive"),
                "theta0_bound": ("float", 1.0, "nonnegative"), "weights": _WEIGHTS},
@@ -386,7 +398,7 @@ _TRUTH_KEYS = {
     "misspecified": {"mean": ("float", _REQUIRED, None), "sd": ("float", 1.0, "positive"),
                      "projection_id": ("int", _REQUIRED, _ATOM)},
     "regression": {"slope": ("float", _REQUIRED, None)},
-    "markov": {"theta": ("float", _REQUIRED, None)},
+    "markov": {"theta": ("float", _REQUIRED, "inside (-1, 1)")},
 }
 
 _SCHEDULE_KEYS = {
@@ -427,7 +439,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     errors: list[str] = []
     overrides = overrides or {}
     root = _compose(Path(path))
-    top = _Section(root, "top level", errors, overrides)
+    top = _Section(root, "top level", errors, overrides, _line(root))
 
     regime = top.get("regime", "str", _REQUIRED)
     if regime is not None and regime not in REGIMES:
@@ -440,17 +452,18 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     family: dict = {}
     truth: dict = {}
     atoms = None
-    fam_node = top.node("family", "section 'family' is required")
-    truth_node = top.node("truth", "section 'truth' is required")
+    fam_node = top.node("family", required=True)
+    truth_node = top.node("truth", required=True)
     if regime is not None:
-        fam_sec = _Section(fam_node, "family", errors)
+        fam_sec = _Section(fam_node, "family", errors, line=top.lines.get("family"))
         family = fam_sec.read(_FAMILY_KEYS[regime])
         listed = family[next(iter(_FAMILY_KEYS[regime]))]
         atoms = None if listed is None else len(listed)
-        truth = _Section(truth_node, "truth", errors).read(_TRUTH_KEYS[regime], atoms)
+        truth = _Section(truth_node, "truth", errors, line=top.lines.get("truth")).read(
+            _TRUTH_KEYS[regime], atoms)
 
-    sched_node = top.node("schedule", "section 'schedule' is required")
-    sched_sec = _Section(sched_node, "schedule", errors)
+    sched_node = top.node("schedule", required=True)
+    sched_sec = _Section(sched_node, "schedule", errors, line=top.lines.get("schedule"))
     sched = sched_sec.read(_SCHEDULE_KEYS)
     schedule = None
     if not sched_sec.bad:
@@ -479,7 +492,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             "the thickness margin, or set allow_thin_evidence: true for a diagnostic run"
         )
 
-    verify_node = top.node("verify", "key 'verify' is required (which verifications to run)")
+    verify_node = top.node("verify", required=True)
     verify, verify_at = None, []
     if verify_node is not None:
         names = _sequence(verify_node, "str", "verify", errors)

@@ -107,8 +107,9 @@ ROW_POINTS_PER_SD = 10
 #   rounding (1.5e-15 relative) up to h D = 0.6, off by 1e-13 at 0.7 and by
 #   3e-12 at 0.8; at the 0.2 spacing alone it was off by 1.5e-6 per step
 #   on four atoms spread over 15 sds.
-# - Columns go in chunks of at most Z_BUFFER node values (512 kB), so a
-#   wide spread costs time, not memory.
+# - Columns, and a certification step's draws over them, go in chunks of
+#   at most Z_BUFFER node values (512 kB), so a wide spread or many draws
+#   cost time, not memory.
 Z_STEP = 0.5
 Z_REACH = 9.0
 Z_RESOLVE = 0.5
@@ -124,16 +125,14 @@ Z_FAR = 18.0
 PROBE_STATES = 7
 
 
-def _mixtures_on_z(deltas: np.ndarray, weights: np.ndarray, affinity: bool = False):
-    """Yield (columns, nodes, mix): the mixtures of some columns on their z nodes.
+def _z_chunks(deltas: np.ndarray, affinity: bool = False):
+    """Yield (columns, nodes, tilt): the column chunks of the z-node rule.
 
-    mix[c, k] = sum_j weights[j, c] exp(z_k d - d^2 / 2) with d = deltas[j, c],
-    tilted by -z_k^2 for an ``affinity`` (the square of phi, taken inside its
-    root).  The nodes span [-Z_REACH, Z_REACH], or for an affinity
+    The nodes span [-Z_REACH, Z_REACH], or for an ``affinity``
     [min(0, min d / 2) - Z_REACH, max(0, max d / 2) + Z_REACH] over the
-    offsets within Z_FAR, where its terms' mass sits.  Each chunk of columns
-    is summed one atom at a time into one buffer: a (J, columns, nodes)
-    array is never built.
+    offsets within Z_FAR, where its terms' mass sits; ``tilt`` is -z^2 for
+    an affinity (the square of phi, taken inside its root), else None.  A
+    chunk holds at most Z_BUFFER node values.
     """
     near = np.clip(deltas, -Z_FAR, Z_FAR) if affinity else deltas
     spread = near.max(axis=0) - near.min(axis=0)
@@ -148,18 +147,16 @@ def _mixtures_on_z(deltas: np.ndarray, weights: np.ndarray, affinity: bool = Fal
         tilt = -nodes.x ** 2 if affinity else None
         width = max(1, Z_BUFFER // nodes.points)
         for s in range(0, len(group), width):
-            cols = group[s:s + width]
-            mix = np.zeros((len(cols), nodes.points))
-            term = np.empty_like(mix)
-            for d, w in zip(deltas[:, cols], weights[:, cols]):
-                np.multiply(d[:, None], nodes.x, out=term)
-                if tilt is not None:
-                    term += tilt
-                term -= (0.5 * d * d)[:, None]
-                np.exp(term, out=term)
-                term *= w[:, None]
-                mix += term
-            yield cols, nodes, mix
+            yield group[s:s + width], nodes, tilt
+
+
+def _z_term(d: np.ndarray, nodes: Grid, tilt, out: np.ndarray) -> None:
+    """out[c, k] = exp(z_k d[c] - d[c]^2 / 2), plus ``tilt`` in the exponent."""
+    np.multiply(d[:, None], nodes.x, out=out)
+    if tilt is not None:
+        out += tilt
+    out -= (0.5 * d * d)[:, None]
+    np.exp(out, out=out)
 
 
 class ExperimentError(ValueError):
@@ -218,26 +215,53 @@ def _gaussian_mixture_kls(deltas: np.ndarray, weights_before: np.ndarray) -> np.
     overflow; the 1e-300 floor catches a mixture whose every atom underflows.
     """
     out = np.empty(deltas.shape[1])
-    for cols, nodes, mix in _mixtures_on_z(deltas, weights_before):
+    for cols, nodes, _ in _z_chunks(deltas):
+        mix = np.zeros((len(cols), nodes.points))
+        term = np.empty_like(mix)
+        for d, w in zip(deltas[:, cols], weights_before[:, cols]):
+            _z_term(d, nodes, None, term)
+            term *= w[:, None]
+            mix += term
         np.maximum(mix, 1e-300, out=mix)
         np.log(mix, out=mix)
         out[cols] = -(mix @ (nodes.quad_weights * np.exp(-0.5 * nodes.x ** 2) / SQRT_2PI))
     return np.maximum(out, 0.0)
 
 
-def _affinity_gaps(deltas: np.ndarray, w) -> np.ndarray:
-    """Per-row 1 - int sqrt(N(0, 1) * sum_j w[j] N(deltas[j, k], 1)).
+def _affinity_gaps(deltas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-draw, per-row 1 - int sqrt(N(0, 1) * sum_j w[r, j] N(deltas[j, k], 1)).
 
-    The mixture-to-reference affinity gap of every row k, centred on the
-    reference: 1 - int phi(z) sqrt(sum_j w[j] exp(z d - d^2 / 2)) dz with
+    The mixture-to-reference affinity gap of every row k under every weight
+    row r of ``weights`` (draws, J), centred on the reference:
+    1 - int phi(z) sqrt(sum_j w[r, j] exp(z d - d^2 / 2)) dz with
     d = deltas[j, k], by the z-node rule.  phi goes inside the root, so the
-    exponent is -(z - d / 2)^2 - d^2 / 4, never positive: no offset overflows.
+    exponent is -(z - d / 2)^2 - d^2 / 4, never positive: no offset
+    overflows.
+
+    Only the weights change between draws, so each column chunk's terms are
+    exponentiated once.  The draws then go through in groups of at most
+    Z_BUFFER node values, their mixtures summed one atom at a time and each
+    draw's trapezoid taken as its own product, so a draw rounds exactly as
+    it would alone.
     """
-    weights = np.broadcast_to(np.asarray(w)[:, None], deltas.shape)
-    out = np.empty(deltas.shape[1])
-    for cols, nodes, mix in _mixtures_on_z(deltas, weights, affinity=True):
-        np.sqrt(mix, out=mix)
-        out[cols] = 1.0 - (mix @ nodes.quad_weights) / SQRT_2PI
+    out = np.empty((len(weights), deltas.shape[1]))
+    for cols, nodes, tilt in _z_chunks(deltas, affinity=True):
+        terms = np.empty((len(deltas), len(cols), nodes.points))
+        for d, atom in zip(deltas[:, cols], terms):
+            _z_term(d, nodes, tilt, atom)
+        step = max(1, Z_BUFFER // terms[0].size)
+        mix = np.empty((min(step, len(weights)),) + terms[0].shape)
+        term = np.empty_like(mix)
+        for s in range(0, len(weights), step):
+            w = weights[s:s + step]
+            m, t = mix[:len(w)], term[:len(w)]
+            m.fill(0.0)
+            for j, atom in enumerate(terms):
+                np.multiply(atom, w[:, j, None, None], out=t)
+                m += t
+            np.sqrt(m, out=m)
+            # a stack of (cols, nodes) @ q products, one per draw, as a lone draw has
+            out[s:s + len(w), cols] = 1.0 - (m @ nodes.quad_weights) / SQRT_2PI
     return out
 
 
@@ -337,13 +361,16 @@ class IidRegime:
     def _mixture(self, member_ids: Sequence[int], w: np.ndarray) -> GridDensity:
         return mixture_density([self._density(i) for i in member_ids], w)
 
-    def mixture_truth_gap(self, member_ids, w, n: int | None = None) -> float:
-        return h_star(self.f_circ, self._mixture(member_ids, w), self.true_density)
+    def mixture_truth_gap(self, member_ids, weights, n: int | None = None) -> np.ndarray:
+        return np.array([h_star(self.f_circ, self._mixture(member_ids, w), self.true_density)
+                         for w in weights])
 
-    def closure_violation(self, member_ids, center_id: int, w, n: int | None = None) -> float:
+    def closure_violation(self, member_ids, center_id: int, weights,
+                          n: int | None = None) -> np.ndarray:
         center = self._density(center_id)
         radius = max(self._dist(center, self._density(i)) for i in member_ids)
-        return self._dist(center, self._mixture(member_ids, w)) - radius
+        return np.array([self._dist(center, self._mixture(member_ids, w))
+                         for w in weights]) - radius
 
     def hull_gap_bound(self, member_ids: Sequence[int],
                        n: int | None = None) -> tuple[float, int]:
@@ -465,19 +492,20 @@ class RegressionRegime:
     def pair_dist(self, id_a: int, id_b: int, n: int) -> float:
         return math.sqrt(float(self._h2(self._row(id_a), self._row(id_b), n).mean()))
 
-    def _mean_gap_to(self, ref_id: int, member_ids, w, n: int) -> float:
-        """Mean over the first n indices of the mixture's affinity gap to ``ref_id``."""
+    def _mean_gaps_to(self, ref_id: int, member_ids, weights, n: int) -> np.ndarray:
+        """Per draw, the mean over the first n indices of the mixture's affinity
+        gap to ``ref_id``."""
         deltas = np.stack([self._row(i)[:n] for i in member_ids]) - self._row(ref_id)[:n]
-        return float(np.mean(_affinity_gaps(deltas, w)))
+        return _affinity_gaps(deltas, weights).mean(axis=1)
 
-    def mixture_truth_gap(self, member_ids, w, n: int) -> float:
-        return self._mean_gap_to(REF_ID, member_ids, w, n)
+    def mixture_truth_gap(self, member_ids, weights, n: int) -> np.ndarray:
+        return self._mean_gaps_to(REF_ID, member_ids, weights, n)
 
-    def closure_violation(self, member_ids, center_id, w, n: int) -> float:
+    def closure_violation(self, member_ids, center_id, weights, n: int) -> np.ndarray:
         radius = max(
             0.5 * self.pair_dist(center_id, i, n) ** 2 for i in member_ids
         )
-        return self._mean_gap_to(center_id, member_ids, w, n) - radius
+        return self._mean_gaps_to(center_id, member_ids, weights, n) - radius
 
     def hull_gap_bound(self, member_ids, n: int) -> tuple[float, int]:
         """Per-index triangle bound averaged over the design, and its center."""
@@ -608,22 +636,24 @@ class MarkovRegime:
     def _probe_states(self) -> np.ndarray:
         return np.linspace(self.state_window / PROBE_STATES, self.state_window, PROBE_STATES)
 
-    def _probe_gaps(self, member_ids, ref_theta: float, w) -> np.ndarray:
-        """The mixture's affinity gap to the transition of ``ref_theta``, per probe state."""
+    def _probe_gaps(self, member_ids, ref_theta: float, weights) -> np.ndarray:
+        """Each mixture's affinity gap to the transition of ``ref_theta``, per
+        draw and probe state."""
         thetas = np.array([self._theta_of(i) for i in member_ids])
         deltas = np.outer(thetas - ref_theta, self._probe_states()) / self.noise_sd
-        return _affinity_gaps(deltas, w)
+        return _affinity_gaps(deltas, weights)
 
-    def mixture_truth_gap(self, member_ids, w, n: int | None = None) -> float:
-        """Worst-state affinity gap of the mixture over the probe states."""
-        return float(np.max(self._probe_gaps(member_ids, self.theta_star.theta, w)))
+    def mixture_truth_gap(self, member_ids, weights, n: int | None = None) -> np.ndarray:
+        """Worst-state affinity gap of each mixture over the probe states."""
+        return self._probe_gaps(member_ids, self.theta_star.theta, weights).max(axis=1)
 
-    def closure_violation(self, member_ids, center_id, w, n: int | None = None) -> float:
+    def closure_violation(self, member_ids, center_id, weights,
+                          n: int | None = None) -> np.ndarray:
         tc = self._theta_of(center_id)
         states = self._probe_states()
         rho = np.max([0.5 * self._h2_at_states(tc, self._theta_of(j), states)
                       for j in member_ids], axis=0)
-        return float(np.max(self._probe_gaps(member_ids, tc, w) - rho))
+        return (self._probe_gaps(member_ids, tc, weights) - rho).max(axis=1)
 
     def cesaro_kls(self, sample: MarkovSample, weights_before: np.ndarray) -> np.ndarray:
         prev = self._prev_chain(sample)
@@ -748,19 +778,26 @@ def replicate(plan: ExperimentPlan, rep_id: int) -> ReplicationRecord:
     return ReplicationRecord(rep_id=rep_id, n_values=n_values, stats=stats)
 
 
+def _adopt_fp_errors(settings: dict) -> None:
+    """Pool initializer: a worker treats floating-point errors as its parent
+    does.  A forked worker inherits that; a spawned or forkserver one would
+    let an overflow or a division by zero pass silently."""
+    np.seterr(**settings)
+
+
 def run_replications(plan: ExperimentPlan, jobs: int = 1) -> list[ReplicationRecord]:
     """All replications, order-independent: records come back sorted by id."""
     ids = range(plan.replications)
     if jobs <= 1:
         records = [replicate(plan, i) for i in ids]
     else:
-        # imported here: only a pool run pays for multiprocessing; forked
-        # workers inherit the caller's floating-point error handling
+        # imported here: only a pool run pays for multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=jobs, initializer=_adopt_fp_errors,
+                                     initargs=(np.geterr(),)) as pool:
                 chunk = max(1, plan.replications // (8 * jobs))
                 records = list(pool.map(partial(replicate, plan), ids, chunksize=chunk))
         except BrokenProcessPool as e:
@@ -781,7 +818,19 @@ def mean_and_se(records, key: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stat_quantile(records, key: str, q: float) -> np.ndarray:
-    return np.percentile(stat_matrix(records, key), 100.0 * q, axis=0)
+    """np.percentile(stat_matrix(records, key), 100 q, axis=0), bit for bit.
+
+    Its linear rule written out, since np.percentile imports numpy.ma
+    (12 ms per process): between two sorted rows, or on the last one, with
+    the lerp run from the far end in the upper half of the step.
+    """
+    m = np.sort(stat_matrix(records, key), axis=0)
+    at = (len(m) - 1) * (100.0 * q / 100.0)
+    lo = -1 if at >= len(m) - 1 else math.floor(at)
+    hi = -1 if lo == -1 else lo + 1
+    t = at - lo
+    diff = m[hi] - m[lo]
+    return m[hi] - diff * (1 - t) if t >= 0.5 else m[lo] + diff * t
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +905,7 @@ def certify_subset(regime, member_ids, delta: float, n: int,
         )
 
     closure = mixture_closure_report(
-        lambda w: regime.closure_violation(ids, center_id, w, n),
+        lambda weights: regime.closure_violation(ids, center_id, weights, n),
         len(ids),
         draws=draws,
         rng=rng,
@@ -870,10 +919,8 @@ def certify_subset(regime, member_ids, delta: float, n: int,
     if len(ids) == 1:
         mixture_min = float(gaps[0])
     else:
-        mixture_min = math.inf
-        for _ in range(draws):
-            w = rng.dirichlet(np.ones(len(ids)))
-            mixture_min = min(mixture_min, regime.mixture_truth_gap(ids, w, n))
+        weights = rng.dirichlet(np.ones(len(ids)), size=draws)
+        mixture_min = float(np.min(regime.mixture_truth_gap(ids, weights, n), initial=math.inf))
         if mixture_min <= delta:
             raise SubsetNotAdmissibleError(
                 f"subset not admissible: a random mixture fell to gap "

@@ -172,28 +172,27 @@ class ClosureReport:
 
 
 def mixture_closure_report(
-    gap_of_weights: Callable[[np.ndarray], float],
+    gaps_of_weights: Callable[[np.ndarray], np.ndarray],
     n_members: int,
     draws: int,
     rng: np.random.Generator,
 ) -> ClosureReport:
     """Random-mixture check that a ball is closed under convex combination.
 
-    ``gap_of_weights`` maps a probability vector over the ball's members to
-    how far that mixture lies outside the ball: its metric value from the
-    ball's center minus the ball's radius.  Weights are drawn flat
-    Dirichlet.  A singleton ball is checked once with weight 1.
+    ``gaps_of_weights`` maps a (draws, n_members) matrix, one probability
+    vector over the ball's members per row, to how far each row's mixture
+    lies outside the ball: its metric value from the ball's center minus
+    the ball's radius.  The rows are drawn flat Dirichlet in one call, which
+    gives the same rows as one call per draw.  A singleton ball is checked
+    once with weight 1.
     """
     if n_members < 1:
         raise GeometryError("closure check needs at least one member")
-    worst = -math.inf
     if n_members == 1:
-        worst = gap_of_weights(np.ones(1))
+        weights = np.ones((1, 1))
     else:
-        for _ in range(draws):
-            w = rng.dirichlet(np.ones(n_members))
-            worst = max(worst, gap_of_weights(w))
-    worst = max(0.0, worst)
+        weights = rng.dirichlet(np.ones(n_members), size=draws)
+    worst = max(0.0, float(np.max(gaps_of_weights(weights), initial=-math.inf)))
     return ClosureReport(closed=worst <= CLOSURE_TOL, worst_violation=worst)
 
 

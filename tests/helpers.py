@@ -24,9 +24,19 @@ from bayesrates.divergences import (
     GridDensity,
     ar1_stationary_sd,
     gaussian_density,
+    h_star,
     hellinger_with_weight,
     kl,
     mixture_density,
+)
+from bayesrates.experiments import (
+    REF_ID,
+    SQRT_2PI,
+    Z_BUFFER,
+    Z_FAR,
+    Z_REACH,
+    Z_RESOLVE,
+    Z_STEP,
 )
 from bayesrates.geometry import GeometryError
 from bayesrates.models import FamilyMember, ModelError
@@ -252,3 +262,81 @@ def markov_kvh_oracle(theta_star: float, theta: float, *, grid: Grid,
         float(state_w @ (u * v_s)) / u_mass,
         float(state_w @ (u / u_mass * np.sqrt(h2))),
     )
+
+
+def z_affinity_gaps_oracle(deltas: np.ndarray, w) -> np.ndarray:
+    """Per-row z-node affinity gaps of one weight vector, every term built afresh.
+
+    The reference form of ``experiments._affinity_gaps``: the same column
+    chunks and nodes, with each chunk's exponentials rebuilt for the draw.
+    """
+    near = np.clip(deltas, -Z_FAR, Z_FAR)
+    spread = near.max(axis=0) - near.min(axis=0)
+    parts = np.maximum(np.ceil(spread * (Z_STEP / Z_RESOLVE)), 1.0).astype(int)
+    out = np.empty(deltas.shape[1])
+    for m in sorted(set(parts.tolist())):
+        group = np.flatnonzero(parts == m)
+        lower = -Z_REACH + min(0.0, 0.5 * float(near[:, group].min()))
+        upper = Z_REACH + max(0.0, 0.5 * float(near[:, group].max()))
+        nodes = Grid(lower, upper, math.ceil((upper - lower) * m / Z_STEP) + 1)
+        tilt = -nodes.x ** 2
+        width = max(1, Z_BUFFER // nodes.points)
+        for s in range(0, len(group), width):
+            cols = group[s:s + width]
+            mix = np.zeros((len(cols), nodes.points))
+            term = np.empty_like(mix)
+            for d, w_j in zip(deltas[:, cols], w):
+                np.multiply(d[:, None], nodes.x, out=term)
+                term += tilt
+                term -= (0.5 * d * d)[:, None]
+                np.exp(term, out=term)
+                term *= w_j
+                mix += term
+            np.sqrt(mix, out=mix)
+            out[cols] = 1.0 - (mix @ nodes.quad_weights) / SQRT_2PI
+    return out
+
+
+def _regression_gaps(regime, ref_id: int, member_ids, w, n: int) -> np.ndarray:
+    deltas = np.stack([regime._row(i)[:n] for i in member_ids]) - regime._row(ref_id)[:n]
+    return z_affinity_gaps_oracle(deltas, w)
+
+
+def _markov_gaps(regime, member_ids, ref_theta: float, w) -> np.ndarray:
+    thetas = np.array([regime._theta_of(i) for i in member_ids])
+    deltas = np.outer(thetas - ref_theta, regime._probe_states()) / regime.noise_sd
+    return z_affinity_gaps_oracle(deltas, w)
+
+
+def mixture_truth_gap_oracle(regime, member_ids, w, n: int | None = None) -> float:
+    """One mixture's certification gap to the truth, computed for that draw alone.
+
+    The reference form of every regime's ``mixture_truth_gap``: the starred
+    affinity gap on the density grid, the design mean of the z-node gaps
+    (regression), or their worst probe state (markov).
+    """
+    if regime.kind == "regression":
+        return float(np.mean(_regression_gaps(regime, REF_ID, member_ids, w, n)))
+    if regime.kind == "markov":
+        return float(np.max(_markov_gaps(regime, member_ids, regime.theta_star.theta, w)))
+    mix = mixture_density([regime._density(i) for i in member_ids], w)
+    return h_star(regime.f_circ, mix, regime.true_density)
+
+
+def closure_violation_oracle(regime, member_ids, center_id: int, w,
+                             n: int | None = None) -> float:
+    """How far one mixture lies outside the ball around ``center_id``, for that
+    draw alone: the reference form of every regime's ``closure_violation``."""
+    if regime.kind == "regression":
+        radius = max(0.5 * regime.pair_dist(center_id, i, n) ** 2 for i in member_ids)
+        return float(np.mean(_regression_gaps(regime, center_id, member_ids, w, n))) - radius
+    if regime.kind == "markov":
+        tc = regime._theta_of(center_id)
+        states = regime._probe_states()
+        rho = np.max([0.5 * regime._h2_at_states(tc, regime._theta_of(j), states)
+                      for j in member_ids], axis=0)
+        return float(np.max(_markov_gaps(regime, member_ids, tc, w) - rho))
+    center = regime._density(center_id)
+    radius = max(regime._dist(center, regime._density(i)) for i in member_ids)
+    mix = mixture_density([regime._density(i) for i in member_ids], w)
+    return regime._dist(center, mix) - radius

@@ -118,6 +118,31 @@ class TestParse:
         errors = parse_errors(tmp_path, text)
         assert any("missing key 'seed'" in e for e in errors)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("family:\n  means: [0.0, 1.0]\n", "",
+             "section 'top level' is missing key 'family' (line 1)"),
+            ("verify: [factorization]\n", "",
+             "section 'top level' is missing key 'verify' (line 1)"),
+            ("schedule:\n  n_values: [25, 50]\n", "# a plan\n",
+             "section 'top level' is missing key 'schedule' (line 1)"),
+            ("means: [0.0, 1.0]", "sd: 1.0",
+             "section 'family' is missing key 'means' (line 2)"),
+            ("regime: iid\n", "# no regime\n",
+             "section 'top level' is missing key 'regime' (line 2)"),
+        ],
+        ids=["section", "verify", "schedule", "family-key", "regime"],
+    )
+    def test_missing_key_is_one_line(self, tmp_path, old, new, message):
+        """A missing key or section gets one complaint, in one wording, with
+        the line where its section starts."""
+        assert parse_errors(tmp_path, MINIMAL.replace(old, new)) == [message]
+
+    def test_verify_flag_stands_in_for_the_key(self, tmp_path):
+        path = write_config(tmp_path, MINIMAL.replace("verify: [factorization]\n", ""))
+        assert parse_config(path, {"verify": ("thickness",)}).verify == ("thickness",)
+
     def test_thin_evidence_constant_rejected(self, tmp_path):
         text = MINIMAL + "params:\n  C: 0.2\n  c: 1.1\n"
         errors = parse_errors(tmp_path, text)
@@ -344,6 +369,10 @@ BAD_VALUES = {
              "seed must be nonnegative, got -3 (line 8)"),
     "u_set": (SMALL_CHECK, "seed: 17", "seed: 17\nu_set: [-1]",
               "u_set[0] must be an atom id below 2, got -1 (line 9)"),
+    "family.thetas": (MARKOV_WINDOW, "thetas: [0.6, -0.4]", "thetas: [0.6, 1.2]",
+                      "family.thetas[1] must be inside (-1, 1), got 1.2 (line 3)"),
+    "truth.theta": (MARKOV_WINDOW, "theta: 0.6", "theta: -1.0",
+                    "truth.theta must be inside (-1, 1), got -1.0 (line 6)"),
 }
 
 # a bad config value exits 3 from each of these, before any verification runs

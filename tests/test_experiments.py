@@ -1,5 +1,10 @@
 """Tests for the sampling regimes, the replication engine, and the verifiers."""
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import partial, reduce
 from pathlib import Path
@@ -20,6 +25,7 @@ from bayesrates.divergences import (
     mixture_density,
 )
 from bayesrates.experiments import (
+    Z_BUFFER,
     ExperimentError,
     ExperimentPlan,
     IidRegime,
@@ -28,6 +34,7 @@ from bayesrates.experiments import (
     RegressionRegime,
     ReplicationRecord,
     SubsetNotAdmissibleError,
+    _adopt_fp_errors,
     _affinity_gaps,
     _density_stride,
     _gaussian_mixture_kls,
@@ -64,18 +71,22 @@ from bayesrates.models import (
 )
 
 from helpers import (
+    closure_violation_oracle,
     gaussian_affinity_gaps_oracle,
     gaussian_mixture_kls_oracle,
     iid_cesaro_oracle,
     markov_kvh_oracle,
+    mixture_truth_gap_oracle,
     v_divergence,
     weighted_hellinger_between,
+    z_affinity_gaps_oracle,
 )
 
 GRID = default_grid()
 WIDE = Grid(-24.0, 24.0, 8001)
 UNIT_STRIDE = _density_stride(GRID, 1.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 MARKOV_CONFIG = CONFIGS / "markov.yaml"
 
 
@@ -214,6 +225,36 @@ class TestEngine:
         parallel = run_replications(plan, jobs=2)
         assert np.array_equal(stat_matrix(serial, stat), stat_matrix(parallel, stat))
 
+    def test_pool_workers_adopt_the_callers_error_handling(self, monkeypatch):
+        seen = {}
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                seen.update(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        plan = ExperimentPlan(regime=iid_regime(), schedule=RateSchedule((10,)),
+                              replications=2, seed=5)
+        with np.errstate(all="raise"):
+            run_replications(plan, jobs=2)
+            assert seen["initializer"] is _adopt_fp_errors
+            assert seen["initargs"] == (np.geterr(),)
+
+    def test_initializer_makes_a_spawned_worker_raise(self):
+        """A spawned worker starts from numpy's defaults, where an overflow
+        only warns; with the initializer it raises, as in the caller."""
+        spawn = multiprocessing.get_context("spawn")
+        huge = np.array(1000.0)
+        with np.errstate(over="raise"):
+            with concurrent.futures.ProcessPoolExecutor(1, mp_context=spawn) as pool:
+                assert pool.submit(np.exp, huge).result() == np.inf
+            with concurrent.futures.ProcessPoolExecutor(
+                    1, mp_context=spawn, initializer=_adopt_fp_errors,
+                    initargs=(np.geterr(),)) as pool:
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    pool.submit(np.exp, huge).result()
+
     def test_singleton_subset_numerator_path(self):
         reg = iid_regime()
         plan = ExperimentPlan(
@@ -270,6 +311,40 @@ class TestEngine:
         assert se == pytest.approx(mat.std(axis=0, ddof=1) / math.sqrt(12))
         med = stat_quantile(recs, "log_evidence", 0.5)
         assert med == pytest.approx(np.median(mat, axis=0))
+
+
+class TestStatQuantile:
+    """stat_quantile writes out np.percentile's linear rule; it must agree to
+    the bit, ties and both halves of the lerp included."""
+
+    @staticmethod
+    def records(matrix):
+        n_values = tuple(range(1, matrix.shape[1] + 1))
+        return [ReplicationRecord(rep_id=r, n_values=n_values, stats={"cesaro_kl": row})
+                for r, row in enumerate(matrix)]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 8, 200, 201])
+    @pytest.mark.parametrize("q", [0.25, 0.5, 0.75])
+    def test_equals_percentile(self, rows, q):
+        rng = np.random.default_rng(rows)
+        for matrix in (rng.normal(size=(rows, 5)),
+                       rng.integers(-2, 3, size=(rows, 5)).astype(float) / 3.0,  # ties
+                       np.exp(rng.normal(scale=20.0, size=(rows, 5)))):
+            expect = np.percentile(matrix, 100.0 * q, axis=0)
+            got = stat_quantile(self.records(matrix), "cesaro_kl", q)
+            assert np.array_equal(got, expect)
+            assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+    def test_imports_no_masked_arrays(self):
+        code = ("import sys, numpy as np; from bayesrates.experiments import "
+                "ReplicationRecord, stat_quantile; "
+                "recs = [ReplicationRecord(r, (1,), {'cesaro_kl': np.array([r / 3])}) "
+                "for r in range(5)]; stat_quantile(recs, 'cesaro_kl', 0.5); "
+                "print('numpy.ma' in sys.modules)")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == "False\n"
 
 
 class TestCesaro:
@@ -478,8 +553,9 @@ class TestFastPathOracles:
         kls = np.concatenate([_gaussian_mixture_kls(deltas[:, s:s + 300], w[:, s:s + 300])
                               for s in pieces])
         assert np.max(np.abs(_gaussian_mixture_kls(deltas, w) - kls)) <= 1e-15
-        gaps = np.concatenate([_affinity_gaps(deltas[:, s:s + 300], w[:, 0]) for s in pieces])
-        assert np.max(np.abs(_affinity_gaps(deltas, w[:, 0]) - gaps)) <= 1e-15
+        one = w[None, :, 0]
+        gaps = np.concatenate([_affinity_gaps(deltas[:, s:s + 300], one)[0] for s in pieces])
+        assert np.max(np.abs(_affinity_gaps(deltas, one)[0] - gaps)) <= 1e-15
 
     def test_gaussian_mixture_kernel_builds_no_full_array(self):
         """The mixture is summed one atom at a time: on this chain that peaks at
@@ -622,12 +698,12 @@ class TestZNodeRule:
             # the closure radius: the largest per-state affinity gap to the center
             rho = np.array([np.max(1.0 - np.exp(-(((center - thetas) * y / sd) ** 2) / 8.0))
                             for y in states])
-            for _ in range(4):
-                w = rng.dirichlet(np.ones(len(ids)))
-                for got, ref_theta, offset in (
-                    (reg.mixture_truth_gap(ids, w), reg.theta_star.theta, 0.0),
-                    (reg.closure_violation(ids, ids[0], w), center, rho),
-                ):
+            weights = rng.dirichlet(np.ones(len(ids)), size=4)
+            for gots, ref_theta, offset in (
+                (reg.mixture_truth_gap(ids, weights), reg.theta_star.theta, 0.0),
+                (reg.closure_violation(ids, ids[0], weights), center, rho),
+            ):
+                for w, got in zip(weights, gots):
                     args = (thetas[:, None] * states[None, :], ref_theta * states, sd, w)
                     wide = gaussian_affinity_gaps_oracle(WIDE, *args)
                     assert abs(got - np.max(wide - offset)) <= 1e-15
@@ -643,22 +719,23 @@ class TestZNodeRule:
         means = reg._means[list(ids)]
         for n in cfg.schedule.n_values:
             radius = max(0.5 * reg.pair_dist(ids[0], i, n) ** 2 for i in ids)
-            for _ in range(4):
-                w = rng.dirichlet(np.ones(len(ids)))
+            weights = rng.dirichlet(np.ones(len(ids)), size=4)
+            truth_gots = reg.mixture_truth_gap(ids, weights, n)
+            center_gots = reg.closure_violation(ids, ids[0], weights, n)
+            for w, truth_got, center_got in zip(weights, truth_gots, center_gots):
                 truth_gaps = gaussian_affinity_gaps_oracle(
                     GRID, means[:, :n], reg._truth_means[:n], 1.0, w)
                 center_gaps = gaussian_affinity_gaps_oracle(
                     GRID, means[:, :n], means[0, :n], 1.0, w)
-                assert abs(reg.mixture_truth_gap(ids, w, n) - truth_gaps.mean()) <= 1e-15
-                got = reg.closure_violation(ids, ids[0], w, n)
-                assert abs(got - (center_gaps.mean() - radius)) <= 1e-15
+                assert abs(truth_got - truth_gaps.mean()) <= 1e-15
+                assert abs(center_got - (center_gaps.mean() - radius)) <= 1e-15
 
     def test_far_offsets_raise_no_overflow(self):
         """Offsets of 200 and 400 sds: every term of a far mixture underflows
         and none overflows, and a far term beside a near one adds nothing."""
         deltas = np.array([[200.0, 0.0, 0.0], [400.0, 0.0, 200.0]])
         with np.errstate(over="raise", invalid="raise"):
-            gaps = _affinity_gaps(deltas, np.array([0.5, 0.5]))
+            gaps = _affinity_gaps(deltas, np.array([[0.5, 0.5]]))[0]
         assert gaps[0] == 1.0
         assert abs(gaps[1]) <= 1e-15
         assert abs(gaps[2] - (1.0 - math.sqrt(0.5))) <= 1e-15
@@ -693,11 +770,10 @@ class TestAnchoredAtTruth:
         gaps = [h_affinity_gap(truth, f) for f in dens.values()]
         assert np.max(np.abs(reg.separation_gaps(ids) - gaps)) <= 1e-15
         assert np.max(np.abs(reg.vertex_certificates(ids) - 1.0)) <= 1e-12
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            w = rng.dirichlet(np.ones(len(ids)))
+        weights = np.random.default_rng(4).dirichlet(np.ones(len(ids)), size=5)
+        for w, got in zip(weights, reg.mixture_truth_gap(ids, weights)):
             plain = h_affinity_gap(truth, mixture_density(list(dens.values()), w))
-            assert abs(reg.mixture_truth_gap(ids, w) - plain) <= 1e-15
+            assert abs(got - plain) <= 1e-15
 
         data = generate_data(reg, 200, seed=6)
         w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
@@ -780,6 +856,81 @@ class TestCertification:
         assert cert.hull_gap_bound == reg.hull_gap_bound((1, 2))[0]
         assert cert.hull_gap_bound > 0.02
         assert cert.closure.closed
+
+
+class TestBatchedCertification:
+    """Every certification step evaluates all its Dirichlet draws in one call;
+    each draw must come out exactly as it did when computed alone."""
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    @pytest.mark.parametrize("draws", [1, 7, 100])
+    def test_dirichlet_size_gives_the_separate_draws(self, k, draws):
+        batch_rng, single_rng = np.random.default_rng(11), np.random.default_rng(11)
+        batch = batch_rng.dirichlet(np.ones(k), size=draws)
+        singles = np.stack([single_rng.dirichlet(np.ones(k)) for _ in range(draws)])
+        assert np.array_equal(batch, singles)
+        assert batch_rng.random() == single_rng.random()
+
+    # subsets per config, singletons included; 250 draws end in a partial
+    # draw chunk on regression (chunks of 3 to 15 draws) and markov (212 up)
+    CASES = {
+        "iid": ((3,), (2, 3), (1, 2, 3)), "misspecified": ((1,), (0, 1)),
+        "regression": ((4,), (3, 4, 5), (0, 3, 5)), "markov": ((5,), (4, 5), (0, 3, 4, 5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_batched_equals_per_draw_oracle(self, name):
+        cfg = parse_config(CONFIGS / f"{name}.yaml")
+        reg = build_regime(cfg)
+        rng = np.random.default_rng(12)
+        counts = (1, 7) if name in ("iid", "misspecified") else (1, 7, 250)
+        n = cfg.schedule.n_values[-1]
+        for ids in self.CASES[name]:
+            for draws in counts:
+                weights = rng.dirichlet(np.ones(len(ids)), size=draws)
+                truth = reg.mixture_truth_gap(ids, weights, n)
+                closure = reg.closure_violation(ids, ids[-1], weights, n)
+                assert truth.shape == closure.shape == (draws,)
+                assert np.array_equal(
+                    truth, [mixture_truth_gap_oracle(reg, ids, w, n) for w in weights])
+                assert np.array_equal(
+                    closure, [closure_violation_oracle(reg, ids, ids[-1], w, n) for w in weights])
+
+    def test_regression_gaps_at_every_horizon(self):
+        cfg = parse_config(CONFIGS / "regression.yaml")
+        reg = build_regime(cfg)
+        ids = cfg.subset
+        weights = np.random.default_rng(13).dirichlet(np.ones(len(ids)), size=5)
+        for n in (1, 2, *cfg.schedule.n_values):
+            assert np.array_equal(reg.mixture_truth_gap(ids, weights, n),
+                                  [mixture_truth_gap_oracle(reg, ids, w, n) for w in weights])
+
+    def test_spacing_groups_and_one_draw_chunks(self):
+        """Offsets spread far enough to split the columns into several spacing
+        groups and chunks, each too wide to hold two draws."""
+        rng = np.random.default_rng(14)
+        deltas = rng.normal(0.0, 6.0, size=(3, 700))
+        weights = rng.dirichlet(np.ones(3), size=9)
+        got = _affinity_gaps(deltas, weights)
+        assert np.array_equal(got, [z_affinity_gaps_oracle(deltas, w) for w in weights])
+
+    def test_regression_certification_memory_is_bounded(self):
+        """A 1,000-draw certification holds its per-draw results and a few
+        buffers of Z_BUFFER node values, never a (draws, columns, nodes) array
+        (about 150 MB here)."""
+        cfg = parse_config(CONFIGS / "regression.yaml")
+        reg = build_regime(cfg)
+        n, draws = cfg.schedule.n_values[-1], 1000
+        reg.mixture_truth_gap(cfg.subset, np.full((1, 3), 1.0 / 3.0), n)  # first-call set-up, untraced
+        tracemalloc.start()
+        try:
+            certify_subset(reg, cfg.subset, 0.01, n, np.random.default_rng(15), draws=draws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        results = draws * n * 8
+        buffers = (len(cfg.subset) + 2) * Z_BUFFER * 8
+        assert peak <= results + buffers + (1 << 20), peak
 
 
 def gauss_hellinger(mean_gap, sd=1.0):

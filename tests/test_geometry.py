@@ -148,10 +148,30 @@ class TestSeparation:
 
 class TestMixtureClosure:
     def test_singleton_ball_trivially_closed(self):
-        rep = mixture_closure_report(lambda w: 0.3 - 0.3, 1, draws=50,
-                                     rng=np.random.default_rng(0))
+        seen = []
+
+        def gaps(weights):
+            seen.append(weights)
+            return np.full(len(weights), 0.3 - 0.3)
+
+        rep = mixture_closure_report(gaps, 1, draws=50, rng=np.random.default_rng(0))
         assert rep.closed
         assert rep.worst_violation == 0.0
+        assert len(seen) == 1 and np.array_equal(seen[0], np.ones((1, 1)))
+
+    def test_all_draws_in_one_call(self):
+        """One call sees every draw, as rows in the order separate draws give."""
+        seen = []
+
+        def gaps(weights):
+            seen.append(weights)
+            return weights[:, 0] - 0.5
+
+        rep = mixture_closure_report(gaps, 3, draws=25, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        expect = np.stack([rng.dirichlet(np.ones(3)) for _ in range(25)])
+        assert len(seen) == 1 and np.array_equal(seen[0], expect)
+        assert rep.worst_violation == max(0.0, float(np.max(expect[:, 0])) - 0.5)
 
     def test_affinity_gap_ball_closed_under_mixing(self):
         fam = build_gaussian_location_family(GRID, [0.0, -0.5, 0.3, 0.6])
@@ -159,10 +179,11 @@ class TestMixtureClosure:
         members = [m.density for m in fam[1:]]
         radius = max(h_affinity_gap(center, m) for m in members)
 
-        def gap(w):
-            return h_affinity_gap(center, mixture_density(members, w)) - radius
+        def gaps(weights):
+            return [h_affinity_gap(center, mixture_density(members, w)) - radius
+                    for w in weights]
 
-        rep = mixture_closure_report(gap, len(members), draws=200,
+        rep = mixture_closure_report(gaps, len(members), draws=200,
                                      rng=np.random.default_rng(3))
         assert rep.closed
 
@@ -175,9 +196,14 @@ class TestMixtureClosure:
             mix = mixture_density(members, np.array([w, 1.0 - w]))
             assert h_affinity_gap(center, mix) <= radius + 1e-12
 
+    def test_zero_draws_find_no_violation(self):
+        rep = mixture_closure_report(lambda weights: weights[:, 0], 2, draws=0,
+                                     rng=np.random.default_rng(2))
+        assert rep.closed and rep.worst_violation == 0.0
+
     def test_violation_reported_when_radius_too_small(self):
-        rep = mixture_closure_report(lambda w: 0.5 - 0.2, 2, draws=10,
-                                     rng=np.random.default_rng(1))
+        rep = mixture_closure_report(lambda weights: np.full(len(weights), 0.5 - 0.2), 2,
+                                     draws=10, rng=np.random.default_rng(1))
         assert not rep.closed
         assert rep.worst_violation == pytest.approx(0.3)
 
