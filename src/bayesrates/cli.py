@@ -429,6 +429,30 @@ _TOP_KEYS = {
 }
 
 
+def _location_errors(family: dict, truth: dict, fam_lines: dict, truth_lines: dict) -> list[str]:
+    """Each density's 6-sd bulk must lie on the default grid, which would clip it.
+    A declared projection must be an atom nearest the truth's mean: the atoms
+    share one sd, so their kl from the truth differ only in the squared mean
+    gap, whatever the truth's sd (the library's 1e-9 slack)."""
+    grid, errors, proj = default_grid(), [], truth.get("projection_id")
+    means, sd, mean = family["means"], family["sd"], truth["mean"]
+    bulks = [(f"family.means[{i}]", m, "family.sd", sd, fam_lines.get("means"))
+             for i, m in enumerate(means or ())]
+    bulks.append(("truth.mean", mean, "truth.sd", truth["sd"], truth_lines.get("mean")))
+    for key, m, sd_key, s, line in bulks:
+        if None not in (m, s) and not grid.lower <= m - 6.0 * s <= m + 6.0 * s <= grid.upper:
+            errors.append(f"{key} = {m} with {sd_key} = {s} needs [{m - 6.0 * s}, {m + 6.0 * s}] "
+                          f"inside the grid [{grid.lower}, {grid.upper}] (line {line})")
+    if None not in (proj, means, sd, mean):
+        gaps = [(m - mean) ** 2 / (2.0 * sd * sd) for m in means]
+        best = gaps.index(min(gaps))
+        if gaps[best] < gaps[proj] - 1e-9:
+            errors.append(f"truth.projection_id = {proj} is not the kl projection: family.means"
+                          f"[{best}] = {means[best]} is nearer truth.mean = {mean} "
+                          f"(line {truth_lines['projection_id']})")
+    return errors
+
+
 def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Validate the whole file; raises ConfigError carrying every complaint.
 
@@ -459,8 +483,10 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         family = fam_sec.read(_FAMILY_KEYS[regime])
         listed = family[next(iter(_FAMILY_KEYS[regime]))]
         atoms = None if listed is None else len(listed)
-        truth = _Section(truth_node, "truth", errors, line=top.lines.get("truth")).read(
-            _TRUTH_KEYS[regime], atoms)
+        truth_sec = _Section(truth_node, "truth", errors, line=top.lines.get("truth"))
+        truth = truth_sec.read(_TRUTH_KEYS[regime], atoms)
+        if regime in ("iid", "misspecified"):
+            errors += _location_errors(family, truth, fam_sec.lines, truth_sec.lines)
 
     sched_node = top.node("schedule", required=True)
     sched_sec = _Section(sched_node, "schedule", errors, line=top.lines.get("schedule"))

@@ -33,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from .divergences import (
-    SWEEP_POINTS,
     Grid,
     GridDensity,
     gaussian_shift_kvh,
@@ -42,9 +41,7 @@ from .divergences import (
     kl_contrast,
     kleijn_certificate,
     mixture_density,
-    state_sup_hellinger,
     stationary_divergences,
-    transition_shift_sq,
     v_star,
 )
 from .geometry import (
@@ -121,8 +118,10 @@ Z_BUFFER = 1 << 16
 Z_FAR = 18.0
 
 # the markov certification draws measure each mixture at this many states,
-# evenly spaced out to the state window's edge
+# evenly spaced out to the state window's edge; the sup-form hull bound
+# sweeps this many states of the window
 PROBE_STATES = 7
+SWEEP_POINTS = 1001
 
 
 def _z_chunks(deltas: np.ndarray, affinity: bool = False):
@@ -560,7 +559,7 @@ class MarkovRegime:
         self.reference = FamilyMember(id=REF_ID, kind=MARKOV, payload=theta_star)
         self._thetas = np.array([m.payload.theta for m in prior.members])
         # every atom's stationary (kl, v, h_q), one row per prior member
-        self._kvh = np.array(stationary_divergences(theta_star.theta, self._thetas, noise_sd=sd))
+        self._kvh = np.array(stationary_divergences(theta_star.theta, self._thetas))
         self._kvh.flags.writeable = False
 
     def sample(self, n: int, rng: np.random.Generator) -> MarkovSample:
@@ -599,7 +598,8 @@ class MarkovRegime:
         return float(self._kvh[self.prior.index_of(member_id), 2])
 
     def _sup_h(self, theta_a: float, theta_b: float) -> float:
-        return state_sup_hellinger(theta_a, theta_b, self.state_window, noise_sd=self.noise_sd)
+        # the per-state distance grows with |y|: its sup sits at the window edge
+        return math.sqrt(self._h2_at_states(theta_a, theta_b, self.state_window))
 
     def separation_gaps(self, member_ids, n: int | None = None) -> np.ndarray:
         t = self.theta_star.theta
@@ -615,7 +615,7 @@ class MarkovRegime:
 
     def _h2_at_states(self, theta_a: float, theta_b, states) -> np.ndarray:
         """Squared Hellinger distances between the transitions from ``states``."""
-        return gaussian_shift_kvh(transition_shift_sq(theta_a, theta_b, states, self.noise_sd))[2]
+        return gaussian_shift_kvh((theta_a - theta_b) ** 2 * states * states / self.noise_sd**2)[2]
 
     def hull_gap_bound(self, member_ids, n: int | None = None) -> tuple[float, int]:
         """Sup over window states of the per-state triangle bound, and its center.

@@ -16,10 +16,9 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import optimize
+from scipy import integrate, optimize
 
 from bayesrates.divergences import (
-    FLOOR,
     Grid,
     GridDensity,
     ar1_stationary_sd,
@@ -226,41 +225,34 @@ def iid_cesaro_oracle(regime, weights_before: np.ndarray, stride: int,
     return vals.astype(np.float64)
 
 
-def _transition_rows(grid: Grid, theta: float, states: np.ndarray, noise_sd: float) -> np.ndarray:
-    z = (grid.x[None, :] - theta * states[:, None]) / noise_sd
-    rows = np.exp(-0.5 * z * z) / (noise_sd * math.sqrt(2.0 * math.pi))
-    rows = np.maximum(rows, FLOOR)
-    rows /= rows @ grid.quad_weights[:, None]
-    return np.maximum(rows, FLOOR)
+def markov_kvh_oracle(theta_star: float, theta: float, *,
+                      noise_sd: float = 1.0) -> tuple[float, float, float]:
+    """State-averaged (kl, v, h_q) for one coefficient, by adaptive quadrature.
 
-
-def markov_kvh_oracle(theta_star: float, theta: float, *, grid: Grid,
-                      noise_sd: float = 1.0, state_points: int = 401) -> tuple[float, float, float]:
-    """State-averaged (kl, v, h_q) for one coefficient, both row sets built afresh.
-
-    The reference form of ``stationary_divergences``: the truth's rows are
-    rebuilt for every coefficient.
+    The reference form of ``stationary_divergences``: from the state
+    y = z * (stationary sd of theta_star) the two transitions' means are
+    |theta_star - theta| |y| / noise_sd noise sds apart.  Each per-state
+    divergence is integrated against the standard normal density of z by
+    ``scipy.integrate.quad`` on [0, 13] (the integrands are even in z), split
+    where the Hellinger integrand turns, at a gap of sqrt(8).
     """
-    sd_star = ar1_stationary_sd(theta_star, noise_sd)
-    half = 6.0 * sd_star
-    states = np.linspace(-half, half, state_points)
-    rows_a = _transition_rows(grid, theta_star, states, noise_sd)
-    rows_b = _transition_rows(grid, theta, states, noise_sd)
-    log_diff = np.log(rows_a) - np.log(rows_b)
-    wq = grid.quad_weights
-    k_s = np.maximum((rows_a * log_diff) @ wq, 0.0)
-    v_s = (rows_a * log_diff * log_diff) @ wq
-    sq = np.sqrt(rows_a) - np.sqrt(rows_b)
-    h2 = np.maximum((sq * sq) @ wq, 0.0)
-    u = np.exp(-0.5 * (states / sd_star) ** 2)
-    state_w = np.full(state_points, states[1] - states[0])
-    state_w[0] *= 0.5
-    state_w[-1] *= 0.5
-    u_mass = state_w @ u
+    shift = (theta_star - theta) * ar1_stationary_sd(theta_star, noise_sd) / noise_sd
+    if shift == 0.0:
+        return 0.0, 0.0, 0.0
+    turn = math.sqrt(8.0) / abs(shift)
+
+    def average(per_state: Callable[[float], float]) -> float:
+        def integrand(z: float) -> float:
+            return per_state((shift * z) ** 2) * math.exp(-0.5 * z * z) / SQRT_2PI
+
+        val, _ = integrate.quad(integrand, 0.0, 13.0, points=[turn] if turn < 13.0 else None,
+                                epsabs=0.0, epsrel=2e-14, limit=200)
+        return 2.0 * val
+
     return (
-        float(state_w @ (u * k_s)) / u_mass,
-        float(state_w @ (u * v_s)) / u_mass,
-        float(state_w @ (u / u_mass * np.sqrt(h2))),
+        average(lambda d2: d2 / 2.0),
+        average(lambda d2: d2 + d2 * d2 / 4.0),
+        average(lambda d2: math.sqrt(-2.0 * math.expm1(-d2 / 8.0))),
     )
 
 

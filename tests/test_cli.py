@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from bayesrates.cli import (
     parse_config,
 )
 from bayesrates.experiments import ExperimentError, IidRegime
+from bayesrates.models import ModelError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -335,8 +337,38 @@ verify: [factorization, thickness, cover, sieve, cesaro]
 out: {out}
 """
 
+MISSPECIFIED_CHECK = """\
+regime: misspecified
+family:
+  means: [0.5, 1.0, 1.5]
+truth:
+  mean: 0.0
+  projection_id: 0
+schedule:
+  n_values: [30]
+seed: 17
+verify: [factorization, conditional-identity]
+out: {out}
+"""
+
 # (config, line replaced, its replacement, the one complaint) of each bad value
 BAD_VALUES = {
+    "family.means": (SMALL_CHECK, "means: [0.0, 1.0]", "means: [0.0, 40.0]",
+                     "family.means[1] = 40.0 with family.sd = 1.0 needs [34.0, 46.0] "
+                     "inside the grid [-12.0, 12.0] (line 3)"),
+    "family.sd.grid": (MISSPECIFIED_CHECK, "means: [0.5, 1.0, 1.5]",
+                       "means: [0.5, 1.0, 1.5]\n  sd: 1.8",
+                       "family.means[2] = 1.5 with family.sd = 1.8 needs [-9.3, 12.3] "
+                       "inside the grid [-12.0, 12.0] (line 3)"),
+    "truth.mean": (SMALL_CHECK, "mean: 0.0", "mean: 7.0",
+                   "truth.mean = 7.0 with truth.sd = 1.0 needs [1.0, 13.0] "
+                   "inside the grid [-12.0, 12.0] (line 5)"),
+    "truth.mean.inf": (SMALL_CHECK, "mean: 0.0", "mean: 1.0e+400",
+                       "truth.mean = inf with truth.sd = 1.0 needs [inf, inf] "
+                       "inside the grid [-12.0, 12.0] (line 5)"),
+    "truth.projection_id": (MISSPECIFIED_CHECK, "projection_id: 0", "projection_id: 2",
+                            "truth.projection_id = 2 is not the kl projection: "
+                            "family.means[0] = 0.5 is nearer truth.mean = 0.0 (line 6)"),
     "family.weights": (SMALL_CHECK, "means: [0.0, 1.0]", "means: [0.0, 1.0]\n  weights: [1, -0.5]",
                        "family.weights[1] must be positive, got -0.5 (line 4)"),
     "family.design_length": (SHORT_DESIGN, "design_length: 300", "design_length: 0",
@@ -743,6 +775,33 @@ class TestOverridesAndRuntimeFaults:
         template, old, new, message = BAD_VALUES[case]
         text = template.format(window="2.0", out=tmp_path / "out").replace(old, new)
         assert_config_error(tmp_path, capsys, argv, text, message)
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+    def test_shipped_iid_truth_off_the_grid_exits_3(self, tmp_path, capsys, argv):
+        # before the rule, this truth became a spike at the grid's edge and
+        # simulate passed its cesaro check on it
+        text = (ROOT / "configs" / "iid.yaml").read_text()
+        text = text.replace("  mean: 0.0", "  mean: 40.0").replace(
+            "out: out/iid", f"out: {tmp_path / 'out'}")
+        assert_config_error(tmp_path, capsys, argv, text,
+                            "truth.mean = 40.0 with truth.sd = 1.0 needs [34.0, 46.0] "
+                            "inside the grid [-12.0, 12.0] (line 9)")
+
+    @pytest.mark.parametrize("truth_sd", [0.5, 1.0, 1.5])
+    def test_projection_is_nearest_mean_whatever_truth_sd(self, tmp_path, truth_sd):
+        # the parse-time rule and the library's grid kl pick the same atom
+        text = MISSPECIFIED_CHECK.format(out=tmp_path / "out").replace(
+            "mean: 0.0", f"mean: 1.2\n  sd: {truth_sd}")
+        assert parse_errors(tmp_path, text) == [
+            "truth.projection_id = 0 is not the kl projection: "
+            "family.means[1] = 1.0 is nearer truth.mean = 1.2 (line 7)"
+        ]
+        cfg = parse_config(write_config(tmp_path, text.replace("projection_id: 0",
+                                                               "projection_id: 1")))
+        regime = cli.build_regime(cfg)
+        assert regime.f_circ is regime.prior.members[1].density
+        with pytest.raises(ModelError, match="beats declared projection 0"):
+            cli.build_regime(replace(cfg, truth={**cfg.truth, "projection_id": 0}))
 
     @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
     def test_every_bad_key_reported_at_once(self, tmp_path, capsys, argv):

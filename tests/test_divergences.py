@@ -28,7 +28,6 @@ from bayesrates.divergences import (
     max_hellinger,
     mean_hellinger,
     mixture_density,
-    state_sup_hellinger,
     stationary_divergences,
     v_star,
     weighted_hellinger,
@@ -293,20 +292,42 @@ class TestSequences:
             mean_hellinger(a, a + a)
 
 
+def markov_regime(thetas, theta_star=0.6, window=None, noise_sd=1.0) -> MarkovRegime:
+    members = [
+        FamilyMember(j, MARKOV, MarkovParam(t, noise_sd=noise_sd)) for j, t in enumerate(thetas)
+    ]
+    return MarkovRegime(
+        uniform_prior(members), MarkovParam(theta_star, noise_sd=noise_sd), state_window=window
+    )
+
+
+def window_edge_hellinger(theta_a, theta_b, window, noise_sd=1.0):
+    """Hellinger distance between the AR(1) transitions from the state ``window``."""
+    gap = (theta_a - theta_b) * window / noise_sd
+    return math.sqrt(-2.0 * math.expm1(-gap * gap / 8.0))
+
+
+# coefficients of the exactness grid: near both unit roots, near-equal pairs,
+# and each truth against itself plus 1e-7
+EXACT_THETAS = (0.9999, -0.9999, 0.99, -0.99, 0.6, 0.59, -0.5, 0.0)
+
+
 class TestMarkov:
     def test_equal_coefficients_vanish(self):
         assert markov_divergences(0.6, 0.6).kl == 0.0
         [(_, v, h_q)] = stationary_divergences(0.6, [0.6])
         assert v == pytest.approx(0.0, abs=1e-12)
         assert h_q == pytest.approx(0.0, abs=1e-12)
-        assert state_sup_hellinger(0.6, 0.6, 5.0) == pytest.approx(0.0, abs=1e-12)
+        reg = markov_regime((0.6, 0.3), window=5.0)
+        assert reg.pair_dist(0, 0) == pytest.approx(0.0, abs=1e-12)
+        assert reg.separation_gaps([0])[0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("theta_star", [0.6, 0.3])
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.6])
     def test_kl_closed_form(self, theta_star, theta):
         expected = (theta_star - theta) ** 2 / (2 * (1 - theta_star ** 2))
         out = markov_divergences(theta_star, theta)
-        assert out.kl == pytest.approx(expected, abs=1e-4)
+        assert out.kl == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_v_closed_form(self):
         # log ratio is linear in the innovation: per-state v = K_y^2 + (d y)^2
@@ -316,13 +337,25 @@ class TestMarkov:
         var = 1.0 / (1 - theta_star ** 2)
         expected = (d ** 4) * 3 * var ** 2 / 4 + d ** 2 * var
         [(_, v, _)] = stationary_divergences(theta_star, [theta])
-        assert v == pytest.approx(expected, rel=1e-4)
+        assert v == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("theta_star", EXACT_THETAS)
+    def test_exact_against_adaptive_reference(self, theta_star):
+        thetas = [t for t in EXACT_THETAS if t != theta_star] + [theta_star + 1e-7]
+        rows = stationary_divergences(theta_star, thetas)
+        for theta, (k, v, h_q) in zip(thetas, rows):
+            a = (theta_star - theta) ** 2 / (1 - theta_star ** 2)
+            assert k == pytest.approx(a / 2, rel=1e-15, abs=0.0)
+            assert v == pytest.approx(a + 3 * a * a / 4, rel=1e-15, abs=0.0)
+            _, _, expected = markov_kvh_oracle(theta_star, theta)
+            assert h_q == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_h_inf_truncated_window_oracle(self):
         theta_star, theta, window = 0.6, 0.3, 5.0
-        got = state_sup_hellinger(theta_star, theta, window)
+        reg = markov_regime((theta_star, theta), theta_star, window=window)
         expected = math.sqrt(2 * (1 - math.exp(-((theta_star - theta) ** 2) * window ** 2 / 8)))
-        assert got == pytest.approx(expected, abs=1e-6)
+        assert reg.pair_dist(0, 1) == pytest.approx(expected, abs=1e-6)
+        assert reg.separation_gaps([1])[0] == pytest.approx(expected ** 2 / 2, abs=1e-6)
 
     def test_default_window_is_five_stationary_sds(self):
         members = [FamilyMember(0, MARKOV, MarkovParam(0.3))]
@@ -330,9 +363,9 @@ class TestMarkov:
         assert reg.state_window == pytest.approx(5.0 * ar1_stationary_sd(0.6))
 
     def test_stationary_h_q_between_bounds(self):
-        [(_, _, h_q)] = stationary_divergences(0.6, [0.2])
-        sup = state_sup_hellinger(0.6, 0.2, 5.0 * ar1_stationary_sd(0.6))
-        assert 0.0 < h_q < sup
+        reg = markov_regime((0.6, 0.2))
+        assert reg.state_window == 5.0 * ar1_stationary_sd(0.6)
+        assert 0.0 < reg.truth_dist(1) < reg.pair_dist(0, 1)
 
     @pytest.mark.parametrize("noise_sd", [1.0, 0.5])
     @pytest.mark.parametrize("d", [0.0, 0.25, 1.0, 3.0])
@@ -346,21 +379,18 @@ class TestMarkov:
     @pytest.mark.parametrize("noise_sd", [1.0, 0.8])
     @pytest.mark.parametrize("window", [2.0, 5.0])
     def test_state_sup_equals_regime_pair_dist(self, window, noise_sd):
+        # atom 0 is the truth, so its pair distances are the separation gaps'
         thetas = (0.6, -0.3, 0.5)
-        members = [
-            FamilyMember(j, MARKOV, MarkovParam(t, noise_sd=noise_sd))
-            for j, t in enumerate(thetas)
-        ]
-        reg = MarkovRegime(
-            uniform_prior(members), MarkovParam(0.6, noise_sd=noise_sd), state_window=window
-        )
+        reg = markov_regime(thetas, window=window, noise_sd=noise_sd)
         for a, b in ((0, 1), (1, 2), (0, 2)):
-            got = state_sup_hellinger(thetas[a], thetas[b], window, noise_sd=noise_sd)
-            assert got == reg.pair_dist(a, b)
+            expected = window_edge_hellinger(thetas[a], thetas[b], window, noise_sd)
+            assert reg.pair_dist(a, b) == pytest.approx(expected, rel=1e-13)
+        for b in (1, 2):
+            assert reg.separation_gaps([b])[0] == 0.5 * reg.pair_dist(0, b) ** 2
 
     def test_state_sup_helper_matches(self):
         # the sup over a sweep of the window, by quadrature, sits at its edge
-        a = state_sup_hellinger(0.6, 0.3, 5.0)
+        a = markov_regime((0.6, 0.3), window=5.0).pair_dist(0, 1)
         swept = max(
             hellinger(gaussian_density(GRID, 0.6 * y, 1.0), gaussian_density(GRID, 0.3 * y, 1.0))
             for y in np.linspace(-5.0, 5.0, 41)
@@ -376,7 +406,7 @@ class TestMarkov:
             if theta == theta_star:
                 assert row == (0.0, 0.0, 0.0)
             else:
-                expected = markov_kvh_oracle(theta_star, theta, grid=GRID)
+                expected = markov_kvh_oracle(theta_star, theta)
                 assert row == pytest.approx(expected, rel=1e-12)
 
     def test_nonstationary_rejected(self):
@@ -391,7 +421,7 @@ class TestMarkov:
         # 6 stationary sds of 0.95 is 19.2, so the transitions from the
         # averaged states reach past a +-12 grid; the closed form needs none
         expected = (0.95 - 0.3) ** 2 / (2 * (1 - 0.95 ** 2))
-        assert markov_divergences(0.95, 0.3).kl == pytest.approx(expected, rel=1e-6)
+        assert markov_divergences(0.95, 0.3).kl == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 # hypothesis property checks ------------------------------------------------

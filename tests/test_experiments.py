@@ -15,7 +15,6 @@ import pytest
 from bayesrates import inference
 from bayesrates.cli import build_regime, parse_config
 from bayesrates.divergences import (
-    SWEEP_POINTS,
     Grid,
     default_grid,
     gaussian_density,
@@ -25,6 +24,7 @@ from bayesrates.divergences import (
     mixture_density,
 )
 from bayesrates.experiments import (
+    SWEEP_POINTS,
     Z_BUFFER,
     ExperimentError,
     ExperimentPlan,
@@ -582,9 +582,7 @@ class TestFastPathOracles:
         reg = MarkovRegime(uniform_prior(members), MarkovParam(0.6, noise_sd=noise_sd))
         kv = reg.atom_kv()
         for k, m in enumerate(members):
-            kl_val, v_val, h_q = markov_kvh_oracle(
-                0.6, m.payload.theta, grid=GRID, noise_sd=noise_sd
-            )
+            kl_val, v_val, h_q = markov_kvh_oracle(0.6, m.payload.theta, noise_sd=noise_sd)
             got = (kv[k, 0], kv[k, 1], reg.truth_dist(m.id))
             if m.payload.theta == 0.6:
                 assert got == (0.0, 0.0, 0.0)
