@@ -1,9 +1,10 @@
 """Grid densities and divergence functionals.
 
 Continuous densities live on a uniform grid and every integral over a
-density here is a trapezoidal quadrature on that grid (the iid Cesaro
-kernel in ``experiments`` uses every s-th node of it).  The default
-working grid for unit-scale Gaussian work is [-12, 12] with 4001 points.
+density here is a trapezoidal quadrature on that grid (the iid and
+misspecified regime in ``experiments`` integrates on every s-th node of
+it, all atoms or all mixtures at once).  The default working grid for
+unit-scale Gaussian work is [-12, 12] with 4001 points.
 The divergences between two normals of one sd (regression indices, AR(1)
 transitions from one state) are exact, from ``gaussian_shift_kvh``, and so
 are their stationary AR(1) averages, bar a one-dimensional h_q rule.
@@ -169,20 +170,6 @@ def gaussian_density(grid: Grid, mean: float, sd: float) -> GridDensity:
     return GridDensity(grid, values)
 
 
-def mixture_density(components: Sequence[GridDensity], weights: Sequence[float]) -> GridDensity:
-    if len(components) != len(weights) or not components:
-        raise DivergenceError("mixture needs matching, nonempty components and weights")
-    grid = components[0].grid
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0.0):
-        raise DivergenceError("mixture weights must be nonnegative")
-    values = np.zeros(grid.points)
-    for comp, wk in zip(components, w):
-        _require_same_grid(components[0], comp)
-        values += wk * comp.values
-    return GridDensity(grid, values)
-
-
 def _require_same_grid(f: GridDensity, g: GridDensity) -> None:
     if f.grid != g.grid:
         raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
@@ -219,27 +206,6 @@ def h_affinity_gap(f: GridDensity, g: GridDensity) -> float:
 # starred (anchored) functionals
 # ---------------------------------------------------------------------------
 
-def kl_contrast(f_circ: GridDensity, f: GridDensity, f_star: GridDensity) -> float:
-    """int log(f_circ/f) f_star dmu, computed directly by quadrature.
-
-    When ``f_circ`` minimizes kl(f_star, .) over the family this equals
-    kl(f_star, f) - kl(f_star, f_circ); the direct form avoids cancellation
-    between two separately quadratured terms.
-    """
-    _require_same_grid(f_circ, f)
-    _require_same_grid(f_circ, f_star)
-    w = f_circ.grid.quad_weights * f_star.values
-    return float(w @ (f_circ.log_values - f.log_values))
-
-
-def v_star(f_circ: GridDensity, f: GridDensity, f_star: GridDensity) -> float:
-    """int (log(f_circ/f))^2 f_star dmu."""
-    _require_same_grid(f_circ, f)
-    _require_same_grid(f_circ, f_star)
-    diff = f_circ.log_values - f.log_values
-    return float((f_circ.grid.quad_weights * f_star.values) @ (diff * diff))
-
-
 def weighted_hellinger(f_circ: GridDensity, f: GridDensity, f_star: GridDensity) -> float:
     """sqrt(int (sqrt f - sqrt f_circ)^2 (f_star/f_circ) dmu).
 
@@ -248,15 +214,9 @@ def weighted_hellinger(f_circ: GridDensity, f: GridDensity, f_star: GridDensity)
     """
     _require_same_grid(f, f_star)
     _require_same_grid(f, f_circ)
-    return hellinger_with_weight(f, f_circ, np.exp(f_star.log_values - f_circ.log_values))
-
-
-def hellinger_with_weight(f: GridDensity, g: GridDensity, weight: np.ndarray) -> float:
-    """sqrt(int (sqrt f - sqrt g)^2 weight dmu) for a weight on the shared grid."""
-    _require_same_grid(f, g)
-    diff = f.sqrt_values - g.sqrt_values
-    val = float(f.grid.quad_weights @ (diff * diff * weight))
-    return math.sqrt(max(val, 0.0))
+    diff = f.sqrt_values - f_circ.sqrt_values
+    weight = np.exp(f_star.log_values - f_circ.log_values)
+    return math.sqrt(max(float(f.grid.quad_weights @ (diff * diff * weight)), 0.0))
 
 
 def h_star(f_circ: GridDensity, f: GridDensity, f_star: GridDensity) -> float:

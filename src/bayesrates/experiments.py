@@ -36,13 +36,7 @@ from .divergences import (
     Grid,
     GridDensity,
     gaussian_shift_kvh,
-    h_star,
-    hellinger_with_weight,
-    kl_contrast,
-    kleijn_certificate,
-    mixture_density,
     stationary_divergences,
-    v_star,
 )
 from .geometry import (
     ClosureReport,
@@ -271,6 +265,13 @@ def _density_stride(grid: Grid, sd: float) -> int:
                 if (grid.points - 1) % s == 0 and s * grid.spacing <= limit), default=1)
 
 
+def _integrals(kern: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """kern @ row for each row on the last axis, each a dot product of its own
+    (a stack of (1, nodes) @ (nodes, 1) products), so a row rounds alike
+    alone or in any batch."""
+    return (rows[..., None, :] @ kern[:, None])[..., 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # regimes
 
@@ -281,6 +282,9 @@ class IidRegime:
     The anchor is the truth (``anchor=None``, well specified) or the prior's
     kl projection member.  Every functional is the starred one anchored at
     ``f_circ``; at the truth the weight f_star / f_circ is exactly one.
+    Each integral, over all atoms or all draws' mixtures at once, is the
+    trapezoid rule on one table at every stride-th grid node; the grid
+    densities only draw the samples and score the likelihoods.
     """
 
     def __init__(self, prior: AtomicPrior, true_density: GridDensity,
@@ -300,17 +304,23 @@ class IidRegime:
         )
         self.f_circ = self.reference.density
         self._cdf = true_density.cdf_values()
-        # the Cesaro kernel's trapezoid on every stride-th node of the densities
         sd = min(math.sqrt(f.variance())
                  for f in (true_density, *(m.density for m in prior.members)))
         stride = _density_stride(self.grid, sd)
         nodes = Grid(self.grid.lower, self.grid.upper, (self.grid.points - 1) // stride + 1)
-        self._cesaro_kern = nodes.quad_weights * true_density.values[::stride]
-        self._cesaro_anchor = float(self._cesaro_kern @ self.f_circ.log_values[::stride])
-        self._cesaro_values = np.stack(
-            [m.density.values[::stride] for m in prior.members]).T  # (nodes, atoms)
-        # the weight f_star / f_circ of every weighted Hellinger distance
-        self._weight = np.exp(true_density.log_values - self.f_circ.log_values)
+        # the kernels q f_star and q f_star / f_circ (the weight of every
+        # Hellinger distance), and the anchor's and atoms' rows; every array
+        # is contiguous, and the anchor term a float, so a pickled copy rounds
+        # alike (a product with a strided view rounds unlike a contiguous one)
+        self._kern = nodes.quad_weights * true_density.values[::stride]
+        self._circ_log = np.log(self.f_circ.values[::stride])
+        self._circ_root = np.sqrt(self.f_circ.values[::stride])
+        self._wkern = nodes.quad_weights * np.exp(
+            np.log(true_density.values[::stride]) - self._circ_log)
+        self._values = np.stack([m.density.values[::stride] for m in prior.members])
+        self._logs = np.log(self._values)
+        self._roots = np.sqrt(self._values)
+        self._cesaro_anchor = float(self._kern @ self.f_circ.log_values[::stride])
 
     # -- data
 
@@ -325,51 +335,56 @@ class IidRegime:
 
     # -- divergences
 
+    def _rows(self, member_ids) -> list[int]:
+        return [self.prior.index_of(i) for i in member_ids]
+
     def atom_kv(self, n: int | None = None) -> np.ndarray:
-        f_circ, f_star = self.f_circ, self.true_density
-        return np.array([[max(0.0, kl_contrast(f_circ, m.density, f_star)),
-                          v_star(f_circ, m.density, f_star)] for m in self.prior.members])
+        r = self._circ_log - self._logs
+        return np.stack([np.maximum(0.0, _integrals(self._kern, r)),
+                         _integrals(self._kern, r * r)], axis=1)
 
     def theta0_mask(self) -> np.ndarray | None:
         return None
 
-    def _density(self, member_id: int) -> GridDensity:
-        return self.prior.members[self.prior.index_of(member_id)].density
+    def _gaps(self, logs: np.ndarray) -> np.ndarray:
+        """h*(f_circ, f) = 1 - int sqrt(f / f_circ) f_star of each row of logs."""
+        return 1.0 - _integrals(self._kern, np.exp(-0.5 * (self._circ_log - logs)))
 
-    def _dist(self, f: GridDensity, g: GridDensity) -> float:
-        return hellinger_with_weight(f, g, self._weight)
+    def _dists(self, roots: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """The weighted Hellinger distance between roots and each row of other."""
+        d = roots - other
+        return np.sqrt(np.maximum(_integrals(self._wkern, d * d), 0.0))
 
     def truth_dist(self, member_id: int, n: int | None = None) -> float:
-        return self._dist(self._density(member_id), self.f_circ)
+        return float(self._dists(self._circ_root, self._roots[self.prior.index_of(member_id)]))
 
     def separation_gaps(self, member_ids: Sequence[int], n: int | None = None) -> np.ndarray:
-        return np.array(
-            [h_star(self.f_circ, self._density(i), self.true_density) for i in member_ids]
-        )
+        return self._gaps(self._logs[self._rows(member_ids)])
 
     def pair_dist(self, id_a: int, id_b: int, n: int | None = None) -> float:
-        return self._dist(self._density(id_a), self._density(id_b))
+        a, b = self._rows((id_a, id_b))
+        return float(self._dists(self._roots[a], self._roots[b]))
 
     def vertex_certificates(self, member_ids) -> np.ndarray:
         """Ratio certificates: each vertex needs int (f/f_circ) f_star <= 1."""
-        return np.array(
-            [kleijn_certificate(self.f_circ, self._density(i), self.true_density)
-             for i in member_ids]
-        )
+        return _integrals(self._kern, np.exp(self._logs[self._rows(member_ids)] - self._circ_log))
 
-    def _mixture(self, member_ids: Sequence[int], w: np.ndarray) -> GridDensity:
-        return mixture_density([self._density(i) for i in member_ids], w)
+    def _mixtures(self, member_ids, weights) -> np.ndarray:
+        """(draws, nodes): each weight row's mixture, summed one atom at a time,
+        so that a row rounds as it would alone."""
+        mix = np.zeros((len(weights), self._values.shape[1]))
+        for w, row in zip(np.asarray(weights).T, self._values[self._rows(member_ids)]):
+            mix += w[:, None] * row
+        return mix
 
     def mixture_truth_gap(self, member_ids, weights, n: int | None = None) -> np.ndarray:
-        return np.array([h_star(self.f_circ, self._mixture(member_ids, w), self.true_density)
-                         for w in weights])
+        return self._gaps(np.log(self._mixtures(member_ids, weights)))
 
     def closure_violation(self, member_ids, center_id: int, weights,
                           n: int | None = None) -> np.ndarray:
-        center = self._density(center_id)
-        radius = max(self._dist(center, self._density(i)) for i in member_ids)
-        return np.array([self._dist(center, self._mixture(member_ids, w))
-                         for w in weights]) - radius
+        center = self._roots[self.prior.index_of(center_id)]
+        radius = np.max(self._dists(center, self._roots[self._rows(member_ids)]))
+        return self._dists(center, np.sqrt(self._mixtures(member_ids, weights))) - radius
 
     def hull_gap_bound(self, member_ids: Sequence[int],
                        n: int | None = None) -> tuple[float, int]:
@@ -379,11 +394,7 @@ class IidRegime:
         the half-square lower-bounds the starred gap whenever the vertex
         ratio certificates hold; callers check those separately.
         """
-        return _triangle_bound(
-            member_ids,
-            lambda c: self._dist(self.f_circ, self._density(c)),
-            lambda c, j: self._dist(self._density(c), self._density(j)),
-        )
+        return _triangle_bound(member_ids, self.truth_dist, self.pair_dist)
 
     # -- Cesaro statistic
 
@@ -398,7 +409,7 @@ class IidRegime:
         a few steps wide goes to other BLAS kernels and rounds unlike the
         whole-matrix product.
         """
-        values = self._cesaro_values
+        values = self._values.T
         points, n = len(values), weights_before.shape[1]
         starts = list(range(0, n - CESARO_BLOCK + 1, CESARO_BLOCK)) or [0]
         buf = np.empty(points * (n - starts[-1]))
@@ -407,7 +418,7 @@ class IidRegime:
             block = buf[:points * (e - s)].reshape(points, e - s)
             np.matmul(values, weights_before[:, s:e], out=block)
             np.log(block, out=block)
-            vals[s:e] = block.T @ self._cesaro_kern
+            vals[s:e] = block.T @ self._kern
         vals = self._cesaro_anchor - vals
         return np.maximum(vals, 0.0) if self.well_specified else vals
 

@@ -19,14 +19,13 @@ import numpy as np
 from scipy import integrate, optimize
 
 from bayesrates.divergences import (
+    DivergenceError,
     Grid,
     GridDensity,
+    _require_same_grid,
     ar1_stationary_sd,
     gaussian_density,
-    h_star,
-    hellinger_with_weight,
     kl,
-    mixture_density,
 )
 from bayesrates.experiments import (
     REF_ID,
@@ -39,6 +38,42 @@ from bayesrates.experiments import (
 )
 from bayesrates.geometry import GeometryError
 from bayesrates.models import FamilyMember, ModelError
+
+
+def mixture_density(components: Sequence[GridDensity], weights: Sequence[float]) -> GridDensity:
+    """The mixture of grid densities, floored and renormalized on their grid."""
+    if len(components) != len(weights) or not components:
+        raise DivergenceError("mixture needs matching, nonempty components and weights")
+    grid = components[0].grid
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0.0):
+        raise DivergenceError("mixture weights must be nonnegative")
+    values = np.zeros(grid.points)
+    for comp, wk in zip(components, w):
+        _require_same_grid(components[0], comp)
+        values += wk * comp.values
+    return GridDensity(grid, values)
+
+
+def kl_contrast(f_circ: GridDensity, f: GridDensity, f_star: GridDensity) -> float:
+    """int log(f_circ/f) f_star dmu, computed directly by quadrature on all nodes.
+
+    When ``f_circ`` minimizes kl(f_star, .) over the family this equals
+    kl(f_star, f) - kl(f_star, f_circ); the direct form avoids cancellation
+    between two separately quadratured terms.
+    """
+    _require_same_grid(f_circ, f)
+    _require_same_grid(f_circ, f_star)
+    w = f_circ.grid.quad_weights * f_star.values
+    return float(w @ (f_circ.log_values - f.log_values))
+
+
+def v_star(f_circ: GridDensity, f: GridDensity, f_star: GridDensity) -> float:
+    """int (log(f_circ/f))^2 f_star dmu, on all nodes."""
+    _require_same_grid(f_circ, f)
+    _require_same_grid(f_circ, f_star)
+    diff = f_circ.log_values - f.log_values
+    return float((f_circ.grid.quad_weights * f_star.values) @ (diff * diff))
 
 
 def random_gaussian_mixture(
@@ -117,7 +152,10 @@ def weighted_hellinger_between(
     The misspecified covering metric between two atoms; ``weighted_hellinger``
     is the special case g == f_circ.
     """
-    return hellinger_with_weight(f, g, np.exp(f_star.log_values - f_circ.log_values))
+    _require_same_grid(f, g)
+    diff = f.sqrt_values - g.sqrt_values
+    weight = np.exp(f_star.log_values - f_circ.log_values)
+    return math.sqrt(max(float(f.grid.quad_weights @ (diff * diff * weight)), 0.0))
 
 
 def kl_projection(f_star: GridDensity, family: Sequence[FamilyMember]) -> tuple[int, float]:
@@ -300,19 +338,32 @@ def _markov_gaps(regime, member_ids, ref_theta: float, w) -> np.ndarray:
     return z_affinity_gaps_oracle(deltas, w)
 
 
+def _table_mixture(regime, member_ids, w) -> np.ndarray:
+    """One draw's mixture on a density regime's table nodes, one atom at a time."""
+    mix = np.zeros(regime._values.shape[1])
+    for w_j, i in zip(w, member_ids):
+        mix += w_j * regime._values[regime.prior.index_of(i)]
+    return mix
+
+
+def _table_dist(regime, roots: np.ndarray, other: np.ndarray) -> float:
+    d = roots - other
+    return math.sqrt(max(float(regime._wkern @ (d * d)), 0.0))
+
+
 def mixture_truth_gap_oracle(regime, member_ids, w, n: int | None = None) -> float:
     """One mixture's certification gap to the truth, computed for that draw alone.
 
     The reference form of every regime's ``mixture_truth_gap``: the starred
-    affinity gap on the density grid, the design mean of the z-node gaps
-    (regression), or their worst probe state (markov).
+    affinity gap on the density regime's table nodes, the design mean of the
+    z-node gaps (regression), or their worst probe state (markov).
     """
     if regime.kind == "regression":
         return float(np.mean(_regression_gaps(regime, REF_ID, member_ids, w, n)))
     if regime.kind == "markov":
         return float(np.max(_markov_gaps(regime, member_ids, regime.theta_star.theta, w)))
-    mix = mixture_density([regime._density(i) for i in member_ids], w)
-    return h_star(regime.f_circ, mix, regime.true_density)
+    r = regime._circ_log - np.log(_table_mixture(regime, member_ids, w))
+    return 1.0 - float(regime._kern @ np.exp(-0.5 * r))
 
 
 def closure_violation_oracle(regime, member_ids, center_id: int, w,
@@ -328,7 +379,8 @@ def closure_violation_oracle(regime, member_ids, center_id: int, w,
         rho = np.max([0.5 * regime._h2_at_states(tc, regime._theta_of(j), states)
                       for j in member_ids], axis=0)
         return float(np.max(_markov_gaps(regime, member_ids, tc, w) - rho))
-    center = regime._density(center_id)
-    radius = max(regime._dist(center, regime._density(i)) for i in member_ids)
-    mix = mixture_density([regime._density(i) for i in member_ids], w)
-    return regime._dist(center, mix) - radius
+    center = regime._roots[regime.prior.index_of(center_id)]
+    radius = max(_table_dist(regime, center, regime._roots[regime.prior.index_of(i)])
+                 for i in member_ids)
+    mix = _table_mixture(regime, member_ids, w)
+    return _table_dist(regime, center, np.sqrt(mix)) - radius

@@ -364,8 +364,23 @@ BAD_VALUES = {
                    "truth.mean = 7.0 with truth.sd = 1.0 needs [1.0, 13.0] "
                    "inside the grid [-12.0, 12.0] (line 5)"),
     "truth.mean.inf": (SMALL_CHECK, "mean: 0.0", "mean: 1.0e+400",
-                       "truth.mean = inf with truth.sd = 1.0 needs [inf, inf] "
-                       "inside the grid [-12.0, 12.0] (line 5)"),
+                       "truth.mean must be finite, got inf (line 5)"),
+    "truth.mean.yaml-inf": (SMALL_CHECK, "mean: 0.0", "mean: .inf",
+                            "truth.mean must be finite, got inf (line 5)"),
+    "truth.mean.yaml-minus-inf": (SMALL_CHECK, "mean: 0.0", "mean: -.Inf",
+                                  "truth.mean must be finite, got -inf (line 5)"),
+    "truth.mean.nan": (SMALL_CHECK, "mean: 0.0", "mean: .nan",
+                       "truth.mean must be finite, got nan (line 5)"),
+    "truth.slope.inf": (SHORT_DESIGN, "design_length: 300\ntruth:\n  slope: 0.0",
+                        "design_length: 450\ntruth:\n  slope: 1.0e+400",
+                        "truth.slope must be finite, got inf (line 6)"),
+    "schedule.kappa.inf": (SMALL_CHECK, "n_values: [30]", "n_values: [30]\n  kappa: 1.0e+400",
+                           "schedule.kappa must be finite, got inf (line 8)"),
+    "truth.sd.fine": (SMALL_CHECK, "mean: 0.0", "mean: 0.0\n  sd: 0.001",
+                      "truth.sd = 0.001 is below 2 grid spacings, 0.012 (line 6)"),
+    "family.sd.fine": (MISSPECIFIED_CHECK, "means: [0.5, 1.0, 1.5]",
+                       "means: [0.5, 1.0, 1.5]\n  sd: 0.011",
+                       "family.sd = 0.011 is below 2 grid spacings, 0.012 (line 4)"),
     "truth.projection_id": (MISSPECIFIED_CHECK, "projection_id: 0", "projection_id: 2",
                             "truth.projection_id = 2 is not the kl projection: "
                             "family.means[0] = 0.5 is nearer truth.mean = 0.0 (line 6)"),

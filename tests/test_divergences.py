@@ -22,23 +22,22 @@ from bayesrates.divergences import (
     h_star,
     hellinger,
     kl,
-    kl_contrast,
     kleijn_certificate,
     markov_divergences,
     max_hellinger,
     mean_hellinger,
-    mixture_density,
     stationary_divergences,
-    v_star,
     weighted_hellinger,
 )
 from bayesrates.experiments import MarkovRegime
 from bayesrates.models import MARKOV, FamilyMember, MarkovParam, uniform_prior
 from helpers import (
+    kl_contrast,
     markov_kvh_oracle,
     moment_constrained_triple,
     random_gaussian_mixture,
     v_divergence,
+    v_star,
     weighted_hellinger_between,
 )
 

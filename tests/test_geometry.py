@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesrates.divergences import default_grid, h_affinity_gap, hellinger, mixture_density
+from bayesrates.divergences import default_grid, h_affinity_gap, hellinger
 from bayesrates.geometry import (
     Ball,
     ConditionParams,
@@ -19,7 +19,7 @@ from bayesrates.geometry import (
     thickness_profile,
 )
 from bayesrates.models import build_gaussian_location_family, uniform_prior
-from helpers import exhaustive_cover_count
+from helpers import exhaustive_cover_count, mixture_density
 
 GRID = default_grid()
 

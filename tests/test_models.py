@@ -12,7 +12,6 @@ from bayesrates.divergences import (
     gaussian_density,
     hellinger,
     kl,
-    kl_contrast,
 )
 from bayesrates.models import (
     IID,
@@ -30,7 +29,7 @@ from bayesrates.models import (
     log_likelihood,
     uniform_prior,
 )
-from helpers import kl_projection, random_gaussian_mixture
+from helpers import kl_contrast, kl_projection, random_gaussian_mixture
 
 GRID = default_grid()
 
