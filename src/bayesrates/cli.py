@@ -437,7 +437,11 @@ def _location_errors(family: dict, truth: dict, fam_lines: dict, truth_lines: di
     by 1.1e-2 relative at half a spacing, 2.2e-8 at one and 2.1e-16 at 1.5.
     A declared projection must be an atom nearest the truth's mean: the atoms
     share one sd, so their kl from the truth differ only in the squared mean
-    gap, whatever the truth's sd (the library's 1e-9 slack)."""
+    gap, whatever the truth's sd (the library's 1e-9 slack).  Under it, each
+    atom's weighted integrand f_star f / f_circ is the truth's normal tilted
+    to mean truth.mean + truth.sd^2 (means[i] - means[projection]) / family.sd^2,
+    and its 6-sd bulk must lie on the grid too; the weighted Hellinger cross
+    terms tilt to midpoints of these means, so they stay inside as well."""
     grid, errors, proj = default_grid(), [], truth.get("projection_id")
     means, sd, mean = family["means"], family["sd"], truth["mean"]
     finest = 2.0 * grid.spacing
@@ -452,13 +456,24 @@ def _location_errors(family: dict, truth: dict, fam_lines: dict, truth_lines: di
         if None not in (m, s) and not grid.lower <= m - 6.0 * s <= m + 6.0 * s <= grid.upper:
             errors.append(f"{key} = {m} with {sd_key} = {s} needs [{m - 6.0 * s}, {m + 6.0 * s}] "
                           f"inside the grid [{grid.lower}, {grid.upper}] (line {line})")
-    if None not in (proj, means, sd, mean):
-        gaps = [(m - mean) ** 2 / (2.0 * sd * sd) for m in means]
-        best = gaps.index(min(gaps))
-        if gaps[best] < gaps[proj] - 1e-9:
-            errors.append(f"truth.projection_id = {proj} is not the kl projection: family.means"
-                          f"[{best}] = {means[best]} is nearer truth.mean = {mean} "
-                          f"(line {truth_lines['projection_id']})")
+    if None in (proj, means, sd, mean):
+        return errors
+    gaps = [(m - mean) ** 2 / (2.0 * sd * sd) for m in means]
+    best = gaps.index(min(gaps))
+    if gaps[best] < gaps[proj] - 1e-9:
+        errors.append(f"truth.projection_id = {proj} is not the kl projection: family.means"
+                      f"[{best}] = {means[best]} is nearer truth.mean = {mean} "
+                      f"(line {truth_lines['projection_id']})")
+    # the tilts of a refused projection or sd would only restate that refusal
+    elif min(sd, truth["sd"] or 0.0) >= finest:
+        spread = truth["sd"]
+        for i, m in enumerate(means):
+            tilt = mean + spread * spread * (m - means[proj]) / (sd * sd)
+            lo, hi = tilt - 6.0 * spread, tilt + 6.0 * spread
+            if not grid.lower <= lo <= hi <= grid.upper:
+                errors.append(f"family.means[{i}] = {m} tilts f_star f / f_circ to mean {tilt} "
+                              f"with truth.sd = {spread}, which needs [{lo}, {hi}] inside the "
+                              f"grid [{grid.lower}, {grid.upper}] (line {fam_lines.get('means')})")
     return errors
 
 

@@ -28,6 +28,8 @@ from bayesrates.divergences import (
     kl,
 )
 from bayesrates.experiments import (
+    CESARO_BLOCK,
+    LOG_SQRT_2PI,
     REF_ID,
     SQRT_2PI,
     Z_BUFFER,
@@ -35,9 +37,16 @@ from bayesrates.experiments import (
     Z_REACH,
     Z_RESOLVE,
     Z_STEP,
+    ExperimentError,
+    IidRegime,
+    MarkovRegime,
+    ReplicationRecord,
+    _gaussian_mixture_kls,
+    _subset_rows,
 )
 from bayesrates.geometry import GeometryError
 from bayesrates.models import FamilyMember, ModelError
+from bayesrates.numerics import logsumexp
 
 
 def mixture_density(components: Sequence[GridDensity], weights: Sequence[float]) -> GridDensity:
@@ -384,3 +393,108 @@ def closure_violation_oracle(regime, member_ids, center_id: int, w,
                  for i in member_ids)
     mix = _table_mixture(regime, member_ids, w)
     return _table_dist(regime, center, np.sqrt(mix)) - radius
+
+
+# ---------------------------------------------------------------------------
+# the per-replication engine: the reference form of the block engine
+
+
+def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """exp(a - logsumexp(a)) along axis: the weights of
+    ``numerics.softmax_and_logsumexp`` on their own."""
+    a = np.asarray(a, dtype=float)
+    m = np.max(a, axis=axis, keepdims=True)
+    shifted = a - np.where(np.isfinite(m), m, 0.0)
+    return np.exp(shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True)))
+
+
+def loglik_matrix(regime, data) -> np.ndarray:
+    """(atoms, n): every atom's log likelihood of each observation, one atom
+    at a time (np.interp per atom for a density regime)."""
+    if isinstance(regime, IidRegime):
+        return np.stack([m.density.log_interp(data) for m in regime.prior.members])
+    if isinstance(regime, MarkovRegime):
+        prev = regime._prev_chain(data)
+        z = (data.y[None, :] - regime._thetas[:, None] * prev[None, :]) / regime.noise_sd
+        return -0.5 * z * z - math.log(regime.noise_sd) - LOG_SQRT_2PI
+    z = data[None, :] - regime._means[:, :len(data)]
+    return -0.5 * z * z - LOG_SQRT_2PI
+
+
+def ref_loglik(regime, data) -> np.ndarray:
+    """(n,): the reference member's log likelihood of each observation."""
+    if isinstance(regime, IidRegime):
+        return np.asarray(regime.f_circ.log_interp(data))
+    if isinstance(regime, MarkovRegime):
+        prev = regime._prev_chain(data)
+        z = (data.y - regime.theta_star.theta * prev) / regime.noise_sd
+        return -0.5 * z * z - math.log(regime.noise_sd) - LOG_SQRT_2PI
+    z = data - regime._truth_means[:len(data)]
+    return -0.5 * z * z - LOG_SQRT_2PI
+
+
+def cumulative_log_ratio(regime, data) -> np.ndarray:
+    """cum[j, i] = log prior_j + sum_{k<=i} (loglik_j - ref) at observation k."""
+    inc = loglik_matrix(regime, data) - ref_loglik(regime, data)[None, :]
+    j, n = inc.shape
+    cum = np.empty((j, n + 1))
+    cum[:, 0] = np.log(regime.prior.weights)
+    cum[:, 1:] = cum[:, 0, None] + np.cumsum(inc, axis=1)
+    return cum
+
+
+def cesaro_kls_one(regime, data, weights_before: np.ndarray) -> np.ndarray:
+    """A regime's per-step Cesaro contrast of one replication, (n,)."""
+    return regime.cesaro_kls([data], weights_before[None])[0]
+
+
+def _cesaro_kls_oracle(regime, data, weights_before: np.ndarray) -> np.ndarray:
+    """One replication's Cesaro contrast, each kernel product on its own."""
+    if not isinstance(regime, IidRegime):
+        if isinstance(regime, MarkovRegime):
+            deltas = np.outer(regime._thetas - regime.theta_star.theta,
+                              regime._prev_chain(data)) / regime.noise_sd
+        else:
+            deltas = regime._means[:, :len(data)] - regime._truth_means[:len(data)]
+        return _gaussian_mixture_kls(deltas, weights_before)
+    values = regime._values.T
+    points, n = len(values), weights_before.shape[1]
+    starts = list(range(0, n - CESARO_BLOCK + 1, CESARO_BLOCK)) or [0]
+    vals = np.empty(n)
+    for s, e in zip(starts, starts[1:] + [n]):
+        block = np.log(values @ weights_before[:, s:e])
+        vals[s:e] = block.T @ regime._kern
+    vals = regime._cesaro_anchor - vals
+    return np.maximum(vals, 0.0) if regime.well_specified else vals
+
+
+def replicate_oracle(plan, rep_id: int) -> ReplicationRecord:
+    """One seeded replication by the per-replication path, one statistic at a time."""
+    regime = plan.regime
+    n_values = plan.schedule.n_values
+    n_max = n_values[-1]
+    data = regime.sample(n_max, np.random.default_rng(plan.seed + rep_id))
+    cum = cumulative_log_ratio(regime, data)
+    idx = np.asarray(n_values)
+    stats: dict[str, np.ndarray] = {}
+    if "log_evidence" in plan.collect:
+        stats["log_evidence"] = logsumexp(cum, axis=0)[idx]
+    if "sqrt_l" in plan.collect:
+        log_l = logsumexp(cum[_subset_rows(regime.prior, plan.subset_ids)], axis=0)
+        stats["sqrt_l"] = np.exp(0.5 * log_l[idx])
+    if "posterior_mass" in plan.collect or "u_mass" in plan.collect:
+        weights = softmax(cum, axis=0)
+    if "posterior_mass" in plan.collect:
+        masses = [weights[_subset_rows(regime.prior, ids), n].sum()
+                  for n, ids in zip(n_values, plan.b_sets)]
+        stats["posterior_mass"] = np.clip(masses, 0.0, 1.0)
+    if "u_mass" in plan.collect:
+        vals = weights[_subset_rows(regime.prior, plan.u_set)][:, idx].sum(axis=0)
+        stats["u_mass"] = np.clip(vals, 0.0, 1.0)
+    if "cesaro_kl" in plan.collect:
+        kls = _cesaro_kls_oracle(regime, data, softmax(cum[:, :-1], axis=0))
+        vals = (np.cumsum(kls) / np.arange(1, n_max + 1))[idx - 1]
+        if regime.well_specified and np.any(vals < -1e-9):
+            raise ExperimentError("negative Cesaro statistic in a well-specified run")
+        stats["cesaro_kl"] = vals
+    return ReplicationRecord(rep_id=rep_id, n_values=n_values, stats=stats)

@@ -351,7 +351,7 @@ verify: [factorization, conditional-identity]
 out: {out}
 """
 
-# (config, line replaced, its replacement, the one complaint) of each bad value
+# (config, line replaced, its replacement, its complaints) of each bad value
 BAD_VALUES = {
     "family.means": (SMALL_CHECK, "means: [0.0, 1.0]", "means: [0.0, 40.0]",
                      "family.means[1] = 40.0 with family.sd = 1.0 needs [34.0, 46.0] "
@@ -381,6 +381,19 @@ BAD_VALUES = {
     "family.sd.fine": (MISSPECIFIED_CHECK, "means: [0.5, 1.0, 1.5]",
                        "means: [0.5, 1.0, 1.5]\n  sd: 0.011",
                        "family.sd = 0.011 is below 2 grid spacings, 0.012 (line 4)"),
+    "misspecified.tilt": (MISSPECIFIED_CHECK, "means: [0.5, 1.0, 1.5]\ntruth:\n  mean: 0.0",
+                          "means: [0.5, 1.0, 1.5, 3.5]\ntruth:\n  mean: 0.0\n  sd: 1.5",
+                          "family.means[3] = 3.5 tilts f_star f / f_circ to mean 6.75 with "
+                          "truth.sd = 1.5, which needs [-2.25, 15.75] inside the grid "
+                          "[-12.0, 12.0] (line 3)"),
+    # three atoms' weighted integrands leave the grid; the one at 3.5 peaks at
+    # its edge, where both quadrature rules read its certificate half low
+    "misspecified.tilt.wide": (MISSPECIFIED_CHECK, "means: [0.5, 1.0, 1.5]\ntruth:\n  mean: 0.0",
+                               "means: [0.5, 1.0, 1.5, 3.5]\ntruth:\n  mean: 0.0\n  sd: 2.0",
+                               *(f"family.means[{i}] = {m} tilts f_star f / f_circ to mean {t} "
+                                 f"with truth.sd = 2.0, which needs [{t - 12.0}, {t + 12.0}] "
+                                 "inside the grid [-12.0, 12.0] (line 3)"
+                                 for i, m, t in ((1, 1.0, 2.0), (2, 1.5, 4.0), (3, 3.5, 12.0)))),
     "truth.projection_id": (MISSPECIFIED_CHECK, "projection_id: 0", "projection_id: 2",
                             "truth.projection_id = 2 is not the kl projection: "
                             "family.means[0] = 0.5 is nearer truth.mean = 0.0 (line 6)"),
@@ -592,12 +605,12 @@ def count_passes(monkeypatch) -> list[set[str]]:
     return passes
 
 
-def broken_replicate(plan, rep_id):
+def broken_replicate_block(plan, rep_ids):
     # module level, so the process pool can pickle it by name
     raise ExperimentError("statistic log_evidence has NaN entries")
 
 
-def dying_replicate(plan, rep_id):
+def dying_replicate_block(plan, rep_ids):
     os._exit(9)
 
 
@@ -650,7 +663,7 @@ class TestSharedPass:
     def test_fault_in_the_pass_exits_4(self, tmp_path, capsys, monkeypatch, jobs):
         """A fault while replicating is a runtime error under any verification,
         not a failed criterion of the one it happens to serve."""
-        monkeypatch.setattr(experiments, "replicate", broken_replicate)
+        monkeypatch.setattr(experiments, "replicate_block", broken_replicate_block)
         out = tmp_path / "out"
         path = write_config(tmp_path, SMALL_SIMULATE.format(c=1.5, out=out))
         code = main(["simulate", "--config", str(path), "--verify", "evidence-bound",
@@ -663,8 +676,8 @@ class TestSharedPass:
 
     def test_dead_worker_exits_4(self, tmp_path, capsys, monkeypatch):
         """A pool worker that dies mid-pass is a runtime error with one line,
-        not a traceback; forked workers inherit the patched replicate."""
-        monkeypatch.setattr(experiments, "replicate", dying_replicate)
+        not a traceback; forked workers inherit the patched replicate_block."""
+        monkeypatch.setattr(experiments, "replicate_block", dying_replicate_block)
         out = tmp_path / "out"
         path = write_config(tmp_path, SMALL_SIMULATE.format(c=1.5, out=out))
         code = main(["simulate", "--config", str(path), "--verify", "cesaro", "--jobs", "2"])
@@ -787,9 +800,10 @@ class TestOverridesAndRuntimeFaults:
     @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_bad_value_names_key_and_line(self, tmp_path, capsys, argv, case):
-        template, old, new, message = BAD_VALUES[case]
+        template, old, new, *messages = BAD_VALUES[case]
         text = template.format(window="2.0", out=tmp_path / "out").replace(old, new)
-        assert_config_error(tmp_path, capsys, argv, text, message)
+        assert old in template
+        assert_config_error(tmp_path, capsys, argv, text, *messages)
 
     @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
     def test_shipped_iid_truth_off_the_grid_exits_3(self, tmp_path, capsys, argv):
@@ -943,7 +957,7 @@ def test_floating_point_error_exits_4(tmp_path, capsys, monkeypatch, jobs, fault
 def test_underflow_stays_silent(tmp_path, monkeypatch, jobs):
     cesaro_kls = IidRegime.cesaro_kls
     monkeypatch.setattr(IidRegime, "cesaro_kls",
-                        lambda *a: cesaro_kls(*a) + np.exp(-1000.0 - np.arange(len(a[2][0]))))
+                        lambda *a: cesaro_kls(*a) + np.exp(-1000.0 - np.arange(a[2].shape[-1])))
     path = write_config(tmp_path, SMALL_CESARO.format(out=tmp_path / "out"))
     assert main(["simulate", "--config", str(path), "--jobs", jobs]) == EXIT_PASS
 

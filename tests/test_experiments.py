@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bayesrates import inference
+from bayesrates import experiments, inference
 from bayesrates.cli import build_regime, parse_config
 from bayesrates.divergences import (
     Grid,
+    GridDensity,
+    OutsideGridError,
     default_grid,
     gaussian_density,
     h_affinity_gap,
@@ -26,6 +28,8 @@ from bayesrates.divergences import (
     kleijn_certificate,
 )
 from bayesrates.experiments import (
+    REPLICATION_BLOCK,
+    STAT_KEYS,
     SWEEP_POINTS,
     Z_BUFFER,
     ExperimentError,
@@ -43,13 +47,13 @@ from bayesrates.experiments import (
     _triangle_bound,
     certify_subset,
     concentration_sets,
-    cumulative_log_ratio,
     fit_rate,
     fitted_thickness_constant,
     generate_data,
     mean_and_se,
     posterior_mass_path,
     replicate,
+    replicate_block,
     run_replications,
     stat_matrix,
     stat_quantile,
@@ -58,7 +62,7 @@ from bayesrates.experiments import (
     verify_numerator_bound,
 )
 from bayesrates.geometry import ConditionParams, RateSchedule
-from bayesrates.numerics import logsumexp, softmax
+from bayesrates.numerics import logsumexp, softmax_and_logsumexp
 from bayesrates.models import (
     IID,
     MARKOV,
@@ -73,14 +77,20 @@ from bayesrates.models import (
 )
 
 from helpers import (
+    cesaro_kls_one,
     closure_violation_oracle,
+    cumulative_log_ratio,
     gaussian_affinity_gaps_oracle,
     gaussian_mixture_kls_oracle,
     iid_cesaro_oracle,
     kl_contrast,
+    loglik_matrix,
     markov_kvh_oracle,
     mixture_density,
     mixture_truth_gap_oracle,
+    ref_loglik,
+    replicate_oracle,
+    softmax,
     v_divergence,
     v_star,
     weighted_hellinger_between,
@@ -327,6 +337,153 @@ class TestEngine:
         assert med == pytest.approx(np.median(mat, axis=0))
 
 
+SHIPPED = ("iid", "misspecified", "markov", "regression", "sieve", "smoke")
+# ragged against blocks of 3 and of REPLICATION_BLOCK
+BLOCK_REPS = 11
+
+
+def shipped_plan(name: str, replications: int = BLOCK_REPS) -> ExperimentPlan:
+    """A plan on the shipped config's regime collecting every statistic it can."""
+    cfg = parse_config(CONFIGS / f"{name}.yaml")
+    regime = build_regime(cfg)
+    b_sets = (None if cfg.params is None
+              else concentration_sets(regime, cfg.schedule, cfg.params.M))
+    have = {"posterior_mass": b_sets is not None, "u_mass": cfg.u_set is not None,
+            "sqrt_l": bool(cfg.subset)}
+    return ExperimentPlan(regime=regime, schedule=cfg.schedule, replications=replications,
+                          seed=cfg.seed, collect=tuple(k for k in STAT_KEYS if have.get(k, True)),
+                          subset_ids=cfg.subset, b_sets=b_sets, u_set=cfg.u_set)
+
+
+def assert_same_records(got, expect) -> None:
+    assert [r.rep_id for r in got] == [r.rep_id for r in expect]
+    for a, b in zip(got, expect):
+        assert a.n_values == b.n_values and a.stats.keys() == b.stats.keys()
+        for key in b.stats:
+            assert np.array_equal(a.stats[key], b.stats[key]), (a.rep_id, key)
+
+
+@pytest.fixture(scope="module", params=SHIPPED)
+def shipped(request):
+    """A shipped config's plan and its per-replication oracle records, built once."""
+    plan = shipped_plan(request.param)
+    return plan, [replicate_oracle(plan, i) for i in range(plan.replications)]
+
+
+class TestReplicationBlocks:
+    """A record is the same bits however its replication is grouped: alone,
+    in any block, ragged last blocks included, or in a pool worker."""
+
+    def test_counts_leave_ragged_blocks(self):
+        assert BLOCK_REPS % 3 and BLOCK_REPS % REPLICATION_BLOCK
+
+    @pytest.mark.parametrize("block", [1, 3, REPLICATION_BLOCK])
+    def test_blocks_match_the_oracle(self, shipped, monkeypatch, block):
+        plan, oracle = shipped
+        monkeypatch.setattr(experiments, "REPLICATION_BLOCK", block)
+        assert_same_records(run_replications(plan), oracle)
+
+    def test_pool_matches_the_oracle(self, shipped):
+        plan, oracle = shipped
+        assert_same_records(run_replications(plan, jobs=2), oracle)
+
+    def test_any_grouping_matches_the_oracle(self, shipped):
+        plan, oracle = shipped
+        ids = (10, 2, 7)
+        assert_same_records(replicate_block(plan, ids), [oracle[i] for i in ids])
+        assert_same_records([replicate(plan, 4)], [oracle[4]])
+
+    def test_pool_tasks_are_whole_blocks(self, monkeypatch):
+        """Each task but the last is whole blocks, and there are no more tasks
+        than chunks of replications // (8 jobs) would make: 17 for 200
+        replications at two jobs, as markov.yaml runs in the lab benchmark."""
+        tasks = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, spans):
+                tasks.extend(spans)
+                return super().map(fn, spans)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        plan = ExperimentPlan(regime=iid_regime(), schedule=RateSchedule((5,)),
+                              replications=200, seed=5)
+        records = run_replications(plan, jobs=2)
+        assert [r.rep_id for r in records] == list(range(200))
+        assert [i for t in tasks for i in t] == list(range(200))
+        assert all(len(t) % REPLICATION_BLOCK == 0 for t in tasks[:-1])
+        assert len(tasks) <= math.ceil(200 / (200 // (8 * 2))) == 17
+
+    def test_one_block_stays_small(self):
+        """One block on iid.yaml at n = 400 with every statistic peaks at
+        0.80 MB, 0.50 MB of it the Cesaro kernel's step buffer; a replication
+        alone peaks at 0.14 MB, and the (reps, nodes, steps) matrix the
+        buffer stands for would take 6.4 MB."""
+        plan = shipped_plan("iid", REPLICATION_BLOCK)
+        ids = range(REPLICATION_BLOCK)
+        replicate_block(plan, ids)
+        tracemalloc.start()
+        try:
+            replicate_block(plan, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_softmax_and_logsumexp_match_their_separate_forms(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(scale=30.0, size=(4, 7, 9))
+        a[1, :, 2] = -np.inf  # an all -inf column: nan weights, -inf total, in both forms
+        a[2, 3] = -np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights, lse = softmax_and_logsumexp(a, axis=1)
+            assert np.array_equal(weights, softmax(a, axis=1), equal_nan=True)
+            assert np.array_equal(lse, logsumexp(a, axis=1))
+        assert lse[1, 2] == -np.inf
+
+
+class TestSharedBinLookup:
+    """The density regime scores every atom and the anchor from one bin
+    search; each column is np.interp's value, as GridDensity.log_interp gives it."""
+
+    @pytest.fixture(scope="class", params=["iid", "misspecified", "unfloored"])
+    def regime(self, request):
+        if request.param != "unfloored":
+            return build_regime(parse_config(CONFIGS / f"{request.param}.yaml"))
+        # the shipped densities sit on the floor at both grid ends, where every
+        # rule gives the same value; these do not
+        rng = np.random.default_rng(7)
+        members = [FamilyMember(j, IID, GridDensity(GRID, rng.uniform(0.5, 1.5, GRID.points)))
+                   for j in range(6)]
+        return IidRegime(uniform_prior(members), members[0].density)
+
+    def test_matches_log_interp(self, regime):
+        grid, x = regime.grid, regime.grid.x
+        points = np.concatenate([
+            x, [grid.lower, grid.upper],
+            np.nextafter(x[1:], -np.inf), np.nextafter(x[:-1], np.inf),
+            np.random.default_rng(20).uniform(grid.lower, grid.upper, 10**5),
+        ])
+        logs = regime._grid_logs(points)
+        densities = [m.density for m in regime.prior.members] + [regime.f_circ]
+        assert logs.shape == (len(points), len(densities))
+        for k, density in enumerate(densities):
+            assert np.array_equal(logs[:, k], density.log_interp(points))
+
+    def test_log_ratios_match_the_oracle(self, regime):
+        samples = [regime.sample(400, np.random.default_rng(s)) for s in range(3)]
+        expect = [loglik_matrix(regime, d) - ref_loglik(regime, d) for d in samples]
+        assert np.array_equal(regime.log_ratios(samples), np.stack(expect))
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_point_off_the_grid_raises(self, regime, side):
+        edge = regime.grid.upper if side > 0 else regime.grid.lower
+        off = np.array([0.0, np.nextafter(edge, side * np.inf)])
+        with pytest.raises(OutsideGridError, match="point outside grid"):
+            regime.log_ratios([off])
+        with pytest.raises(OutsideGridError, match="point outside grid"):
+            regime.f_circ.log_interp(off)
+
+
 class TestStatQuantile:
     """stat_quantile writes out np.percentile's linear rule; it must agree to
     the bit, ties and both halves of the lerp included."""
@@ -397,7 +554,7 @@ class TestCesaro:
         reg = IidRegime(uniform_prior(fam), truth)
         data = generate_data(reg, 30, seed=17)
         w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
-        fast = reg.cesaro_kls(data, w)
+        fast = cesaro_kls_one(reg, data, w)
         kern = GRID.quad_weights * truth.values
         entropy = kern @ truth.log_values
         v0, v1 = fam[0].density.values, fam[1].density.values
@@ -415,7 +572,7 @@ class TestCesaro:
         prev = np.concatenate(([sample.y0], sample.y[:-1]))
         w = np.zeros((2, 20))
         w[1] = 1.0
-        got = reg.cesaro_kls(sample, w)
+        got = cesaro_kls_one(reg, sample, w)
         expect = (0.6 - 0.2) ** 2 * prev * prev / 2.0
         assert np.max(np.abs(got - expect)) < 1e-7
 
@@ -424,7 +581,7 @@ class TestCesaro:
         data = generate_data(reg, 50, seed=12)
         w = np.zeros((2, 50))
         w[1] = 1.0
-        kls = reg.cesaro_kls(data, w)
+        kls = cesaro_kls_one(reg, data, w)
         running = kls.cumsum() / np.arange(1, 51)
         assert running[-1] == pytest.approx(reg.atom_kv(50)[1, 0], abs=1e-7)
 
@@ -469,7 +626,7 @@ class TestFastPathOracles:
         for rep in range(6):
             data = generate_data(reg, n, seed=cfg.seed + rep)
             w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
-            assert np.array_equal(reg.cesaro_kls(data, w),
+            assert np.array_equal(cesaro_kls_one(reg, data, w),
                                   iid_cesaro_oracle(reg, w, UNIT_STRIDE))
 
     @pytest.mark.parametrize("n", [1, 31, 33, 400])
@@ -478,7 +635,7 @@ class TestFastPathOracles:
         rng = np.random.default_rng(100 * atoms + n)
         reg = iid_regime(means=tuple(rng.normal(0.0, 1.5, atoms)), truth_mean=0.1)
         w = rng.dirichlet(np.ones(atoms), size=n).T
-        assert np.array_equal(reg.cesaro_kls(None, w),
+        assert np.array_equal(cesaro_kls_one(reg, None, w),
                               iid_cesaro_oracle(reg, w, UNIT_STRIDE))
 
     @pytest.mark.parametrize("atoms", [3, 5, 10])
@@ -490,9 +647,9 @@ class TestFastPathOracles:
         rng = np.random.default_rng(atoms)
         reg = iid_regime(means=tuple(rng.normal(0.0, 1.5, atoms)), truth_mean=0.1)
         w = rng.dirichlet(np.ones(atoms), size=401).T
-        got = reg.cesaro_kls(None, w)
+        got = cesaro_kls_one(reg, None, w)
         assert np.max(np.abs(got - iid_cesaro_oracle(reg, w, UNIT_STRIDE))) <= 1e-13
-        assert np.array_equal(got[:400], reg.cesaro_kls(None, w[:, :400]))
+        assert np.array_equal(got[:400], cesaro_kls_one(reg, None, w[:, :400]))
 
     def test_iid_kernel_builds_no_full_matrix(self):
         cfg = parse_config(CONFIGS / "iid.yaml")
@@ -501,7 +658,7 @@ class TestFastPathOracles:
         w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
         tracemalloc.start()
         try:
-            reg.cesaro_kls(data, w)
+            cesaro_kls_one(reg, data, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -520,7 +677,7 @@ class TestFastPathOracles:
                 WIDE, thetas[:, None] * prev[None, :], reg.theta_star.theta * prev,
                 reg.noise_sd, w,
             )
-            assert np.max(np.abs(reg.cesaro_kls(sample, w) - expected)) <= 1e-15
+            assert np.max(np.abs(cesaro_kls_one(reg, sample, w) - expected)) <= 1e-15
 
     def test_regression_inputs(self):
         reg = regression_regime(slopes=(0.0, 0.4, 3.0, -1.0), length=120)
@@ -530,7 +687,7 @@ class TestFastPathOracles:
         expected = gaussian_mixture_kls_oracle(
             WIDE, means, np.asarray(reg.truth.values_at_design), 1.0, w
         )
-        assert np.max(np.abs(reg.cesaro_kls(data, w) - expected)) <= 1e-15
+        assert np.max(np.abs(cesaro_kls_one(reg, data, w) - expected)) <= 1e-15
 
     @staticmethod
     def _check_random_four_atoms(seed, sd):
@@ -579,7 +736,7 @@ class TestFastPathOracles:
         w = softmax(cumulative_log_ratio(reg, sample)[:, :-1], axis=0)
         tracemalloc.start()
         try:
-            reg.cesaro_kls(sample, w)
+            cesaro_kls_one(reg, sample, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -619,7 +776,7 @@ class TestDensityStride:
                              (uniform_prior(wide), gaussian_density(GRID, 0.0, sd))):
             reg = IidRegime(prior, truth)
             w = rng.dirichlet(np.ones(len(prior.members)), size=40).T
-            got = reg.cesaro_kls(None, w)
+            got = cesaro_kls_one(reg, None, w)
             assert np.array_equal(got, iid_cesaro_oracle(reg, w, stride))
             assert not np.array_equal(got, iid_cesaro_oracle(reg, w, _density_stride(GRID, 1.5)))
         assert (GRID.points - 1) % stride == 0
@@ -633,7 +790,7 @@ class TestDensityStride:
         reg = IidRegime(uniform_prior(fam), gaussian_density(GRID, 0.1, sd))
         w = rng.dirichlet(np.ones(atoms), size=400).T
         dense = iid_cesaro_oracle(reg, w, 1)
-        assert np.max(np.abs(reg.cesaro_kls(None, w) - dense)) <= 1e-14
+        assert np.max(np.abs(cesaro_kls_one(reg, None, w) - dense)) <= 1e-14
 
     @pytest.mark.parametrize("name", ["iid", "misspecified"])
     def test_config_replications_against_long_double(self, name):
@@ -643,7 +800,7 @@ class TestDensityStride:
             data = generate_data(reg, 400, seed=cfg.seed + rep)
             w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
             exact = iid_cesaro_oracle(reg, w, 1, np.longdouble)
-            assert np.max(np.abs(reg.cesaro_kls(data, w) - exact)) <= 2e-15
+            assert np.max(np.abs(cesaro_kls_one(reg, data, w) - exact)) <= 2e-15
 
 
 def markov_config_regime(noise_sd):
@@ -671,7 +828,7 @@ class TestZNodeRule:
             w = softmax(cumulative_log_ratio(reg, sample)[:, :-1], axis=0)
             prev = np.concatenate(([sample.y0], sample.y[:-1]))
             args = (reg._thetas[:, None] * prev[None, :], reg.theta_star.theta * prev, sd, w)
-            got = reg.cesaro_kls(sample, w)
+            got = cesaro_kls_one(reg, sample, w)
             wide = gaussian_mixture_kls_oracle(WIDE, *args)
             assert np.max(np.abs(got - wide)) <= 1e-15
             if sd <= 1.0:
@@ -693,7 +850,7 @@ class TestZNodeRule:
             args = (reg._thetas[:, None] * prev[None, :], reg.theta_star.theta * prev, 1.3, w)
             wide = gaussian_mixture_kls_oracle(WIDE, *args)
             clipped += np.max(np.abs(gaussian_mixture_kls_oracle(GRID, *args) - wide)) > 1e-12
-            assert np.max(np.abs(reg.cesaro_kls(sample, w) - wide)) <= 1e-15, f"seed {seed}"
+            assert np.max(np.abs(cesaro_kls_one(reg, sample, w) - wide)) <= 1e-15, f"seed {seed}"
         assert clipped == 6
 
     @pytest.mark.parametrize("sd", [0.5, 0.7, 1.0, 1.3])
@@ -799,7 +956,7 @@ class TestAnchoredAtTruth:
         entropy = float(kern @ truth.log_values[::stride])
         values = np.stack([f.values[::stride] for f in dens.values()])
         plain = np.maximum(entropy - np.log(values.T @ w).T @ kern, 0.0)
-        assert np.array_equal(reg.cesaro_kls(data, w), plain)
+        assert np.array_equal(cesaro_kls_one(reg, data, w), plain)
 
 
 def random_location_regime(rng, kind):
@@ -914,7 +1071,7 @@ class TestPickledRegime:
             lambda r: r.hull_gap_bound(ids, n),
             lambda r: r.mixture_truth_gap(ids, weights, n),
             lambda r: r.closure_violation(ids, ids[-1], weights, n),
-            lambda r: r.cesaro_kls(data, w),
+            lambda r: cesaro_kls_one(r, data, w),
         ]
         if name in ("iid", "misspecified"):
             calls.append(lambda r: r.vertex_certificates(atoms))

@@ -17,7 +17,6 @@ from bayesrates.experiments import (
     MarkovRegime,
     MarkovSample,
     RegressionRegime,
-    cumulative_log_ratio,
     generate_data,
     replicate,
 )
@@ -44,7 +43,9 @@ from bayesrates.models import (
     log_likelihood,
     uniform_prior,
 )
-from bayesrates.numerics import logsumexp, softmax
+from bayesrates.numerics import logsumexp
+
+from helpers import cumulative_log_ratio, ref_loglik, softmax
 
 GRID = default_grid()
 
@@ -229,7 +230,7 @@ class TestRestrictedPath:
         y0 = data.y0 if isinstance(data, MarkovSample) else None
         y_seq = data.y if isinstance(data, MarkovSample) else data
         path = restricted_log_path(regime, data, subset)
-        ref_ll = regime.ref_loglik(data)
+        ref_ll = ref_loglik(regime, data)
         assert len(path) == len(y_seq) + 1
         state = initial_state(regime.prior, regime.reference, y0=y0)
         for i, y in enumerate(y_seq):
