@@ -203,7 +203,7 @@ def _line(node: yaml.Node) -> int:
 def _compose(path: Path) -> yaml.Node:
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError([f"cannot read config: {e}"])
     try:
         node = yaml.compose(text)
@@ -505,8 +505,12 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     if regime is not None:
         fam_sec = _Section(fam_node, "family", errors, line=top.lines.get("family"))
         family = fam_sec.read(_FAMILY_KEYS[regime])
-        listed = family[next(iter(_FAMILY_KEYS[regime]))]
-        atoms = None if listed is None else len(listed)
+        first = next(iter(_FAMILY_KEYS[regime]))
+        if family[first] == []:
+            errors.append(f"family.{first} must list at least one atom "
+                          f"(line {fam_sec.lines[first]})")
+            family[first] = None
+        atoms = None if family[first] is None else len(family[first])
         truth_sec = _Section(truth_node, "truth", errors, line=top.lines.get("truth"))
         truth = truth_sec.read(_TRUTH_KEYS[regime], atoms)
         if regime in ("iid", "misspecified"):
@@ -897,8 +901,8 @@ _RUNNERS = {
 def _read_summary(path: Path) -> dict:
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise json.JSONDecodeError(f"corrupt {path}: {e.msg}", e.doc, e.pos) from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise SummaryError(f"corrupt {path}: {e}") from None
     entries = data.get("verifications") if isinstance(data, dict) else None
     if not (
         isinstance(entries, dict)
@@ -992,7 +996,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with np.errstate(divide="raise", invalid="raise", over="raise", under="ignore"):
             return _main(args)
     except (ModelError, GeometryError, DivergenceError, ExperimentError,
-            OSError, json.JSONDecodeError, SummaryError, FloatingPointError) as e:
+            OSError, SummaryError, FloatingPointError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
 

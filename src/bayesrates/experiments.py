@@ -108,13 +108,19 @@ ROW_POINTS_PER_SD = 10
 #   rounding (1.5e-15 relative) up to h D = 0.6, off by 1e-13 at 0.7 and by
 #   3e-12 at 0.8; at the 0.2 spacing alone it was off by 1.5e-6 per step
 #   on four atoms spread over 15 sds.
-# - Columns, and a certification step's draws over them, go in chunks of
-#   at most Z_BUFFER node values (512 kB), so a wide spread or many draws
-#   cost time, not memory.
+# - One kernel, _z_integrals, takes every such integral: a replication
+#   block's Cesaro steps (regression: the block's weight rows against the one
+#   design; markov: the block's replications side by side as columns) and a
+#   certification step's draws (as rows).  Its arrays go in column chunks and
+#   row groups of at most Z_BUFFER node values (128 kB) each, so a wide
+#   spread, a block or many draws cost time, not memory.  A block peaks at
+#   0.66 MiB traced on markov.yaml and 0.83 MiB on regression.yaml, against
+#   0.68 and 0.83 when each replication took the kernel alone; twice the
+#   buffer took them to 0.68 and 1.18 MiB.
 Z_STEP = 0.5
 Z_REACH = 9.0
 Z_RESOLVE = 0.5
-Z_BUFFER = 1 << 16
+Z_BUFFER = 1 << 14
 
 # an affinity term whose offset exceeds Z_FAR adds less than
 # exp(-Z_FAR^2 / 8) = 2.6e-18 to the affinity, since sqrt(a + b) - sqrt(a)
@@ -128,18 +134,17 @@ PROBE_STATES = 7
 SWEEP_POINTS = 1001
 
 
-def _z_chunks(deltas: np.ndarray, affinity: bool = False):
-    """Yield (columns, nodes, tilt): the column chunks of the z-node rule.
+def _z_chunks(deltas: np.ndarray, affinity: bool, arrays: int):
+    """Yield (columns, nodes): the column chunks of the z-node rule.
 
     The nodes span [-Z_REACH, Z_REACH], or for an ``affinity``
     [min(0, min d / 2) - Z_REACH, max(0, max d / 2) + Z_REACH] over the
-    offsets within Z_FAR, where its terms' mass sits; ``tilt`` is -z^2 for
-    an affinity (the square of phi, taken inside its root), else None.  A
-    chunk holds at most Z_BUFFER node values.
+    offsets within Z_FAR, where its terms' mass sits.  A chunk is as wide as
+    ``arrays`` arrays of its node values can be within Z_BUFFER values.
     """
     near = np.clip(deltas, -Z_FAR, Z_FAR) if affinity else deltas
-    spread = near.max(axis=0) - near.min(axis=0)
-    parts = np.maximum(np.ceil(spread * (Z_STEP / Z_RESOLVE)), 1.0).astype(int)
+    parts = np.maximum(np.ceil((near.max(axis=0) - near.min(axis=0)) * (Z_STEP / Z_RESOLVE)),
+                       1.0).astype(int)
     for m in sorted(set(parts.tolist())):  # not np.unique, which imports numpy.ma
         group = np.flatnonzero(parts == m)
         lower, upper = -Z_REACH, Z_REACH
@@ -147,19 +152,87 @@ def _z_chunks(deltas: np.ndarray, affinity: bool = False):
             lower += min(0.0, 0.5 * float(near[:, group].min()))
             upper += max(0.0, 0.5 * float(near[:, group].max()))
         nodes = Grid(lower, upper, math.ceil((upper - lower) * m / Z_STEP) + 1)
-        tilt = -nodes.x ** 2 if affinity else None
-        width = max(1, Z_BUFFER // nodes.points)
+        width = max(1, Z_BUFFER // (arrays * nodes.points))
         for s in range(0, len(group), width):
-            yield group[s:s + width], nodes, tilt
+            yield group[s:s + width], nodes
 
 
-def _z_term(d: np.ndarray, nodes: Grid, tilt, out: np.ndarray) -> None:
-    """out[c, k] = exp(z_k d[c] - d[c]^2 / 2), plus ``tilt`` in the exponent."""
-    np.multiply(d[:, None], nodes.x, out=out)
-    if tilt is not None:
-        out += tilt
-    out -= (0.5 * d * d)[:, None]
-    np.exp(out, out=out)
+def _z_integrals(deltas: np.ndarray, weights: np.ndarray, affinity: bool = False) -> np.ndarray:
+    """(rows, *columns): the kl from N(0, 1) to each column's mixture under each
+    weight row, or with ``affinity`` the mixture's affinity gap to N(0, 1).
+
+    Column k's mixture under row r is sum_j w N(d, 1), with d = deltas[j, k]
+    the component's offset from the centre in noise sds and w =
+    weights[r, j, k]; ``weights`` is (rows, atoms, *columns), or
+    (rows, atoms) for one weight vector per row shared by every column.
+    Centred there, the kl is
+
+        -int phi(z) log sum_j w exp(z d - d^2 / 2) dz
+
+    and the gap 1 - int phi(z) sqrt(sum_j w exp(z d - d^2 / 2)) dz, with phi
+    taken inside the root as exp(-z^2).  Their exponents are at most
+    z^2 / 2 <= 40.5 and -(z - d / 2)^2 - d^2 / 4 <= 0, so no offset
+    overflows; the 1e-300 floor catches a mixture whose every atom underflows.
+
+    Each chunk's terms are exponentiated once for every row.  A row sums its
+    atoms in order and integrates each column by its own dot product, so a
+    value rounds alike in any chunk, group, block or batch.  Per-column
+    weights lay the nodes out node-major, so that a weight multiplies along
+    contiguous columns, and copy each mixture node-last for its products.
+    """
+    shape = deltas.shape[1:]
+    flat = deltas.reshape(len(deltas), -1)
+    rows = len(weights)
+    node_major = weights.ndim > 2
+    # per column, either every atom's terms are kept while the rows go in
+    # groups, or each atom's are made as they are summed into one group of
+    # every row's mixture and spare: whichever holds fewer node values
+    keep = len(flat) < 1 + 2 * rows
+    out = np.empty((rows, flat.shape[1]))
+    for cols, nodes in _z_chunks(flat, affinity, len(flat) if keep else 1 + 2 * rows):
+        d = np.take(flat, cols, axis=1)
+        d = d[:, None, :] if node_major else d[:, :, None]
+        z = nodes.x[:, None] if node_major else nodes.x
+        w = (np.ascontiguousarray(weights[(slice(None),) * 2 + np.unravel_index(cols, shape)])
+             [:, :, None, :] if node_major else weights[:, :, None, None])
+        kern = nodes.quad_weights if affinity else (
+            nodes.quad_weights * np.exp(-0.5 * nodes.x ** 2) / SQRT_2PI)
+
+        def exps(d):
+            e = z * d
+            if affinity:
+                e -= z * z
+            e -= 0.5 * d * d
+            return np.exp(e, out=e)
+
+        terms = exps(d) if keep else None
+        # a group's mixture and spare hold Z_BUFFER values each, or with shared
+        # weights as many values together as the kept terms
+        budget = Z_BUFFER if node_major else len(d) * Z_BUFFER // 2
+        step = max(1, budget // (len(cols) * nodes.points)) if keep else rows
+        mix = np.empty((min(step, rows),) + np.broadcast_shapes(d.shape[1:], z.shape))
+        spare = np.empty_like(mix)
+        for s in range(0, rows, step):
+            ws = w[s:s + step]
+            m, t = mix[:len(ws)], spare[:len(ws)]
+            for j in range(len(d)):
+                np.multiply(terms[j] if keep else exps(d[j]), ws[:, j], out=t if j else m)
+                if j:
+                    m += t
+            if affinity:
+                np.sqrt(m, out=m)
+            else:
+                np.maximum(m, 1e-300, out=m)
+                np.log(m, out=m)
+            if node_major:
+                m, t = t.reshape((len(ws), len(cols), nodes.points)), m
+                np.copyto(m, t.transpose(0, 2, 1))
+            out[s:s + len(ws), cols] = (1.0 - _integrals(kern, m) / SQRT_2PI if affinity
+                                        else -_integrals(kern, m))
+        del terms, mix, spare, m, t  # before the next chunk takes its own
+    if not affinity:
+        np.maximum(out, 0.0, out=out)
+    return out.reshape((rows,) + shape)
 
 
 class ExperimentError(ValueError):
@@ -202,70 +275,6 @@ def _triangle_bound(member_ids, to_truth, between, measure=float) -> tuple[float
         return float(measure(shortfall ** 2)) / 2.0
 
     return max((bound(c), c) for c in member_ids)
-
-
-def _gaussian_mixture_kls(deltas: np.ndarray, weights_before: np.ndarray) -> np.ndarray:
-    """Per-step kl(N(0, 1), sum_j w[j, i] N(deltas[j, i], 1)).
-
-    ``deltas`` are the components' offsets from the truth in noise sds, so
-    this is the kl from the truth's normal of any sd to the mixture of its
-    shifts.  Centred on the truth it is
-
-        -int phi(z) log sum_j w[j, i] exp(z deltas[j, i] - deltas[j, i]^2 / 2) dz,
-
-    by the z-node rule, all steps of one spacing at once (37 nodes at
-    Z_STEP).  The exponent is at most z^2 / 2 <= 40.5, so it cannot
-    overflow; the 1e-300 floor catches a mixture whose every atom underflows.
-    """
-    out = np.empty(deltas.shape[1])
-    for cols, nodes, _ in _z_chunks(deltas):
-        mix = np.zeros((len(cols), nodes.points))
-        term = np.empty_like(mix)
-        for d, w in zip(deltas[:, cols], weights_before[:, cols]):
-            _z_term(d, nodes, None, term)
-            term *= w[:, None]
-            mix += term
-        np.maximum(mix, 1e-300, out=mix)
-        np.log(mix, out=mix)
-        out[cols] = -(mix @ (nodes.quad_weights * np.exp(-0.5 * nodes.x ** 2) / SQRT_2PI))
-    return np.maximum(out, 0.0)
-
-
-def _affinity_gaps(deltas: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-draw, per-row 1 - int sqrt(N(0, 1) * sum_j w[r, j] N(deltas[j, k], 1)).
-
-    The mixture-to-reference affinity gap of every row k under every weight
-    row r of ``weights`` (draws, J), centred on the reference:
-    1 - int phi(z) sqrt(sum_j w[r, j] exp(z d - d^2 / 2)) dz with
-    d = deltas[j, k], by the z-node rule.  phi goes inside the root, so the
-    exponent is -(z - d / 2)^2 - d^2 / 4, never positive: no offset
-    overflows.
-
-    Only the weights change between draws, so each column chunk's terms are
-    exponentiated once.  The draws then go through in groups of at most
-    Z_BUFFER node values, their mixtures summed one atom at a time and each
-    draw's trapezoid taken as its own product, so a draw rounds exactly as
-    it would alone.
-    """
-    out = np.empty((len(weights), deltas.shape[1]))
-    for cols, nodes, tilt in _z_chunks(deltas, affinity=True):
-        terms = np.empty((len(deltas), len(cols), nodes.points))
-        for d, atom in zip(deltas[:, cols], terms):
-            _z_term(d, nodes, tilt, atom)
-        step = max(1, Z_BUFFER // terms[0].size)
-        mix = np.empty((min(step, len(weights)),) + terms[0].shape)
-        term = np.empty_like(mix)
-        for s in range(0, len(weights), step):
-            w = weights[s:s + step]
-            m, t = mix[:len(w)], term[:len(w)]
-            m.fill(0.0)
-            for j, atom in enumerate(terms):
-                np.multiply(atom, w[:, j, None, None], out=t)
-                m += t
-            np.sqrt(m, out=m)
-            # a stack of (cols, nodes) @ q products, one per draw, as a lone draw has
-            out[s:s + len(w), cols] = 1.0 - (m @ nodes.quad_weights) / SQRT_2PI
-    return out
 
 
 def _normal_log(z: np.ndarray, log_sd: float = 0.0) -> np.ndarray:
@@ -548,7 +557,7 @@ class RegressionRegime:
         """Per draw, the mean over the first n indices of the mixture's affinity
         gap to ``ref_id``."""
         deltas = np.stack([self._row(i)[:n] for i in member_ids]) - self._row(ref_id)[:n]
-        return _affinity_gaps(deltas, weights).mean(axis=1)
+        return _z_integrals(deltas, weights, affinity=True).mean(axis=1)
 
     def mixture_truth_gap(self, member_ids, weights, n: int) -> np.ndarray:
         return self._mean_gaps_to(REF_ID, member_ids, weights, n)
@@ -572,11 +581,9 @@ class RegressionRegime:
         )
 
     def cesaro_kls(self, samples, weights_before: np.ndarray) -> np.ndarray:
-        """(reps, n), one replication at a time: the z-node rule's products
-        round by how its columns are grouped."""
+        """(reps, n): every replication's weights against the one design."""
         n = weights_before.shape[2]
-        deltas = self._means[:, :n] - self._truth_means[:n]
-        return np.stack([_gaussian_mixture_kls(deltas, w) for w in weights_before])
+        return _z_integrals(self._means[:, :n] - self._truth_means[:n], weights_before)
 
 
 class MarkovRegime:
@@ -699,7 +706,7 @@ class MarkovRegime:
         draw and probe state."""
         thetas = np.array([self._theta_of(i) for i in member_ids])
         deltas = np.outer(thetas - ref_theta, self._probe_states()) / self.noise_sd
-        return _affinity_gaps(deltas, weights)
+        return _z_integrals(deltas, weights, affinity=True)
 
     def mixture_truth_gap(self, member_ids, weights, n: int | None = None) -> np.ndarray:
         """Worst-state affinity gap of each mixture over the probe states."""
@@ -714,12 +721,11 @@ class MarkovRegime:
         return (self._probe_gaps(member_ids, tc, weights) - rho).max(axis=1)
 
     def cesaro_kls(self, samples, weights_before: np.ndarray) -> np.ndarray:
-        """(reps, n), one replication at a time, as in the regression regime."""
-        return np.stack([
-            _gaussian_mixture_kls(np.outer(self._thetas - self.theta_star.theta,
-                                           self._prev_chain(s)) / self.noise_sd, w)
-            for s, w in zip(samples, weights_before)
-        ])
+        """(reps, n): the block's replications side by side as the columns."""
+        prev = np.stack([self._prev_chain(s) for s in samples])
+        deltas = np.multiply.outer(self._thetas - self.theta_star.theta, prev)
+        deltas /= self.noise_sd
+        return _z_integrals(deltas, weights_before.transpose(1, 0, 2)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +825,7 @@ def replicate_block(plan: ExperimentPlan, rep_ids: Sequence[int]) -> list[Replic
     if "sqrt_l" in plan.collect:
         log_l = logsumexp(cum[:, rows(plan.subset_ids)], axis=1)
         stats["sqrt_l"] = np.exp(0.5 * log_l[:, idx])
+    del cum  # freed before the Cesaro kernel takes its buffers
     if "posterior_mass" in plan.collect:
         masses = [weights[:, rows(ids), n].sum(axis=1) for n, ids in zip(n_values, plan.b_sets)]
         stats["posterior_mass"] = np.clip(np.stack(masses, axis=1), 0.0, 1.0)

@@ -41,8 +41,8 @@ from bayesrates.experiments import (
     IidRegime,
     MarkovRegime,
     ReplicationRecord,
-    _gaussian_mixture_kls,
     _subset_rows,
+    _z_integrals,
 )
 from bayesrates.geometry import GeometryError
 from bayesrates.models import FamilyMember, ModelError
@@ -306,8 +306,9 @@ def markov_kvh_oracle(theta_star: float, theta: float, *,
 def z_affinity_gaps_oracle(deltas: np.ndarray, w) -> np.ndarray:
     """Per-row z-node affinity gaps of one weight vector, every term built afresh.
 
-    The reference form of ``experiments._affinity_gaps``: the same column
-    chunks and nodes, with each chunk's exponentials rebuilt for the draw.
+    The reference form of ``experiments._z_integrals`` with ``affinity``: the
+    same column chunks and nodes, with each chunk's exponentials rebuilt for
+    the draw and each column's trapezoid taken as its own dot product.
     """
     near = np.clip(deltas, -Z_FAR, Z_FAR)
     spread = near.max(axis=0) - near.min(axis=0)
@@ -332,7 +333,7 @@ def z_affinity_gaps_oracle(deltas: np.ndarray, w) -> np.ndarray:
                 term *= w_j
                 mix += term
             np.sqrt(mix, out=mix)
-            out[cols] = 1.0 - (mix @ nodes.quad_weights) / SQRT_2PI
+            out[cols] = 1.0 - np.array([row @ nodes.quad_weights for row in mix]) / SQRT_2PI
     return out
 
 
@@ -456,7 +457,7 @@ def _cesaro_kls_oracle(regime, data, weights_before: np.ndarray) -> np.ndarray:
                               regime._prev_chain(data)) / regime.noise_sd
         else:
             deltas = regime._means[:, :len(data)] - regime._truth_means[:len(data)]
-        return _gaussian_mixture_kls(deltas, weights_before)
+        return _z_integrals(deltas, weights_before[None])[0]
     values = regime._values.T
     points, n = len(values), weights_before.shape[1]
     starts = list(range(0, n - CESARO_BLOCK + 1, CESARO_BLOCK)) or [0]

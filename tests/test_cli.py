@@ -397,6 +397,15 @@ BAD_VALUES = {
     "truth.projection_id": (MISSPECIFIED_CHECK, "projection_id: 0", "projection_id: 2",
                             "truth.projection_id = 2 is not the kl projection: "
                             "family.means[0] = 0.5 is nearer truth.mean = 0.0 (line 6)"),
+    "family.means.empty": (SMALL_CHECK, "means: [0.0, 1.0]", "means: []",
+                           "family.means must list at least one atom (line 3)"),
+    "family.slopes.empty": (SHORT_DESIGN, "slopes: [0.0, 1.0, 3.0]\n  design_length: 300",
+                            "slopes: []\n  design_length: 450",
+                            "family.slopes must list at least one atom (line 3)"),
+    # with a subset set this once read "u_set[0] must be an atom id below 0"
+    "family.thetas.empty": (MARKOV_WINDOW.replace("seed: 17", "seed: 17\nsubset: [0]\nu_set: [0]"),
+                            "thetas: [0.6, -0.4]", "thetas: []",
+                            "family.thetas must list at least one atom (line 3)"),
     "family.weights": (SMALL_CHECK, "means: [0.0, 1.0]", "means: [0.0, 1.0]\n  weights: [1, -0.5]",
                        "family.weights[1] must be positive, got -0.5 (line 4)"),
     "family.design_length": (SHORT_DESIGN, "design_length: 300", "design_length: 0",
@@ -728,6 +737,31 @@ class TestOverridesAndRuntimeFaults:
         assert "summary.json" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+    def test_config_not_utf8_exits_3(self, tmp_path, capsys, argv):
+        path = tmp_path / "plan.yaml"
+        path.write_bytes(b"\xff\xfe" + SMALL_CHECK.format(out=tmp_path / "out").encode())
+        assert main([*argv, "--config", str(path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "config error: cannot read config: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, verify", [
+        ("check", "factorization"), ("simulate", "cesaro"), ("sieve", "cover"),
+        ("report", "factorization")])
+    def test_summary_not_utf8_exits_4(self, tmp_path, capsys, command, verify):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_bytes(b'\xff\xfe{"seed": 17}')
+        text = SMALL_SIMULATE.format(c=1.5, out=out).replace(
+            "M: 1.0", "M: 1.0\n  r: 1.0\n  beta: 2.0")
+        path = write_config(tmp_path, text)
+        assert main([command, "--config", str(path), "--verify", verify]) == EXIT_RUNTIME_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime error: corrupt {out / 'summary.json'}: 'utf-8' codec")
+        assert len(err.strip().splitlines()) == 1
+
     def test_summary_drops_entries_from_another_seed(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, SMALL_CHECK.format(out=out))
@@ -913,7 +947,7 @@ def test_check_and_sieve_reproduce_committed_csvs(tmp_path, name):
         assert (tmp_path / fname).read_bytes() == (ROOT / "out" / name / fname).read_bytes(), fname
 
 
-@pytest.mark.parametrize("name", ["iid", "markov"])
+@pytest.mark.parametrize("name", ["iid", "markov", "regression"])
 def test_parallel_simulate_reproduces_committed_output(tmp_path, name):
     """simulate --jobs 2 writes the committed out/ CSVs and summary entries,
     byte for byte."""

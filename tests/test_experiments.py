@@ -41,10 +41,9 @@ from bayesrates.experiments import (
     ReplicationRecord,
     SubsetNotAdmissibleError,
     _adopt_fp_errors,
-    _affinity_gaps,
     _density_stride,
-    _gaussian_mixture_kls,
     _triangle_bound,
+    _z_integrals,
     certify_subset,
     concentration_sets,
     fit_rate,
@@ -413,6 +412,41 @@ class TestReplicationBlocks:
         assert all(len(t) % REPLICATION_BLOCK == 0 for t in tasks[:-1])
         assert len(tasks) <= math.ceil(200 / (200 // (8 * 2))) == 17
 
+    @pytest.mark.parametrize("name", ["markov", "regression"])
+    def test_gaussian_block_at_a_ragged_n(self, name):
+        """The z-node Cesaro kernel takes a whole block in one call: a
+        replication alone, in a one-replication block and inside a block
+        gives the same bits at a horizon no chunk width divides."""
+        cfg = parse_config(CONFIGS / f"{name}.yaml")
+        plan = ExperimentPlan(regime=build_regime(cfg), schedule=RateSchedule((37, 123)),
+                              replications=5, seed=cfg.seed, collect=("cesaro_kl",))
+        block = replicate_block(plan, range(5))
+        assert_same_records(block, [replicate(plan, i) for i in range(5)])
+        assert_same_records(block[3:4], replicate_block(plan, (3,)))
+
+    # replicate_block's and a certification step's traced peaks when each
+    # replication took the z-node kernel alone: (block, step) in MiB
+    GAUSSIAN_PEAKS = {"markov": (0.68, 0.61), "regression": (0.83, 1.68)}
+
+    @pytest.mark.parametrize("name", sorted(GAUSSIAN_PEAKS))
+    def test_gaussian_kernel_memory_holds_its_parent_peaks(self, name):
+        plan = shipped_plan(name, REPLICATION_BLOCK).collecting(("cesaro_kl",))
+        cfg = parse_config(CONFIGS / f"{name}.yaml")
+        n = cfg.schedule.n_values[-1]
+        delta = cfg.params.d * cfg.schedule.epsilon(n) ** 2
+        runs = (lambda: replicate_block(plan, range(REPLICATION_BLOCK)),
+                lambda: certify_subset(plan.regime, cfg.subset, delta, n,
+                                       np.random.default_rng(cfg.seed), draws=100))
+        for run, bound in zip(runs, self.GAUSSIAN_PEAKS[name]):
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * 2 ** 20, (peak, bound)
+
     def test_one_block_stays_small(self):
         """One block on iid.yaml at n = 400 with every statistic peaks at
         0.80 MB, 0.50 MB of it the Cesaro kernel's step buffer; a replication
@@ -698,7 +732,7 @@ class TestFastPathOracles:
         means = rng.normal(0.0, 2.0, size=(4, 150))
         truth_means = rng.normal(0.0, 1.0, size=150)
         w = rng.dirichlet(np.ones(4), size=150).T
-        got = _gaussian_mixture_kls((means - truth_means) / sd, w)
+        got = _z_integrals((means - truth_means) / sd, w[None])[0]
         exact = gaussian_mixture_kls_oracle(WIDE, means, truth_means, sd, w, np.longdouble)
         assert np.all(np.abs(got - exact) <= 1e-15 * np.maximum(1.0, exact))
 
@@ -720,12 +754,13 @@ class TestFastPathOracles:
         deltas = rng.normal(0.0, 1.0, size=(3, 4000))
         w = rng.dirichlet(np.ones(3), size=4000).T
         pieces = range(0, 4000, 300)
-        kls = np.concatenate([_gaussian_mixture_kls(deltas[:, s:s + 300], w[:, s:s + 300])
+        kls = np.concatenate([_z_integrals(deltas[:, s:s + 300], w[None, :, s:s + 300])[0]
                               for s in pieces])
-        assert np.max(np.abs(_gaussian_mixture_kls(deltas, w) - kls)) <= 1e-15
+        assert np.max(np.abs(_z_integrals(deltas, w[None])[0] - kls)) <= 1e-15
         one = w[None, :, 0]
-        gaps = np.concatenate([_affinity_gaps(deltas[:, s:s + 300], one)[0] for s in pieces])
-        assert np.max(np.abs(_affinity_gaps(deltas, one)[0] - gaps)) <= 1e-15
+        gaps = np.concatenate([_z_integrals(deltas[:, s:s + 300], one, affinity=True)[0]
+                               for s in pieces])
+        assert np.max(np.abs(_z_integrals(deltas, one, affinity=True)[0] - gaps)) <= 1e-15
 
     def test_gaussian_mixture_kernel_builds_no_full_array(self):
         """The mixture is summed one atom at a time: on this chain that peaks at
@@ -903,7 +938,7 @@ class TestZNodeRule:
         and none overflows, and a far term beside a near one adds nothing."""
         deltas = np.array([[200.0, 0.0, 0.0], [400.0, 0.0, 200.0]])
         with np.errstate(over="raise", invalid="raise"):
-            gaps = _affinity_gaps(deltas, np.array([[0.5, 0.5]]))[0]
+            gaps = _z_integrals(deltas, np.array([[0.5, 0.5]]), affinity=True)[0]
         assert gaps[0] == 1.0
         assert abs(gaps[1]) <= 1e-15
         assert abs(gaps[2] - (1.0 - math.sqrt(0.5))) <= 1e-15
@@ -1204,7 +1239,7 @@ class TestBatchedCertification:
         rng = np.random.default_rng(14)
         deltas = rng.normal(0.0, 6.0, size=(3, 700))
         weights = rng.dirichlet(np.ones(3), size=9)
-        got = _affinity_gaps(deltas, weights)
+        got = _z_integrals(deltas, weights, affinity=True)
         assert np.array_equal(got, [z_affinity_gaps_oracle(deltas, w) for w in weights])
 
     def test_regression_certification_memory_is_bounded(self):
