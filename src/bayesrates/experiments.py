@@ -111,12 +111,13 @@ ROW_POINTS_PER_SD = 10
 # - One kernel, _z_integrals, takes every such integral: a replication
 #   block's Cesaro steps (regression: the block's weight rows against the one
 #   design; markov: the block's replications side by side as columns) and a
-#   certification step's draws (as rows).  Its arrays go in column chunks and
-#   row groups of at most Z_BUFFER node values (128 kB) each, so a wide
-#   spread, a block or many draws cost time, not memory.  A block peaks at
-#   0.66 MiB traced on markov.yaml and 0.83 MiB on regression.yaml, against
-#   0.68 and 0.83 when each replication took the kernel alone; twice the
-#   buffer took them to 0.68 and 1.18 MiB.
+#   certification step's draws (as rows).  A column chunk's terms, every
+#   atom's at every node, a row group's mixture and the product being added
+#   to it each hold at most Z_BUFFER values (128 kB), so a wide spread, a
+#   block, many atoms or many draws cost time, not memory.  Traced, a block
+#   peaks at 0.66 MiB on markov.yaml and 0.81 MiB on regression.yaml,
+#   against 0.68 and 0.83 when each replication took the kernel alone; twice
+#   the buffer took them to 0.85 and 1.18 MiB.
 Z_STEP = 0.5
 Z_REACH = 9.0
 Z_RESOLVE = 0.5
@@ -134,17 +135,19 @@ PROBE_STATES = 7
 SWEEP_POINTS = 1001
 
 
-def _z_chunks(deltas: np.ndarray, affinity: bool, arrays: int):
-    """Yield (columns, nodes): the column chunks of the z-node rule.
+def _z_chunks(deltas: np.ndarray, affinity: bool):
+    """Yield (columns, nodes, kern): the column chunks of the z-node rule.
 
     The nodes span [-Z_REACH, Z_REACH], or for an ``affinity``
     [min(0, min d / 2) - Z_REACH, max(0, max d / 2) + Z_REACH] over the
-    offsets within Z_FAR, where its terms' mass sits.  A chunk is as wide as
-    ``arrays`` arrays of its node values can be within Z_BUFFER values.
+    offsets within Z_FAR, where its terms' mass sits.  ``kern`` is the
+    trapezoid's weights, times phi(z) for a kl (an affinity takes phi inside
+    its root).  A chunk's terms, every atom's at every node, hold at most
+    Z_BUFFER values.
     """
     near = np.clip(deltas, -Z_FAR, Z_FAR) if affinity else deltas
-    parts = np.maximum(np.ceil((near.max(axis=0) - near.min(axis=0)) * (Z_STEP / Z_RESOLVE)),
-                       1.0).astype(int)
+    spread = near.max(axis=0) - near.min(axis=0)
+    parts = np.maximum(np.ceil(spread * (Z_STEP / Z_RESOLVE)), 1.0).astype(int)
     for m in sorted(set(parts.tolist())):  # not np.unique, which imports numpy.ma
         group = np.flatnonzero(parts == m)
         lower, upper = -Z_REACH, Z_REACH
@@ -152,9 +155,11 @@ def _z_chunks(deltas: np.ndarray, affinity: bool, arrays: int):
             lower += min(0.0, 0.5 * float(near[:, group].min()))
             upper += max(0.0, 0.5 * float(near[:, group].max()))
         nodes = Grid(lower, upper, math.ceil((upper - lower) * m / Z_STEP) + 1)
-        width = max(1, Z_BUFFER // (arrays * nodes.points))
+        kern = nodes.quad_weights if affinity else (
+            nodes.quad_weights * np.exp(-0.5 * nodes.x ** 2) / SQRT_2PI)
+        width = max(1, Z_BUFFER // (len(deltas) * nodes.points))
         for s in range(0, len(group), width):
-            yield group[s:s + width], nodes
+            yield group[s:s + width], nodes, kern
 
 
 def _z_integrals(deltas: np.ndarray, weights: np.ndarray, affinity: bool = False) -> np.ndarray:
@@ -174,62 +179,40 @@ def _z_integrals(deltas: np.ndarray, weights: np.ndarray, affinity: bool = False
     z^2 / 2 <= 40.5 and -(z - d / 2)^2 - d^2 / 4 <= 0, so no offset
     overflows; the 1e-300 floor catches a mixture whose every atom underflows.
 
-    Each chunk's terms are exponentiated once for every row.  A row sums its
-    atoms in order and integrates each column by its own dot product, so a
-    value rounds alike in any chunk, group, block or batch.  Per-column
-    weights lay the nodes out node-major, so that a weight multiplies along
-    contiguous columns, and copy each mixture node-last for its products.
+    Each chunk's terms are exponentiated once for every row; the rows go in
+    groups whose mixtures hold at most Z_BUFFER values.  A row sums its atoms
+    in order and integrates each column by its own dot product, so a value
+    rounds alike in any chunk, group, block or batch.
     """
     shape = deltas.shape[1:]
     flat = deltas.reshape(len(deltas), -1)
     rows = len(weights)
-    node_major = weights.ndim > 2
-    # per column, either every atom's terms are kept while the rows go in
-    # groups, or each atom's are made as they are summed into one group of
-    # every row's mixture and spare: whichever holds fewer node values
-    keep = len(flat) < 1 + 2 * rows
     out = np.empty((rows, flat.shape[1]))
-    for cols, nodes in _z_chunks(flat, affinity, len(flat) if keep else 1 + 2 * rows):
-        d = np.take(flat, cols, axis=1)
-        d = d[:, None, :] if node_major else d[:, :, None]
-        z = nodes.x[:, None] if node_major else nodes.x
-        w = (np.ascontiguousarray(weights[(slice(None),) * 2 + np.unravel_index(cols, shape)])
-             [:, :, None, :] if node_major else weights[:, :, None, None])
-        kern = nodes.quad_weights if affinity else (
-            nodes.quad_weights * np.exp(-0.5 * nodes.x ** 2) / SQRT_2PI)
-
-        def exps(d):
-            e = z * d
-            if affinity:
-                e -= z * z
-            e -= 0.5 * d * d
-            return np.exp(e, out=e)
-
-        terms = exps(d) if keep else None
-        # a group's mixture and spare hold Z_BUFFER values each, or with shared
-        # weights as many values together as the kept terms
-        budget = Z_BUFFER if node_major else len(d) * Z_BUFFER // 2
-        step = max(1, budget // (len(cols) * nodes.points)) if keep else rows
-        mix = np.empty((min(step, rows),) + np.broadcast_shapes(d.shape[1:], z.shape))
-        spare = np.empty_like(mix)
+    for cols, nodes, kern in _z_chunks(flat, affinity):
+        d = np.take(flat, cols, axis=1)[:, :, None]
+        # z, then times d: a product of two broadcasts buffers both operands
+        terms = np.full(d.shape[:2] + nodes.x.shape, nodes.x)
+        terms *= d
+        if affinity:
+            terms -= nodes.x ** 2
+        terms -= 0.5 * d * d
+        np.exp(terms, out=terms)
+        w = (weights[:, :, None, None] if weights.ndim == 2 else
+             weights[(slice(None),) * 2 + np.unravel_index(cols, shape)][..., None])
+        step = max(1, Z_BUFFER // terms[0].size)
         for s in range(0, rows, step):
             ws = w[s:s + step]
-            m, t = mix[:len(ws)], spare[:len(ws)]
-            for j in range(len(d)):
-                np.multiply(terms[j] if keep else exps(d[j]), ws[:, j], out=t if j else m)
-                if j:
-                    m += t
+            mix = terms[0] * ws[:, 0]
+            for j in range(1, len(terms)):
+                mix += terms[j] * ws[:, j]
             if affinity:
-                np.sqrt(m, out=m)
+                np.sqrt(mix, out=mix)
+                out[s:s + step, cols] = 1.0 - _integrals(kern, mix) / SQRT_2PI
             else:
-                np.maximum(m, 1e-300, out=m)
-                np.log(m, out=m)
-            if node_major:
-                m, t = t.reshape((len(ws), len(cols), nodes.points)), m
-                np.copyto(m, t.transpose(0, 2, 1))
-            out[s:s + len(ws), cols] = (1.0 - _integrals(kern, m) / SQRT_2PI if affinity
-                                        else -_integrals(kern, m))
-        del terms, mix, spare, m, t  # before the next chunk takes its own
+                np.maximum(mix, 1e-300, out=mix)
+                np.log(mix, out=mix)
+                out[s:s + step, cols] = -_integrals(kern, mix)
+        del terms, mix  # before the next chunk takes its own
     if not affinity:
         np.maximum(out, 0.0, out=out)
     return out.reshape((rows,) + shape)

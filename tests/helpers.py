@@ -32,7 +32,6 @@ from bayesrates.experiments import (
     LOG_SQRT_2PI,
     REF_ID,
     SQRT_2PI,
-    Z_BUFFER,
     Z_FAR,
     Z_REACH,
     Z_RESOLVE,
@@ -42,7 +41,6 @@ from bayesrates.experiments import (
     MarkovRegime,
     ReplicationRecord,
     _subset_rows,
-    _z_integrals,
 )
 from bayesrates.geometry import GeometryError
 from bayesrates.models import FamilyMember, ModelError
@@ -303,49 +301,55 @@ def markov_kvh_oracle(theta_star: float, theta: float, *,
     )
 
 
-def z_affinity_gaps_oracle(deltas: np.ndarray, w) -> np.ndarray:
-    """Per-row z-node affinity gaps of one weight vector, every term built afresh.
+def z_node_oracle(deltas: np.ndarray, w, affinity: bool = False) -> np.ndarray:
+    """Per-column z-node kl, or with ``affinity`` affinity gap, under one weight
+    row ``w``: (atoms,) shared by every column, or (atoms, columns).
 
-    The reference form of ``experiments._z_integrals`` with ``affinity``: the
-    same column chunks and nodes, with each chunk's exponentials rebuilt for
-    the draw and each column's trapezoid taken as its own dot product.
+    The reference form of ``experiments._z_integrals`` for one row: the same
+    spacing groups and nodes, each group built whole one atom at a time, and
+    each column's trapezoid taken as its own dot product.
     """
-    near = np.clip(deltas, -Z_FAR, Z_FAR)
+    near = np.clip(deltas, -Z_FAR, Z_FAR) if affinity else deltas
     spread = near.max(axis=0) - near.min(axis=0)
     parts = np.maximum(np.ceil(spread * (Z_STEP / Z_RESOLVE)), 1.0).astype(int)
+    w = np.asarray(w, dtype=float)
     out = np.empty(deltas.shape[1])
     for m in sorted(set(parts.tolist())):
         group = np.flatnonzero(parts == m)
-        lower = -Z_REACH + min(0.0, 0.5 * float(near[:, group].min()))
-        upper = Z_REACH + max(0.0, 0.5 * float(near[:, group].max()))
+        lower, upper = -Z_REACH, Z_REACH
+        if affinity:
+            lower += min(0.0, 0.5 * float(near[:, group].min()))
+            upper += max(0.0, 0.5 * float(near[:, group].max()))
         nodes = Grid(lower, upper, math.ceil((upper - lower) * m / Z_STEP) + 1)
-        tilt = -nodes.x ** 2
-        width = max(1, Z_BUFFER // nodes.points)
-        for s in range(0, len(group), width):
-            cols = group[s:s + width]
-            mix = np.zeros((len(cols), nodes.points))
-            term = np.empty_like(mix)
-            for d, w_j in zip(deltas[:, cols], w):
-                np.multiply(d[:, None], nodes.x, out=term)
-                term += tilt
-                term -= (0.5 * d * d)[:, None]
-                np.exp(term, out=term)
-                term *= w_j
-                mix += term
+        mix = np.zeros((len(group), nodes.points))
+        term = np.empty_like(mix)
+        for d, w_j in zip(deltas[:, group], w[:, group, None] if w.ndim == 2 else w):
+            np.multiply(d[:, None], nodes.x, out=term)
+            if affinity:
+                term -= nodes.x ** 2
+            term -= (0.5 * d * d)[:, None]
+            np.exp(term, out=term)
+            term *= w_j
+            mix += term
+        if affinity:
             np.sqrt(mix, out=mix)
-            out[cols] = 1.0 - np.array([row @ nodes.quad_weights for row in mix]) / SQRT_2PI
-    return out
+            out[group] = 1.0 - np.array([row @ nodes.quad_weights for row in mix]) / SQRT_2PI
+        else:
+            np.log(np.maximum(mix, 1e-300), out=mix)
+            kern = nodes.quad_weights * np.exp(-0.5 * nodes.x ** 2) / SQRT_2PI
+            out[group] = -np.array([row @ kern for row in mix])
+    return out if affinity else np.maximum(out, 0.0)
 
 
 def _regression_gaps(regime, ref_id: int, member_ids, w, n: int) -> np.ndarray:
     deltas = np.stack([regime._row(i)[:n] for i in member_ids]) - regime._row(ref_id)[:n]
-    return z_affinity_gaps_oracle(deltas, w)
+    return z_node_oracle(deltas, w, affinity=True)
 
 
 def _markov_gaps(regime, member_ids, ref_theta: float, w) -> np.ndarray:
     thetas = np.array([regime._theta_of(i) for i in member_ids])
     deltas = np.outer(thetas - ref_theta, regime._probe_states()) / regime.noise_sd
-    return z_affinity_gaps_oracle(deltas, w)
+    return z_node_oracle(deltas, w, affinity=True)
 
 
 def _table_mixture(regime, member_ids, w) -> np.ndarray:
@@ -457,7 +461,7 @@ def _cesaro_kls_oracle(regime, data, weights_before: np.ndarray) -> np.ndarray:
                               regime._prev_chain(data)) / regime.noise_sd
         else:
             deltas = regime._means[:, :len(data)] - regime._truth_means[:len(data)]
-        return _z_integrals(deltas, weights_before[None])[0]
+        return z_node_oracle(deltas, weights_before)
     values = regime._values.T
     points, n = len(values), weights_before.shape[1]
     starts = list(range(0, n - CESARO_BLOCK + 1, CESARO_BLOCK)) or [0]

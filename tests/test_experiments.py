@@ -93,7 +93,7 @@ from helpers import (
     v_divergence,
     v_star,
     weighted_hellinger_between,
-    z_affinity_gaps_oracle,
+    z_node_oracle,
 )
 
 GRID = default_grid()
@@ -713,6 +713,21 @@ class TestFastPathOracles:
             )
             assert np.max(np.abs(cesaro_kls_one(reg, sample, w) - expected)) <= 1e-15
 
+    def test_markov_block_in_long_double(self):
+        """A markov block's replications go to the kernel side by side as its
+        columns; each step still matches the x-grid quadrature in long double."""
+        cfg = parse_config(MARKOV_CONFIG)
+        reg = build_regime(cfg)
+        thetas = np.array([m.payload.theta for m in reg.prior.members])
+        samples = [generate_data(reg, 150, seed=cfg.seed + rep) for rep in range(3)]
+        w = np.stack([softmax(cumulative_log_ratio(reg, s)[:, :-1], axis=0) for s in samples])
+        for sample, w_rep, got in zip(samples, w, reg.cesaro_kls(samples, w)):
+            prev = np.concatenate(([sample.y0], sample.y[:-1]))
+            exact = gaussian_mixture_kls_oracle(WIDE, thetas[:, None] * prev[None, :],
+                                                reg.theta_star.theta * prev, reg.noise_sd,
+                                                w_rep, np.longdouble)
+            assert np.all(np.abs(got - exact) <= 1e-15 * np.maximum(1.0, exact))
+
     def test_regression_inputs(self):
         reg = regression_regime(slopes=(0.0, 0.4, 3.0, -1.0), length=120)
         data = generate_data(reg, 120, seed=8)
@@ -1240,7 +1255,7 @@ class TestBatchedCertification:
         deltas = rng.normal(0.0, 6.0, size=(3, 700))
         weights = rng.dirichlet(np.ones(3), size=9)
         got = _z_integrals(deltas, weights, affinity=True)
-        assert np.array_equal(got, [z_affinity_gaps_oracle(deltas, w) for w in weights])
+        assert np.array_equal(got, [z_node_oracle(deltas, w, affinity=True) for w in weights])
 
     def test_regression_certification_memory_is_bounded(self):
         """A 1,000-draw certification holds its per-draw results and a few
@@ -1260,6 +1275,22 @@ class TestBatchedCertification:
         buffers = (len(cfg.subset) + 2) * Z_BUFFER * 8
         assert peak <= results + buffers + (1 << 20), peak
 
+
+    def test_wide_subset_memory_is_bounded(self):
+        """Fourteen atoms and 100 draws: a chunk's terms, a row group's mixture
+        and the product being added to it hold at most Z_BUFFER values each,
+        however many atoms and draws there are."""
+        rng = np.random.default_rng(16)
+        deltas = rng.normal(0.0, 1.0, size=(14, 450))
+        weights = rng.dirichlet(np.ones(14), size=100)
+        _z_integrals(deltas, weights, affinity=True)
+        tracemalloc.start()
+        try:
+            _z_integrals(deltas, weights, affinity=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= weights.shape[0] * deltas.shape[1] * 8 + 3 * Z_BUFFER * 8 + (1 << 19), peak
 
 def gauss_hellinger(mean_gap, sd=1.0):
     """Closed-form Hellinger distance between equal-variance normals."""
