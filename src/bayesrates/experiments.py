@@ -190,7 +190,7 @@ def _z_integrals(deltas: np.ndarray, weights: np.ndarray, affinity: bool = False
     out = np.empty((rows, flat.shape[1]))
     for cols, nodes, kern in _z_chunks(flat, affinity):
         d = np.take(flat, cols, axis=1)[:, :, None]
-        # z, then times d: a product of two broadcasts buffers both operands
+        # the nodes, then times d: numpy buffers both operands of d * z
         terms = np.full(d.shape[:2] + nodes.x.shape, nodes.x)
         terms *= d
         if affinity:

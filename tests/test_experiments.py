@@ -1275,7 +1275,6 @@ class TestBatchedCertification:
         buffers = (len(cfg.subset) + 2) * Z_BUFFER * 8
         assert peak <= results + buffers + (1 << 20), peak
 
-
     def test_wide_subset_memory_is_bounded(self):
         """Fourteen atoms and 100 draws: a chunk's terms, a row group's mixture
         and the product being added to it hold at most Z_BUFFER values each,
@@ -1291,6 +1290,7 @@ class TestBatchedCertification:
         finally:
             tracemalloc.stop()
         assert peak <= weights.shape[0] * deltas.shape[1] * 8 + 3 * Z_BUFFER * 8 + (1 << 19), peak
+
 
 def gauss_hellinger(mean_gap, sd=1.0):
     """Closed-form Hellinger distance between equal-variance normals."""
