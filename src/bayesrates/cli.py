@@ -29,7 +29,6 @@ import yaml
 from . import inference
 from .divergences import DivergenceError, default_grid, gaussian_density
 from .experiments import (
-    CERT_SEED_OFFSET,
     ExperimentError,
     ExperimentPlan,
     IidRegime,
@@ -39,7 +38,7 @@ from .experiments import (
     RegressionRegime,
     SubsetNotAdmissibleError,
     certify_numerator,
-    certify_subset,
+    certify_schedule,
     check_evidence_thickness,
     concentration_report,
     concentration_sets,
@@ -74,6 +73,9 @@ from .models import (
 )
 
 REGIMES = ("iid", "misspecified", "regression", "markov")
+
+# Dirichlet draws per mixture step when separation and numerator-bound certify the subset
+CERT_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ def _line(node: yaml.Node) -> int:
 
 def _compose(path: Path) -> yaml.Node:
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError([f"cannot read config: {e}"])
     try:
@@ -659,7 +661,7 @@ def write_csv(path: Path, columns: Sequence[str], units: Sequence[str],
         if len(row) != len(columns):
             raise ValueError("row width does not match columns")
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -738,21 +740,15 @@ def _run_thickness(cfg: RunConfig, regime, out: Path) -> VerificationResult:
 
 
 def _run_separation(cfg: RunConfig, regime, out: Path) -> VerificationResult:
-    d = cfg.params.d
-    rng = np.random.default_rng(cfg.seed + CERT_SEED_OFFSET)
-    rows = []
-    failure = ""
-    for n in cfg.schedule.n_values:
-        delta = d * cfg.schedule.epsilon(n) ** 2
-        try:
-            cert = certify_subset(regime, cfg.subset, delta, n, rng, draws=100)
-            rows.append(
-                (n, delta, cert.vertex.min_gap, cert.hull_gap_bound,
-                 cert.closure.worst_violation, cert.mixture_min_gap, True)
-            )
-        except SubsetNotAdmissibleError as e:
-            failure = str(e)
+    rows, failure = [], ""
+    for n, delta, cert in certify_schedule(regime, cfg.subset, cfg.params.d, cfg.schedule,
+                                           cfg.seed, CERT_DRAWS):
+        if isinstance(cert, SubsetNotAdmissibleError):
+            failure = str(cert)
             rows.append((n, delta, math.nan, math.nan, math.nan, math.nan, False))
+        else:
+            rows.append((n, delta, cert.vertex.min_gap, cert.hull_gap_bound,
+                         cert.closure_violation, cert.mixture_min_gap, True))
     detail = failure or f"certified at all {len(rows)} schedule points"
     return _record("separation", cfg, out, rows, not failure, detail)
 
@@ -816,7 +812,7 @@ def _run_simulations(cfg: RunConfig, regime, out: Path,
     ready, refused = {}, {}
     for name, precondition in {
         "cesaro": lambda: None,
-        "numerator-bound": lambda: certify_numerator(plan, implied, closure_draws=100),
+        "numerator-bound": lambda: certify_numerator(plan, implied, CERT_DRAWS),
         "evidence-bound": lambda: check_evidence_thickness(
             plan, implied, enforce_thickness=not cfg.allow_thin_evidence),
         "posterior-mass": lambda: concentration_sets(regime, cfg.schedule, cfg.params.M),
@@ -900,7 +896,7 @@ _RUNNERS = {
 
 def _read_summary(path: Path) -> dict:
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise SummaryError(f"corrupt {path}: {e}") from None
     entries = data.get("verifications") if isinstance(data, dict) else None
@@ -929,7 +925,8 @@ def _update_summary(out: Path, seed: int, config: str,
             "detail": r.detail,
             "csv": r.csv,
         }
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", newline="\n")
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8",
+                    newline="\n")
 
 
 def _report(out: Path) -> int:
@@ -1026,8 +1023,6 @@ def _main(args: argparse.Namespace) -> int:
         return EXIT_CONFIG_ERROR
 
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.command == "report":
         return _report(out)
 
@@ -1036,6 +1031,7 @@ def _main(args: argparse.Namespace) -> int:
         print(f"nothing to do: no selected verification belongs to '{args.command}'")
         return EXIT_PASS
 
+    out.mkdir(parents=True, exist_ok=True)
     if args.command == "sieve":
         results = [r for r in _run_cover_and_sieve(cfg, regime, out) if r.name in selected]
     elif args.command == "simulate":

@@ -42,12 +42,10 @@ from .divergences import (
     stationary_divergences,
 )
 from .geometry import (
-    ClosureReport,
     ConditionParams,
     RateSchedule,
     SeparationReport,
     ThicknessRecord,
-    mixture_closure_report,
     separation_report,
     thickness_profile,
 )
@@ -903,19 +901,11 @@ def stat_quantile(records, key: str, q: float) -> np.ndarray:
 # thickness wiring
 
 
-def _single_point(schedule: RateSchedule, n: int) -> RateSchedule:
-    return RateSchedule((n,), a=schedule.a, gamma=schedule.gamma, kappa=schedule.kappa)
-
-
 def thickness_records(regime, schedule: RateSchedule) -> list[ThicknessRecord]:
     """Regime-appropriate thickness profile along the schedule."""
     mask = regime.theta0_mask()
-    records = []
-    for n in schedule.n_values:
-        kv = regime.atom_kv(n)
-        rec = thickness_profile(regime.prior, _single_point(schedule, n), kv, mask)[0]
-        records.append(rec)
-    return records
+    return [thickness_profile(regime.prior, n, schedule.epsilon(n), regime.atom_kv(n), mask)
+            for n in schedule.n_values]
 
 
 def fitted_thickness_constant(records: Sequence[ThicknessRecord]) -> float:
@@ -930,7 +920,7 @@ def fitted_thickness_constant(records: Sequence[ThicknessRecord]) -> float:
 class SubsetCertificate:
     vertex: SeparationReport
     hull_gap_bound: float
-    closure: ClosureReport
+    closure_violation: float
     mixture_min_gap: float
 
 
@@ -940,12 +930,18 @@ def certify_subset(regime, member_ids, delta: float, n: int,
 
     Refuses (raises) unless the vertices clear delta, the convex hull clears
     delta by the triangle certificate, random mixtures stay within the ball
-    around the center attaining that certificate, and (under
-    misspecification) every vertex ratio certificate is at most one.
+    around the center attaining that certificate and clear delta, and (under
+    misspecification) every vertex ratio certificate is at most one.  Each
+    mixture step draws its flat Dirichlet rows in one call, the same rows as
+    one call per draw; a singleton takes weight 1 and draws nothing, and its
+    mixture gap is its vertex gap.
     """
     ids = tuple(sorted(set(member_ids)))
     if not ids:
         raise SubsetNotAdmissibleError("subset not admissible: empty subset")
+
+    def mixture_weights() -> np.ndarray:
+        return np.ones((1, 1)) if len(ids) == 1 else rng.dirichlet(np.ones(len(ids)), size=draws)
 
     if not regime.well_specified:
         certs = regime.vertex_certificates(ids)
@@ -970,35 +966,43 @@ def certify_subset(regime, member_ids, delta: float, n: int,
             f"(triangle bound {hull:.6g} <= delta {delta:.6g})"
         )
 
-    closure = mixture_closure_report(
-        lambda weights: regime.closure_violation(ids, center_id, weights, n),
-        len(ids),
-        draws=draws,
-        rng=rng,
-    )
-    if not closure.closed:
+    closure = regime.closure_violation(ids, center_id, mixture_weights(), n)
+    worst = max(0.0, float(np.max(closure, initial=-math.inf)))
+    if worst > 1e-9:  # a mixture may stick out of the ball by rounding
         raise SubsetNotAdmissibleError(
-            f"subset not admissible: mixture closure failed "
-            f"(violation {closure.worst_violation:.6g})"
+            f"subset not admissible: mixture closure failed (violation {worst:.6g})"
         )
 
     if len(ids) == 1:
         mixture_min = float(gaps[0])
     else:
-        weights = rng.dirichlet(np.ones(len(ids)), size=draws)
-        mixture_min = float(np.min(regime.mixture_truth_gap(ids, weights, n), initial=math.inf))
-        if mixture_min <= delta:
-            raise SubsetNotAdmissibleError(
-                f"subset not admissible: a random mixture fell to gap "
-                f"{mixture_min:.6g} <= delta {delta:.6g}"
-            )
+        truth_gaps = regime.mixture_truth_gap(ids, mixture_weights(), n)
+        mixture_min = float(np.min(truth_gaps, initial=math.inf))
+    if mixture_min <= delta:
+        raise SubsetNotAdmissibleError(
+            f"subset not admissible: a random mixture fell to gap "
+            f"{mixture_min:.6g} <= delta {delta:.6g}"
+        )
 
-    return SubsetCertificate(
-        vertex=vertex,
-        hull_gap_bound=hull,
-        closure=closure,
-        mixture_min_gap=mixture_min,
-    )
+    return SubsetCertificate(vertex=vertex, hull_gap_bound=hull, closure_violation=worst,
+                             mixture_min_gap=mixture_min)
+
+
+def certify_schedule(regime, member_ids, d: float, schedule: RateSchedule, seed: int,
+                     draws: int):
+    """(n, delta, certificate or refusal) at each schedule point, delta = d * eps_n^2.
+
+    A refusal is the ``SubsetNotAdmissibleError`` the point raised.  All
+    points draw from one generator seeded seed + CERT_SEED_OFFSET.
+    """
+    rng = np.random.default_rng(seed + CERT_SEED_OFFSET)
+    for n in schedule.n_values:
+        delta = d * schedule.epsilon(n) ** 2
+        try:
+            cert = certify_subset(regime, member_ids, delta, n, rng, draws=draws)
+        except SubsetNotAdmissibleError as e:
+            cert = e
+        yield n, delta, cert
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1024,7 @@ def certify_numerator(plan: ExperimentPlan, implied: float, closure_draws: int =
     """The numerator bound's preconditions, given the implied thickness C.
 
     Refuses unless the prior is thick, d > implied C + 1, and the subset
-    certifies at every schedule point (draws from seed + CERT_SEED_OFFSET).
+    certifies at every schedule point.
     """
     if plan.params is None or plan.params.d is None:
         raise ExperimentError("numerator bound needs params with d set")
@@ -1036,10 +1040,10 @@ def certify_numerator(plan: ExperimentPlan, implied: float, closure_draws: int =
         raise SubsetNotAdmissibleError(
             f"subset not admissible: d = {d} must exceed implied C + 1 = {implied + 1.0:.6g}"
         )
-    cert_rng = np.random.default_rng(plan.seed + CERT_SEED_OFFSET)
-    for n in plan.schedule.n_values:
-        certify_subset(plan.regime, plan.subset_ids, d * plan.schedule.epsilon(n) ** 2, n,
-                       cert_rng, draws=closure_draws)
+    for _, _, cert in certify_schedule(plan.regime, plan.subset_ids, d, plan.schedule,
+                                       plan.seed, closure_draws):
+        if isinstance(cert, SubsetNotAdmissibleError):
+            raise cert
 
 
 def numerator_report(plan: ExperimentPlan, records: Sequence[ReplicationRecord],

@@ -1,4 +1,4 @@
-"""Prior thickness, separation and convexity checks, greedy covers, sieves.
+"""Prior thickness, separation checks, greedy covers, sieves.
 
 Everything here is metric-agnostic: operations take per-atom divergence
 values or distance callables, never a regime tag.  The regime-specific
@@ -108,15 +108,16 @@ class ThicknessRecord:
 
 def thickness_profile(
     prior: AtomicPrior,
-    schedule: RateSchedule,
+    n: int,
+    epsilon: float,
     kv: np.ndarray,
     extra_mask: np.ndarray | None = None,
-) -> list[ThicknessRecord]:
-    """Prior mass of {K <= eps_n^2, V <= eps_n^2} along the schedule.
+) -> ThicknessRecord:
+    """Prior mass of {K <= eps^2, V <= eps^2} at sample size n.
 
     ``kv`` holds one (K, V) row per atom, in prior order.  ``extra_mask``
     intersects an additional per-atom restriction (all True when omitted).
-    implied_c is -log(mass) / (n eps_n^2), +inf when the neighborhood is
+    implied_c is -log(mass) / (n eps^2), +inf when the neighborhood is
     empty; an empty neighborhood is a report, not an error.
     """
     kv = np.asarray(kv, dtype=float)
@@ -129,21 +130,15 @@ def thickness_profile(
     extra_mask = np.asarray(extra_mask, dtype=bool)
     if extra_mask.shape != (len(prior),):
         raise GeometryError("extra_mask must have one entry per atom")
-    records = []
-    for n in schedule.n_values:
-        eps = schedule.epsilon(n)
-        bound = eps * eps
-        inside = (kv[:, 0] <= bound) & (kv[:, 1] <= bound) & extra_mask
-        mass = float(prior.weights[inside].sum())
-        implied = math.inf if mass == 0.0 else -math.log(mass) / (n * bound)
-        records.append(
-            ThicknessRecord(n=n, epsilon=eps, neighborhood_mass=mass, implied_c=implied)
-        )
-    return records
+    bound = epsilon * epsilon
+    inside = (kv[:, 0] <= bound) & (kv[:, 1] <= bound) & extra_mask
+    mass = float(prior.weights[inside].sum())
+    implied = math.inf if mass == 0.0 else -math.log(mass) / (n * bound)
+    return ThicknessRecord(n=n, epsilon=epsilon, neighborhood_mass=mass, implied_c=implied)
 
 
 # ---------------------------------------------------------------------------
-# separation and convexity
+# separation
 
 
 @dataclass(frozen=True)
@@ -159,41 +154,6 @@ def separation_report(gaps: Sequence[float], delta: float) -> SeparationReport:
         raise GeometryError("separation needs a nonempty subset")
     min_gap = float(g.min())
     return SeparationReport(min_gap=min_gap, separated=min_gap > delta)
-
-
-# a mixture may stick out of a ball by this much, rounding, and still count as inside
-CLOSURE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    closed: bool
-    worst_violation: float
-
-
-def mixture_closure_report(
-    gaps_of_weights: Callable[[np.ndarray], np.ndarray],
-    n_members: int,
-    draws: int,
-    rng: np.random.Generator,
-) -> ClosureReport:
-    """Random-mixture check that a ball is closed under convex combination.
-
-    ``gaps_of_weights`` maps a (draws, n_members) matrix, one probability
-    vector over the ball's members per row, to how far each row's mixture
-    lies outside the ball: its metric value from the ball's center minus
-    the ball's radius.  The rows are drawn flat Dirichlet in one call, which
-    gives the same rows as one call per draw.  A singleton ball is checked
-    once with weight 1.
-    """
-    if n_members < 1:
-        raise GeometryError("closure check needs at least one member")
-    if n_members == 1:
-        weights = np.ones((1, 1))
-    else:
-        weights = rng.dirichlet(np.ones(n_members), size=draws)
-    worst = max(0.0, float(np.max(gaps_of_weights(weights), initial=-math.inf)))
-    return ClosureReport(closed=worst <= CLOSURE_TOL, worst_violation=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +191,13 @@ def greedy_cover(
     while len(covered) < len(ids):
         uncovered = [i for i in ids if i not in covered]
         center = max(uncovered, key=lambda i: (min_center_dist[i], -i))
-        members = tuple(j for j in ids if dist_fn(center, j) <= radius)
+        dists = [dist_fn(center, j) for j in ids]
+        members = tuple(j for j, dist in zip(ids, dists) if dist <= radius)
         balls.append(Ball(center_id=center, radius=radius, member_ids=members))
         covered.update(members)
         covered.add(center)  # zero self-distance is not assumed
-        for i in ids:
-            min_center_dist[i] = min(min_center_dist[i], dist_fn(center, i))
+        for j, dist in zip(ids, dists):
+            min_center_dist[j] = min(min_center_dist[j], dist)
     return balls
 
 

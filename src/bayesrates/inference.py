@@ -114,10 +114,9 @@ def _subset_indices(prior: AtomicPrior, member_ids: Iterable[int]) -> list[int]:
 
 
 def _member_value_rows(
-    state: PosteriorState, grid: Grid, idx: Sequence[int]
+    state: PosteriorState, grid: Grid, members: Sequence[FamilyMember]
 ) -> np.ndarray:
-    """Next-observation conditional density of each selected member, on ``grid``."""
-    members = [state.prior.members[i] for i in idx]
+    """Next-observation conditional density of each member, on ``grid``."""
     if state.kind == IID:
         for m in members:
             if m.density.grid != grid:
@@ -162,7 +161,7 @@ def predictive_density(
         grid = state.prior.members[0].density.grid if state.kind == IID else default_grid()
     logw = state.log_weights[idx]
     w = np.exp(logw - logsumexp(logw))
-    rows = _member_value_rows(state, grid, idx)
+    rows = _member_value_rows(state, grid, [state.prior.members[i] for i in idx])
     return GridDensity(grid, w @ rows)
 
 
@@ -251,13 +250,4 @@ def _reference_conditional_density(state: PosteriorState, grid: Grid) -> GridDen
     ref = state.reference
     if ref.kind == IID:
         return ref.density
-    one_member_prior = AtomicPrior([ref], [1.0])
-    proxy = PosteriorState(
-        prior=one_member_prior,
-        reference=ref,
-        log_weights=np.zeros(1),
-        n_observed=state.n_observed,
-        last_observation=state.last_observation,
-    )
-    return predictive_density(proxy, grid=grid)
-
+    return GridDensity(grid, _member_value_rows(state, grid, [ref])[0])

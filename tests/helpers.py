@@ -28,6 +28,7 @@ from bayesrates.divergences import (
     kl,
 )
 from bayesrates.experiments import (
+    CERT_SEED_OFFSET,
     CESARO_BLOCK,
     LOG_SQRT_2PI,
     REF_ID,
@@ -40,7 +41,9 @@ from bayesrates.experiments import (
     IidRegime,
     MarkovRegime,
     ReplicationRecord,
+    SubsetNotAdmissibleError,
     _subset_rows,
+    certify_subset,
 )
 from bayesrates.geometry import GeometryError
 from bayesrates.models import FamilyMember, ModelError
@@ -503,3 +506,34 @@ def replicate_oracle(plan, rep_id: int) -> ReplicationRecord:
             raise ExperimentError("negative Cesaro statistic in a well-specified run")
         stats["cesaro_kl"] = vals
     return ReplicationRecord(rep_id=rep_id, n_values=n_values, stats=stats)
+
+
+def separation_rows_oracle(regime, member_ids, d: float, schedule, seed: int,
+                           draws: int) -> tuple[list[tuple], str]:
+    """The separation rows and the last refusal, by a per-n loop written out:
+    one generator seeded seed + CERT_SEED_OFFSET, a refused point a NaN row."""
+    rng = np.random.default_rng(seed + CERT_SEED_OFFSET)
+    rows, failure = [], ""
+    for n in schedule.n_values:
+        delta = d * schedule.epsilon(n) ** 2
+        try:
+            cert = certify_subset(regime, member_ids, delta, n, rng, draws=draws)
+            rows.append((n, delta, cert.vertex.min_gap, cert.hull_gap_bound,
+                         cert.closure_violation, cert.mixture_min_gap, True))
+        except SubsetNotAdmissibleError as e:
+            failure = str(e)
+            rows.append((n, delta, math.nan, math.nan, math.nan, math.nan, False))
+    return rows, failure
+
+
+def numerator_refusal_oracle(regime, member_ids, d: float, schedule, seed: int,
+                             draws: int) -> str | None:
+    """The numerator bound's certification by a per-n loop written out: the
+    first refusal's message, or None when every point certifies."""
+    rng = np.random.default_rng(seed + CERT_SEED_OFFSET)
+    for n in schedule.n_values:
+        try:
+            certify_subset(regime, member_ids, d * schedule.epsilon(n) ** 2, n, rng, draws=draws)
+        except SubsetNotAdmissibleError as e:
+            return str(e)
+    return None

@@ -26,6 +26,7 @@ from bayesrates.cli import (
 )
 from bayesrates.experiments import ExperimentError, IidRegime
 from bayesrates.models import ModelError
+from helpers import numerator_refusal_oracle, separation_rows_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -444,6 +445,11 @@ BAD_VALUES = {
                     "truth.theta must be inside (-1, 1), got -1.0 (line 6)"),
 }
 
+# a summary.json whose bytes are not all ASCII
+UTF8_SUMMARY = json.dumps({"seed": 17, "config": "Cesàro", "verifications": {
+    "factorization": {"passed": True, "detail": "ok", "csv": "factorization.csv"}}},
+    ensure_ascii=False).encode("utf-8")
+
 # a bad config value exits 3 from each of these, before any verification runs
 EVERY_SUBCOMMAND = [["check"], ["check", "--verify", "factorization"], ["simulate"],
                     ["sieve"], ["report"]]
@@ -564,6 +570,15 @@ class TestMain:
         code = main(["simulate", "--config", str(path)])
         assert code == EXIT_PASS
         assert "nothing to do" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["report", "simulate"])
+    def test_read_only_run_leaves_no_output_directory(self, tmp_path, capsys, command):
+        """report, and a subcommand with nothing to do, write nothing, so
+        neither creates the configured output directory."""
+        path = write_config(tmp_path, SMALL_CHECK.format(out=tmp_path / "out"))
+        code = main([command, "--config", str(path)])
+        assert code == (EXIT_CONFIG_ERROR if command == "report" else EXIT_PASS)
+        assert not (tmp_path / "out").exists()
 
     def test_subset_with_unknown_atom_id(self, tmp_path, capsys):
         text = SMALL_CHECK.format(out=tmp_path / "out") + "subset: [1, 9]\n"
@@ -761,6 +776,35 @@ class TestOverridesAndRuntimeFaults:
         err = capsys.readouterr().err
         assert err.startswith(f"runtime error: corrupt {out / 'summary.json'}: 'utf-8' codec")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, config, summary, code", [
+        ("check", "# Cesàro\n", None, EXIT_PASS),
+        ("report", "# Cesàro\n", UTF8_SUMMARY, EXIT_PASS),
+        ("check", "# \xff\n", None, EXIT_CONFIG_ERROR),
+        ("check", "", b'\xff\xfe{"seed": 17}', EXIT_RUNTIME_ERROR),
+    ], ids=["utf8-config", "utf8-report", "latin1-config", "bad-summary"])
+    def test_text_is_utf8_whatever_the_locale(self, tmp_path, command, config, summary, code):
+        """Under the C locale with UTF-8 mode off, the locale's encoding is
+        ASCII: a UTF-8 config and a UTF-8 summary.json are still read, while a
+        config that is not UTF-8 still exits 3 and such a summary exits 4."""
+        out = tmp_path / "out"
+        text = SMALL_CHECK.format(out=out).replace("verify: [", config + "verify: [")
+        path = tmp_path / "plan.yaml"
+        path.write_bytes(text.encode("latin-1" if "\xff" in config else "utf-8"))
+        if summary is not None:
+            out.mkdir()
+            (out / "summary.json").write_bytes(summary)
+        src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+        env.pop("PYTHONIOENCODING", None)
+        run = subprocess.run([sys.executable, "-m", "bayesrates.cli", command, "--config",
+                              str(path), "--verify", "factorization"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == code, run.stderr
+        if code == EXIT_PASS:
+            assert "factorization: pass" in run.stdout
+            assert json.loads((out / "summary.json").read_bytes())["seed"] == 17
+            assert (out / ("summary.csv" if command == "report" else "factorization.csv")).exists()
 
     def test_summary_drops_entries_from_another_seed(self, tmp_path):
         out = tmp_path / "out"
@@ -963,6 +1007,47 @@ def test_parallel_simulate_reproduces_committed_output(tmp_path, name):
         assert entry in committed["verifications"].values()
         csv = entry["csv"]
         assert (tmp_path / csv).read_bytes() == (ref / csv).read_bytes(), csv
+
+
+# a subset check made to refuse at one point: the regime method and how its
+# values change there, so that the refusal comes before any draw, after the
+# closure step's draws, or after both steps' draws
+REFUSALS = {
+    "vertex": ("separation_gaps", lambda v: v - 1.0),
+    "closure": ("closure_violation", lambda v: v + 1.0),
+    "mixture": ("mixture_truth_gap", lambda v: v - 1.0),
+}
+
+
+@pytest.mark.parametrize("step", list(REFUSALS))
+def test_certification_refused_at_a_middle_n_matches_the_per_n_loops(tmp_path, monkeypatch, step):
+    """iid.yaml's subset refused at n = 100 alone: the separation rows (a NaN
+    row, the later points still certified on the stream the refusal left) and
+    the numerator-bound refusal are those of the per-n reference loops."""
+    config = ROOT / "configs" / "iid.yaml"
+    cfg = parse_config(config)
+    regime = cli.build_regime(cfg)
+    method, shift = REFUSALS[step]
+    real = getattr(regime, method)
+
+    def refusing(ids, *args):
+        values = real(ids, *args)
+        return shift(values) if args[-1] == 100 else values
+
+    monkeypatch.setattr(regime, method, refusing)
+    monkeypatch.setattr(cli, "build_regime", lambda cfg: regime)
+    oracle = (regime, cfg.subset, cfg.params.d, cfg.schedule, cfg.seed, cli.CERT_DRAWS)
+    rows, failure = separation_rows_oracle(*oracle)
+    assert [row[-1] for row in rows] == [True, False, True, True]
+
+    argv = ["--config", str(config), "--out", str(tmp_path)]
+    assert main(["check", *argv, "--verify", "separation"]) == EXIT_CRITERION_FAIL
+    written = (tmp_path / "separation.csv").read_text().splitlines()[5:]
+    assert written == [",".join(cli._fmt(v) for v in row) for row in rows]
+    assert main(["simulate", *argv, "--verify", "numerator-bound"]) == EXIT_CRITERION_FAIL
+    entries = json.loads((tmp_path / "summary.json").read_text())["verifications"]
+    assert entries["separation"]["detail"] == failure
+    assert entries["numerator-bound"]["detail"] == numerator_refusal_oracle(*oracle) == failure
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -60,7 +60,7 @@ from bayesrates.experiments import (
     verify_evidence_bound,
     verify_numerator_bound,
 )
-from bayesrates.geometry import ConditionParams, RateSchedule
+from bayesrates.geometry import ConditionParams, RateSchedule, thickness_profile
 from bayesrates.numerics import logsumexp, softmax_and_logsumexp
 from bayesrates.models import (
     IID,
@@ -1142,6 +1142,18 @@ class TestThicknessWiring:
             assert rec.neighborhood_mass == pytest.approx(mass, rel=1e-12)
         assert fitted_thickness_constant(recs) == max(r.implied_c for r in recs)
 
+    def test_one_profile_per_n_and_no_schedule_built(self, monkeypatch):
+        reg = markov_regime(thetas=(0.6, 0.55, -0.9), theta0_bound=0.5)
+        sched = RateSchedule((50, 100, 200))
+
+        def no_schedule(*args, **kwargs):
+            raise AssertionError("thickness_records built a RateSchedule")
+
+        monkeypatch.setattr(experiments, "RateSchedule", no_schedule)
+        recs = thickness_records(reg, sched)
+        assert recs == [thickness_profile(reg.prior, n, sched.epsilon(n), reg.atom_kv(n),
+                                          reg.theta0_mask()) for n in sched.n_values]
+
     def test_markov_parameter_bound_mask(self):
         reg = markov_regime(thetas=(0.6, 0.55, -0.9), theta0_bound=0.5)
         mask = reg.theta0_mask()
@@ -1162,7 +1174,7 @@ class TestCertification:
         cert = certify_subset(reg, (2, 3), delta=0.05, n=100, rng=rng, draws=100)
         assert cert.vertex.separated
         assert cert.hull_gap_bound > 0.05
-        assert cert.closure.closed
+        assert cert.closure_violation <= 1e-9
         assert cert.mixture_min_gap > 0.05
 
     def test_vertex_failure_names_the_check(self):
@@ -1198,7 +1210,80 @@ class TestCertification:
         )
         assert cert.hull_gap_bound == reg.hull_gap_bound((1, 2))[0]
         assert cert.hull_gap_bound > 0.02
-        assert cert.closure.closed
+        assert cert.closure_violation <= 1e-9
+
+
+class ClosureStub:
+    """A well-specified regime on which every check of certify_subset passes
+    but the closure step, whose violation per weight row is ``violation``.
+    It records the weights each mixture step is given."""
+
+    well_specified = True
+
+    def __init__(self, violation):
+        self.violation = violation
+        self.seen = []
+
+    def separation_gaps(self, ids, n):
+        return np.full(len(ids), 0.5)
+
+    def hull_gap_bound(self, ids, n):
+        return 0.5, ids[0]
+
+    def closure_violation(self, ids, center_id, weights, n):
+        self.seen.append(("closure", weights))
+        return self.violation(weights)
+
+    def mixture_truth_gap(self, ids, weights, n):
+        self.seen.append(("mixture", weights))
+        return np.full(len(weights), 0.4)
+
+
+class TestClosureStep:
+    """certify_subset's two mixture steps draw from one rule, and its closure
+    step reports the worst violation, clipped at 0, within a 1e-9 tolerance."""
+
+    def certify(self, violation, ids=(1, 2, 3), draws=25, seed=7):
+        stub = ClosureStub(violation)
+        rng = np.random.default_rng(seed)
+        return certify_subset(stub, ids, 0.1, 50, rng, draws=draws), stub, rng
+
+    def test_singleton_takes_weight_one_and_draws_nothing(self):
+        cert, stub, rng = self.certify(lambda w: np.zeros(len(w)), ids=(4,), draws=50, seed=0)
+        assert len(stub.seen) == 1 and stub.seen[0][0] == "closure"
+        assert np.array_equal(stub.seen[0][1], np.ones((1, 1)))
+        assert cert.closure_violation == 0.0 and cert.mixture_min_gap == 0.5
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_one_dirichlet_call_per_step_gives_the_per_draw_rows(self):
+        cert, stub, rng = self.certify(lambda w: w[:, 0] - 2.0)
+        single = np.random.default_rng(7)
+        for step, (name, weights) in zip(("closure", "mixture"), stub.seen, strict=True):
+            expect = np.stack([single.dirichlet(np.ones(3)) for _ in range(25)])
+            assert name == step and np.array_equal(weights, expect)
+        assert rng.random() == single.random()
+        assert cert.mixture_min_gap == 0.4
+
+    def test_worst_violation_is_clipped_at_zero(self):
+        cert, _, _ = self.certify(lambda w: w[:, 0] - 2.0)
+        assert cert.closure_violation == 0.0
+
+    def test_rounding_tolerance(self):
+        cert, _, _ = self.certify(lambda w: np.full(len(w), 1e-9))
+        assert cert.closure_violation == 1e-9
+        refused = r"mixture closure failed \(violation 2e-09\)"
+        with pytest.raises(SubsetNotAdmissibleError, match=refused):
+            self.certify(lambda w: np.full(len(w), 2e-9))
+
+    def test_zero_draws_find_no_violation(self):
+        cert, stub, _ = self.certify(lambda w: w[:, 0], draws=0)
+        assert [w.shape for _, w in stub.seen] == [(0, 3), (0, 3)]
+        assert cert.closure_violation == 0.0 and cert.mixture_min_gap == math.inf
+
+    def test_violation_reported_when_radius_too_small(self):
+        refused = r"mixture closure failed \(violation 0.3\)"
+        with pytest.raises(SubsetNotAdmissibleError, match=refused):
+            self.certify(lambda w: np.full(len(w), 0.5 - 0.2), draws=10, seed=1)
 
 
 class TestBatchedCertification:

@@ -14,7 +14,6 @@ from bayesrates.geometry import (
     RateSchedule,
     build_sieve_from_cover,
     greedy_cover,
-    mixture_closure_report,
     separation_report,
     thickness_profile,
 )
@@ -65,8 +64,7 @@ class TestThickness:
         fam = build_gaussian_location_family(GRID, [0.0, 1.0, 2.0])
         prior = uniform_prior(fam)
         kv = np.array([[0.0, 0.0], [0.5, 0.6], [2.0, 2.4]])
-        sched = RateSchedule((100, 400, 1600), a=1.0)
-        recs = thickness_profile(prior, sched, kv)
+        recs = [thickness_profile(prior, n, n ** (-1.0 / 3.0), kv) for n in (100, 400, 1600)]
         for rec in recs:
             assert rec.neighborhood_mass >= prior.weights[0] - 1e-15
             assert rec.implied_c <= -math.log(prior.weights[0]) / (rec.n * rec.epsilon**2) + 1e-12
@@ -77,16 +75,16 @@ class TestThickness:
         prior = uniform_prior(fam)
         # at eps = 0.3 only the first atom fits K, V <= 0.09
         kv = np.array([[0.05, 0.08], [0.125, 0.2], [4.5, 9.0]])
-        sched = RateSchedule((100,), a=0.3 * 100 ** (1.0 / 3.0))
-        rec = thickness_profile(prior, sched, kv)[0]
-        assert rec.epsilon == pytest.approx(0.3)
+        rec = thickness_profile(prior, 100, 0.3, kv)
+        assert (rec.n, rec.epsilon) == (100, 0.3)
         assert rec.neighborhood_mass == pytest.approx(1.0 / 3.0)
+        assert rec.implied_c == -math.log(1.0 / 3.0) / (100 * (0.3 * 0.3))
 
     def test_empty_neighborhood_reports_infinite_constant(self):
         fam = build_gaussian_location_family(GRID, [1.0, 2.0])
         prior = uniform_prior(fam)
         kv = np.array([[0.5, 0.5], [2.0, 2.0]])
-        rec = thickness_profile(prior, RateSchedule((100,), a=0.3), kv)[0]
+        rec = thickness_profile(prior, 100, RateSchedule((100,), a=0.3).epsilon(100), kv)
         assert rec.neighborhood_mass == 0.0
         assert rec.implied_c == math.inf
 
@@ -94,15 +92,15 @@ class TestThickness:
         fam = build_gaussian_location_family(GRID, [0.0, 0.1])
         prior = uniform_prior(fam)
         kv = np.zeros((2, 2))
-        sched = RateSchedule((100,), a=1.0)
-        rec = thickness_profile(prior, sched, kv, extra_mask=np.array([True, False]))[0]
+        rec = thickness_profile(prior, 100, 100 ** (-1.0 / 3.0), kv,
+                                extra_mask=np.array([True, False]))
         assert rec.neighborhood_mass == pytest.approx(0.5)
 
     def test_shape_mismatch_rejected(self):
         fam = build_gaussian_location_family(GRID, [0.0, 1.0])
         prior = uniform_prior(fam)
         with pytest.raises(GeometryError, match="kv"):
-            thickness_profile(prior, RateSchedule((100,)), np.zeros((3, 2)))
+            thickness_profile(prior, 100, 0.2, np.zeros((3, 2)))
 
 
 class TestSeparation:
@@ -147,45 +145,16 @@ class TestSeparation:
 
 
 class TestMixtureClosure:
-    def test_singleton_ball_trivially_closed(self):
-        seen = []
-
-        def gaps(weights):
-            seen.append(weights)
-            return np.full(len(weights), 0.3 - 0.3)
-
-        rep = mixture_closure_report(gaps, 1, draws=50, rng=np.random.default_rng(0))
-        assert rep.closed
-        assert rep.worst_violation == 0.0
-        assert len(seen) == 1 and np.array_equal(seen[0], np.ones((1, 1)))
-
-    def test_all_draws_in_one_call(self):
-        """One call sees every draw, as rows in the order separate draws give."""
-        seen = []
-
-        def gaps(weights):
-            seen.append(weights)
-            return weights[:, 0] - 0.5
-
-        rep = mixture_closure_report(gaps, 3, draws=25, rng=np.random.default_rng(7))
-        rng = np.random.default_rng(7)
-        expect = np.stack([rng.dirichlet(np.ones(3)) for _ in range(25)])
-        assert len(seen) == 1 and np.array_equal(seen[0], expect)
-        assert rep.worst_violation == max(0.0, float(np.max(expect[:, 0])) - 0.5)
+    """Affinity-gap balls are closed under mixing; certify_subset checks this
+    on random mixtures of the subset (its cases are in test_experiments)."""
 
     def test_affinity_gap_ball_closed_under_mixing(self):
         fam = build_gaussian_location_family(GRID, [0.0, -0.5, 0.3, 0.6])
         center = fam[0].density
         members = [m.density for m in fam[1:]]
         radius = max(h_affinity_gap(center, m) for m in members)
-
-        def gaps(weights):
-            return [h_affinity_gap(center, mixture_density(members, w)) - radius
-                    for w in weights]
-
-        rep = mixture_closure_report(gaps, len(members), draws=200,
-                                     rng=np.random.default_rng(3))
-        assert rep.closed
+        for w in np.random.default_rng(3).dirichlet(np.ones(len(members)), size=200):
+            assert h_affinity_gap(center, mixture_density(members, w)) <= radius + 1e-9
 
     def test_two_member_ball_on_weight_grid(self):
         fam = build_gaussian_location_family(GRID, [0.0, 0.9, -0.9])
@@ -195,17 +164,6 @@ class TestMixtureClosure:
         for w in np.linspace(0.0, 1.0, 21):
             mix = mixture_density(members, np.array([w, 1.0 - w]))
             assert h_affinity_gap(center, mix) <= radius + 1e-12
-
-    def test_zero_draws_find_no_violation(self):
-        rep = mixture_closure_report(lambda weights: weights[:, 0], 2, draws=0,
-                                     rng=np.random.default_rng(2))
-        assert rep.closed and rep.worst_violation == 0.0
-
-    def test_violation_reported_when_radius_too_small(self):
-        rep = mixture_closure_report(lambda weights: np.full(len(weights), 0.5 - 0.2), 2,
-                                     draws=10, rng=np.random.default_rng(1))
-        assert not rep.closed
-        assert rep.worst_violation == pytest.approx(0.3)
 
 
 class TestGreedyCover:
@@ -250,6 +208,21 @@ class TestGreedyCover:
         dist = self.dist_from_means(means)
         counts = [len(greedy_cover(means.keys(), r, dist)) for r in (0.1, 0.25, 0.5, 1.0)]
         assert counts == sorted(counts, reverse=True)
+
+    def test_each_pair_is_measured_once(self):
+        """A ball's membership and the nearest-center update read one distance
+        per (center, atom) pair."""
+        means = {i: float(m) for i, m in enumerate(np.linspace(-2.0, 2.0, 9))}
+        dist = self.dist_from_means(means)
+        calls = []
+
+        def counted(i, j):
+            calls.append((i, j))
+            return dist(i, j)
+
+        cover = greedy_cover(means.keys(), 0.3, counted)
+        assert len(calls) == len(set(calls)) == len(cover) * len(means)
+        assert cover == greedy_cover(means.keys(), 0.3, dist)
 
     def test_exhaustive_search_capped(self):
         with pytest.raises(GeometryError, match="capped"):
