@@ -74,9 +74,6 @@ from .models import (
 
 REGIMES = ("iid", "misspecified", "regression", "markov")
 
-# Dirichlet draws per mixture step when separation and numerator-bound certify the subset
-CERT_DRAWS = 100
-
 
 @dataclass(frozen=True)
 class Verification:
@@ -742,7 +739,7 @@ def _run_thickness(cfg: RunConfig, regime, out: Path) -> VerificationResult:
 def _run_separation(cfg: RunConfig, regime, out: Path) -> VerificationResult:
     rows, failure = [], ""
     for n, delta, cert in certify_schedule(regime, cfg.subset, cfg.params.d, cfg.schedule,
-                                           cfg.seed, CERT_DRAWS):
+                                           cfg.seed):
         if isinstance(cert, SubsetNotAdmissibleError):
             failure = str(cert)
             rows.append((n, delta, math.nan, math.nan, math.nan, math.nan, False))
@@ -812,7 +809,7 @@ def _run_simulations(cfg: RunConfig, regime, out: Path,
     ready, refused = {}, {}
     for name, precondition in {
         "cesaro": lambda: None,
-        "numerator-bound": lambda: certify_numerator(plan, implied, CERT_DRAWS),
+        "numerator-bound": lambda: certify_numerator(plan, implied),
         "evidence-bound": lambda: check_evidence_thickness(
             plan, implied, enforce_thickness=not cfg.allow_thin_evidence),
         "posterior-mass": lambda: concentration_sets(regime, cfg.schedule, cfg.params.M),

@@ -73,6 +73,9 @@ STAT_KEYS = ("cesaro_kl", "log_evidence", "posterior_mass", "u_mass", "sqrt_l")
 # admissibility randomness never aliases a replication stream
 CERT_SEED_OFFSET = 202_020
 
+# flat Dirichlet draws per mixture step of subset certification
+CERT_DRAWS = 100
+
 # replications per block of the engine: a block's samples are scored, summed
 # and weighed in one array pass.  8 is the knee: iid.yaml's 300 replications
 # took 0.33 s of CPU one at a time, 0.22 s in blocks of 4, 0.18 s of 8 and
@@ -925,7 +928,7 @@ class SubsetCertificate:
 
 
 def certify_subset(regime, member_ids, delta: float, n: int,
-                   rng: np.random.Generator, draws: int = 200) -> SubsetCertificate:
+                   rng: np.random.Generator, draws: int = CERT_DRAWS) -> SubsetCertificate:
     """Machine-check the numerator bound's preconditions for one subset.
 
     Refuses (raises) unless the vertices clear delta, the convex hull clears
@@ -989,7 +992,7 @@ def certify_subset(regime, member_ids, delta: float, n: int,
 
 
 def certify_schedule(regime, member_ids, d: float, schedule: RateSchedule, seed: int,
-                     draws: int):
+                     draws: int = CERT_DRAWS):
     """(n, delta, certificate or refusal) at each schedule point, delta = d * eps_n^2.
 
     A refusal is the ``SubsetNotAdmissibleError`` the point raised.  All
@@ -1020,7 +1023,8 @@ class NumeratorBoundReport:
     d: float
 
 
-def certify_numerator(plan: ExperimentPlan, implied: float, closure_draws: int = 200) -> None:
+def certify_numerator(plan: ExperimentPlan, implied: float,
+                      closure_draws: int = CERT_DRAWS) -> None:
     """The numerator bound's preconditions, given the implied thickness C.
 
     Refuses unless the prior is thick, d > implied C + 1, and the subset
@@ -1060,7 +1064,7 @@ def numerator_report(plan: ExperimentPlan, records: Sequence[ReplicationRecord],
 
 
 def verify_numerator_bound(plan: ExperimentPlan, jobs: int = 1,
-                           closure_draws: int = 200) -> NumeratorBoundReport:
+                           closure_draws: int = CERT_DRAWS) -> NumeratorBoundReport:
     """Monte Carlo check of mean sqrt(restricted numerator) against its bound."""
     implied = fitted_thickness_constant(thickness_records(plan.regime, plan.schedule))
     certify_numerator(plan, implied, closure_draws)

@@ -1036,7 +1036,7 @@ def test_certification_refused_at_a_middle_n_matches_the_per_n_loops(tmp_path, m
 
     monkeypatch.setattr(regime, method, refusing)
     monkeypatch.setattr(cli, "build_regime", lambda cfg: regime)
-    oracle = (regime, cfg.subset, cfg.params.d, cfg.schedule, cfg.seed, cli.CERT_DRAWS)
+    oracle = (regime, cfg.subset, cfg.params.d, cfg.schedule, cfg.seed, experiments.CERT_DRAWS)
     rows, failure = separation_rows_oracle(*oracle)
     assert [row[-1] for row in rows] == [True, False, True, True]
 

@@ -1255,14 +1255,36 @@ class TestClosureStep:
         assert cert.closure_violation == 0.0 and cert.mixture_min_gap == 0.5
         assert rng.random() == np.random.default_rng(0).random()
 
+    @staticmethod
+    def per_draw_rows(seed=7, draws=25):
+        single = np.random.default_rng(seed)
+        return single, [np.stack([single.dirichlet(np.ones(3)) for _ in range(draws)])
+                        for _ in ("closure", "mixture")]
+
     def test_one_dirichlet_call_per_step_gives_the_per_draw_rows(self):
-        cert, stub, rng = self.certify(lambda w: w[:, 0] - 2.0)
-        single = np.random.default_rng(7)
-        for step, (name, weights) in zip(("closure", "mixture"), stub.seen, strict=True):
-            expect = np.stack([single.dirichlet(np.ones(3)) for _ in range(25)])
-            assert name == step and np.array_equal(weights, expect)
+        cert, stub, rng = self.certify(lambda w: (w[:, 0] - 0.5) * 1e-9)
+        single, expect = self.per_draw_rows()
+        for step, (name, weights), rows in zip(("closure", "mixture"), stub.seen, expect,
+                                               strict=True):
+            assert name == step and np.array_equal(weights, rows)
         assert rng.random() == single.random()
         assert cert.mixture_min_gap == 0.4
+
+    def test_worst_row_violation_is_reported(self):
+        """Rows of both signs, all within the tolerance: the largest is the
+        one reported, not the first row's or the mean."""
+        cert, _, _ = self.certify(lambda w: (w[:, 0] - 0.5) * 1e-9)
+        closure = (self.per_draw_rows()[1][0][:, 0] - 0.5) * 1e-9
+        assert np.any(closure > 0.0) and np.any(closure < 0.0)
+        assert closure[0] != np.max(closure) != np.mean(closure)
+        assert cert.closure_violation == float(np.max(closure))
+
+    def test_worst_row_violation_refuses(self):
+        closure = self.per_draw_rows()[1][0][:, 0] - 0.5
+        assert np.any(closure < 0.0) and closure[0] != np.max(closure)
+        refused = rf"mixture closure failed \(violation {float(np.max(closure)):.6g}\)"
+        with pytest.raises(SubsetNotAdmissibleError, match=refused):
+            self.certify(lambda w: w[:, 0] - 0.5)
 
     def test_worst_violation_is_clipped_at_zero(self):
         cert, _, _ = self.certify(lambda w: w[:, 0] - 2.0)
