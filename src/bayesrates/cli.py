@@ -975,7 +975,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=(cmd != "report"), help="path to the YAML plan")
         sp.add_argument("--out", help="output directory (overrides config)")
         sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--jobs", type=int, help="parallel replication workers")
+        sp.add_argument("--jobs", type=int, help="replication worker threads")
         sp.add_argument("--verify", help="comma-separated verification subset override")
     return parser
 
@@ -1028,7 +1028,10 @@ def _main(args: argparse.Namespace) -> int:
         print(f"nothing to do: no selected verification belongs to '{args.command}'")
         return EXIT_PASS
 
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, UnicodeEncodeError) as e:  # the path may not fit the locale's encoding
+        raise OSError(f"cannot create output directory {out}: {e}") from e
     if args.command == "sieve":
         results = [r for r in _run_cover_and_sieve(cfg, regime, out) if r.name in selected]
     elif args.command == "simulate":

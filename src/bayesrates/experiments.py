@@ -28,6 +28,7 @@ misspecification.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -123,6 +124,9 @@ Z_STEP = 0.5
 Z_REACH = 9.0
 Z_RESOLVE = 0.5
 Z_BUFFER = 1 << 14
+# pool threads take the z-node kernel in turns: two threads handing the
+# interpreter over at each of its microsecond numpy calls ran slower than one
+Z_TURN = threading.Lock()
 
 # an affinity term whose offset exceeds Z_FAR adds less than
 # exp(-Z_FAR^2 / 8) = 2.6e-18 to the affinity, since sqrt(a + b) - sqrt(a)
@@ -189,31 +193,35 @@ def _z_integrals(deltas: np.ndarray, weights: np.ndarray, affinity: bool = False
     flat = deltas.reshape(len(deltas), -1)
     rows = len(weights)
     out = np.empty((rows, flat.shape[1]))
-    for cols, nodes, kern in _z_chunks(flat, affinity):
-        d = np.take(flat, cols, axis=1)[:, :, None]
-        # the nodes, then times d: numpy buffers both operands of d * z
-        terms = np.full(d.shape[:2] + nodes.x.shape, nodes.x)
-        terms *= d
-        if affinity:
-            terms -= nodes.x ** 2
-        terms -= 0.5 * d * d
-        np.exp(terms, out=terms)
-        w = (weights[:, :, None, None] if weights.ndim == 2 else
-             weights[(slice(None),) * 2 + np.unravel_index(cols, shape)][..., None])
-        step = max(1, Z_BUFFER // terms[0].size)
-        for s in range(0, rows, step):
-            ws = w[s:s + step]
-            mix = terms[0] * ws[:, 0]
-            for j in range(1, len(terms)):
-                mix += terms[j] * ws[:, j]
+    with Z_TURN:
+        for cols, nodes, kern in _z_chunks(flat, affinity):
+            d = np.take(flat, cols, axis=1)[:, :, None]
+            # the nodes, then times d: numpy buffers both operands of d * z
+            terms = np.full(d.shape[:2] + nodes.x.shape, nodes.x)
+            terms *= d
             if affinity:
-                np.sqrt(mix, out=mix)
-                out[s:s + step, cols] = 1.0 - _integrals(kern, mix) / SQRT_2PI
-            else:
-                np.maximum(mix, 1e-300, out=mix)
-                np.log(mix, out=mix)
-                out[s:s + step, cols] = -_integrals(kern, mix)
-        del terms, mix  # before the next chunk takes its own
+                terms -= nodes.x ** 2
+            terms -= 0.5 * d * d
+            np.exp(terms, out=terms)
+            w = (weights[:, :, None, None] if weights.ndim == 2 else
+                 weights[(slice(None),) * 2 + np.unravel_index(cols, shape)][..., None])
+            step = max(1, Z_BUFFER // terms[0].size)
+            for s in range(0, rows, step):
+                ws = w[s:s + step]
+                if rows == 1:  # one mixture: weigh the terms in place, sum them in order
+                    mix = np.add.reduce(np.multiply(terms, ws[0], out=terms), axis=0)[None]
+                else:
+                    mix = terms[0] * ws[:, 0]
+                    for j in range(1, len(terms)):
+                        mix += terms[j] * ws[:, j]
+                if affinity:
+                    np.sqrt(mix, out=mix)
+                    out[s:s + step, cols] = 1.0 - _integrals(kern, mix) / SQRT_2PI
+                else:
+                    np.maximum(mix, 1e-300, out=mix)
+                    np.log(mix, out=mix)
+                    out[s:s + step, cols] = -_integrals(kern, mix)
+            del terms, mix  # before the next chunk takes its own
     if not affinity:
         np.maximum(out, 0.0, out=out)
     return out.reshape((rows,) + shape)
@@ -323,8 +331,8 @@ class IidRegime:
         nodes = Grid(self.grid.lower, self.grid.upper, (self.grid.points - 1) // stride + 1)
         # the kernels q f_star and q f_star / f_circ (the weight of every
         # Hellinger distance), and the anchor's and atoms' rows; every array
-        # is contiguous, and the anchor term a float, so a pickled copy rounds
-        # alike (a product with a strided view rounds unlike a contiguous one)
+        # is contiguous, and the anchor term a float, so a copy of the regime
+        # rounds alike (a product with a strided view rounds unlike a contiguous one)
         self._kern = nodes.quad_weights * true_density.values[::stride]
         self._circ_log = np.log(self.f_circ.values[::stride])
         self._circ_root = np.sqrt(self.f_circ.values[::stride])
@@ -835,40 +843,29 @@ def replicate(plan: ExperimentPlan, rep_id: int) -> ReplicationRecord:
     return replicate_block(plan, (rep_id,))[0]
 
 
-def _replicate_span(plan: ExperimentPlan, rep_ids: range) -> list[ReplicationRecord]:
-    """The records of ``rep_ids``, in blocks of ``REPLICATION_BLOCK``."""
-    return [record for s in range(0, len(rep_ids), REPLICATION_BLOCK)
-            for record in replicate_block(plan, rep_ids[s:s + REPLICATION_BLOCK])]
-
-
 def _adopt_fp_errors(settings: dict) -> None:
-    """Pool initializer: a worker treats floating-point errors as its parent
-    does.  A forked worker inherits that; a spawned or forkserver one would
-    let an overflow or a division by zero pass silently."""
+    """Pool initializer: a worker thread treats floating-point errors as its
+    caller does.  A new thread starts from numpy's defaults, where an overflow
+    or a division by zero only warns."""
     np.seterr(**settings)
 
 
 def run_replications(plan: ExperimentPlan, jobs: int = 1) -> list[ReplicationRecord]:
-    """All replications, order-independent: records come back sorted by id."""
+    """All replications, one block per task, on ``jobs`` threads that share the
+    plan; records come back sorted by id."""
     ids = range(plan.replications)
+    blocks = [ids[s:s + REPLICATION_BLOCK] for s in range(0, len(ids), REPLICATION_BLOCK)]
+    task = partial(replicate_block, plan)
     if jobs <= 1:
-        records = _replicate_span(plan, ids)
+        spans = map(task, blocks)
     else:
-        # imported here: only a pool run pays for multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        # imported here: only a pool run pays for concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
 
-        # a task takes whole blocks, at least replications // (8 jobs) replications
-        chunk = max(1, plan.replications // (8 * jobs))
-        size = REPLICATION_BLOCK * -(-chunk // REPLICATION_BLOCK)
-        try:
-            with ProcessPoolExecutor(max_workers=jobs, initializer=_adopt_fp_errors,
-                                     initargs=(np.geterr(),)) as pool:
-                spans = pool.map(partial(_replicate_span, plan),
-                                 [ids[s:s + size] for s in range(0, len(ids), size)])
-                records = [record for span in spans for record in span]
-        except BrokenProcessPool as e:
-            raise ExperimentError(f"a replication worker died: {e}") from e
+        with ThreadPoolExecutor(max_workers=jobs, initializer=_adopt_fp_errors,
+                                initargs=(np.geterr(),)) as pool:
+            spans = list(pool.map(task, blocks))
+    records = [record for span in spans for record in span]
     return sorted(records, key=lambda r: r.rep_id)
 
 

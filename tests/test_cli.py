@@ -43,6 +43,16 @@ verify: [factorization]
 """
 
 
+def run_in_c_locale(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process whose locale encoding is ASCII: the C
+    locale with UTF-8 mode off."""
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+    env.pop("PYTHONIOENCODING", None)
+    return subprocess.run([sys.executable, "-m", "bayesrates.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
 def write_config(tmp_path: Path, text: str, name: str = "plan.yaml") -> Path:
     path = tmp_path / name
     path.write_text(text)
@@ -313,6 +323,20 @@ params:
   M: 1.0
 seed: 17
 verify: [thickness, cover, sieve]
+out: {out}
+"""
+
+SMALL_MARKOV_SIMULATE = """\
+regime: markov
+family:
+  thetas: [0.6, -0.4]
+truth:
+  theta: 0.6
+schedule:
+  n_values: [50, 100]
+seed: 17
+replications: 20
+verify: [cesaro]
 out: {out}
 """
 
@@ -630,12 +654,7 @@ def count_passes(monkeypatch) -> list[set[str]]:
 
 
 def broken_replicate_block(plan, rep_ids):
-    # module level, so the process pool can pickle it by name
     raise ExperimentError("statistic log_evidence has NaN entries")
-
-
-def dying_replicate_block(plan, rep_ids):
-    os._exit(9)
 
 
 class TestSharedPass:
@@ -697,20 +716,6 @@ class TestSharedPass:
             "runtime error: statistic log_evidence has NaN entries\n"
         )
         assert not (out / "summary.json").exists()
-
-    def test_dead_worker_exits_4(self, tmp_path, capsys, monkeypatch):
-        """A pool worker that dies mid-pass is a runtime error with one line,
-        not a traceback; forked workers inherit the patched replicate_block."""
-        monkeypatch.setattr(experiments, "replicate_block", dying_replicate_block)
-        out = tmp_path / "out"
-        path = write_config(tmp_path, SMALL_SIMULATE.format(c=1.5, out=out))
-        code = main(["simulate", "--config", str(path), "--verify", "cesaro", "--jobs", "2"])
-        assert code == EXIT_RUNTIME_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: a replication worker died: ")
-        assert err.count("\n") == 1
-        assert not (out / "summary.json").exists()
-
 
 class TestOverridesAndRuntimeFaults:
     def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
@@ -794,17 +799,30 @@ class TestOverridesAndRuntimeFaults:
         if summary is not None:
             out.mkdir()
             (out / "summary.json").write_bytes(summary)
-        src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
-        env.pop("PYTHONIOENCODING", None)
-        run = subprocess.run([sys.executable, "-m", "bayesrates.cli", command, "--config",
-                              str(path), "--verify", "factorization"],
-                             env=env, capture_output=True, text=True)
+        run = run_in_c_locale(command, "--config", str(path), "--verify", "factorization")
         assert run.returncode == code, run.stderr
         if code == EXIT_PASS:
             assert "factorization: pass" in run.stdout
             assert json.loads((out / "summary.json").read_bytes())["seed"] == 17
             assert (out / ("summary.csv" if command == "report" else "factorization.csv")).exists()
+
+    @pytest.mark.parametrize("command, verify", [
+        ("check", "factorization"), ("simulate", "cesaro"), ("sieve", "cover")])
+    def test_out_the_locale_cannot_encode_exits_4(self, tmp_path, command, verify):
+        """Under the C locale with UTF-8 mode off, an output directory whose
+        name the locale cannot encode is a runtime error of one line, as is
+        any directory that cannot be created."""
+        out = tmp_path / "Cesàro"
+        text = SMALL_SIMULATE.format(c=1.5, out=out).replace(
+            "M: 1.0", "M: 1.0\n  r: 1.0\n  beta: 2.0")
+        path = tmp_path / "plan.yaml"
+        path.write_bytes(text.encode("utf-8"))
+        run = run_in_c_locale(command, "--config", str(path), "--verify", verify)
+        assert run.returncode == EXIT_RUNTIME_ERROR, run.stderr
+        shown = str(out).encode("ascii", "backslashreplace").decode()
+        assert run.stderr.startswith(f"runtime error: cannot create output directory {shown}: ")
+        assert run.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_summary_drops_entries_from_another_seed(self, tmp_path):
         out = tmp_path / "out"
@@ -1050,19 +1068,18 @@ def test_certification_refused_at_a_middle_n_matches_the_per_n_loops(tmp_path, m
     assert entries["numerator-bound"]["detail"] == numerator_refusal_oracle(*oracle) == failure
 
 
+FP_FAULTS = {
+    "invalid": (lambda v: np.sqrt(v - 1.0), "invalid value encountered in sqrt"),
+    "divide": (lambda v: np.log(0.0 * v), "divide by zero encountered in log"),
+    "overflow": (lambda v: np.exp(v + 1000.0), "overflow encountered in exp"),
+}
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize(
-    "fault, message",
-    [
-        (lambda v: np.sqrt(v - 1.0), "invalid value encountered in sqrt"),
-        (lambda v: np.log(0.0 * v), "divide by zero encountered in log"),
-        (lambda v: np.exp(v + 1000.0), "overflow encountered in exp"),
-    ],
-    ids=["invalid", "divide", "overflow"],
-)
+@pytest.mark.parametrize("fault, message", FP_FAULTS.values(), ids=FP_FAULTS.keys())
 def test_floating_point_error_exits_4(tmp_path, capsys, monkeypatch, jobs, fault, message):
     """A NaN, a division by zero or an overflow anywhere in a run is a
-    runtime fault, also inside the replication workers."""
+    runtime fault, also inside the replication threads."""
     cesaro_kls = IidRegime.cesaro_kls
     monkeypatch.setattr(IidRegime, "cesaro_kls", lambda *a: fault(cesaro_kls(*a)))
     path = write_config(tmp_path, SMALL_CESARO.format(out=tmp_path / "out"))
@@ -1070,6 +1087,27 @@ def test_floating_point_error_exits_4(tmp_path, capsys, monkeypatch, jobs, fault
     assert code == EXIT_RUNTIME_ERROR
     err = capsys.readouterr().err
     assert err == f"runtime error: {message}\n"
+
+
+@pytest.mark.parametrize("fault", ["pass", *FP_FAULTS])
+def test_pool_faults_read_as_serial_ones(tmp_path, capsys, monkeypatch, fault):
+    """Every fault of the pass gives the same exit code and the same
+    standard error at --jobs 2 as at --jobs 1."""
+    if fault == "pass":
+        monkeypatch.setattr(experiments, "replicate_block", broken_replicate_block)
+        text, argv = SMALL_SIMULATE.format(c=1.5, out="{out}"), ["--verify", "evidence-bound"]
+    else:
+        cesaro_kls = IidRegime.cesaro_kls
+        monkeypatch.setattr(IidRegime, "cesaro_kls",
+                            lambda *a: FP_FAULTS[fault][0](cesaro_kls(*a)))
+        text, argv = SMALL_CESARO, []
+    seen = []
+    for jobs in ("1", "2"):
+        path = write_config(tmp_path, text.format(out=tmp_path / f"out-{jobs}"), f"{jobs}.yaml")
+        code = main(["simulate", "--config", str(path), *argv, "--jobs", jobs])
+        seen.append((code, capsys.readouterr().err))
+    assert seen[0][0] == EXIT_RUNTIME_ERROR
+    assert seen[1] == seen[0]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -1089,9 +1127,9 @@ def test_readme_config_sketch_parses_and_builds(tmp_path):
     cli.build_regime(cfg)
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    """Only a run with --jobs above 1 loads the process pool, so a fresh
-    process that imports the CLI does not pay for multiprocessing."""
+def test_import_leaves_the_pool_unloaded():
+    """Only a run with --jobs above 1 loads the thread pool, so a fresh
+    process that imports the CLI does not pay for concurrent.futures."""
     code = (
         "import sys, bayesrates.cli; "
         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
@@ -1100,3 +1138,23 @@ def test_import_leaves_the_process_pool_unloaded():
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_pool_runs_in_the_calling_process(tmp_path):
+    """simulate --jobs 2 forks nothing and never loads multiprocessing: its
+    pool is threads of the calling process."""
+    path = write_config(tmp_path, SMALL_MARKOV_SIMULATE.format(out=tmp_path / "out"))
+    code = (
+        "import os, sys\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('forked')\n"
+        "os.fork = refuse\n"
+        "from bayesrates import cli\n"
+        f"code = cli.main(['simulate', '--config', {str(path)!r}, '--jobs', '2'])\n"
+        "print(code, 'multiprocessing' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"{EXIT_PASS} False"

@@ -1,7 +1,6 @@
 """Tests for the sampling regimes, the replication engine, and the verifiers."""
 import concurrent.futures
 import math
-import multiprocessing
 import os
 import pickle
 import subprocess
@@ -251,12 +250,12 @@ class TestEngine:
     def test_pool_workers_adopt_the_callers_error_handling(self, monkeypatch):
         seen = {}
 
-        class Recording(concurrent.futures.ProcessPoolExecutor):
+        class Recording(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 seen.update(kwargs)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         plan = ExperimentPlan(regime=iid_regime(), schedule=RateSchedule((10,)),
                               replications=2, seed=5)
         with np.errstate(all="raise"):
@@ -264,19 +263,20 @@ class TestEngine:
             assert seen["initializer"] is _adopt_fp_errors
             assert seen["initargs"] == (np.geterr(),)
 
-    def test_initializer_makes_a_spawned_worker_raise(self):
-        """A spawned worker starts from numpy's defaults, where an overflow
-        only warns; with the initializer it raises, as in the caller."""
-        spawn = multiprocessing.get_context("spawn")
+    def test_initializer_makes_a_worker_thread_raise(self):
+        """A new thread starts from numpy's defaults, where an overflow only
+        warns; with the initializer it raises, as in the caller, on every
+        task of that thread."""
         huge = np.array(1000.0)
         with np.errstate(over="raise"):
-            with concurrent.futures.ProcessPoolExecutor(1, mp_context=spawn) as pool:
-                assert pool.submit(np.exp, huge).result() == np.inf
-            with concurrent.futures.ProcessPoolExecutor(
-                    1, mp_context=spawn, initializer=_adopt_fp_errors,
-                    initargs=(np.geterr(),)) as pool:
-                with pytest.raises(FloatingPointError, match="overflow"):
-                    pool.submit(np.exp, huge).result()
+            with concurrent.futures.ThreadPoolExecutor(1) as pool:
+                with pytest.warns(RuntimeWarning, match="overflow"):
+                    assert pool.submit(np.exp, huge).result() == np.inf
+            with concurrent.futures.ThreadPoolExecutor(
+                    1, initializer=_adopt_fp_errors, initargs=(np.geterr(),)) as pool:
+                for _ in range(2):
+                    with pytest.raises(FloatingPointError, match="overflow"):
+                        pool.submit(np.exp, huge).result()
 
     def test_singleton_subset_numerator_path(self):
         reg = iid_regime()
@@ -371,7 +371,7 @@ def shipped(request):
 
 class TestReplicationBlocks:
     """A record is the same bits however its replication is grouped: alone,
-    in any block, ragged last blocks included, or in a pool worker."""
+    in any block, ragged last blocks included, or on a pool thread."""
 
     def test_counts_leave_ragged_blocks(self):
         assert BLOCK_REPS % 3 and BLOCK_REPS % REPLICATION_BLOCK
@@ -393,24 +393,43 @@ class TestReplicationBlocks:
         assert_same_records([replicate(plan, 4)], [oracle[4]])
 
     def test_pool_tasks_are_whole_blocks(self, monkeypatch):
-        """Each task but the last is whole blocks, and there are no more tasks
-        than chunks of replications // (8 jobs) would make: 17 for 200
-        replications at two jobs, as markov.yaml runs in the lab benchmark."""
+        """Each task is one block, in id order: 26 tasks for 203 replications,
+        the last of them ragged."""
         tasks = []
 
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, spans):
-                tasks.extend(spans)
-                return super().map(fn, spans)
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def map(self, fn, blocks):
+                tasks.extend(blocks)
+                return super().map(fn, blocks)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         plan = ExperimentPlan(regime=iid_regime(), schedule=RateSchedule((5,)),
-                              replications=200, seed=5)
+                              replications=203, seed=5)
         records = run_replications(plan, jobs=2)
-        assert [r.rep_id for r in records] == list(range(200))
-        assert [i for t in tasks for i in t] == list(range(200))
-        assert all(len(t) % REPLICATION_BLOCK == 0 for t in tasks[:-1])
-        assert len(tasks) <= math.ceil(200 / (200 // (8 * 2))) == 17
+        assert [r.rep_id for r in records] == list(range(203))
+        assert [list(t) for t in tasks] == [list(range(s, min(s + REPLICATION_BLOCK, 203)))
+                                            for s in range(0, 203, REPLICATION_BLOCK)]
+
+    def test_threads_take_the_z_node_kernel_in_turns(self, monkeypatch):
+        chunks = experiments._z_chunks
+        held = []
+
+        def recording(*args):
+            held.append(experiments.Z_TURN.locked())
+            yield from chunks(*args)
+
+        monkeypatch.setattr(experiments, "_z_chunks", recording)
+        run_replications(shipped_plan("markov", 2 * REPLICATION_BLOCK), jobs=2)
+        assert len(held) == 2 and all(held)
+
+    @pytest.mark.parametrize("name", ["iid", "misspecified", "markov", "regression"])
+    def test_threads_fill_a_fresh_regime_as_serial_runs_do(self, name):
+        """Four threads on a regime no call has touched fill its cached grids
+        concurrently, and still give the serial bits."""
+        replications = 3 * REPLICATION_BLOCK + 1
+        parallel = run_replications(shipped_plan(name, replications), jobs=4)
+        serial = run_replications(shipped_plan(name, replications), jobs=1)
+        assert_same_records(parallel, serial)
 
     @pytest.mark.parametrize("name", ["markov", "regression"])
     def test_gaussian_block_at_a_ragged_n(self, name):
@@ -1099,8 +1118,8 @@ class TestNodeTable:
 
 
 class TestPickledRegime:
-    """A regime sent to a pool worker is a pickled copy; every method must
-    give the bits the original gives, so that parallel runs equal serial ones."""
+    """A pickled copy of a regime must give, from every method, the bits the
+    original gives."""
 
     @pytest.mark.parametrize("name", ["iid", "misspecified", "regression", "markov"])
     def test_pickled_regime_computes_the_same_bits(self, name):
@@ -1363,6 +1382,21 @@ class TestBatchedCertification:
         weights = rng.dirichlet(np.ones(3), size=9)
         got = _z_integrals(deltas, weights, affinity=True)
         assert np.array_equal(got, [z_node_oracle(deltas, w, affinity=True) for w in weights])
+
+    @pytest.mark.parametrize("affinity", [False, True])
+    @pytest.mark.parametrize("per_column", [False, True])
+    def test_a_lone_row_rounds_as_a_batch_row(self, affinity, per_column):
+        """A lone weight row is summed in place, a batch row atom by atom; on
+        more atoms than a pairwise-summation block holds, both give the same
+        bits, with one weight vector per row or one per column."""
+        rng = np.random.default_rng(17)
+        deltas = rng.normal(0.0, 2.0, size=(12, 300))
+        weights = rng.dirichlet(np.ones(12), size=(3, 300) if per_column else 3)
+        if per_column:
+            weights = weights.transpose(0, 2, 1)
+        batch = _z_integrals(deltas, weights, affinity=affinity)
+        for w, row in zip(weights, batch):
+            assert np.array_equal(_z_integrals(deltas, w[None], affinity=affinity)[0], row)
 
     def test_regression_certification_memory_is_bounded(self):
         """A 1,000-draw certification holds its per-draw results and a few
