@@ -563,7 +563,12 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     if weights is not None and atoms is not None and len(weights) != atoms:
         errors.append(f"family.weights has {len(weights)} entries for {atoms} atoms")
 
+    first_at: dict[str, str] = {}
     for name, at in zip(verify or (), verify_at):
+        if name in first_at:
+            errors.append(f"duplicate verification {name!r} {first_at[name]} and {at}")
+            continue
+        first_at[name] = at
         spec = VERIFICATIONS.get(name)
         if spec is None:
             errors.append(f"unknown verification {name!r} {at}")
@@ -661,31 +666,18 @@ def write_csv(path: Path, columns: Sequence[str], units: Sequence[str],
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-# ---------------------------------------------------------------------------
-# verification runners
-
-
-@dataclass(frozen=True)
-class VerificationResult:
-    name: str
-    passed: bool
-    detail: str
-    csv: str = ""
-
-
-def _record(name: str, cfg: RunConfig, out: Path, rows, passed, detail: str) -> VerificationResult:
+def _record(name: str, seed: int, out: Path, rows) -> None:
     """Write the verification's CSV as its table entry describes it."""
     spec = VERIFICATIONS[name]
     extra = spec.optional[: len(rows[0]) - len(spec.columns)] if rows else ()
-    write_csv(
-        out / spec.csv,
-        spec.columns + tuple(col for col, _ in extra),
-        spec.units + tuple(unit for _, unit in extra),
-        spec.statistic,
-        cfg.seed,
-        rows,
-    )
-    return VerificationResult(name, passed, detail, spec.csv)
+    write_csv(out / spec.csv, spec.columns + tuple(col for col, _ in extra),
+              spec.units + tuple(unit for _, unit in extra), spec.statistic, seed, rows)
+
+
+# ---------------------------------------------------------------------------
+# verification runners: each takes (cfg, regime, selected) and returns
+# {name: (rows, passed, detail)} for the selected names alone; only _main
+# writes, once every selected verification has run
 
 
 def _markov_split(data):
@@ -694,7 +686,7 @@ def _markov_split(data):
     return data.y, data.y0
 
 
-def _run_factorization(cfg: RunConfig, regime, out: Path) -> VerificationResult:
+def _factorization(cfg: RunConfig, regime):
     n_check = min(40, cfg.schedule.n_values[-1])
     data = generate_data(regime, n_check, cfg.seed)
     y_seq, y0 = _markov_split(data)
@@ -702,13 +694,10 @@ def _run_factorization(cfg: RunConfig, regime, out: Path) -> VerificationResult:
         regime.prior, [float(y) for y in y_seq], reference=regime.reference, y0=y0
     )
     rows = [(n_check, report.log_joint_direct, report.log_joint_factored, report.abs_diff)]
-    return _record(
-        "factorization", cfg, out, rows, report.abs_diff < 1e-9,
-        f"abs diff {report.abs_diff:.3g} over {n_check} steps",
-    )
+    return rows, report.abs_diff < 1e-9, f"abs diff {report.abs_diff:.3g} over {n_check} steps"
 
 
-def _run_conditional_identity(cfg: RunConfig, regime, out: Path) -> VerificationResult:
+def _conditional_identity(cfg: RunConfig, regime):
     n_check = min(25, cfg.schedule.n_values[-1])
     data = generate_data(regime, n_check, cfg.seed)
     y_seq, y0 = _markov_split(data)
@@ -721,22 +710,18 @@ def _run_conditional_identity(cfg: RunConfig, regime, out: Path) -> Verification
         worst = max(worst, diff)
         rows.append((i, report.lhs, report.rhs, diff))
         state = inference.update(state, float(y))
-    return _record(
-        "conditional-identity", cfg, out, rows, worst < 1e-9,
-        f"max abs diff {worst:.3g} over {n_check} steps",
-    )
+    return rows, worst < 1e-9, f"max abs diff {worst:.3g} over {n_check} steps"
 
 
-def _run_thickness(cfg: RunConfig, regime, out: Path) -> VerificationResult:
+def _thickness(cfg: RunConfig, regime):
     records = thickness_records(regime, cfg.schedule)
     fitted = fitted_thickness_constant(records)
     rows = [(r.n, r.epsilon, r.neighborhood_mass, r.implied_c) for r in records]
     passed = math.isfinite(fitted)
-    detail = f"fitted C = {fitted:.6g}" if passed else "empty divergence neighborhood"
-    return _record("thickness", cfg, out, rows, passed, detail)
+    return rows, passed, f"fitted C = {fitted:.6g}" if passed else "empty divergence neighborhood"
 
 
-def _run_separation(cfg: RunConfig, regime, out: Path) -> VerificationResult:
+def _separation(cfg: RunConfig, regime):
     rows, failure = [], ""
     for n, delta, cert in certify_schedule(regime, cfg.subset, cfg.params.d, cfg.schedule,
                                            cfg.seed):
@@ -746,8 +731,18 @@ def _run_separation(cfg: RunConfig, regime, out: Path) -> VerificationResult:
         else:
             rows.append((n, delta, cert.vertex.min_gap, cert.hull_gap_bound,
                          cert.closure_violation, cert.mixture_min_gap, True))
-    detail = failure or f"certified at all {len(rows)} schedule points"
-    return _record("separation", cfg, out, rows, not failure, detail)
+    return rows, not failure, failure or f"certified at all {len(rows)} schedule points"
+
+
+def _run_checks(cfg: RunConfig, regime, selected: Sequence[str]) -> dict:
+    """Every selected exact identity and geometry certification, each on its own."""
+    checks = {
+        "factorization": _factorization,
+        "conditional-identity": _conditional_identity,
+        "thickness": _thickness,
+        "separation": _separation,
+    }
+    return {name: checks[name](cfg, regime) for name in selected}
 
 
 def _cesaro_rows(cfg: RunConfig, records):
@@ -792,13 +787,13 @@ def _posterior_mass_rows(cfg: RunConfig, report):
     return rows, bool(final_ok and trend_ok), detail
 
 
-def _run_simulations(cfg: RunConfig, regime, out: Path,
-                     selected: Sequence[str]) -> list[VerificationResult]:
-    """Every selected Monte Carlo verification from one replication pass.
+def _run_simulations(cfg: RunConfig, regime, selected: Sequence[str]) -> dict:
+    """Every selected Monte Carlo verification's (rows, passed, detail), from
+    one replication pass.
 
     The preconditions run first, in the order listed; a refusal is that
-    verification's failed criterion.  The others read one pass that
-    collects the union of their statistics.
+    verification's failed criterion, with no rows.  The others read one pass
+    that collects the union of their statistics.
     """
     plan = ExperimentPlan(regime=regime, schedule=cfg.schedule, replications=cfg.replications,
                           seed=cfg.seed, collect=(), subset_ids=cfg.subset, u_set=cfg.u_set,
@@ -829,19 +824,20 @@ def _run_simulations(cfg: RunConfig, regime, out: Path,
         "evidence-bound": lambda: _evidence_rows(evidence_report(plan, records)),
         "posterior-mass": lambda: _posterior_mass_rows(cfg, concentration_report(plan, records)),
     }
-    results = []
-    for name in selected:
-        rows, passed, detail = ([], False, refused[name]) if name in refused else rows_of[name]()
-        results.append(_record(name, cfg, out, rows, passed, detail))
-    return results
+    return {name: ([], False, refused[name]) if name in refused else rows_of[name]()
+            for name in selected}
 
 
-def _run_cover_and_sieve(cfg: RunConfig, regime, out: Path) -> list[VerificationResult]:
+def _run_cover_and_sieve(cfg: RunConfig, regime, selected: Sequence[str]) -> dict:
+    """The selected of cover and sieve, as (rows, passed, detail).
+
+    The cover is built at every schedule point either way, since the sieve
+    is built from its balls; the sieve only when it is selected, as only it
+    reads beta, r and c.
+    """
     p = cfg.params
-    cover_rows = []
-    sieve_rows = []
-    cover_ok, sieve_ok = True, True
-    notes = []
+    cover_rows, sieve_rows, notes = [], [], []
+    cover_ok = sieve_ok = True
     for n, far in zip(cfg.schedule.n_values, concentration_sets(regime, cfg.schedule, p.M)):
         eps = cfg.schedule.epsilon(n)
         radius = p.M * eps / 2.0
@@ -850,18 +846,16 @@ def _run_cover_and_sieve(cfg: RunConfig, regime, out: Path) -> list[Verification
             notes.append(f"n={n}: empty far set")
             continue
         balls = greedy_cover(far, radius, lambda a, b: regime.pair_dist(a, b, n))
-        covered = set().union(*(b.member_ids for b in balls))
-        all_covered = covered == set(far)
+        all_covered = set().union(*(b.member_ids for b in balls)) == set(far)
         cover_ok = cover_ok and all_covered
         cover_rows.append((n, eps, radius, len(far), len(balls), all_covered))
-        sieve = build_sieve_from_cover(
-            balls, regime.prior, p.beta, p.r, p.c, n, eps
-        )
-        chain_ok = (
+        if "sieve" not in selected:
+            continue
+        sieve = build_sieve_from_cover(balls, regime.prior, p.beta, p.r, p.c, n, eps)
+        sieve_ok = sieve_ok and (
             sieve.mass_bound_max_violation <= 1e-12
             and sieve.complement_mass <= sieve.tail_bound + sieve.uncovered_mass + 1e-12
         )
-        sieve_ok = sieve_ok and chain_ok
         sieve_rows.append(
             (n, eps, len(balls), sieve.j_n, sieve.exhausted, sieve.s_n,
              sieve.complement_mass, sieve.uncovered_mass, sieve.tail_bound,
@@ -873,18 +867,12 @@ def _run_cover_and_sieve(cfg: RunConfig, regime, out: Path) -> list[Verification
         sieve_detail = f"max per-index violation {max(r[9] for r in sieve_rows):.3g}"
     else:
         sieve_detail = "no nonempty far set on this schedule"
-    return [
-        _record("cover", cfg, out, cover_rows, cover_ok, cover_detail),
-        _record("sieve", cfg, out, sieve_rows, sieve_ok, sieve_detail),
-    ]
+    results = {"cover": (cover_rows, cover_ok, cover_detail),
+               "sieve": (sieve_rows, sieve_ok, sieve_detail)}
+    return {name: results[name] for name in selected}
 
 
-_RUNNERS = {
-    "factorization": _run_factorization,
-    "conditional-identity": _run_conditional_identity,
-    "thickness": _run_thickness,
-    "separation": _run_separation,
-}
+_RUNNERS = {"check": _run_checks, "simulate": _run_simulations, "sieve": _run_cover_and_sieve}
 
 
 # ---------------------------------------------------------------------------
@@ -909,18 +897,18 @@ def _read_summary(path: Path) -> dict:
     return data
 
 
-def _update_summary(out: Path, seed: int, config: str,
-                    results: Sequence[VerificationResult]) -> None:
-    """Merge results into summary.json; another seed or config sha256 starts it over."""
+def _update_summary(out: Path, seed: int, config: str, results: dict) -> None:
+    """Merge {name: (rows, passed, detail)} into summary.json; another seed or
+    config sha256 starts it over."""
     path = out / "summary.json"
     data = _read_summary(path) if path.exists() else {}
     if (data.get("seed"), data.get("config")) != (seed, config):
         data = {"seed": seed, "config": config, "verifications": {}}
-    for r in results:
-        data["verifications"][r.name] = {
-            "passed": bool(r.passed),
-            "detail": r.detail,
-            "csv": r.csv,
+    for name, (_, passed, detail) in results.items():
+        data["verifications"][name] = {
+            "passed": bool(passed),
+            "detail": detail,
+            "csv": VERIFICATIONS[name].csv,
         }
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8",
                     newline="\n")
@@ -1028,21 +1016,18 @@ def _main(args: argparse.Namespace) -> int:
         print(f"nothing to do: no selected verification belongs to '{args.command}'")
         return EXIT_PASS
 
+    results = _RUNNERS[args.command](cfg, regime, selected)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, UnicodeEncodeError) as e:  # the path may not fit the locale's encoding
         raise OSError(f"cannot create output directory {out}: {e}") from e
-    if args.command == "sieve":
-        results = [r for r in _run_cover_and_sieve(cfg, regime, out) if r.name in selected]
-    elif args.command == "simulate":
-        results = _run_simulations(cfg, regime, out, selected)
-    else:
-        results = [_RUNNERS[name](cfg, regime, out) for name in selected]
+    for name, (rows, _, _) in results.items():
+        _record(name, cfg.seed, out, rows)
     config = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
     _update_summary(out, cfg.seed, config, results)
-    for r in results:
-        print(f"{r.name}: {'pass' if r.passed else 'FAIL'} ({r.detail})")
-    return EXIT_PASS if all(r.passed for r in results) else EXIT_CRITERION_FAIL
+    for name, (_, passed, detail) in results.items():
+        print(f"{name}: {'pass' if passed else 'FAIL'} ({detail})")
+    return EXIT_PASS if all(passed for _, passed, _ in results.values()) else EXIT_CRITERION_FAIL
 
 
 if __name__ == "__main__":

@@ -988,18 +988,18 @@ def certify_subset(regime, member_ids, delta: float, n: int,
                              mixture_min_gap=mixture_min)
 
 
-def certify_schedule(regime, member_ids, d: float, schedule: RateSchedule, seed: int,
-                     draws: int = CERT_DRAWS):
+def certify_schedule(regime, member_ids, d: float, schedule: RateSchedule, seed: int):
     """(n, delta, certificate or refusal) at each schedule point, delta = d * eps_n^2.
 
     A refusal is the ``SubsetNotAdmissibleError`` the point raised.  All
-    points draw from one generator seeded seed + CERT_SEED_OFFSET.
+    points draw from one generator seeded seed + CERT_SEED_OFFSET, CERT_DRAWS
+    rows per mixture step.
     """
     rng = np.random.default_rng(seed + CERT_SEED_OFFSET)
     for n in schedule.n_values:
         delta = d * schedule.epsilon(n) ** 2
         try:
-            cert = certify_subset(regime, member_ids, delta, n, rng, draws=draws)
+            cert = certify_subset(regime, member_ids, delta, n, rng)
         except SubsetNotAdmissibleError as e:
             cert = e
         yield n, delta, cert
@@ -1020,8 +1020,7 @@ class NumeratorBoundReport:
     d: float
 
 
-def certify_numerator(plan: ExperimentPlan, implied: float,
-                      closure_draws: int = CERT_DRAWS) -> None:
+def certify_numerator(plan: ExperimentPlan, implied: float) -> None:
     """The numerator bound's preconditions, given the implied thickness C.
 
     Refuses unless the prior is thick, d > implied C + 1, and the subset
@@ -1042,7 +1041,7 @@ def certify_numerator(plan: ExperimentPlan, implied: float,
             f"subset not admissible: d = {d} must exceed implied C + 1 = {implied + 1.0:.6g}"
         )
     for _, _, cert in certify_schedule(plan.regime, plan.subset_ids, d, plan.schedule,
-                                       plan.seed, closure_draws):
+                                       plan.seed):
         if isinstance(cert, SubsetNotAdmissibleError):
             raise cert
 
@@ -1060,11 +1059,10 @@ def numerator_report(plan: ExperimentPlan, records: Sequence[ReplicationRecord],
     )
 
 
-def verify_numerator_bound(plan: ExperimentPlan, jobs: int = 1,
-                           closure_draws: int = CERT_DRAWS) -> NumeratorBoundReport:
+def verify_numerator_bound(plan: ExperimentPlan, jobs: int = 1) -> NumeratorBoundReport:
     """Monte Carlo check of mean sqrt(restricted numerator) against its bound."""
     implied = fitted_thickness_constant(thickness_records(plan.regime, plan.schedule))
-    certify_numerator(plan, implied, closure_draws)
+    certify_numerator(plan, implied)
     records = run_replications(plan.collecting(("sqrt_l",)), jobs=jobs)
     return numerator_report(plan, records, implied)
 

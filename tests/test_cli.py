@@ -119,6 +119,12 @@ class TestParse:
         errors = parse_errors(tmp_path, text)
         assert any("unknown verification 'factorizatoin'" in e for e in errors)
 
+    def test_repeated_verification_cites_both_lines(self, tmp_path):
+        text = MINIMAL.replace("verify: [factorization]",
+                               "verify:\n  - factorization\n  - factorization")
+        assert parse_errors(tmp_path, text) == [
+            "duplicate verification 'factorization' at line 10 and at line 11"]
+
     def test_unknown_regime_lists_choices(self, tmp_path):
         text = MINIMAL.replace("regime: iid", "regime: ar2")
         errors = parse_errors(tmp_path, text)
@@ -589,6 +595,11 @@ class TestMain:
         assert "factorization: pass" in shown
         assert "conditional-identity" not in shown
 
+    def test_verify_override_refuses_a_repeat(self, tmp_path, capsys):
+        assert_config_error(tmp_path, capsys, ["check", "--verify", "factorization,factorization"],
+                            SMALL_CHECK.format(out=tmp_path / "out"),
+                            "duplicate verification 'factorization' in --verify and in --verify")
+
     def test_nothing_to_do_for_other_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_CHECK.format(out=tmp_path / "out"))
         code = main(["simulate", "--config", str(path)])
@@ -716,6 +727,55 @@ class TestSharedPass:
             "runtime error: statistic log_evidence has NaN entries\n"
         )
         assert not (out / "summary.json").exists()
+
+
+def broken(*args, **kwargs):
+    raise ExperimentError("injected fault")
+
+
+class TestWritesAfterTheWork:
+    """A subcommand writes the CSVs of its selected verifications only, and
+    only once every one of them has run."""
+
+    def sieve_config(self, tmp_path, verify: str, drop: tuple[str, ...] = ()) -> list[str]:
+        text = (ROOT / "configs" / "sieve.yaml").read_text()
+        text = "".join(line for line in text.splitlines(keepends=True)
+                       if line.strip().split(":")[0] not in drop)
+        path = write_config(tmp_path, text)
+        return ["sieve", "--config", str(path), "--out", str(tmp_path / "out"),
+                "--verify", verify]
+
+    @pytest.mark.parametrize("verify, drop", [
+        ("cover", ()), ("cover", ("c", "r", "beta")), ("sieve", ())],
+        ids=["cover", "cover-without-sieve-constants", "sieve"])
+    def test_only_the_selected_csv_is_written(self, tmp_path, verify, drop):
+        """The cover needs only M, so a cover-only config may leave out the
+        sieve's constants; and neither of the two writes the other's CSV."""
+        out = tmp_path / "out"
+        assert main(self.sieve_config(tmp_path, verify, drop)) == EXIT_PASS
+        csv = cli.VERIFICATIONS[verify].csv
+        assert sorted(p.name for p in out.iterdir()) == sorted([csv, "summary.json"])
+        assert (out / csv).read_bytes() == (ROOT / "out" / "sieve" / csv).read_bytes()
+        entries = json.loads((out / "summary.json").read_text())["verifications"]
+        assert entries == {verify: json.loads(
+            (ROOT / "out" / "sieve" / "summary.json").read_text())["verifications"][verify]}
+
+    @pytest.mark.parametrize("command, config, name", [
+        ("check", "iid.yaml", "certify_schedule"),
+        ("simulate", "iid.yaml", "concentration_report"),
+        ("sieve", "sieve.yaml", "build_sieve_from_cover"),
+    ], ids=["check", "simulate", "sieve"])
+    def test_fault_in_the_last_runner_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                     command, config, name):
+        """A fault in the last selected verification exits 4 and leaves no
+        CSV of the ones before it, and no output directory."""
+        monkeypatch.setattr(cli, name, broken)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(ROOT / "configs" / config), "--out", str(out)]
+        assert main(argv) == EXIT_RUNTIME_ERROR
+        assert capsys.readouterr() == ("", "runtime error: injected fault\n")
+        assert not out.exists()
+
 
 class TestOverridesAndRuntimeFaults:
     def test_negative_seed_override_is_config_error(self, tmp_path, capsys):

@@ -1533,7 +1533,7 @@ class TestVerifications:
             subset_ids=(2,),
             params=ConditionParams(C=0.0, d=2.5),
         )
-        report = verify_numerator_bound(plan, closure_draws=40)
+        report = verify_numerator_bound(plan)
         assert report.passed
         assert np.all(report.empirical_mean <= report.bound + 3.0 * report.std_error)
         assert report.d > report.implied_c + 1.0
