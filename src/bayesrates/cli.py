@@ -117,11 +117,10 @@ VERIFICATIONS = {
     ),
     "separation": Verification(
         "check", "separation.csv",
-        ("n", "delta", "min_vertex_gap", "hull_gap_bound",
-         "closure_worst_violation", "mixture_min_gap", "certified"),
-        ("count", "gap", "gap", "gap", "gap", "gap", "flag"),
-        "subset admissibility: vertex gaps, convex-hull triangle bound, and "
-        "random-mixture checks against delta = d * n-rate",
+        ("n", "delta", "min_vertex_gap", "hull_gap_bound", "certified"),
+        ("count", "gap", "gap", "gap", "flag"),
+        "subset admissibility: vertex gaps and convex-hull triangle bound "
+        "against delta = d * n-rate",
         needs=("d",), needs_subset=True,
     ),
     "cover": Verification(
@@ -199,9 +198,12 @@ def _line(node: yaml.Node) -> int:
     return node.start_mark.line + 1
 
 
-def _compose(path: Path) -> yaml.Node:
+def _compose(path: Path) -> tuple[yaml.Node, str]:
+    """The config's YAML node, and the sha256 of the bytes it was read from."""
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        # as a text-mode read would see it: every line break a newline
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError([f"cannot read config: {e}"])
     try:
@@ -210,7 +212,7 @@ def _compose(path: Path) -> yaml.Node:
         raise ConfigError([f"config syntax error: {e}"])
     if node is None:
         raise ConfigError(["config is empty"])
-    return node
+    return node, hashlib.sha256(data).hexdigest()
 
 
 # the YAML tags each scalar kind accepts, and how it reads the node; a float
@@ -375,6 +377,7 @@ class RunConfig:
     verify: tuple[str, ...]
     subset: tuple[int, ...] | None
     u_set: tuple[int, ...] | None
+    sha256: str  # of the config bytes that were parsed
 
 
 # (kind, default, rule) of every key, per section and, for family and truth,
@@ -485,7 +488,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """
     errors: list[str] = []
     overrides = overrides or {}
-    root = _compose(Path(path))
+    root, sha256 = _compose(Path(path))
     top = _Section(root, "top level", errors, overrides, _line(root))
 
     regime = top.get("regime", "str", _REQUIRED)
@@ -591,6 +594,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         params=ConditionParams(**constants) if params_node is not None else None,
         allow_thin_evidence=allow_thin,
         verify=verify,
+        sha256=sha256,
         **values,
     )
 
@@ -723,14 +727,12 @@ def _thickness(cfg: RunConfig, regime):
 
 def _separation(cfg: RunConfig, regime):
     rows, failure = [], ""
-    for n, delta, cert in certify_schedule(regime, cfg.subset, cfg.params.d, cfg.schedule,
-                                           cfg.seed):
+    for n, delta, cert in certify_schedule(regime, cfg.subset, cfg.params.d, cfg.schedule):
         if isinstance(cert, SubsetNotAdmissibleError):
             failure = str(cert)
-            rows.append((n, delta, math.nan, math.nan, math.nan, math.nan, False))
+            rows.append((n, delta, math.nan, math.nan, False))
         else:
-            rows.append((n, delta, cert.vertex.min_gap, cert.hull_gap_bound,
-                         cert.closure_violation, cert.mixture_min_gap, True))
+            rows.append((n, delta, cert.vertex.min_gap, cert.hull_gap_bound, True))
     return rows, not failure, failure or f"certified at all {len(rows)} schedule points"
 
 
@@ -897,11 +899,11 @@ def _read_summary(path: Path) -> dict:
     return data
 
 
-def _update_summary(out: Path, seed: int, config: str, results: dict) -> None:
-    """Merge {name: (rows, passed, detail)} into summary.json; another seed or
-    config sha256 starts it over."""
+def _update_summary(out: Path, data: dict, seed: int, config: str, results: dict) -> None:
+    """Merge {name: (rows, passed, detail)} into ``data``, the summary read
+    before the run wrote anything, and write it as summary.json; another
+    seed or config sha256 starts it over."""
     path = out / "summary.json"
-    data = _read_summary(path) if path.exists() else {}
     if (data.get("seed"), data.get("config")) != (seed, config):
         data = {"seed": seed, "config": config, "verifications": {}}
     for name, (_, passed, detail) in results.items():
@@ -1017,14 +1019,15 @@ def _main(args: argparse.Namespace) -> int:
         return EXIT_PASS
 
     results = _RUNNERS[args.command](cfg, regime, selected)
+    # a summary that cannot be read is refused before anything is written
+    summary = _read_summary(out / "summary.json") if (out / "summary.json").exists() else {}
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, UnicodeEncodeError) as e:  # the path may not fit the locale's encoding
         raise OSError(f"cannot create output directory {out}: {e}") from e
     for name, (rows, _, _) in results.items():
         _record(name, cfg.seed, out, rows)
-    config = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
-    _update_summary(out, cfg.seed, config, results)
+    _update_summary(out, summary, cfg.seed, cfg.sha256, results)
     for name, (_, passed, detail) in results.items():
         print(f"{name}: {'pass' if passed else 'FAIL'} ({detail})")
     return EXIT_PASS if all(passed for _, passed, _ in results.values()) else EXIT_CRITERION_FAIL

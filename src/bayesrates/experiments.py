@@ -20,10 +20,9 @@ the same alone or in any block.  Replication r uses generator seed
 plan.seed + r,  so records are reproducible one at a time and aggregation
 never depends on execution order.
 
-Lemma-style bound checks refuse to run on uncertified subsets: vertex
-separation, a convex-hull triangle certificate, and random-mixture closure
-all have to pass first, plus per-vertex ratio certificates under
-misspecification.
+Lemma-style bound checks refuse to run on uncertified subsets: per-vertex
+ratio certificates under misspecification, vertex separation, and a
+convex-hull triangle certificate all have to pass first.
 """
 from __future__ import annotations
 
@@ -70,13 +69,6 @@ REF_ID = -1
 
 STAT_KEYS = ("cesaro_kl", "log_evidence", "posterior_mass", "u_mass", "sqrt_l")
 
-# offset mixed into the plan seed for certification draws, so the
-# admissibility randomness never aliases a replication stream
-CERT_SEED_OFFSET = 202_020
-
-# flat Dirichlet draws per mixture step of subset certification
-CERT_DRAWS = 100
-
 # replications per block of the engine: a block's samples are scored, summed
 # and weighed in one array pass.  8 is the knee: iid.yaml's 300 replications
 # took 0.33 s of CPU one at a time, 0.22 s in blocks of 4, 0.18 s of 8 and
@@ -102,24 +94,23 @@ ROW_POINTS_PER_SD = 10
 # every term's centre: the normal tail left out is below 1e-18.
 # - On a Gaussian the trapezoid at spacing h is off by about
 #   exp(-2 pi^2 / h^2), 5e-35 at Z_STEP.
-# - The log or root of a mixture turns over from one term to the next, at
-#   complex distance pi / D from the real line for two terms whose offsets
-#   differ by D, which costs about exp(-2 pi^2 / (h D)).  So a column whose
+# - The log of a mixture turns over from one term to the next, at complex
+#   distance pi / D from the real line for two terms whose offsets differ
+#   by D, which costs about exp(-2 pi^2 / (h D)).  So a column whose
 #   offsets spread by D takes h = Z_STEP / m, m the least whole number with
 #   h D <= Z_RESOLVE (7e-18).  On random three-term mixtures the rule is at
 #   rounding (1.5e-15 relative) up to h D = 0.6, off by 1e-13 at 0.7 and by
 #   3e-12 at 0.8; at the 0.2 spacing alone it was off by 1.5e-6 per step
 #   on four atoms spread over 15 sds.
 # - One kernel, _z_integrals, takes every such integral: a replication
-#   block's Cesaro steps (regression: the block's weight rows against the one
-#   design; markov: the block's replications side by side as columns) and a
-#   certification step's draws (as rows).  A column chunk's terms, every
-#   atom's at every node, a row group's mixture and the product being added
-#   to it each hold at most Z_BUFFER values (128 kB), so a wide spread, a
-#   block, many atoms or many draws cost time, not memory.  Traced, a block
-#   peaks at 0.66 MiB on markov.yaml and 0.81 MiB on regression.yaml,
-#   against 0.68 and 0.83 when each replication took the kernel alone; twice
-#   the buffer took them to 0.85 and 1.18 MiB.
+#   block's Cesaro steps, regression's as the block's weight rows against
+#   its one design and markov's as the block's replications side by side as
+#   columns.  A column chunk's terms, every atom's at every node, a row
+#   group's mixture and the product being added to it each hold at most
+#   Z_BUFFER values (128 kB), so a wide spread, a block or many atoms cost
+#   time, not memory.  Traced, a block peaks at 0.66 MiB on markov.yaml and
+#   0.81 MiB on regression.yaml, against 0.68 and 0.83 when each replication
+#   took the kernel alone; twice the buffer took them to 0.85 and 1.18 MiB.
 Z_STEP = 0.5
 Z_REACH = 9.0
 Z_RESOLVE = 0.5
@@ -128,48 +119,31 @@ Z_BUFFER = 1 << 14
 # interpreter over at each of its microsecond numpy calls ran slower than one
 Z_TURN = threading.Lock()
 
-# an affinity term whose offset exceeds Z_FAR adds less than
-# exp(-Z_FAR^2 / 8) = 2.6e-18 to the affinity, since sqrt(a + b) - sqrt(a)
-# <= sqrt(b): the affinity nodes neither span nor resolve offsets beyond it
-Z_FAR = 18.0
-
-# the markov certification draws measure each mixture at this many states,
-# evenly spaced out to the state window's edge; the sup-form hull bound
-# sweeps this many states of the window
-PROBE_STATES = 7
+# the sup-form markov hull bound sweeps this many states of the window
 SWEEP_POINTS = 1001
 
 
-def _z_chunks(deltas: np.ndarray, affinity: bool):
+def _z_chunks(deltas: np.ndarray):
     """Yield (columns, nodes, kern): the column chunks of the z-node rule.
 
-    The nodes span [-Z_REACH, Z_REACH], or for an ``affinity``
-    [min(0, min d / 2) - Z_REACH, max(0, max d / 2) + Z_REACH] over the
-    offsets within Z_FAR, where its terms' mass sits.  ``kern`` is the
-    trapezoid's weights, times phi(z) for a kl (an affinity takes phi inside
-    its root).  A chunk's terms, every atom's at every node, hold at most
-    Z_BUFFER values.
+    The nodes span [-Z_REACH, Z_REACH] at the column's spacing, and ``kern``
+    is the trapezoid's weights times phi(z).  A chunk's terms, every atom's
+    at every node, hold at most Z_BUFFER values.
     """
-    near = np.clip(deltas, -Z_FAR, Z_FAR) if affinity else deltas
-    spread = near.max(axis=0) - near.min(axis=0)
+    spread = deltas.max(axis=0) - deltas.min(axis=0)
     parts = np.maximum(np.ceil(spread * (Z_STEP / Z_RESOLVE)), 1.0).astype(int)
     for m in sorted(set(parts.tolist())):  # not np.unique, which imports numpy.ma
         group = np.flatnonzero(parts == m)
-        lower, upper = -Z_REACH, Z_REACH
-        if affinity:
-            lower += min(0.0, 0.5 * float(near[:, group].min()))
-            upper += max(0.0, 0.5 * float(near[:, group].max()))
-        nodes = Grid(lower, upper, math.ceil((upper - lower) * m / Z_STEP) + 1)
-        kern = nodes.quad_weights if affinity else (
-            nodes.quad_weights * np.exp(-0.5 * nodes.x ** 2) / SQRT_2PI)
+        nodes = Grid(-Z_REACH, Z_REACH, math.ceil(2.0 * Z_REACH * m / Z_STEP) + 1)
+        kern = nodes.quad_weights * np.exp(-0.5 * nodes.x ** 2) / SQRT_2PI
         width = max(1, Z_BUFFER // (len(deltas) * nodes.points))
         for s in range(0, len(group), width):
             yield group[s:s + width], nodes, kern
 
 
-def _z_integrals(deltas: np.ndarray, weights: np.ndarray, affinity: bool = False) -> np.ndarray:
+def _z_integrals(deltas: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(rows, *columns): the kl from N(0, 1) to each column's mixture under each
-    weight row, or with ``affinity`` the mixture's affinity gap to N(0, 1).
+    weight row.
 
     Column k's mixture under row r is sum_j w N(d, 1), with d = deltas[j, k]
     the component's offset from the centre in noise sds and w =
@@ -177,30 +151,26 @@ def _z_integrals(deltas: np.ndarray, weights: np.ndarray, affinity: bool = False
     (rows, atoms) for one weight vector per row shared by every column.
     Centred there, the kl is
 
-        -int phi(z) log sum_j w exp(z d - d^2 / 2) dz
+        -int phi(z) log sum_j w exp(z d - d^2 / 2) dz.
 
-    and the gap 1 - int phi(z) sqrt(sum_j w exp(z d - d^2 / 2)) dz, with phi
-    taken inside the root as exp(-z^2).  Their exponents are at most
-    z^2 / 2 <= 40.5 and -(z - d / 2)^2 - d^2 / 4 <= 0, so no offset
-    overflows; the 1e-300 floor catches a mixture whose every atom underflows.
+    Its exponents are at most z^2 / 2 <= 40.5, so no offset overflows; the
+    1e-300 floor catches a mixture whose every atom underflows.
 
     Each chunk's terms are exponentiated once for every row; the rows go in
     groups whose mixtures hold at most Z_BUFFER values.  A row sums its atoms
     in order and integrates each column by its own dot product, so a value
-    rounds alike in any chunk, group, block or batch.
+    rounds alike in any chunk, group or block.
     """
     shape = deltas.shape[1:]
     flat = deltas.reshape(len(deltas), -1)
     rows = len(weights)
     out = np.empty((rows, flat.shape[1]))
     with Z_TURN:
-        for cols, nodes, kern in _z_chunks(flat, affinity):
+        for cols, nodes, kern in _z_chunks(flat):
             d = np.take(flat, cols, axis=1)[:, :, None]
             # the nodes, then times d: numpy buffers both operands of d * z
             terms = np.full(d.shape[:2] + nodes.x.shape, nodes.x)
             terms *= d
-            if affinity:
-                terms -= nodes.x ** 2
             terms -= 0.5 * d * d
             np.exp(terms, out=terms)
             w = (weights[:, :, None, None] if weights.ndim == 2 else
@@ -214,16 +184,11 @@ def _z_integrals(deltas: np.ndarray, weights: np.ndarray, affinity: bool = False
                     mix = terms[0] * ws[:, 0]
                     for j in range(1, len(terms)):
                         mix += terms[j] * ws[:, j]
-                if affinity:
-                    np.sqrt(mix, out=mix)
-                    out[s:s + step, cols] = 1.0 - _integrals(kern, mix) / SQRT_2PI
-                else:
-                    np.maximum(mix, 1e-300, out=mix)
-                    np.log(mix, out=mix)
-                    out[s:s + step, cols] = -_integrals(kern, mix)
+                np.maximum(mix, 1e-300, out=mix)
+                np.log(mix, out=mix)
+                out[s:s + step, cols] = -_integrals(kern, mix)
             del terms, mix  # before the next chunk takes its own
-    if not affinity:
-        np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
     return out.reshape((rows,) + shape)
 
 
@@ -303,9 +268,9 @@ class IidRegime:
     The anchor is the truth (``anchor=None``, well specified) or the prior's
     kl projection member.  Every functional is the starred one anchored at
     ``f_circ``; at the truth the weight f_star / f_circ is exactly one.
-    Each integral, over all atoms or all draws' mixtures at once, is the
-    trapezoid rule on one table at every stride-th grid node; the grid
-    densities only draw the samples and give the likelihoods' log table.
+    Each integral, over all atoms at once, is the trapezoid rule on one
+    table at every stride-th grid node; the grid densities only draw the
+    samples and give the likelihoods' log table.
     """
 
     def __init__(self, prior: AtomicPrior, true_density: GridDensity,
@@ -412,23 +377,6 @@ class IidRegime:
         """Ratio certificates: each vertex needs int (f/f_circ) f_star <= 1."""
         return _integrals(self._kern, np.exp(self._logs[self._rows(member_ids)] - self._circ_log))
 
-    def _mixtures(self, member_ids, weights) -> np.ndarray:
-        """(draws, nodes): each weight row's mixture, summed one atom at a time,
-        so that a row rounds as it would alone."""
-        mix = np.zeros((len(weights), self._values.shape[1]))
-        for w, row in zip(np.asarray(weights).T, self._values[self._rows(member_ids)]):
-            mix += w[:, None] * row
-        return mix
-
-    def mixture_truth_gap(self, member_ids, weights, n: int | None = None) -> np.ndarray:
-        return self._gaps(np.log(self._mixtures(member_ids, weights)))
-
-    def closure_violation(self, member_ids, center_id: int, weights,
-                          n: int | None = None) -> np.ndarray:
-        center = self._roots[self.prior.index_of(center_id)]
-        radius = np.max(self._dists(center, self._roots[self._rows(member_ids)]))
-        return self._dists(center, np.sqrt(self._mixtures(member_ids, weights))) - radius
-
     def hull_gap_bound(self, member_ids: Sequence[int],
                        n: int | None = None) -> tuple[float, int]:
         """Weighted-Hellinger triangle bound on the hull's affinity gap, and its center.
@@ -481,9 +429,8 @@ class RegressionRegime:
 
     Two responses at one design index are unit normals, so every divergence
     between them is the exact ``gaussian_shift_kvh``.  Mixtures have no
-    closed form: the Cesaro kernel and the certification draws integrate
-    them by the z-node rule, on the atoms' offsets from the truth or the
-    reference row, all design indices at once.
+    closed form: the Cesaro kernel integrates them by the z-node rule, on
+    the atoms' offsets from the truth, all design indices at once.
     """
 
     kind = "regression"
@@ -545,21 +492,6 @@ class RegressionRegime:
     def pair_dist(self, id_a: int, id_b: int, n: int) -> float:
         return math.sqrt(float(self._h2(self._row(id_a), self._row(id_b), n).mean()))
 
-    def _mean_gaps_to(self, ref_id: int, member_ids, weights, n: int) -> np.ndarray:
-        """Per draw, the mean over the first n indices of the mixture's affinity
-        gap to ``ref_id``."""
-        deltas = np.stack([self._row(i)[:n] for i in member_ids]) - self._row(ref_id)[:n]
-        return _z_integrals(deltas, weights, affinity=True).mean(axis=1)
-
-    def mixture_truth_gap(self, member_ids, weights, n: int) -> np.ndarray:
-        return self._mean_gaps_to(REF_ID, member_ids, weights, n)
-
-    def closure_violation(self, member_ids, center_id, weights, n: int) -> np.ndarray:
-        radius = max(
-            0.5 * self.pair_dist(center_id, i, n) ** 2 for i in member_ids
-        )
-        return self._mean_gaps_to(center_id, member_ids, weights, n) - radius
-
     def hull_gap_bound(self, member_ids, n: int) -> tuple[float, int]:
         """Per-index triangle bound averaged over the design, and its center."""
         def h(means_a, means_b):
@@ -585,9 +517,9 @@ class MarkovRegime:
     divergence between them is the exact ``gaussian_shift_kvh``, averaged
     over the truth's stationary density or taken at the state window's
     edge.  Mixtures of transitions have no closed form: the Cesaro kernel
-    (at every realized state) and the certification draws (at the probe
-    states) integrate them by the z-node rule, on the atoms' offsets in
-    noise sds, with no span to clip however far the chain wanders.
+    integrates them at every realized state by the z-node rule, on the
+    atoms' offsets in noise sds, with no span to clip however far the chain
+    wanders.
     """
 
     kind = "markov"
@@ -689,28 +621,6 @@ class MarkovRegime:
             lambda c, j: np.sqrt(self._h2_at_states(self._theta_of(c), self._theta_of(j), states)),
             np.max,
         )
-
-    def _probe_states(self) -> np.ndarray:
-        return np.linspace(self.state_window / PROBE_STATES, self.state_window, PROBE_STATES)
-
-    def _probe_gaps(self, member_ids, ref_theta: float, weights) -> np.ndarray:
-        """Each mixture's affinity gap to the transition of ``ref_theta``, per
-        draw and probe state."""
-        thetas = np.array([self._theta_of(i) for i in member_ids])
-        deltas = np.outer(thetas - ref_theta, self._probe_states()) / self.noise_sd
-        return _z_integrals(deltas, weights, affinity=True)
-
-    def mixture_truth_gap(self, member_ids, weights, n: int | None = None) -> np.ndarray:
-        """Worst-state affinity gap of each mixture over the probe states."""
-        return self._probe_gaps(member_ids, self.theta_star.theta, weights).max(axis=1)
-
-    def closure_violation(self, member_ids, center_id, weights,
-                          n: int | None = None) -> np.ndarray:
-        tc = self._theta_of(center_id)
-        states = self._probe_states()
-        rho = np.max([0.5 * self._h2_at_states(tc, self._theta_of(j), states)
-                      for j in member_ids], axis=0)
-        return (self._probe_gaps(member_ids, tc, weights) - rho).max(axis=1)
 
     def cesaro_kls(self, samples, weights_before: np.ndarray) -> np.ndarray:
         """(reps, n): the block's replications side by side as the columns."""
@@ -920,28 +830,25 @@ def fitted_thickness_constant(records: Sequence[ThicknessRecord]) -> float:
 class SubsetCertificate:
     vertex: SeparationReport
     hull_gap_bound: float
-    closure_violation: float
-    mixture_min_gap: float
 
 
-def certify_subset(regime, member_ids, delta: float, n: int,
-                   rng: np.random.Generator, draws: int = CERT_DRAWS) -> SubsetCertificate:
+def certify_subset(regime, member_ids, delta: float, n: int) -> SubsetCertificate:
     """Machine-check the numerator bound's preconditions for one subset.
 
-    Refuses (raises) unless the vertices clear delta, the convex hull clears
-    delta by the triangle certificate, random mixtures stay within the ball
-    around the center attaining that certificate and clear delta, and (under
-    misspecification) every vertex ratio certificate is at most one.  Each
-    mixture step draws its flat Dirichlet rows in one call, the same rows as
-    one call per draw; a singleton takes weight 1 and draws nothing, and its
-    mixture gap is its vertex gap.
+    Refuses (raises) unless, under misspecification, every vertex ratio
+    certificate is at most one, the vertices clear delta, and the convex
+    hull clears delta by the triangle certificate.  The last step proves
+    the hull's separation.  W^2, the squared weighted Hellinger distance to
+    a fixed centre, is convex in the mixture weights, so the hull lies in
+    the ball around the certificate's centre whose radius is its farthest
+    vertex; the starred gap is (W^2(f_circ, g) + 1 - cert(g)) / 2 with cert
+    linear in g, so once every vertex has cert <= 1 it is at least
+    W^2(f_circ, g) / 2 on the whole hull, which the triangle inequality
+    bounds below.  The same holds per design index or per state.
     """
     ids = tuple(sorted(set(member_ids)))
     if not ids:
         raise SubsetNotAdmissibleError("subset not admissible: empty subset")
-
-    def mixture_weights() -> np.ndarray:
-        return np.ones((1, 1)) if len(ids) == 1 else rng.dirichlet(np.ones(len(ids)), size=draws)
 
     if not regime.well_specified:
         certs = regime.vertex_certificates(ids)
@@ -951,55 +858,31 @@ def certify_subset(regime, member_ids, delta: float, n: int,
                 f"{float(np.max(certs)):.12g} exceeds 1"
             )
 
-    gaps = regime.separation_gaps(ids, n)
-    vertex = separation_report(gaps, delta)
+    vertex = separation_report(regime.separation_gaps(ids, n), delta)
     if not vertex.separated:
         raise SubsetNotAdmissibleError(
             f"subset not admissible: vertex separation failed "
             f"(min gap {vertex.min_gap:.6g} <= delta {delta:.6g})"
         )
 
-    hull, center_id = regime.hull_gap_bound(ids, n)
+    hull, _ = regime.hull_gap_bound(ids, n)
     if hull <= delta:
         raise SubsetNotAdmissibleError(
             f"subset not admissible: convex-hull separation not certified "
             f"(triangle bound {hull:.6g} <= delta {delta:.6g})"
         )
-
-    closure = regime.closure_violation(ids, center_id, mixture_weights(), n)
-    worst = max(0.0, float(np.max(closure, initial=-math.inf)))
-    if worst > 1e-9:  # a mixture may stick out of the ball by rounding
-        raise SubsetNotAdmissibleError(
-            f"subset not admissible: mixture closure failed (violation {worst:.6g})"
-        )
-
-    if len(ids) == 1:
-        mixture_min = float(gaps[0])
-    else:
-        truth_gaps = regime.mixture_truth_gap(ids, mixture_weights(), n)
-        mixture_min = float(np.min(truth_gaps, initial=math.inf))
-    if mixture_min <= delta:
-        raise SubsetNotAdmissibleError(
-            f"subset not admissible: a random mixture fell to gap "
-            f"{mixture_min:.6g} <= delta {delta:.6g}"
-        )
-
-    return SubsetCertificate(vertex=vertex, hull_gap_bound=hull, closure_violation=worst,
-                             mixture_min_gap=mixture_min)
+    return SubsetCertificate(vertex=vertex, hull_gap_bound=hull)
 
 
-def certify_schedule(regime, member_ids, d: float, schedule: RateSchedule, seed: int):
+def certify_schedule(regime, member_ids, d: float, schedule: RateSchedule):
     """(n, delta, certificate or refusal) at each schedule point, delta = d * eps_n^2.
 
-    A refusal is the ``SubsetNotAdmissibleError`` the point raised.  All
-    points draw from one generator seeded seed + CERT_SEED_OFFSET, CERT_DRAWS
-    rows per mixture step.
+    A refusal is the ``SubsetNotAdmissibleError`` the point raised.
     """
-    rng = np.random.default_rng(seed + CERT_SEED_OFFSET)
     for n in schedule.n_values:
         delta = d * schedule.epsilon(n) ** 2
         try:
-            cert = certify_subset(regime, member_ids, delta, n, rng)
+            cert = certify_subset(regime, member_ids, delta, n)
         except SubsetNotAdmissibleError as e:
             cert = e
         yield n, delta, cert
@@ -1040,8 +923,7 @@ def certify_numerator(plan: ExperimentPlan, implied: float) -> None:
         raise SubsetNotAdmissibleError(
             f"subset not admissible: d = {d} must exceed implied C + 1 = {implied + 1.0:.6g}"
         )
-    for _, _, cert in certify_schedule(plan.regime, plan.subset_ids, d, plan.schedule,
-                                       plan.seed):
+    for _, _, cert in certify_schedule(plan.regime, plan.subset_ids, d, plan.schedule):
         if isinstance(cert, SubsetNotAdmissibleError):
             raise cert
 

@@ -28,12 +28,9 @@ from bayesrates.divergences import (
     kl,
 )
 from bayesrates.experiments import (
-    CERT_SEED_OFFSET,
     CESARO_BLOCK,
     LOG_SQRT_2PI,
-    REF_ID,
     SQRT_2PI,
-    Z_FAR,
     Z_REACH,
     Z_RESOLVE,
     Z_STEP,
@@ -241,16 +238,19 @@ def gaussian_mixture_kls_oracle(grid: Grid, means: np.ndarray, truth_means: np.n
 
 def gaussian_affinity_gaps_oracle(grid: Grid, means: np.ndarray, ref_means: np.ndarray,
                                   sd: float, w) -> np.ndarray:
-    """Per-row 1 - int sqrt(N(ref_means[k], sd) * sum_j w[j] N(means[j, k], sd)).
+    """Per-row 1 - int sqrt(N(ref_means[k], sd) * sum_j w[j] N(means[j, k], sd)),
+    (rows,) for one weight vector ``w``, (mixtures, rows) for a stack of them.
 
-    The reference form of the regression and markov certification gaps:
-    each row is built afresh on ``grid``, one row index at a time.
+    The reference form of the regression and markov mixture gaps: each row
+    is built afresh on ``grid``, one row index at a time, by the trapezoid
+    rule in x.
     """
-    out = np.empty(len(ref_means))
+    w = np.asarray(w)
+    out = np.empty(w.shape[:-1] + (len(ref_means),))
     for k in range(len(ref_means)):
-        mix = np.asarray(w) @ _gauss_row(grid.x[None, :], means[:, k, None], sd)
+        mix = w @ _gauss_row(grid.x[None, :], means[:, k, None], sd)
         ref = _gauss_row(grid.x, ref_means[k], sd)
-        out[k] = 1.0 - grid.integrate(np.sqrt(ref * mix))
+        out[..., k] = 1.0 - np.sqrt(ref * mix) @ grid.quad_weights
     return out
 
 
@@ -304,103 +304,54 @@ def markov_kvh_oracle(theta_star: float, theta: float, *,
     )
 
 
-def z_node_oracle(deltas: np.ndarray, w, affinity: bool = False) -> np.ndarray:
-    """Per-column z-node kl, or with ``affinity`` affinity gap, under one weight
-    row ``w``: (atoms,) shared by every column, or (atoms, columns).
+def z_node_oracle(deltas: np.ndarray, w) -> np.ndarray:
+    """Per-column z-node kl under one weight row ``w``: (atoms,) shared by
+    every column, or (atoms, columns).
 
     The reference form of ``experiments._z_integrals`` for one row: the same
     spacing groups and nodes, each group built whole one atom at a time, and
     each column's trapezoid taken as its own dot product.
     """
-    near = np.clip(deltas, -Z_FAR, Z_FAR) if affinity else deltas
-    spread = near.max(axis=0) - near.min(axis=0)
+    spread = deltas.max(axis=0) - deltas.min(axis=0)
     parts = np.maximum(np.ceil(spread * (Z_STEP / Z_RESOLVE)), 1.0).astype(int)
     w = np.asarray(w, dtype=float)
     out = np.empty(deltas.shape[1])
     for m in sorted(set(parts.tolist())):
         group = np.flatnonzero(parts == m)
-        lower, upper = -Z_REACH, Z_REACH
-        if affinity:
-            lower += min(0.0, 0.5 * float(near[:, group].min()))
-            upper += max(0.0, 0.5 * float(near[:, group].max()))
-        nodes = Grid(lower, upper, math.ceil((upper - lower) * m / Z_STEP) + 1)
+        nodes = Grid(-Z_REACH, Z_REACH, math.ceil(2.0 * Z_REACH * m / Z_STEP) + 1)
         mix = np.zeros((len(group), nodes.points))
         term = np.empty_like(mix)
         for d, w_j in zip(deltas[:, group], w[:, group, None] if w.ndim == 2 else w):
             np.multiply(d[:, None], nodes.x, out=term)
-            if affinity:
-                term -= nodes.x ** 2
             term -= (0.5 * d * d)[:, None]
             np.exp(term, out=term)
             term *= w_j
             mix += term
-        if affinity:
-            np.sqrt(mix, out=mix)
-            out[group] = 1.0 - np.array([row @ nodes.quad_weights for row in mix]) / SQRT_2PI
-        else:
-            np.log(np.maximum(mix, 1e-300), out=mix)
-            kern = nodes.quad_weights * np.exp(-0.5 * nodes.x ** 2) / SQRT_2PI
-            out[group] = -np.array([row @ kern for row in mix])
-    return out if affinity else np.maximum(out, 0.0)
+        np.log(np.maximum(mix, 1e-300), out=mix)
+        kern = nodes.quad_weights * np.exp(-0.5 * nodes.x ** 2) / SQRT_2PI
+        out[group] = -np.array([row @ kern for row in mix])
+    return np.maximum(out, 0.0)
 
 
-def _regression_gaps(regime, ref_id: int, member_ids, w, n: int) -> np.ndarray:
-    deltas = np.stack([regime._row(i)[:n] for i in member_ids]) - regime._row(ref_id)[:n]
-    return z_node_oracle(deltas, w, affinity=True)
-
-
-def _markov_gaps(regime, member_ids, ref_theta: float, w) -> np.ndarray:
-    thetas = np.array([regime._theta_of(i) for i in member_ids])
-    deltas = np.outer(thetas - ref_theta, regime._probe_states()) / regime.noise_sd
-    return z_node_oracle(deltas, w, affinity=True)
-
-
-def _table_mixture(regime, member_ids, w) -> np.ndarray:
-    """One draw's mixture on a density regime's table nodes, one atom at a time."""
+def table_mixture(regime, member_ids, w) -> np.ndarray:
+    """One mixture on a density regime's table nodes, summed one atom at a time."""
     mix = np.zeros(regime._values.shape[1])
     for w_j, i in zip(w, member_ids):
         mix += w_j * regime._values[regime.prior.index_of(i)]
     return mix
 
 
-def _table_dist(regime, roots: np.ndarray, other: np.ndarray) -> float:
+def table_gap(regime, mix: np.ndarray) -> float:
+    """h*(f_circ, g) = 1 - int sqrt(g / f_circ) f_star of a mixture g on a
+    density regime's table nodes."""
+    return 1.0 - float(regime._kern @ np.exp(-0.5 * (regime._circ_log - np.log(mix))))
+
+
+def table_dist(regime, roots: np.ndarray, other: np.ndarray) -> float:
+    """The weighted Hellinger distance between two root rows of a density
+    regime's table."""
     d = roots - other
     return math.sqrt(max(float(regime._wkern @ (d * d)), 0.0))
-
-
-def mixture_truth_gap_oracle(regime, member_ids, w, n: int | None = None) -> float:
-    """One mixture's certification gap to the truth, computed for that draw alone.
-
-    The reference form of every regime's ``mixture_truth_gap``: the starred
-    affinity gap on the density regime's table nodes, the design mean of the
-    z-node gaps (regression), or their worst probe state (markov).
-    """
-    if regime.kind == "regression":
-        return float(np.mean(_regression_gaps(regime, REF_ID, member_ids, w, n)))
-    if regime.kind == "markov":
-        return float(np.max(_markov_gaps(regime, member_ids, regime.theta_star.theta, w)))
-    r = regime._circ_log - np.log(_table_mixture(regime, member_ids, w))
-    return 1.0 - float(regime._kern @ np.exp(-0.5 * r))
-
-
-def closure_violation_oracle(regime, member_ids, center_id: int, w,
-                             n: int | None = None) -> float:
-    """How far one mixture lies outside the ball around ``center_id``, for that
-    draw alone: the reference form of every regime's ``closure_violation``."""
-    if regime.kind == "regression":
-        radius = max(0.5 * regime.pair_dist(center_id, i, n) ** 2 for i in member_ids)
-        return float(np.mean(_regression_gaps(regime, center_id, member_ids, w, n))) - radius
-    if regime.kind == "markov":
-        tc = regime._theta_of(center_id)
-        states = regime._probe_states()
-        rho = np.max([0.5 * regime._h2_at_states(tc, regime._theta_of(j), states)
-                      for j in member_ids], axis=0)
-        return float(np.max(_markov_gaps(regime, member_ids, tc, w) - rho))
-    center = regime._roots[regime.prior.index_of(center_id)]
-    radius = max(_table_dist(regime, center, regime._roots[regime.prior.index_of(i)])
-                 for i in member_ids)
-    mix = _table_mixture(regime, member_ids, w)
-    return _table_dist(regime, center, np.sqrt(mix)) - radius
 
 
 # ---------------------------------------------------------------------------
@@ -508,32 +459,27 @@ def replicate_oracle(plan, rep_id: int) -> ReplicationRecord:
     return ReplicationRecord(rep_id=rep_id, n_values=n_values, stats=stats)
 
 
-def separation_rows_oracle(regime, member_ids, d: float, schedule, seed: int,
-                           draws: int) -> tuple[list[tuple], str]:
+def separation_rows_oracle(regime, member_ids, d: float, schedule) -> tuple[list[tuple], str]:
     """The separation rows and the last refusal, by a per-n loop written out:
-    one generator seeded seed + CERT_SEED_OFFSET, a refused point a NaN row."""
-    rng = np.random.default_rng(seed + CERT_SEED_OFFSET)
+    a refused point a NaN row."""
     rows, failure = [], ""
     for n in schedule.n_values:
         delta = d * schedule.epsilon(n) ** 2
         try:
-            cert = certify_subset(regime, member_ids, delta, n, rng, draws=draws)
-            rows.append((n, delta, cert.vertex.min_gap, cert.hull_gap_bound,
-                         cert.closure_violation, cert.mixture_min_gap, True))
+            cert = certify_subset(regime, member_ids, delta, n)
+            rows.append((n, delta, cert.vertex.min_gap, cert.hull_gap_bound, True))
         except SubsetNotAdmissibleError as e:
             failure = str(e)
-            rows.append((n, delta, math.nan, math.nan, math.nan, math.nan, False))
+            rows.append((n, delta, math.nan, math.nan, False))
     return rows, failure
 
 
-def numerator_refusal_oracle(regime, member_ids, d: float, schedule, seed: int,
-                             draws: int) -> str | None:
+def numerator_refusal_oracle(regime, member_ids, d: float, schedule) -> str | None:
     """The numerator bound's certification by a per-n loop written out: the
     first refusal's message, or None when every point certifies."""
-    rng = np.random.default_rng(seed + CERT_SEED_OFFSET)
     for n in schedule.n_values:
         try:
-            certify_subset(regime, member_ids, d * schedule.epsilon(n) ** 2, n, rng, draws=draws)
+            certify_subset(regime, member_ids, d * schedule.epsilon(n) ** 2, n)
         except SubsetNotAdmissibleError as e:
             return str(e)
     return None

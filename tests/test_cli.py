@@ -909,6 +909,46 @@ class TestOverridesAndRuntimeFaults:
         assert data == json.loads((alone / "summary.json").read_text())
         assert set(data["verifications"]) == {"factorization", "conditional-identity"}
 
+    @pytest.mark.parametrize("summary, fault", [
+        (b'{"seed": 7, "verif', "corrupt"),
+        (b'\xff\xfe{"seed": 7}', "corrupt"),
+        (b'{"seed": 7, "verifications": []}', "malformed"),
+    ], ids=["corrupt", "not-utf8", "malformed"])
+    def test_unusable_summary_leaves_every_file_as_it_was(self, tmp_path, capsys, summary,
+                                                          fault):
+        """The old summary is read and checked before the first CSV is
+        written, so one that cannot be merged exits 4 with every file of the
+        directory byte-identical and none added."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.json").write_bytes(summary)
+        (out / "factorization.csv").write_bytes(b"an older run's rows\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        path = write_config(tmp_path, SMALL_CHECK.format(out=out))
+        assert main(["check", "--config", str(path)]) == EXIT_RUNTIME_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime error: {fault} {out / 'summary.json'}")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_summary_records_the_hash_of_the_parsed_bytes(self, tmp_path, monkeypatch):
+        """A config rewritten after it was parsed is recorded under the
+        sha256 of the bytes that ran, not of the bytes now on disk."""
+        out = tmp_path / "out"
+        path = write_config(tmp_path, SMALL_CHECK.format(out=out))
+        parsed = path.read_bytes()
+        real = cli.parse_config
+
+        def parse_then_rewrite(*args, **kwargs):
+            cfg = real(*args, **kwargs)
+            path.write_bytes(parsed + b"# edited after the parse\n")
+            return cfg
+
+        monkeypatch.setattr(cli, "parse_config", parse_then_rewrite)
+        assert main(["check", "--config", str(path), "--verify", "factorization"]) == EXIT_PASS
+        data = json.loads((out / "summary.json").read_text())
+        assert data["config"] == hashlib.sha256(parsed).hexdigest()
+        assert data["config"] != hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_summary_without_config_key_is_stale(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -1088,20 +1128,18 @@ def test_parallel_simulate_reproduces_committed_output(tmp_path, name):
 
 
 # a subset check made to refuse at one point: the regime method and how its
-# values change there, so that the refusal comes before any draw, after the
-# closure step's draws, or after both steps' draws
+# values change there, so that the vertex step or the hull step refuses
 REFUSALS = {
     "vertex": ("separation_gaps", lambda v: v - 1.0),
-    "closure": ("closure_violation", lambda v: v + 1.0),
-    "mixture": ("mixture_truth_gap", lambda v: v - 1.0),
+    "hull": ("hull_gap_bound", lambda v: (v[0] - 1.0, v[1])),
 }
 
 
 @pytest.mark.parametrize("step", list(REFUSALS))
 def test_certification_refused_at_a_middle_n_matches_the_per_n_loops(tmp_path, monkeypatch, step):
     """iid.yaml's subset refused at n = 100 alone: the separation rows (a NaN
-    row, the later points still certified on the stream the refusal left) and
-    the numerator-bound refusal are those of the per-n reference loops."""
+    row, the later points still certified) and the numerator-bound refusal
+    are those of the per-n reference loops."""
     config = ROOT / "configs" / "iid.yaml"
     cfg = parse_config(config)
     regime = cli.build_regime(cfg)
@@ -1114,7 +1152,7 @@ def test_certification_refused_at_a_middle_n_matches_the_per_n_loops(tmp_path, m
 
     monkeypatch.setattr(regime, method, refusing)
     monkeypatch.setattr(cli, "build_regime", lambda cfg: regime)
-    oracle = (regime, cfg.subset, cfg.params.d, cfg.schedule, cfg.seed, experiments.CERT_DRAWS)
+    oracle = (regime, cfg.subset, cfg.params.d, cfg.schedule)
     rows, failure = separation_rows_oracle(*oracle)
     assert [row[-1] for row in rows] == [True, False, True, True]
 

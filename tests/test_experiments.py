@@ -76,19 +76,19 @@ from bayesrates.models import (
 
 from helpers import (
     cesaro_kls_one,
-    closure_violation_oracle,
     cumulative_log_ratio,
-    gaussian_affinity_gaps_oracle,
     gaussian_mixture_kls_oracle,
     iid_cesaro_oracle,
     kl_contrast,
     loglik_matrix,
     markov_kvh_oracle,
     mixture_density,
-    mixture_truth_gap_oracle,
     ref_loglik,
     replicate_oracle,
     softmax,
+    table_dist,
+    table_gap,
+    table_mixture,
     v_divergence,
     v_star,
     weighted_hellinger_between,
@@ -443,28 +443,22 @@ class TestReplicationBlocks:
         assert_same_records(block, [replicate(plan, i) for i in range(5)])
         assert_same_records(block[3:4], replicate_block(plan, (3,)))
 
-    # replicate_block's and a certification step's traced peaks when each
-    # replication took the z-node kernel alone: (block, step) in MiB
-    GAUSSIAN_PEAKS = {"markov": (0.68, 0.61), "regression": (0.83, 1.68)}
+    # replicate_block's traced peaks when each replication took the z-node
+    # kernel alone, in MiB
+    GAUSSIAN_PEAKS = {"markov": 0.68, "regression": 0.83}
 
     @pytest.mark.parametrize("name", sorted(GAUSSIAN_PEAKS))
     def test_gaussian_kernel_memory_holds_its_parent_peaks(self, name):
         plan = shipped_plan(name, REPLICATION_BLOCK).collecting(("cesaro_kl",))
-        cfg = parse_config(CONFIGS / f"{name}.yaml")
-        n = cfg.schedule.n_values[-1]
-        delta = cfg.params.d * cfg.schedule.epsilon(n) ** 2
-        runs = (lambda: replicate_block(plan, range(REPLICATION_BLOCK)),
-                lambda: certify_subset(plan.regime, cfg.subset, delta, n,
-                                       np.random.default_rng(cfg.seed), draws=100))
-        for run, bound in zip(runs, self.GAUSSIAN_PEAKS[name]):
-            run()
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound * 2 ** 20, (peak, bound)
+        replicate_block(plan, range(REPLICATION_BLOCK))
+        tracemalloc.start()
+        try:
+            replicate_block(plan, range(REPLICATION_BLOCK))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = self.GAUSSIAN_PEAKS[name]
+        assert peak <= bound * 2 ** 20, (peak, bound)
 
     def test_one_block_stays_small(self):
         """One block on iid.yaml at n = 400 with every statistic peaks at
@@ -782,8 +776,8 @@ class TestFastPathOracles:
 
     def test_columns_past_one_buffer(self):
         """At 4000 columns the spacings of 73 and 109 nodes overflow one
-        Z_BUFFER chunk each; every column's kl and gap match those of
-        300-column calls to rounding."""
+        Z_BUFFER chunk each; every column's kl matches that of 300-column
+        calls to rounding."""
         rng = np.random.default_rng(4)
         deltas = rng.normal(0.0, 1.0, size=(3, 4000))
         w = rng.dirichlet(np.ones(3), size=4000).T
@@ -791,10 +785,6 @@ class TestFastPathOracles:
         kls = np.concatenate([_z_integrals(deltas[:, s:s + 300], w[None, :, s:s + 300])[0]
                               for s in pieces])
         assert np.max(np.abs(_z_integrals(deltas, w[None])[0] - kls)) <= 1e-15
-        one = w[None, :, 0]
-        gaps = np.concatenate([_z_integrals(deltas[:, s:s + 300], one, affinity=True)[0]
-                               for s in pieces])
-        assert np.max(np.abs(_z_integrals(deltas, one, affinity=True)[0] - gaps)) <= 1e-15
 
     def test_gaussian_mixture_kernel_builds_no_full_array(self):
         """The mixture is summed one atom at a time: on this chain that peaks at
@@ -880,9 +870,8 @@ def markov_config_regime(noise_sd):
 
 
 class TestZNodeRule:
-    """The Gaussian-mixture integrals of regression and markov (the Cesaro
-    kl and the certification affinity gaps) against trapezoids over Gaussian
-    rows on a grid in x: a +-24 grid of 8001 points everywhere, and the
+    """The Gaussian-mixture Cesaro kl of regression and markov against
+    trapezoids over Gaussian rows on a grid in x: a +-24 grid of 8001 points everywhere, and the
     shared 4001-point grid where its +-12 span holds the rows to rounding.
     The z-node rule has no span: it follows the chain however far it goes.
     """
@@ -922,60 +911,55 @@ class TestZNodeRule:
             assert np.max(np.abs(cesaro_kls_one(reg, sample, w) - wide)) <= 1e-15, f"seed {seed}"
         assert clipped == 6
 
-    @pytest.mark.parametrize("sd", [0.5, 0.7, 1.0, 1.3])
-    def test_markov_certification_gaps_against_x_grids(self, sd):
-        """The probe states reach 5 stationary sds, so the +-12 span holds
-        their rows to rounding only up to sd 0.7."""
-        reg = markov_config_regime(sd)
-        states = reg._probe_states()
-        rng = np.random.default_rng(5)
-        for ids in [(3, 4, 5), (1, 2), (0, 1, 2, 3, 4, 5)]:
-            thetas = np.array([reg._theta_of(i) for i in ids])
-            center = reg._theta_of(ids[0])
-            # the closure radius: the largest per-state affinity gap to the center
-            rho = np.array([np.max(1.0 - np.exp(-(((center - thetas) * y / sd) ** 2) / 8.0))
-                            for y in states])
-            weights = rng.dirichlet(np.ones(len(ids)), size=4)
-            for gots, ref_theta, offset in (
-                (reg.mixture_truth_gap(ids, weights), reg.theta_star.theta, 0.0),
-                (reg.closure_violation(ids, ids[0], weights), center, rho),
-            ):
-                for w, got in zip(weights, gots):
-                    args = (thetas[:, None] * states[None, :], ref_theta * states, sd, w)
-                    wide = gaussian_affinity_gaps_oracle(WIDE, *args)
-                    assert abs(got - np.max(wide - offset)) <= 1e-15
-                    if sd <= 0.7:
-                        dense = gaussian_affinity_gaps_oracle(GRID, *args)
-                        assert abs(got - np.max(dense - offset)) <= 1e-15
-
-    def test_regression_certification_gaps_against_x_grid(self):
-        cfg = parse_config(CONFIGS / "regression.yaml")
-        reg = build_regime(cfg)
-        rng = np.random.default_rng(6)
-        ids = tuple(cfg.subset)
-        means = reg._means[list(ids)]
-        for n in cfg.schedule.n_values:
-            radius = max(0.5 * reg.pair_dist(ids[0], i, n) ** 2 for i in ids)
-            weights = rng.dirichlet(np.ones(len(ids)), size=4)
-            truth_gots = reg.mixture_truth_gap(ids, weights, n)
-            center_gots = reg.closure_violation(ids, ids[0], weights, n)
-            for w, truth_got, center_got in zip(weights, truth_gots, center_gots):
-                truth_gaps = gaussian_affinity_gaps_oracle(
-                    GRID, means[:, :n], reg._truth_means[:n], 1.0, w)
-                center_gaps = gaussian_affinity_gaps_oracle(
-                    GRID, means[:, :n], means[0, :n], 1.0, w)
-                assert abs(truth_got - truth_gaps.mean()) <= 1e-15
-                assert abs(center_got - (center_gaps.mean() - radius)) <= 1e-15
-
     def test_far_offsets_raise_no_overflow(self):
         """Offsets of 200 and 400 sds: every term of a far mixture underflows
-        and none overflows, and a far term beside a near one adds nothing."""
+        to the 1e-300 floor and none overflows, and a far term beside a near
+        one adds nothing."""
         deltas = np.array([[200.0, 0.0, 0.0], [400.0, 0.0, 200.0]])
         with np.errstate(over="raise", invalid="raise"):
-            gaps = _z_integrals(deltas, np.array([[0.5, 0.5]]), affinity=True)[0]
-        assert gaps[0] == 1.0
-        assert abs(gaps[1]) <= 1e-15
-        assert abs(gaps[2] - (1.0 - math.sqrt(0.5))) <= 1e-15
+            kls = _z_integrals(deltas, np.array([[0.5, 0.5]]))[0]
+        assert abs(kls[0] - 300.0 * math.log(10.0)) <= 1e-12
+        assert kls[1] == 0.0
+        assert abs(kls[2] - math.log(2.0)) <= 1e-15
+
+    def test_spacing_groups_and_one_row_chunks(self):
+        """Offsets spread far enough to split the columns into several spacing
+        groups and chunks, each too wide to hold two weight rows."""
+        rng = np.random.default_rng(14)
+        deltas = rng.normal(0.0, 6.0, size=(3, 700))
+        weights = rng.dirichlet(np.ones(3), size=9)
+        got = _z_integrals(deltas, weights)
+        assert np.array_equal(got, [z_node_oracle(deltas, w) for w in weights])
+
+    @pytest.mark.parametrize("per_column", [False, True])
+    def test_a_lone_row_rounds_as_a_batch_row(self, per_column):
+        """A lone weight row is summed in place, a batch row atom by atom; on
+        more atoms than a pairwise-summation block holds, both give the same
+        bits, with one weight vector per row or one per column."""
+        rng = np.random.default_rng(17)
+        deltas = rng.normal(0.0, 2.0, size=(12, 300))
+        weights = rng.dirichlet(np.ones(12), size=(3, 300) if per_column else 3)
+        if per_column:
+            weights = weights.transpose(0, 2, 1)
+        batch = _z_integrals(deltas, weights)
+        for w, row in zip(weights, batch):
+            assert np.array_equal(_z_integrals(deltas, w[None])[0], row)
+
+    def test_wide_subset_memory_is_bounded(self):
+        """Fourteen atoms and 100 weight rows: a chunk's terms, a row group's
+        mixture and the product being added to it hold at most Z_BUFFER
+        values each, however many atoms and rows there are."""
+        rng = np.random.default_rng(16)
+        deltas = rng.normal(0.0, 1.0, size=(14, 450))
+        weights = rng.dirichlet(np.ones(14), size=100)
+        _z_integrals(deltas, weights)
+        tracemalloc.start()
+        try:
+            _z_integrals(deltas, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= weights.shape[0] * deltas.shape[1] * 8 + 3 * Z_BUFFER * 8 + (1 << 19), peak
 
 
 class TestAnchoredAtTruth:
@@ -1012,10 +996,9 @@ class TestAnchoredAtTruth:
         gaps = [h_affinity_gap(truth, f) for f in dens.values()]
         assert np.max(np.abs(reg.separation_gaps(ids) - gaps)) <= 1e-15
         assert np.max(np.abs(reg.vertex_certificates(ids) - 1.0)) <= 1e-12
-        weights = np.random.default_rng(4).dirichlet(np.ones(len(ids)), size=5)
-        for w, got in zip(weights, reg.mixture_truth_gap(ids, weights)):
+        for w in np.random.default_rng(4).dirichlet(np.ones(len(ids)), size=5):
             plain = h_affinity_gap(truth, mixture_density(list(dens.values()), w))
-            assert abs(got - plain) <= 1e-15
+            assert abs(table_gap(reg, table_mixture(reg, ids, w)) - plain) <= 1e-15
 
         data = generate_data(reg, 200, seed=6)
         w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
@@ -1050,9 +1033,10 @@ def random_location_regime(rng, kind):
 
 
 class TestNodeTable:
-    """The density regime integrates every atom and every certification
-    mixture on one table at its Cesaro nodes; each method agrees with the
-    same functional on all 4001 grid nodes within ``TABLE_TOL``."""
+    """The density regime integrates every atom on one table at its Cesaro
+    nodes; each method agrees with the same functional on all 4001 grid
+    nodes within ``TABLE_TOL``, and so do the table-node mixture gap and
+    distance that the certification property test takes as its oracle."""
 
     @staticmethod
     def _check(reg, rng):
@@ -1083,10 +1067,11 @@ class TestNodeTable:
         close(hull, ref_hull, "dist")
         weights = rng.dirichlet(np.ones(len(ids)), size=5)
         mixes = [mixture_density(list(dens.values()), w) for w in weights]
-        close(reg.mixture_truth_gap(ids, weights), [h_star(fc, m, fs) for m in mixes], "gap")
-        radius = max(dist(dens[center], dens[i]) for i in ids)
-        close(reg.closure_violation(ids, center, weights),
-              [dist(dens[center], m) - radius for m in mixes], "dist")
+        tables = [table_mixture(reg, ids, w) for w in weights]
+        close([table_gap(reg, t) for t in tables], [h_star(fc, m, fs) for m in mixes], "gap")
+        root = reg._roots[reg.prior.index_of(center)]
+        close([table_dist(reg, root, np.sqrt(t)) for t in tables],
+              [dist(dens[center], m) for m in mixes], "dist")
 
     @pytest.mark.parametrize("name", ["iid", "misspecified", "sieve"])
     def test_shipped_configs(self, name):
@@ -1098,24 +1083,6 @@ class TestNodeTable:
         rng = np.random.default_rng(9)
         for _ in range(150):
             self._check(random_location_regime(rng, kind), rng)
-
-    @pytest.mark.parametrize("name", ["iid", "misspecified"])
-    def test_one_hot_on_the_farthest_atom_closes_exactly(self, name):
-        """The closure radius and the mixture distances come from one table,
-        so the ball's farthest atom as a mixture lies exactly on its edge,
-        whatever batch of draws it comes in."""
-        cfg = parse_config(CONFIGS / f"{name}.yaml")
-        reg = build_regime(cfg)
-        ids = cfg.subset
-        center = reg.hull_gap_bound(ids)[1]
-        far = max(range(len(ids)), key=lambda k: reg.pair_dist(center, ids[k]))
-        weights = np.random.default_rng(10).dirichlet(np.ones(len(ids)), size=7)
-        weights[3] = np.eye(len(ids))[far]
-        violation = reg.closure_violation(ids, center, weights)
-        assert violation[3] == 0.0
-        assert reg.closure_violation(ids, center, weights[3:4])[0] == 0.0
-        assert np.max(violation) <= 0.0
-
 
 class TestPickledRegime:
     """A pickled copy of a regime must give, from every method, the bits the
@@ -1129,7 +1096,6 @@ class TestPickledRegime:
         n = cfg.schedule.n_values[-1]
         ids = cfg.subset
         atoms = [m.id for m in reg.prior.members]
-        weights = np.random.default_rng(13).dirichlet(np.ones(len(ids)), size=20)
         data = generate_data(reg, n, seed=cfg.seed)
         w = softmax(cumulative_log_ratio(reg, data)[:, :-1], axis=0)
         calls = [
@@ -1138,8 +1104,6 @@ class TestPickledRegime:
             lambda r: [r.truth_dist(a, n) for a in atoms],
             lambda r: [[r.pair_dist(a, b, n) for b in atoms] for a in atoms],
             lambda r: r.hull_gap_bound(ids, n),
-            lambda r: r.mixture_truth_gap(ids, weights, n),
-            lambda r: r.closure_violation(ids, ids[-1], weights, n),
             lambda r: cesaro_kls_one(r, data, w),
         ]
         if name in ("iid", "misspecified"):
@@ -1189,248 +1153,37 @@ class TestThicknessWiring:
 class TestCertification:
     def test_far_pair_is_certified(self):
         reg = iid_regime(means=(0.0, 0.3, 2.0, 2.3))
-        rng = np.random.default_rng(0)
-        cert = certify_subset(reg, (2, 3), delta=0.05, n=100, rng=rng, draws=100)
+        cert = certify_subset(reg, (2, 3), delta=0.05, n=100)
         assert cert.vertex.separated
         assert cert.hull_gap_bound > 0.05
-        assert cert.closure_violation <= 1e-9
-        assert cert.mixture_min_gap > 0.05
 
     def test_vertex_failure_names_the_check(self):
         reg = iid_regime(means=(0.0, 0.3, 2.0))
         with pytest.raises(SubsetNotAdmissibleError, match="vertex separation failed"):
-            certify_subset(reg, (1,), delta=0.5, n=100, rng=np.random.default_rng(1))
+            certify_subset(reg, (1,), delta=0.5, n=100)
 
     def test_hull_failure_names_the_check(self):
         # the two atoms straddle the truth: each vertex is far but the
         # midpoint mixture sits on top of the sampling density
         reg = iid_regime(means=(-1.5, 1.5))
         with pytest.raises(SubsetNotAdmissibleError, match="convex-hull separation"):
-            certify_subset(
-                reg, (0, 1), delta=0.1, n=100, rng=np.random.default_rng(2), draws=50
-            )
+            certify_subset(reg, (0, 1), delta=0.1, n=100)
 
     def test_ratio_certificate_failure_names_the_check(self):
         reg = miss_regime(means=(0.5, -0.5), projection_id=0)
         with pytest.raises(SubsetNotAdmissibleError, match="ratio certificate"):
-            certify_subset(
-                reg, (1,), delta=0.01, n=100, rng=np.random.default_rng(3)
-            )
+            certify_subset(reg, (1,), delta=0.01, n=100)
 
     def test_empty_subset_rejected(self):
         reg = iid_regime()
         with pytest.raises(SubsetNotAdmissibleError, match="empty subset"):
-            certify_subset(reg, (), delta=0.1, n=50, rng=np.random.default_rng(4))
+            certify_subset(reg, (), delta=0.1, n=50)
 
     def test_markov_certificate_clears_sup_form_hull_bound(self):
         reg = markov_regime(thetas=(0.6, -0.3, -0.4))
-        cert = certify_subset(
-            reg, (1, 2), delta=0.02, n=100, rng=np.random.default_rng(5), draws=60
-        )
+        cert = certify_subset(reg, (1, 2), delta=0.02, n=100)
         assert cert.hull_gap_bound == reg.hull_gap_bound((1, 2))[0]
         assert cert.hull_gap_bound > 0.02
-        assert cert.closure_violation <= 1e-9
-
-
-class ClosureStub:
-    """A well-specified regime on which every check of certify_subset passes
-    but the closure step, whose violation per weight row is ``violation``.
-    It records the weights each mixture step is given."""
-
-    well_specified = True
-
-    def __init__(self, violation):
-        self.violation = violation
-        self.seen = []
-
-    def separation_gaps(self, ids, n):
-        return np.full(len(ids), 0.5)
-
-    def hull_gap_bound(self, ids, n):
-        return 0.5, ids[0]
-
-    def closure_violation(self, ids, center_id, weights, n):
-        self.seen.append(("closure", weights))
-        return self.violation(weights)
-
-    def mixture_truth_gap(self, ids, weights, n):
-        self.seen.append(("mixture", weights))
-        return np.full(len(weights), 0.4)
-
-
-class TestClosureStep:
-    """certify_subset's two mixture steps draw from one rule, and its closure
-    step reports the worst violation, clipped at 0, within a 1e-9 tolerance."""
-
-    def certify(self, violation, ids=(1, 2, 3), draws=25, seed=7):
-        stub = ClosureStub(violation)
-        rng = np.random.default_rng(seed)
-        return certify_subset(stub, ids, 0.1, 50, rng, draws=draws), stub, rng
-
-    def test_singleton_takes_weight_one_and_draws_nothing(self):
-        cert, stub, rng = self.certify(lambda w: np.zeros(len(w)), ids=(4,), draws=50, seed=0)
-        assert len(stub.seen) == 1 and stub.seen[0][0] == "closure"
-        assert np.array_equal(stub.seen[0][1], np.ones((1, 1)))
-        assert cert.closure_violation == 0.0 and cert.mixture_min_gap == 0.5
-        assert rng.random() == np.random.default_rng(0).random()
-
-    @staticmethod
-    def per_draw_rows(seed=7, draws=25):
-        single = np.random.default_rng(seed)
-        return single, [np.stack([single.dirichlet(np.ones(3)) for _ in range(draws)])
-                        for _ in ("closure", "mixture")]
-
-    def test_one_dirichlet_call_per_step_gives_the_per_draw_rows(self):
-        cert, stub, rng = self.certify(lambda w: (w[:, 0] - 0.5) * 1e-9)
-        single, expect = self.per_draw_rows()
-        for step, (name, weights), rows in zip(("closure", "mixture"), stub.seen, expect,
-                                               strict=True):
-            assert name == step and np.array_equal(weights, rows)
-        assert rng.random() == single.random()
-        assert cert.mixture_min_gap == 0.4
-
-    def test_worst_row_violation_is_reported(self):
-        """Rows of both signs, all within the tolerance: the largest is the
-        one reported, not the first row's or the mean."""
-        cert, _, _ = self.certify(lambda w: (w[:, 0] - 0.5) * 1e-9)
-        closure = (self.per_draw_rows()[1][0][:, 0] - 0.5) * 1e-9
-        assert np.any(closure > 0.0) and np.any(closure < 0.0)
-        assert closure[0] != np.max(closure) != np.mean(closure)
-        assert cert.closure_violation == float(np.max(closure))
-
-    def test_worst_row_violation_refuses(self):
-        closure = self.per_draw_rows()[1][0][:, 0] - 0.5
-        assert np.any(closure < 0.0) and closure[0] != np.max(closure)
-        refused = rf"mixture closure failed \(violation {float(np.max(closure)):.6g}\)"
-        with pytest.raises(SubsetNotAdmissibleError, match=refused):
-            self.certify(lambda w: w[:, 0] - 0.5)
-
-    def test_worst_violation_is_clipped_at_zero(self):
-        cert, _, _ = self.certify(lambda w: w[:, 0] - 2.0)
-        assert cert.closure_violation == 0.0
-
-    def test_rounding_tolerance(self):
-        cert, _, _ = self.certify(lambda w: np.full(len(w), 1e-9))
-        assert cert.closure_violation == 1e-9
-        refused = r"mixture closure failed \(violation 2e-09\)"
-        with pytest.raises(SubsetNotAdmissibleError, match=refused):
-            self.certify(lambda w: np.full(len(w), 2e-9))
-
-    def test_zero_draws_find_no_violation(self):
-        cert, stub, _ = self.certify(lambda w: w[:, 0], draws=0)
-        assert [w.shape for _, w in stub.seen] == [(0, 3), (0, 3)]
-        assert cert.closure_violation == 0.0 and cert.mixture_min_gap == math.inf
-
-    def test_violation_reported_when_radius_too_small(self):
-        refused = r"mixture closure failed \(violation 0.3\)"
-        with pytest.raises(SubsetNotAdmissibleError, match=refused):
-            self.certify(lambda w: np.full(len(w), 0.5 - 0.2), draws=10, seed=1)
-
-
-class TestBatchedCertification:
-    """Every certification step evaluates all its Dirichlet draws in one call;
-    each draw must come out exactly as it did when computed alone."""
-
-    @pytest.mark.parametrize("k", [2, 3, 6])
-    @pytest.mark.parametrize("draws", [1, 7, 100])
-    def test_dirichlet_size_gives_the_separate_draws(self, k, draws):
-        batch_rng, single_rng = np.random.default_rng(11), np.random.default_rng(11)
-        batch = batch_rng.dirichlet(np.ones(k), size=draws)
-        singles = np.stack([single_rng.dirichlet(np.ones(k)) for _ in range(draws)])
-        assert np.array_equal(batch, singles)
-        assert batch_rng.random() == single_rng.random()
-
-    # subsets per config, singletons included; 250 draws end in a partial
-    # draw chunk on regression (chunks of 3 to 15 draws) and markov (212 up)
-    CASES = {
-        "iid": ((3,), (2, 3), (1, 2, 3)), "misspecified": ((1,), (0, 1)),
-        "regression": ((4,), (3, 4, 5), (0, 3, 5)), "markov": ((5,), (4, 5), (0, 3, 4, 5)),
-    }
-
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_batched_equals_per_draw_oracle(self, name):
-        cfg = parse_config(CONFIGS / f"{name}.yaml")
-        reg = build_regime(cfg)
-        rng = np.random.default_rng(12)
-        counts = (1, 7) if name in ("iid", "misspecified") else (1, 7, 250)
-        n = cfg.schedule.n_values[-1]
-        for ids in self.CASES[name]:
-            for draws in counts:
-                weights = rng.dirichlet(np.ones(len(ids)), size=draws)
-                truth = reg.mixture_truth_gap(ids, weights, n)
-                closure = reg.closure_violation(ids, ids[-1], weights, n)
-                assert truth.shape == closure.shape == (draws,)
-                assert np.array_equal(
-                    truth, [mixture_truth_gap_oracle(reg, ids, w, n) for w in weights])
-                assert np.array_equal(
-                    closure, [closure_violation_oracle(reg, ids, ids[-1], w, n) for w in weights])
-
-    def test_regression_gaps_at_every_horizon(self):
-        cfg = parse_config(CONFIGS / "regression.yaml")
-        reg = build_regime(cfg)
-        ids = cfg.subset
-        weights = np.random.default_rng(13).dirichlet(np.ones(len(ids)), size=5)
-        for n in (1, 2, *cfg.schedule.n_values):
-            assert np.array_equal(reg.mixture_truth_gap(ids, weights, n),
-                                  [mixture_truth_gap_oracle(reg, ids, w, n) for w in weights])
-
-    def test_spacing_groups_and_one_draw_chunks(self):
-        """Offsets spread far enough to split the columns into several spacing
-        groups and chunks, each too wide to hold two draws."""
-        rng = np.random.default_rng(14)
-        deltas = rng.normal(0.0, 6.0, size=(3, 700))
-        weights = rng.dirichlet(np.ones(3), size=9)
-        got = _z_integrals(deltas, weights, affinity=True)
-        assert np.array_equal(got, [z_node_oracle(deltas, w, affinity=True) for w in weights])
-
-    @pytest.mark.parametrize("affinity", [False, True])
-    @pytest.mark.parametrize("per_column", [False, True])
-    def test_a_lone_row_rounds_as_a_batch_row(self, affinity, per_column):
-        """A lone weight row is summed in place, a batch row atom by atom; on
-        more atoms than a pairwise-summation block holds, both give the same
-        bits, with one weight vector per row or one per column."""
-        rng = np.random.default_rng(17)
-        deltas = rng.normal(0.0, 2.0, size=(12, 300))
-        weights = rng.dirichlet(np.ones(12), size=(3, 300) if per_column else 3)
-        if per_column:
-            weights = weights.transpose(0, 2, 1)
-        batch = _z_integrals(deltas, weights, affinity=affinity)
-        for w, row in zip(weights, batch):
-            assert np.array_equal(_z_integrals(deltas, w[None], affinity=affinity)[0], row)
-
-    def test_regression_certification_memory_is_bounded(self):
-        """A 1,000-draw certification holds its per-draw results and a few
-        buffers of Z_BUFFER node values, never a (draws, columns, nodes) array
-        (about 150 MB here)."""
-        cfg = parse_config(CONFIGS / "regression.yaml")
-        reg = build_regime(cfg)
-        n, draws = cfg.schedule.n_values[-1], 1000
-        reg.mixture_truth_gap(cfg.subset, np.full((1, 3), 1.0 / 3.0), n)  # first-call set-up, untraced
-        tracemalloc.start()
-        try:
-            certify_subset(reg, cfg.subset, 0.01, n, np.random.default_rng(15), draws=draws)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        results = draws * n * 8
-        buffers = (len(cfg.subset) + 2) * Z_BUFFER * 8
-        assert peak <= results + buffers + (1 << 20), peak
-
-    def test_wide_subset_memory_is_bounded(self):
-        """Fourteen atoms and 100 draws: a chunk's terms, a row group's mixture
-        and the product being added to it hold at most Z_BUFFER values each,
-        however many atoms and draws there are."""
-        rng = np.random.default_rng(16)
-        deltas = rng.normal(0.0, 1.0, size=(14, 450))
-        weights = rng.dirichlet(np.ones(14), size=100)
-        _z_integrals(deltas, weights, affinity=True)
-        tracemalloc.start()
-        try:
-            _z_integrals(deltas, weights, affinity=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= weights.shape[0] * deltas.shape[1] * 8 + 3 * Z_BUFFER * 8 + (1 << 19), peak
 
 
 def gauss_hellinger(mean_gap, sd=1.0):

@@ -145,8 +145,9 @@ class TestSeparation:
 
 
 class TestMixtureClosure:
-    """Affinity-gap balls are closed under mixing; certify_subset checks this
-    on random mixtures of the subset (its cases are in test_experiments)."""
+    """Affinity-gap balls are closed under mixing, which lets certify_subset's
+    hull bound stand for every mixture of a subset; tests/test_hull_certificate.py
+    checks that on random regimes of every kind."""
 
     def test_affinity_gap_ball_closed_under_mixing(self):
         fam = build_gaussian_location_family(GRID, [0.0, -0.5, 0.3, 0.6])
