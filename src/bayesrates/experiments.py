@@ -187,7 +187,7 @@ def _z_integrals(deltas: np.ndarray, weights: np.ndarray) -> np.ndarray:
                 np.maximum(mix, 1e-300, out=mix)
                 np.log(mix, out=mix)
                 out[s:s + step, cols] = -_integrals(kern, mix)
-            del terms, mix  # before the next chunk takes its own
+            terms = mix = None  # before the next chunk takes its own; no rows set no mix
     np.maximum(out, 0.0, out=out)
     return out.reshape((rows,) + shape)
 

@@ -1,5 +1,6 @@
 """Tests for the sampling regimes, the replication engine, and the verifiers."""
 import concurrent.futures
+import inspect
 import math
 import os
 import pickle
@@ -43,6 +44,7 @@ from bayesrates.experiments import (
     _density_stride,
     _triangle_bound,
     _z_integrals,
+    certify_schedule,
     certify_subset,
     concentration_sets,
     fit_rate,
@@ -945,6 +947,13 @@ class TestZNodeRule:
         for w, row in zip(weights, batch):
             assert np.array_equal(_z_integrals(deltas, w[None])[0], row)
 
+    def test_no_weight_rows_give_an_empty_result(self):
+        """No rows set no mixture: the kernel returns an empty stack, with
+        shared or per-column weights."""
+        deltas = np.random.default_rng(18).normal(0.0, 2.0, size=(3, 4, 10))
+        assert _z_integrals(deltas.reshape(3, 40), np.empty((0, 3))).shape == (0, 40)
+        assert _z_integrals(deltas, np.empty((0, 3, 4, 10))).shape == (0, 4, 10)
+
     def test_wide_subset_memory_is_bounded(self):
         """Fourteen atoms and 100 weight rows: a chunk's terms, a row group's
         mixture and the product being added to it hold at most Z_BUFFER
@@ -1084,6 +1093,22 @@ class TestNodeTable:
         for _ in range(150):
             self._check(random_location_regime(rng, kind), rng)
 
+    @pytest.mark.parametrize("name", ["iid", "misspecified"])
+    def test_one_hot_on_the_farthest_atom_closes_exactly(self, name):
+        """The reference's ball radius and mixture distances come from one
+        table, so the ball's farthest atom as a table mixture lies exactly on
+        its edge, and that edge is the regime's own pair distance."""
+        cfg = parse_config(CONFIGS / f"{name}.yaml")
+        reg = build_regime(cfg)
+        ids = list(cfg.subset)
+        center = reg.hull_gap_bound(ids)[1]
+        far = max(ids, key=lambda i: reg.pair_dist(center, i))
+        root = reg._roots[reg.prior.index_of(center)]
+        one_hot = table_mixture(reg, ids, np.eye(len(ids))[ids.index(far)])
+        edge = table_dist(reg, root, np.sqrt(one_hot))
+        assert edge == table_dist(reg, root, reg._roots[reg.prior.index_of(far)]) > 0.0
+        assert edge == pytest.approx(reg.pair_dist(center, far), rel=1e-13, abs=0.0)
+
 class TestPickledRegime:
     """A pickled copy of a regime must give, from every method, the bits the
     original gives."""
@@ -1150,6 +1175,26 @@ class TestThicknessWiring:
         assert k_20 != pytest.approx(k_100, rel=1e-6)
 
 
+class StepStub:
+    """A regime whose three certification methods pass and record each call."""
+
+    def __init__(self, well_specified):
+        self.well_specified = well_specified
+        self.calls = []
+
+    def vertex_certificates(self, ids):
+        self.calls.append(("ratio", tuple(ids)))
+        return np.ones(len(ids))
+
+    def separation_gaps(self, ids, n):
+        self.calls.append(("vertex", tuple(ids)))
+        return np.full(len(ids), 0.5)
+
+    def hull_gap_bound(self, ids, n):
+        self.calls.append(("hull", tuple(ids)))
+        return 0.4, ids[0]
+
+
 class TestCertification:
     def test_far_pair_is_certified(self):
         reg = iid_regime(means=(0.0, 0.3, 2.0, 2.3))
@@ -1178,6 +1223,24 @@ class TestCertification:
         reg = iid_regime()
         with pytest.raises(SubsetNotAdmissibleError, match="empty subset"):
             certify_subset(reg, (), delta=0.1, n=50)
+
+    @pytest.mark.parametrize("well_specified", [True, False])
+    def test_three_steps_in_order_and_nothing_else(self, well_specified):
+        """The ratio certificate (under misspecification), the vertex gaps and
+        the hull bound, each asked once of the sorted distinct ids; a regime
+        with no other method certifies."""
+        stub = StepStub(well_specified)
+        cert = certify_subset(stub, (3, 1, 3), 0.1, 50)
+        steps = [("vertex", (1, 3)), ("hull", (1, 3))]
+        assert stub.calls == steps if well_specified else [("ratio", (1, 3)), *steps]
+        assert cert.hull_gap_bound == 0.4 and cert.vertex.min_gap == 0.5
+
+    def test_no_generator_and_no_draw_count(self):
+        assert list(inspect.signature(certify_subset).parameters) == [
+            "regime", "member_ids", "delta", "n"]
+        assert list(inspect.signature(certify_schedule).parameters) == [
+            "regime", "member_ids", "d", "schedule"]
+        assert list(inspect.signature(_z_integrals).parameters) == ["deltas", "weights"]
 
     def test_markov_certificate_clears_sup_form_hull_bound(self):
         reg = markov_regime(thetas=(0.6, -0.3, -0.4))
