@@ -69,6 +69,7 @@ from .models import (
     ModelError,
     build_gaussian_location_family,
     linear_regression_function,
+    location_faults,
     uniform_prior,
 )
 
@@ -433,52 +434,6 @@ _TOP_KEYS = {
 }
 
 
-def _location_errors(family: dict, truth: dict, fam_lines: dict, truth_lines: dict) -> list[str]:
-    """Each density's 6-sd bulk must lie on the default grid, which would clip it.
-    Each sd must span 2 grid spacings: the grid kl(N(0, sd), N(0, 1)) is off
-    by 1.1e-2 relative at half a spacing, 2.2e-8 at one and 2.1e-16 at 1.5.
-    A declared projection must be an atom nearest the truth's mean: the atoms
-    share one sd, so their kl from the truth differ only in the squared mean
-    gap, whatever the truth's sd (the library's 1e-9 slack).  Under it, each
-    atom's weighted integrand f_star f / f_circ is the truth's normal tilted
-    to mean truth.mean + truth.sd^2 (means[i] - means[projection]) / family.sd^2,
-    and its 6-sd bulk must lie on the grid too; the weighted Hellinger cross
-    terms tilt to midpoints of these means, so they stay inside as well."""
-    grid, errors, proj = default_grid(), [], truth.get("projection_id")
-    means, sd, mean = family["means"], family["sd"], truth["mean"]
-    finest = 2.0 * grid.spacing
-    for key, s, line in (("family.sd", sd, fam_lines.get("sd")),
-                         ("truth.sd", truth["sd"], truth_lines.get("sd"))):
-        if s is not None and s < finest:
-            errors.append(f"{key} = {s} is below 2 grid spacings, {finest} (line {line})")
-    bulks = [(f"family.means[{i}]", m, "family.sd", sd, fam_lines.get("means"))
-             for i, m in enumerate(means or ())]
-    bulks.append(("truth.mean", mean, "truth.sd", truth["sd"], truth_lines.get("mean")))
-    for key, m, sd_key, s, line in bulks:
-        if None not in (m, s) and not grid.lower <= m - 6.0 * s <= m + 6.0 * s <= grid.upper:
-            errors.append(f"{key} = {m} with {sd_key} = {s} needs [{m - 6.0 * s}, {m + 6.0 * s}] "
-                          f"inside the grid [{grid.lower}, {grid.upper}] (line {line})")
-    if None in (proj, means, sd, mean):
-        return errors
-    gaps = [(m - mean) ** 2 / (2.0 * sd * sd) for m in means]
-    best = gaps.index(min(gaps))
-    if gaps[best] < gaps[proj] - 1e-9:
-        errors.append(f"truth.projection_id = {proj} is not the kl projection: family.means"
-                      f"[{best}] = {means[best]} is nearer truth.mean = {mean} "
-                      f"(line {truth_lines['projection_id']})")
-    # the tilts of a refused projection or sd would only restate that refusal
-    elif min(sd, truth["sd"] or 0.0) >= finest:
-        spread = truth["sd"]
-        for i, m in enumerate(means):
-            tilt = mean + spread * spread * (m - means[proj]) / (sd * sd)
-            lo, hi = tilt - 6.0 * spread, tilt + 6.0 * spread
-            if not grid.lower <= lo <= hi <= grid.upper:
-                errors.append(f"family.means[{i}] = {m} tilts f_star f / f_circ to mean {tilt} "
-                              f"with truth.sd = {spread}, which needs [{lo}, {hi}] inside the "
-                              f"grid [{grid.lower}, {grid.upper}] (line {fam_lines.get('means')})")
-    return errors
-
-
 def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Validate the whole file; raises ConfigError carrying every complaint.
 
@@ -516,7 +471,10 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         truth_sec = _Section(truth_node, "truth", errors, line=top.lines.get("truth"))
         truth = truth_sec.read(_TRUTH_KEYS[regime], atoms)
         if regime in ("iid", "misspecified"):
-            errors += _location_errors(family, truth, fam_sec.lines, truth_sec.lines)
+            lines = {f"{s.name}.{k}": n for s in (fam_sec, truth_sec) for k, n in s.lines.items()}
+            errors += [f"{text} (line {lines.get(key)})" for key, text in location_faults(
+                default_grid(), family["means"], family["sd"], truth["mean"], truth["sd"],
+                truth.get("projection_id"))]
 
     sched_node = top.node("schedule", required=True)
     sched_sec = _Section(sched_node, "schedule", errors, line=top.lines.get("schedule"))
@@ -1003,15 +961,14 @@ def _main(args: argparse.Namespace) -> int:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
+    out = Path(cfg.out)
+    if args.command == "report":
+        return _report(out)
     try:
         regime = build_regime(cfg)
     except (ModelError, GeometryError, DivergenceError, ExperimentError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    out = Path(cfg.out)
-    if args.command == "report":
-        return _report(out)
 
     selected = [v for v in cfg.verify if VERIFICATIONS[v].command == args.command]
     if not selected:

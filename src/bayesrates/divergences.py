@@ -99,6 +99,8 @@ class GridDensity:
     """
 
     __slots__ = ("grid", "values", "__dict__")
+    # (mean, sd) of a density ``gaussian_density`` made; the location rules read it
+    gaussian: tuple[float, float] | None = None
 
     def __init__(self, grid: Grid, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
@@ -167,7 +169,9 @@ def gaussian_density(grid: Grid, mean: float, sd: float) -> GridDensity:
         raise DivergenceError(f"sd must be positive, got {sd}")
     z = (grid.x - mean) / sd
     values = np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-    return GridDensity(grid, values)
+    density = GridDensity(grid, values)
+    density.gaussian = (mean, sd)
+    return density
 
 
 def _require_same_grid(f: GridDensity, g: GridDensity) -> None:

@@ -58,6 +58,7 @@ from .models import (
     MarkovParam,
     MisspecifiedSetup,
     RegressionFunction,
+    check_location,
 )
 from .numerics import logsumexp, softmax_and_logsumexp
 
@@ -281,6 +282,8 @@ class IidRegime:
         for m in prior.members:
             if m.density.grid != self.grid:
                 raise ExperimentError("prior atoms and truth must share one grid")
+        if anchor is None:  # a misspecified setup has checked its own
+            check_location(prior, true_density)
         self.prior = prior
         self.true_density = true_density
         self.well_specified = anchor is None
@@ -540,8 +543,12 @@ class MarkovRegime:
         self.state_window = (
             5.0 * self.stationary_sd if state_window is None else float(state_window)
         )
-        if not self.state_window > 0.0:
-            raise ExperimentError(f"state window must be positive, got {self.state_window}")
+        if not 0.0 < self.state_window < math.inf:
+            raise ExperimentError(
+                f"state window must be positive and finite, got {self.state_window}")
+        if not 0.0 <= theta0_bound < math.inf:
+            raise ExperimentError(
+                f"theta0 bound must be nonnegative and finite, got {theta0_bound}")
         self.theta0_bound = theta0_bound
         self.reference = FamilyMember(id=REF_ID, kind=MARKOV, payload=theta_star)
         self._thetas = np.array([m.payload.theta for m in prior.members])

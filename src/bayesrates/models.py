@@ -110,25 +110,67 @@ class FamilyMember:
         return self.payload  # type: ignore[return-value]
 
 
+def location_faults(grid: Grid, means: Sequence[float] | None, sd: float | None,
+                    truth_mean: float | None = None, truth_sd: float | None = None,
+                    projection_id: int | None = None) -> list[tuple[str, str]]:
+    """(config key, complaint) pairs: each density's 6-sd bulk must lie on
+    ``grid``, which would clip it.  Each sd must span 2 grid spacings: the grid
+    kl(N(0, sd), N(0, 1)) is off by 1.1e-2 relative at half a spacing, 2.2e-8 at
+    one and 2.1e-16 at 1.5.  The projection (an index of ``means``) must be an
+    atom nearest the truth's mean: the atoms share one sd, so their kl from the
+    truth differ only in the squared mean gap, whatever the truth's sd.  Under
+    it, each atom's weighted integrand f_star f / f_circ is the truth's normal
+    tilted to mean truth.mean + truth.sd^2 (means[i] - means[projection]) /
+    family.sd^2, and its 6-sd bulk must lie on the grid too; the weighted
+    Hellinger cross terms tilt to midpoints of these means, so they stay inside
+    as well.  A value that is None (a config key already refused) is unchecked."""
+    finest = 2.0 * grid.spacing
+    faults = [(key, f"{key} = {s} is below 2 grid spacings, {finest}") for key, s in
+              (("family.sd", sd), ("truth.sd", truth_sd)) if s is not None and not s >= finest]
+    def off_grid(key: str, what: str, centre: float, s: float) -> None:
+        lo, hi = centre - 6.0 * s, centre + 6.0 * s
+        if not grid.lower <= lo <= hi <= grid.upper:
+            faults.append((key, f"{what} needs [{lo}, {hi}] inside the grid "
+                                f"[{grid.lower}, {grid.upper}]"))
+    for i, m in enumerate(means if sd is not None and means is not None else ()):
+        off_grid("family.means", f"family.means[{i}] = {m} with family.sd = {sd}", m, sd)
+    if truth_mean is not None and truth_sd is not None:
+        off_grid("truth.mean", f"truth.mean = {truth_mean} with truth.sd = {truth_sd}",
+                 truth_mean, truth_sd)
+    if None in (projection_id, sd, truth_mean) or means is None or not sd > 0:  # no kl at sd 0
+        return faults
+    gaps = [(m - truth_mean) ** 2 / (2.0 * sd * sd) for m in means]
+    best = gaps.index(min(gaps))
+    if gaps[best] < gaps[projection_id] - 1e-9:
+        faults.append(("truth.projection_id", f"truth.projection_id = {projection_id} is not "
+                       f"the kl projection: family.means[{best}] = {means[best]} is nearer "
+                       f"truth.mean = {truth_mean}"))
+    # the tilts of a refused projection or sd would only restate that refusal
+    elif min(sd, truth_sd or 0.0) >= finest:
+        for i, m in enumerate(means):
+            tilt = truth_mean + truth_sd * truth_sd * (m - means[projection_id]) / (sd * sd)
+            off_grid("family.means", f"family.means[{i}] = {m} tilts f_star f / f_circ to mean "
+                                     f"{tilt} with truth.sd = {truth_sd}, which", tilt, truth_sd)
+    return faults
+
+
+def _refuse(faults: list[tuple[str, str]]) -> None:
+    if faults:
+        raise ModelError("grid clips density, undersamples it or misses the kl projection: "
+                         + "; ".join(text for _, text in faults))
+
+
 def build_gaussian_location_family(
     grid: Grid, means: Sequence[float], sd: float = 1.0
 ) -> list[FamilyMember]:
     """Unit-kind family of Gaussian location densities on a shared grid.
 
-    A mean whose 6-sd bulk leaves the grid is rejected: the grid would clip
-    the density and silently renormalize the overflow back in.
+    Raises on its ``location_faults``: a mean whose 6-sd bulk leaves the grid,
+    which would clip the density, or an sd under 2 grid spacings.
     """
-    if not sd > 0.0:
-        raise ModelError(f"sd must be positive, got {sd}")
-    members = []
-    for j, m in enumerate(means):
-        if m - 6.0 * sd < grid.lower or m + 6.0 * sd > grid.upper:
-            raise ModelError(
-                f"grid clips density: mean {m} with sd {sd} needs "
-                f"[{m - 6 * sd}, {m + 6 * sd}] inside [{grid.lower}, {grid.upper}]"
-            )
-        members.append(FamilyMember(j, IID, gaussian_density(grid, float(m), sd)))
-    return members
+    _refuse(location_faults(grid, means, sd))
+    return [FamilyMember(j, IID, gaussian_density(grid, float(m), sd))
+            for j, m in enumerate(means)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +236,9 @@ class MisspecifiedSetup:
     def __post_init__(self) -> None:
         if self.prior.kind != IID:
             raise ModelError("misspecified setups are defined for iid-density families")
+        if check_location(self.prior, self.true_density, self.projection_id):
+            return
+        # densities with no recorded Gaussian parameters: the projection by grid kl
         proj = self.prior.members[self.prior.index_of(self.projection_id)]
         k_proj = kl(self.true_density, proj.density)
         for m in self.prior.members:
@@ -201,6 +246,22 @@ class MisspecifiedSetup:
                 raise ModelError(
                     f"member {m.id} beats declared projection {self.projection_id} in kl"
                 )
+
+
+def check_location(prior: AtomicPrior, true_density: GridDensity,
+                   projection_id: int | None = None) -> bool:
+    """Raise on the ``location_faults`` of a prior and truth whose densities all
+    record their Gaussian (mean, sd) on one grid, the atoms sharing one sd, and
+    return True; leave any other setup unchecked (False)."""
+    dens = [m.density for m in prior.members]
+    records, grid = [f.gaussian for f in dens], true_density.grid
+    if (true_density.gaussian is None or None in records or any(f.grid != grid for f in dens)
+            or len({sd for _, sd in records}) > 1):
+        return False
+    index = None if projection_id is None else prior.index_of(projection_id)
+    _refuse(location_faults(grid, [m for m, _ in records], records[0][1],
+                            *true_density.gaussian, index))
+    return True
 
 
 def log_likelihood(

@@ -24,11 +24,21 @@ from bayesrates.cli import (
     main,
     parse_config,
 )
-from bayesrates.experiments import ExperimentError, IidRegime
-from bayesrates.models import ModelError
+from bayesrates.divergences import GridDensity, default_grid, gaussian_density
+from bayesrates.experiments import ExperimentError, IidRegime, MisspecifiedRegime
+from bayesrates.models import (
+    IID,
+    FamilyMember,
+    MisspecifiedSetup,
+    ModelError,
+    build_gaussian_location_family,
+    location_faults,
+    uniform_prior,
+)
 from helpers import numerator_refusal_oracle, separation_rows_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
+GRID = default_grid()
 
 MINIMAL = """\
 regime: iid
@@ -486,6 +496,53 @@ EVERY_SUBCOMMAND = [["check"], ["check", "--verify", "factorization"], ["simulat
 SUBCOMMAND_IDS = ["check", "factorization", "simulate", "sieve", "report"]
 
 
+def random_location_setup(rng) -> tuple[list[float], float, float, float]:
+    """Decimal means, family sd, truth mean and truth sd: the sds run 0.3 to
+    1.8 and are equal one time in four, and half the setups hold two means
+    symmetric about the truth's, so that two atoms tie for the projection."""
+    mean = round(float(rng.uniform(-6.0, 6.0)), 1)
+    sd = round(float(rng.uniform(0.3, 1.8)), 2)
+    truth_sd = sd if rng.random() < 0.25 else round(float(rng.uniform(0.3, 1.8)), 2)
+    means = [round(float(m), 1) for m in rng.uniform(-8.0, 8.0, int(rng.integers(1, 5)))]
+    if rng.random() < 0.5:
+        gap = round(float(rng.uniform(0.1, 3.0)), 1)
+        means += [round(mean - gap, 1), round(mean + gap, 1)]
+    return means, sd, mean, truth_sd
+
+
+def location_config(regime: str, means, sd, mean, truth_sd, projection) -> str:
+    proj = "" if projection is None else f"\n  projection_id: {projection}"
+    return (f"regime: {regime}\nfamily:\n  means: {means}\n  sd: {sd}\ntruth:\n  mean: {mean}\n"
+            f"  sd: {truth_sd}{proj}\nschedule:\n  n_values: [30]\nseed: 1\n"
+            "verify: [factorization]\n")
+
+
+def library_builds(regime: str, means, sd, mean, truth_sd, projection) -> bool:
+    """Whether the library builds the regime, from the family and truth up."""
+    try:
+        prior = uniform_prior(build_gaussian_location_family(GRID, means, sd))
+        truth = gaussian_density(GRID, mean, truth_sd)
+        if regime == "iid":
+            IidRegime(prior, truth)
+        else:
+            MisspecifiedRegime(MisspecifiedSetup(prior, truth, projection))
+    except ModelError:
+        return False
+    return True
+
+
+def grid_kl_refuses(prior, truth, projection: int) -> bool:
+    """The library's grid-kl projection check, on copies of the densities
+    that record no Gaussian parameters."""
+    bare = [FamilyMember(m.id, IID, GridDensity(GRID, m.density.values)) for m in prior.members]
+    try:
+        MisspecifiedSetup(uniform_prior(bare), GridDensity(GRID, truth.values), projection)
+    except ModelError as e:
+        assert "beats declared projection" in str(e)
+        return True
+    return False
+
+
 def assert_config_error(tmp_path: Path, capsys, argv, text: str, *messages: str) -> None:
     """The run exits 3 with one ``config error:`` line per message and writes nothing."""
     path = write_config(tmp_path, text)
@@ -560,6 +617,14 @@ class TestMain:
         assert (out / "summary.csv").exists()
         shown = capsys.readouterr().out
         assert "factorization: pass" in shown
+
+    def test_report_with_config_builds_no_regime(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, SMALL_CHECK.format(out=out))
+        assert main(["check", "--config", str(path)]) == EXIT_PASS
+        monkeypatch.setattr(cli, "build_regime", broken)
+        assert main(["report", "--config", str(path)]) == EXIT_PASS
+        assert "factorization: pass" in capsys.readouterr().out
 
     def test_report_exits_2_when_any_check_failed(self, tmp_path):
         out = tmp_path / "out"
@@ -1025,8 +1090,41 @@ class TestOverridesAndRuntimeFaults:
                                                                "projection_id: 1")))
         regime = cli.build_regime(cfg)
         assert regime.f_circ is regime.prior.members[1].density
-        with pytest.raises(ModelError, match="beats declared projection 0"):
+        with pytest.raises(ModelError, match="truth.projection_id = 0 is not the kl projection"):
             cli.build_regime(replace(cfg, truth={**cfg.truth, "projection_id": 0}))
+
+    def test_config_and_library_share_the_location_rules(self, tmp_path):
+        """On seeded random location setups the config admits exactly what the
+        library builds, and on every admitted misspecified setup the closed-form
+        nearest mean refuses the same projections as the library's grid kl."""
+        rng = np.random.default_rng(20261021)
+        admitted = refused = compared = ties = 0
+        for _ in range(200):
+            means, sd, mean, truth_sd = random_location_setup(rng)
+            nearest = int(np.argmin([abs(m - mean) for m in means]))
+            declared = nearest if rng.random() < 0.7 else int(rng.integers(len(means)))
+            for regime, projection in (("iid", None), ("misspecified", declared)):
+                text = location_config(regime, means, sd, mean, truth_sd, projection)
+                try:
+                    parse_config(write_config(tmp_path, text))
+                except ConfigError:
+                    parsed = False
+                else:
+                    parsed = True
+                built = library_builds(regime, means, sd, mean, truth_sd, projection)
+                assert parsed == built, text
+                admitted, refused = admitted + parsed, refused + (not parsed)
+            if not library_builds("misspecified", means, sd, mean, truth_sd, nearest):
+                continue
+            prior = uniform_prior(build_gaussian_location_family(GRID, means, sd))
+            truth = gaussian_density(GRID, mean, truth_sd)
+            ties += len(means) > len({round(abs(m - mean), 9) for m in means})
+            for p in range(len(means)):
+                closed = any(key == "truth.projection_id" for key, _ in
+                             location_faults(GRID, means, sd, mean, truth_sd, p))
+                assert closed == grid_kl_refuses(prior, truth, p), (means, sd, mean, truth_sd, p)
+                compared += closed
+        assert min(admitted, refused, compared, ties) > 10
 
     @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
     def test_every_bad_key_reported_at_once(self, tmp_path, capsys, argv):

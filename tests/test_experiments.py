@@ -71,6 +71,7 @@ from bayesrates.models import (
     FamilyMember,
     MarkovParam,
     MisspecifiedSetup,
+    ModelError,
     build_gaussian_location_family,
     linear_regression_function,
     uniform_prior,
@@ -196,6 +197,24 @@ class TestSampling:
         ]
         with pytest.raises(ExperimentError, match="noise sd"):
             MarkovRegime(uniform_prior(members), MarkovParam(0.2, noise_sd=1.0))
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"theta0_bound": -1.0}, "theta0 bound must be nonnegative and finite, got -1.0"),
+        ({"theta0_bound": math.nan}, "theta0 bound must be nonnegative and finite, got nan"),
+        ({"theta0_bound": math.inf}, "theta0 bound must be nonnegative and finite, got inf"),
+        ({"state_window": math.inf}, "state window must be positive and finite, got inf"),
+    ], ids=["theta0-negative", "theta0-nan", "theta0-inf", "window-inf"])
+    def test_markov_refuses_what_the_config_refuses(self, kwargs, match):
+        # an infinite window once built, and its hull bound raised under the
+        # command line's floating-point error handling
+        with pytest.raises(ExperimentError, match=match):
+            markov_regime(**kwargs)
+
+    def test_iid_truth_off_the_grid_refused(self):
+        fam = build_gaussian_location_family(GRID, [0.0, 1.0])
+        with pytest.raises(ModelError, match=r"truth.mean = 10.0 with truth.sd = 1.0 needs "
+                                              r"\[4.0, 16.0\] inside the grid"):
+            IidRegime(uniform_prior(fam), gaussian_density(GRID, 10.0, 1.0))
 
 
 class TestEngine:

@@ -26,6 +26,7 @@ from bayesrates.models import (
     build_gaussian_location_family,
     design_points,
     linear_regression_function,
+    location_faults,
     log_likelihood,
     uniform_prior,
 )
@@ -55,6 +56,11 @@ class TestFamilies:
     def test_grid_clipping_rejected(self):
         with pytest.raises(ModelError, match="grid clips density"):
             build_gaussian_location_family(GRID, [8.0], sd=1.0)
+
+    @pytest.mark.parametrize("sd", [0.0, -1.0, math.nan, 0.011])
+    def test_sd_under_two_spacings_rejected(self, sd):
+        with pytest.raises(ModelError, match=f"family.sd = {sd} is below 2 grid spacings"):
+            build_gaussian_location_family(GRID, [0.0], sd=sd)
 
     def test_member_kind_payload_consistency(self):
         with pytest.raises(ModelError):
@@ -149,8 +155,64 @@ class TestMisspecifiedSetup:
         fam = build_gaussian_location_family(GRID, [0.5, 1.0, 1.5])
         prior = uniform_prior(fam)
         f_star = gaussian_density(GRID, 0.0, 1.0)
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=r"truth.projection_id = 2 is not the kl "
+                                              r"projection: family.means\[0\] = 0.5"):
             MisspecifiedSetup(prior, f_star, projection_id=2)
+
+    def test_rejects_tilt_off_the_grid(self):
+        # atom 1's weighted integrand f_star f / f_circ peaks at 16, off the
+        # grid; built, its ratio certificate read 6.0e8 against e^24
+        prior = uniform_prior(build_gaussian_location_family(GRID, [0.0, 4.0]))
+        with pytest.raises(ModelError, match=r"family.means\[1\] = 4.0 tilts f_star f / f_circ "
+                                              r"to mean 16.0 with truth.sd = 2.0"):
+            MisspecifiedSetup(prior, gaussian_density(GRID, 0.0, 2.0), projection_id=0)
+
+    def test_hand_built_atoms_are_checked(self):
+        members = [FamilyMember(j, IID, gaussian_density(GRID, m, 1.0))
+                   for j, m in enumerate([0.0, 8.0])]
+        with pytest.raises(ModelError, match=r"grid clips density.*family.means\[1\] = 8.0 "
+                                              r"with family.sd = 1.0 needs \[2.0, 14.0\]"):
+            MisspecifiedSetup(uniform_prior(members), gaussian_density(GRID, 0.0, 1.0), 0)
+
+    def test_densities_without_gaussian_parameters_use_the_grid_kl(self):
+        # a mixture truth, and atoms of two sds, have no closed-form projection
+        rng = np.random.default_rng(5)
+        for f_star, fam in (
+            (random_gaussian_mixture(rng, GRID),
+             build_gaussian_location_family(GRID, [-1.0, 0.0, 1.5])),
+            (gaussian_density(GRID, 0.3, 1.0),
+             [FamilyMember(j, IID, gaussian_density(GRID, m, s))
+              for j, (m, s) in enumerate([(0.0, 1.0), (0.3, 2.5)])]),
+        ):
+            assert f_star.gaussian is None or len({m.density.gaussian[1] for m in fam}) > 1
+            best, _ = kl_projection(f_star, fam)
+            MisspecifiedSetup(uniform_prior(fam), f_star, projection_id=best)
+            for other in {m.id for m in fam} - {best}:
+                with pytest.raises(ModelError, match=f"beats declared projection {other}"):
+                    MisspecifiedSetup(uniform_prior(fam), f_star, projection_id=other)
+
+
+class TestLocationFaults:
+    def test_faults_carry_their_config_key(self):
+        assert location_faults(GRID, [0.0, 4.0, 11.0], 1.0, 20.0, 0.01, 0) == [
+            ("truth.sd", "truth.sd = 0.01 is below 2 grid spacings, 0.012"),
+            ("family.means", "family.means[2] = 11.0 with family.sd = 1.0 needs [5.0, 17.0] "
+                             "inside the grid [-12.0, 12.0]"),
+            ("truth.mean", "truth.mean = 20.0 with truth.sd = 0.01 needs [19.94, 20.06] "
+                           "inside the grid [-12.0, 12.0]"),
+            ("truth.projection_id", "truth.projection_id = 0 is not the kl projection: "
+                                    "family.means[2] = 11.0 is nearer truth.mean = 20.0"),
+        ]
+
+    def test_none_is_not_checked(self):
+        assert location_faults(GRID, None, None, None, None, 0) == []
+        assert location_faults(GRID, [40.0], None, 0.0, 1.0) == []
+        assert location_faults(GRID, [0.0, 3.0], 1.0, None, 4.0, 1) == []
+
+    def test_means_may_be_an_array(self):
+        assert location_faults(GRID, np.array([0.0, 1.0]), 1.0, 0.9, 1.0, 0) == [
+            ("truth.projection_id", "truth.projection_id = 0 is not the kl projection: "
+                                    "family.means[1] = 1.0 is nearer truth.mean = 0.9")]
 
 
 class TestLikelihood:
