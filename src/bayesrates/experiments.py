@@ -120,7 +120,7 @@ Z_BUFFER = 1 << 14
 # interpreter over at each of its microsecond numpy calls ran slower than one
 Z_TURN = threading.Lock()
 
-# the sup-form markov hull bound sweeps this many states of the window
+# markov's distances sweep this many states of the window
 SWEEP_POINTS = 1001
 
 
@@ -216,25 +216,6 @@ class MarkovSample:
         return len(self.y)
 
 
-def _triangle_bound(member_ids, to_truth, between, measure=float) -> tuple[float, int]:
-    """Convex-hull certificate: the best triangle bound and its center.
-
-    At each index or state, a mixture of the members sits within
-    rho_c = max_j d(c, j) of the center c, so it is at least
-    (d(truth, c) - rho_c)_+ from the truth.  ``to_truth(c)`` and
-    ``between(c, j)`` give d as a scalar or as one value per index or
-    state; ``measure`` collapses the squared shortfall over that index or
-    state set, and half of it bounds the hull's affinity gap.  Returns the
-    max over centers c and the c attaining it (ties to the larger id).
-    """
-    def bound(c):
-        rho = np.max([between(c, j) for j in member_ids], axis=0)
-        shortfall = np.maximum(0.0, to_truth(c) - rho)
-        return float(measure(shortfall ** 2)) / 2.0
-
-    return max((bound(c), c) for c in member_ids)
-
-
 def _normal_log(z: np.ndarray, log_sd: float = 0.0) -> np.ndarray:
     """-0.5 z^2 - log_sd - log sqrt(2 pi), in that order, in one buffer: the
     log normal density at standardized residuals z, for noise sd e^log_sd."""
@@ -263,7 +244,69 @@ def _integrals(kern: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # regimes
 
 
-class IidRegime:
+class _Regime:
+    """The distances every regime shares, from the two things it states.
+
+    ``_h2(id_a, id_b, n)`` is the squared Hellinger-type distance between two
+    members (``REF_ID`` the anchor) at each of the regime's points: one value
+    for iid data, one per design index for regression, one per window state
+    for markov.  ``measure`` collapses a function of those points to a
+    number: ``float``, the mean over the first n design indices, the max
+    over the ``SWEEP_POINTS`` window states.
+    """
+
+    well_specified = True
+    theta0_bound: float | None = None
+    measure = staticmethod(float)
+
+    def _h2(self, id_a: int, id_b: int, n: int | None) -> np.ndarray:
+        raise NotImplementedError
+
+    def _row_of(self, table: np.ndarray, anchor, member_id: int):
+        """A member's row of ``table``; ``anchor`` for REF_ID."""
+        return anchor if member_id == REF_ID else table[self.prior.index_of(member_id)]
+
+    def theta0_mask(self) -> np.ndarray | None:
+        """The atoms whose (K, V) stay within ``theta0_bound``; None for no bound."""
+        if self.theta0_bound is None:
+            return None
+        kv = self.atom_kv()
+        return (kv[:, 0] <= self.theta0_bound) & (kv[:, 1] <= self.theta0_bound)
+
+    def pair_dist(self, id_a: int, id_b: int, n: int | None = None) -> float:
+        return math.sqrt(float(self.measure(self._h2(id_a, id_b, n))))
+
+    def truth_dist(self, member_id: int, n: int | None = None) -> float:
+        return self.pair_dist(REF_ID, member_id, n)
+
+    def separation_gaps(self, member_ids: Sequence[int], n: int | None = None) -> np.ndarray:
+        return np.array([0.5 * self.pair_dist(REF_ID, i, n) ** 2 for i in member_ids])
+
+    def hull_gap_bound(self, member_ids: Sequence[int],
+                       n: int | None = None) -> tuple[float, int]:
+        """Convex-hull certificate: the best triangle bound and its center.
+
+        At each point, a mixture of the members sits within rho_c = max_j
+        d(c, j) of the center c, so it is at least (d(anchor, c) - rho_c)_+
+        from the anchor; ``measure`` collapses the squared shortfall, and
+        half of it bounds the hull's affinity gap.  Valid because the squared
+        distance is convex in mixtures and, for a density regime, the
+        half-square lower-bounds the starred gap whenever the vertex ratio
+        certificates hold; callers check those separately.  Under markov's
+        max it bounds the hull's worst-state gap, not the gap at every
+        realized state, so the Monte Carlo check stays the authority on the
+        bound itself.  Returns the max over centers c and the c attaining
+        it (ties to the larger id).
+        """
+        def bound(c):
+            rho = np.max([np.sqrt(self._h2(c, j, n)) for j in member_ids], axis=0)
+            shortfall = np.maximum(0.0, np.sqrt(self._h2(REF_ID, c, n)) - rho)
+            return float(self.measure(shortfall ** 2)) / 2.0
+
+        return max((bound(c), c) for c in member_ids)
+
+
+class IidRegime(_Regime):
     """Independent draws from a fixed density, measured against an anchor.
 
     The anchor is the truth (``anchor=None``, well specified) or the prior's
@@ -354,41 +397,20 @@ class IidRegime:
         return np.stack([np.maximum(0.0, _integrals(self._kern, r)),
                          _integrals(self._kern, r * r)], axis=1)
 
-    def theta0_mask(self) -> np.ndarray | None:
-        return None
-
-    def _gaps(self, logs: np.ndarray) -> np.ndarray:
-        """h*(f_circ, f) = 1 - int sqrt(f / f_circ) f_star of each row of logs."""
-        return 1.0 - _integrals(self._kern, np.exp(-0.5 * (self._circ_log - logs)))
-
-    def _dists(self, roots: np.ndarray, other: np.ndarray) -> np.ndarray:
-        """The weighted Hellinger distance between roots and each row of other."""
-        d = roots - other
-        return np.sqrt(np.maximum(_integrals(self._wkern, d * d), 0.0))
-
-    def truth_dist(self, member_id: int, n: int | None = None) -> float:
-        return float(self._dists(self._circ_root, self._roots[self.prior.index_of(member_id)]))
+    def _h2(self, id_a: int, id_b: int, n: int | None = None) -> np.ndarray:
+        """The squared weighted Hellinger distance: int (sqrt f_a - sqrt f_b)^2 f_star / f_circ."""
+        d = (self._row_of(self._roots, self._circ_root, id_a)
+             - self._row_of(self._roots, self._circ_root, id_b))
+        return np.maximum(_integrals(self._wkern, d * d), 0.0)
 
     def separation_gaps(self, member_ids: Sequence[int], n: int | None = None) -> np.ndarray:
-        return self._gaps(self._logs[self._rows(member_ids)])
-
-    def pair_dist(self, id_a: int, id_b: int, n: int | None = None) -> float:
-        a, b = self._rows((id_a, id_b))
-        return float(self._dists(self._roots[a], self._roots[b]))
+        """h*(f_circ, f) = 1 - int sqrt(f / f_circ) f_star of each member."""
+        logs = self._logs[self._rows(member_ids)]
+        return 1.0 - _integrals(self._kern, np.exp(-0.5 * (self._circ_log - logs)))
 
     def vertex_certificates(self, member_ids) -> np.ndarray:
         """Ratio certificates: each vertex needs int (f/f_circ) f_star <= 1."""
         return _integrals(self._kern, np.exp(self._logs[self._rows(member_ids)] - self._circ_log))
-
-    def hull_gap_bound(self, member_ids: Sequence[int],
-                       n: int | None = None) -> tuple[float, int]:
-        """Weighted-Hellinger triangle bound on the hull's affinity gap, and its center.
-
-        Valid because the squared weighted distance is convex in mixtures and
-        the half-square lower-bounds the starred gap whenever the vertex
-        ratio certificates hold; callers check those separately.
-        """
-        return _triangle_bound(member_ids, self.truth_dist, self.pair_dist)
 
     # -- Cesaro statistic
 
@@ -427,17 +449,18 @@ class MisspecifiedRegime(IidRegime):
                          anchor=prior.members[prior.index_of(setup.projection_id)])
 
 
-class RegressionRegime:
+class RegressionRegime(_Regime):
     """Gaussian responses around a design-indexed mean function.
 
     Two responses at one design index are unit normals, so every divergence
-    between them is the exact ``gaussian_shift_kvh``.  Mixtures have no
-    closed form: the Cesaro kernel integrates them by the z-node rule, on
-    the atoms' offsets from the truth, all design indices at once.
+    between them is the exact ``gaussian_shift_kvh``, and a distance is the
+    root mean over the first n design indices.  Mixtures have no closed
+    form: the Cesaro kernel integrates them by the z-node rule, on the
+    atoms' offsets from the truth, all design indices at once.
     """
 
     kind = "regression"
-    well_specified = True
+    measure = staticmethod(np.mean)
 
     def __init__(self, prior: AtomicPrior, truth: RegressionFunction):
         if prior.kind != REGRESSION:
@@ -469,43 +492,17 @@ class RegressionRegime:
         out -= _normal_log(data - self._truth_means[:n])[:, None, :]
         return out
 
-    def _h2(self, means_a: np.ndarray, means_b: np.ndarray, n: int) -> np.ndarray:
+    def _h2(self, id_a: int, id_b: int, n: int | None) -> np.ndarray:
         """Per-index squared Hellinger distances over the first n indices."""
-        return gaussian_shift_kvh((means_a[:n] - means_b[:n]) ** 2)[2]
+        if n is None:  # the whole design would stand in for the first n indices
+            raise ExperimentError("regression distances need n, the design indices they cover")
+        a = self._row_of(self._means, self._truth_means, id_a)
+        b = self._row_of(self._means, self._truth_means, id_b)
+        return gaussian_shift_kvh((a[:n] - b[:n]) ** 2)[2]
 
     def atom_kv(self, n: int) -> np.ndarray:
         k, v, _ = gaussian_shift_kvh((self._means[:, :n] - self._truth_means[None, :n]) ** 2)
         return np.stack([k.mean(axis=1), v.mean(axis=1)], axis=1)
-
-    def theta0_mask(self) -> np.ndarray | None:
-        return None
-
-    def _row(self, member_id: int) -> np.ndarray:
-        if member_id == REF_ID:
-            return self._truth_means
-        return self._means[self.prior.index_of(member_id)]
-
-    def truth_dist(self, member_id: int, n: int) -> float:
-        """Root mean per-index squared Hellinger over the first n indices."""
-        return math.sqrt(float(self._h2(self._row(member_id), self._truth_means, n).mean()))
-
-    def separation_gaps(self, member_ids, n: int) -> np.ndarray:
-        return np.array([0.5 * self.truth_dist(i, n) ** 2 for i in member_ids])
-
-    def pair_dist(self, id_a: int, id_b: int, n: int) -> float:
-        return math.sqrt(float(self._h2(self._row(id_a), self._row(id_b), n).mean()))
-
-    def hull_gap_bound(self, member_ids, n: int) -> tuple[float, int]:
-        """Per-index triangle bound averaged over the design, and its center."""
-        def h(means_a, means_b):
-            return np.sqrt(self._h2(means_a, means_b, n))
-
-        return _triangle_bound(
-            member_ids,
-            lambda c: h(self._truth_means, self._row(c)),
-            lambda c, j: h(self._row(c), self._row(j)),
-            np.mean,
-        )
 
     def cesaro_kls(self, samples, weights_before: np.ndarray) -> np.ndarray:
         """(reps, n): every replication's weights against the one design."""
@@ -513,20 +510,20 @@ class RegressionRegime:
         return _z_integrals(self._means[:, :n] - self._truth_means[:n], weights_before)
 
 
-class MarkovRegime:
+class MarkovRegime(_Regime):
     """Stationary AR(1) chains; likelihoods condition on the realized state.
 
     Two transitions from one state are normals of one sd, so every
     divergence between them is the exact ``gaussian_shift_kvh``, averaged
-    over the truth's stationary density or taken at the state window's
-    edge.  Mixtures of transitions have no closed form: the Cesaro kernel
-    integrates them at every realized state by the z-node rule, on the
-    atoms' offsets in noise sds, with no span to clip however far the chain
-    wanders.
+    over the truth's stationary density (``truth_dist``) or maximized over
+    ``SWEEP_POINTS`` states of the window (every other distance).  Mixtures
+    of transitions have no closed form: the Cesaro kernel integrates them at
+    every realized state by the z-node rule, on the atoms' offsets in noise
+    sds, with no span to clip however far the chain wanders.
     """
 
     kind = "markov"
-    well_specified = True
+    measure = staticmethod(np.max)
 
     def __init__(self, prior: AtomicPrior, theta_star: MarkovParam,
                  state_window: float | None = None, theta0_bound: float = 1.0):
@@ -585,49 +582,20 @@ class MarkovRegime:
     def atom_kv(self, n: int | None = None) -> np.ndarray:
         return self._kvh[:, :2]
 
-    def theta0_mask(self) -> np.ndarray:
-        kv = self.atom_kv()
-        return (kv[:, 0] <= self.theta0_bound) & (kv[:, 1] <= self.theta0_bound)
-
     def truth_dist(self, member_id: int, n: int | None = None) -> float:
         """Stationary-averaged per-state Hellinger distance."""
         return float(self._kvh[self.prior.index_of(member_id), 2])
 
-    def _sup_h(self, theta_a: float, theta_b: float) -> float:
-        # the per-state distance grows with |y|: its sup sits at the window edge
-        return math.sqrt(self._h2_at_states(theta_a, theta_b, self.state_window))
+    def _h2(self, id_a: int, id_b: int, n: int | None = None) -> np.ndarray:
+        """Squared Hellinger distances between the transitions from each swept state.
 
-    def separation_gaps(self, member_ids, n: int | None = None) -> np.ndarray:
-        t = self.theta_star.theta
-        return np.array(
-            [0.5 * self._sup_h(t, self._theta_of(i)) ** 2 for i in member_ids]
-        )
-
-    def _theta_of(self, member_id: int) -> float:
-        return float(self._thetas[self.prior.index_of(member_id)])
-
-    def pair_dist(self, id_a: int, id_b: int, n: int | None = None) -> float:
-        return self._sup_h(self._theta_of(id_a), self._theta_of(id_b))
-
-    def _h2_at_states(self, theta_a: float, theta_b, states) -> np.ndarray:
-        """Squared Hellinger distances between the transitions from ``states``."""
-        return gaussian_shift_kvh((theta_a - theta_b) ** 2 * states * states / self.noise_sd**2)[2]
-
-    def hull_gap_bound(self, member_ids, n: int | None = None) -> tuple[float, int]:
-        """Sup over window states of the per-state triangle bound, and its center.
-
-        A sup-form certificate: it bounds the hull's worst-state gap, not the
-        gap at every realized state, so the Monte Carlo check stays the
-        authority on the bound itself.
+        The per-state distance grows with |y|, and np.linspace ends exactly
+        at the window, so the max over the sweep is the window edge's value.
         """
         states = np.linspace(0.0, self.state_window, SWEEP_POINTS)
-        t = self.theta_star.theta
-        return _triangle_bound(
-            member_ids,
-            lambda c: np.sqrt(self._h2_at_states(t, self._theta_of(c), states)),
-            lambda c, j: np.sqrt(self._h2_at_states(self._theta_of(c), self._theta_of(j), states)),
-            np.max,
-        )
+        d = (self._row_of(self._thetas, self.theta_star.theta, id_a)
+             - self._row_of(self._thetas, self.theta_star.theta, id_b))
+        return gaussian_shift_kvh(d ** 2 * states * states / self.noise_sd**2)[2]
 
     def cesaro_kls(self, samples, weights_before: np.ndarray) -> np.ndarray:
         """(reps, n): the block's replications side by side as the columns."""

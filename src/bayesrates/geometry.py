@@ -46,13 +46,23 @@ class RateSchedule:
             raise GeometryError("sample sizes must be positive integers")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise GeometryError("sample sizes must be strictly increasing")
+        for name in ("a", "gamma", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise GeometryError(f"{name} must be finite, got {getattr(self, name)}")
         if self.a <= 0.0:
             raise GeometryError(f"amplitude a must be positive, got {self.a}")
         object.__setattr__(self, "n_values", tuple(int(n) for n in ns))
-        eps = self.epsilons
+        # in python floats, which overflow to inf whatever numpy's error state;
+        # (log 1)^kappa for kappa < 0 divides by zero, and a power can overflow
+        try:
+            eps = self.epsilons
+            neps2 = [n * e * e for n, e in zip(self.n_values, eps.tolist())]
+        except (ZeroDivisionError, OverflowError):
+            neps2 = [math.inf]
+        if not all(map(math.isfinite, neps2)):
+            raise GeometryError("epsilon and n * epsilon^2 must be finite over the schedule")
         if np.any(np.diff(eps) >= 0.0):
             raise GeometryError("epsilon must decrease over the schedule")
-        neps2 = np.asarray(self.n_values) * eps * eps
         if np.any(np.diff(neps2) <= 0.0):
             raise GeometryError("n * epsilon^2 must increase over the schedule")
 
@@ -86,11 +96,11 @@ class ConditionParams:
             raise GeometryError(f"thickness constant C must be finite and >= 0, got {self.C}")
         for name in ("c", "d", "r", "M"):
             v = getattr(self, name)
-            if v is not None and not v > 0.0:
-                raise GeometryError(f"constant {name} must be positive, got {v}")
-        if self.beta is not None and not self.beta > 1.0:
+            if v is not None and not 0.0 < v < math.inf:
+                raise GeometryError(f"constant {name} must be positive and finite, got {v}")
+        if self.beta is not None and not 1.0 < self.beta < math.inf:
             raise GeometryError(
-                f"mass-root exponent beta must exceed 1, got {self.beta}"
+                f"mass-root exponent beta must exceed 1 and be finite, got {self.beta}"
             )
 
 

@@ -49,6 +49,8 @@ class RegressionFunction:
     def __post_init__(self) -> None:
         if len(self.values_at_design) < 1:
             raise ModelError("regression function needs at least one design value")
+        if not all(math.isfinite(v) for v in self.values_at_design):
+            raise ModelError("regression function values must be finite")
 
     def __len__(self) -> int:
         return len(self.values_at_design)
@@ -75,8 +77,8 @@ class MarkovParam:
     def __post_init__(self) -> None:
         if not abs(self.theta) < 1.0:
             raise NonstationaryError(f"coefficient {self.theta} has no stationary density")
-        if not self.noise_sd > 0.0:
-            raise ModelError(f"noise sd must be positive, got {self.noise_sd}")
+        if not 0.0 < self.noise_sd < math.inf:
+            raise ModelError(f"noise sd must be positive and finite, got {self.noise_sd}")
 
     @property
     def stationary_sd(self) -> float:

@@ -165,6 +165,22 @@ def weighted_hellinger_between(
     return math.sqrt(max(float(f.grid.quad_weights @ (diff * diff * weight)), 0.0))
 
 
+def triangle_bound(member_ids: Sequence[int], to_truth: Callable[[int], float],
+                   between: Callable[[int, int], float]) -> tuple[float, int]:
+    """The convex-hull triangle bound from its definition, and its center.
+
+    A mixture of the members lies within rho_c = max_j d(c, j) of a center c,
+    so it is at least (d(truth, c) - rho_c)_+ from the truth; half that
+    shortfall squared bounds the hull's gap.  Returns the best bound over
+    the centers and the center giving it, ties going to the larger id.
+    """
+    def bound(c):
+        rho = max(between(c, j) for j in member_ids)
+        return max(0.0, to_truth(c) - rho) ** 2 / 2.0
+
+    return max((bound(c), c) for c in member_ids)
+
+
 def kl_projection(f_star: GridDensity, family: Sequence[FamilyMember]) -> tuple[int, float]:
     """(member id, kl value) minimizing kl(f_star, member) over the family.
 

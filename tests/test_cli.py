@@ -457,6 +457,14 @@ BAD_VALUES = {
                        "invalid schedule: schedule needs at least one sample size (line 6)"),
     "schedule.a": (SMALL_CHECK, "n_values: [30]", "n_values: [30]\n  a: -2.0",
                    "schedule.a must be positive, got -2.0 (line 8)"),
+    # a power of zero or an overflow in epsilon is a config error, not a traceback
+    "schedule.kappa.log1": (SMALL_CHECK, "n_values: [30]", "n_values: [1, 30]\n  kappa: -1.0",
+                            "invalid schedule: epsilon and n * epsilon^2 must be finite over "
+                            "the schedule (line 6)"),
+    "schedule.gamma.overflow": (SMALL_CHECK, "n_values: [30]",
+                                "n_values: [2, 1000]\n  gamma: -400.0",
+                                "invalid schedule: epsilon and n * epsilon^2 must be finite "
+                                "over the schedule (line 6)"),
     "params.C": (MARKOV_WINDOW, "C: 0.0", "C: -0.5",
                  "params.C must be nonnegative, got -0.5 (line 10)"),
     "params.c": (MARKOV_WINDOW, "c: 1.5", "c: 0.0",

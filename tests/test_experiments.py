@@ -42,7 +42,6 @@ from bayesrates.experiments import (
     SubsetNotAdmissibleError,
     _adopt_fp_errors,
     _density_stride,
-    _triangle_bound,
     _z_integrals,
     certify_schedule,
     certify_subset,
@@ -92,6 +91,7 @@ from helpers import (
     table_dist,
     table_gap,
     table_mixture,
+    triangle_bound,
     v_divergence,
     v_star,
     weighted_hellinger_between,
@@ -1017,7 +1017,7 @@ class TestAnchoredAtTruth:
             for b in ids:
                 assert abs(reg.pair_dist(a, b) - hellinger(dens[a], dens[b])) <= tol["dist"]
         hull, center = reg.hull_gap_bound(ids)
-        plain_hull, plain_center = _triangle_bound(
+        plain_hull, plain_center = triangle_bound(
             ids, lambda c: hellinger(truth, dens[c]), lambda c, j: hellinger(dens[c], dens[j])
         )
         assert center == plain_center and abs(hull - plain_hull) <= tol["dist"]
@@ -1089,7 +1089,7 @@ class TestNodeTable:
         close([[reg.pair_dist(a, b) for b in ids] for a in ids],
               [[dist(dens[a], dens[b]) for b in ids] for a in ids], "dist")
         hull, center = reg.hull_gap_bound(ids)
-        ref_hull, ref_center = _triangle_bound(
+        ref_hull, ref_center = triangle_bound(
             ids, lambda c: dist(fc, dens[c]), lambda c, j: dist(dens[c], dens[j]))
         assert center == ref_center
         close(hull, ref_hull, "dist")

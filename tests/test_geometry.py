@@ -50,6 +50,27 @@ class TestRateSchedule:
         with pytest.raises(GeometryError, match="at least one"):
             RateSchedule(())
 
+    @pytest.mark.parametrize("key", ["a", "gamma", "kappa"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_power_law_constants_must_be_finite(self, key, value):
+        with pytest.raises(GeometryError, match=f"{key} must be finite"):
+            RateSchedule((10, 20), **{key: value})
+
+    def test_nan_gamma_on_one_point_is_refused(self):
+        # 1.0 ** nan is 1.0, so only the constant's own check sees it
+        with pytest.raises(GeometryError, match="gamma must be finite"):
+            RateSchedule((1,), gamma=math.nan)
+
+    @pytest.mark.parametrize("ns, kw", [
+        ((1, 30), {"kappa": -1.0}),  # (log 1)^kappa divides by zero
+        ((2, 1000), {"gamma": -400.0}),  # n^400 overflows in a power
+        ((2, 3), {"a": 1e200}),  # n * eps^2 overflows in a product
+    ])
+    def test_infinite_envelope_is_refused(self, ns, kw):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(GeometryError, match="must be finite over the schedule"):
+                RateSchedule(ns, **kw)
+
 
 class TestConditionParams:
     def test_field_validation(self):
@@ -57,6 +78,13 @@ class TestConditionParams:
             ConditionParams(C=0.1, beta=1.0)
         with pytest.raises(GeometryError, match="positive"):
             ConditionParams(C=0.1, r=-1.0)
+
+    @pytest.mark.parametrize("key", ["C", "c", "d", "r", "M", "beta"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_constants_must_be_finite(self, key, value):
+        kw = {"C": 0.1, key: value}
+        with pytest.raises(GeometryError, match="finite"):
+            ConditionParams(**kw)
 
 
 class TestThickness:

@@ -15,7 +15,8 @@ They hold on markov chains off unit noise and on the shipped configs'
 subsets at every schedule point they certify.  The rest of the file pins
 the certificate itself: a singleton's bound is at most its atom's gap, the
 hull step alone decides at delta equal to the bound, and a certificate is
-a function of the regime, the ids, delta and n.
+a function of the regime, the ids, delta and n, and the distances it is
+built from keep one contract in every regime.
 
 Each gap comes from a reference that shares no z-node constant or kernel
 with the library: Gaussian rows on a grid in x for regression and markov,
@@ -29,9 +30,11 @@ import numpy as np
 import pytest
 
 from bayesrates.cli import build_regime, parse_config
-from bayesrates.divergences import Grid, default_grid, gaussian_density
+from bayesrates.divergences import Grid, default_grid, gaussian_density, stationary_divergences
 from bayesrates.experiments import (
+    REF_ID,
     SWEEP_POINTS,
+    ExperimentError,
     IidRegime,
     MarkovRegime,
     MisspecifiedRegime,
@@ -254,3 +257,38 @@ def test_a_certificate_is_a_function_of_its_inputs(kind):
         count += 1
     after = np.random.get_state()
     assert count and all(np.array_equal(a, b) for a, b in zip(state, after))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_regime_keeps_the_distance_contract(kind):
+    """``pair_dist`` is symmetric to the bit and zero on the diagonal, the
+    anchor (REF_ID) included; ``truth_dist`` is the pair distance from the
+    anchor, except markov's, which is the stationary h_q; regression and
+    markov gaps are half the squared anchor distance; only markov bounds
+    theta0; and a regression distance without n raises."""
+    rng = np.random.default_rng(KINDS.index(kind) + 2050)
+    for _ in range(10):
+        reg = random_regime(kind, rng, float(rng.uniform(0.5, 2.0)))
+        atoms = [m.id for m in reg.prior.members]
+        n = int(rng.integers(5, 51)) if kind == "regression" else None
+        for a in [REF_ID, *atoms]:
+            assert abs(reg.pair_dist(a, a, n)) <= 1e-12
+            for b in [REF_ID, *atoms]:
+                assert reg.pair_dist(a, b, n) == reg.pair_dist(b, a, n)
+        from_anchor = [reg.pair_dist(REF_ID, i, n) for i in atoms]
+        truth = [reg.truth_dist(i, n) for i in atoms]
+        if kind == "markov":
+            thetas = [reg.prior.members[reg.prior.index_of(i)].payload.theta for i in atoms]
+            assert truth == [h for *_, h in stationary_divergences(reg.theta_star.theta, thetas)]
+        else:
+            assert truth == from_anchor
+        if kind in ("regression", "markov"):
+            assert reg.separation_gaps(atoms, n).tolist() == [0.5 * d ** 2 for d in from_anchor]
+        assert (reg.theta0_mask() is None) == (kind != "markov")
+        if kind == "regression":
+            for call in (lambda: reg.pair_dist(atoms[0], atoms[1]),
+                         lambda: reg.truth_dist(atoms[0]),
+                         lambda: reg.separation_gaps(atoms),
+                         lambda: reg.hull_gap_bound(atoms)):
+                with pytest.raises(ExperimentError, match="need n"):
+                    call()

@@ -278,6 +278,11 @@ class TestStationary:
         with pytest.raises(NonstationaryError):
             MarkovParam(1.0)
 
+    @pytest.mark.parametrize("sd", [math.inf, math.nan, 0.0, -1.0])
+    def test_noise_sd_must_be_positive_and_finite(self, sd):
+        with pytest.raises(ModelError, match="noise sd must be positive and finite"):
+            MarkovParam(0.5, noise_sd=sd)
+
 
 class TestDesign:
     def test_design_points(self):
@@ -290,3 +295,13 @@ class TestDesign:
         assert_allclose(fn.values_at_design, [0.5, 1.0, 1.5, 2.0])
         with pytest.raises(ModelError):
             RegressionFunction(())
+
+    @pytest.mark.parametrize("values", [(0.0, math.inf), (math.nan,), (-math.inf, 1.0)])
+    def test_function_values_must_be_finite(self, values):
+        with pytest.raises(ModelError, match="finite"):
+            RegressionFunction(values)
+
+    @pytest.mark.parametrize("slope", [math.nan, math.inf, -math.inf])
+    def test_linear_function_slope_must_be_finite(self, slope):
+        with pytest.raises(ModelError, match="finite"):
+            linear_regression_function(slope, 5)
