@@ -116,7 +116,7 @@ Z_STEP = 0.5
 Z_REACH = 9.0
 Z_RESOLVE = 0.5
 Z_BUFFER = 1 << 14
-# pool threads take the z-node kernel in turns: two threads handing the
+# replication threads take the z-node kernel in turns: two threads handing the
 # interpreter over at each of its microsecond numpy calls ran slower than one
 Z_TURN = threading.Lock()
 
@@ -555,14 +555,14 @@ class MarkovRegime(_Regime):
 
     def sample(self, n: int, rng: np.random.Generator) -> MarkovSample:
         y0 = float(self.stationary_sd * rng.standard_normal())
-        e = self.noise_sd * rng.standard_normal(n)
-        y = np.empty(n)
-        prev = y0
         t = self.theta_star.theta
-        for i in range(n):
-            prev = t * prev + e[i]
-            y[i] = prev
-        return MarkovSample(y0=y0, y=y)
+        # in Python floats, not numpy scalars: each step is the same multiply
+        # then add, so the chain is the same bits at half the cost
+        y, prev = [], y0
+        for step in (self.noise_sd * rng.standard_normal(n)).tolist():
+            prev = t * prev + step
+            y.append(prev)
+        return MarkovSample(y0=y0, y=np.array(y))
 
     def _prev_chain(self, sample: MarkovSample) -> np.ndarray:
         return np.concatenate(([sample.y0], sample.y[:-1]))
@@ -737,7 +737,12 @@ def _adopt_fp_errors(settings: dict) -> None:
 
 def run_replications(plan: ExperimentPlan, jobs: int = 1) -> list[ReplicationRecord]:
     """All replications, one block per task, on ``jobs`` threads that share the
-    plan; records come back sorted by id."""
+    plan; records come back sorted by id.
+
+    The calling thread is one of the ``jobs``: it runs blocks 0, jobs,
+    2 jobs, ... while a pool of jobs - 1 threads runs the rest, so no thread
+    waits idle and one fewer grows a malloc arena of its own.
+    """
     ids = range(plan.replications)
     blocks = [ids[s:s + REPLICATION_BLOCK] for s in range(0, len(ids), REPLICATION_BLOCK)]
     task = partial(replicate_block, plan)
@@ -747,9 +752,15 @@ def run_replications(plan: ExperimentPlan, jobs: int = 1) -> list[ReplicationRec
         # imported here: only a pool run pays for concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs, initializer=_adopt_fp_errors,
+        with ThreadPoolExecutor(max_workers=jobs - 1, initializer=_adopt_fp_errors,
                                 initargs=(np.geterr(),)) as pool:
-            spans = list(pool.map(task, blocks))
+            futures = [pool.submit(task, b) for i, b in enumerate(blocks) if i % jobs]
+            try:
+                spans = [task(b) for b in blocks[::jobs]]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # the pool's queued blocks go unrun
+                raise
+            spans += [future.result() for future in futures]
     records = [record for span in spans for record in span]
     return sorted(records, key=lambda r: r.rep_id)
 
@@ -932,6 +943,21 @@ class EvidenceBoundReport:
     trend_slope: float
 
 
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y on x, np.polyfit(x, y, 1)[0] to rounding.
+
+    In closed form, x centred on its mean, so no fit calls LAPACK.  y is
+    measured from its first value rather than its mean, which can round off
+    equal values: a constant y gives exactly 0.0, and + 0.0 turns -0.0 into
+    0.0.
+    """
+    dx = x - x.mean()
+    sxx = float((dx * dx).sum())
+    if not sxx > 0.0:
+        raise ExperimentError("a slope needs at least two distinct x values")
+    return float((dx * (y - y[0])).sum()) / sxx + 0.0
+
+
 def check_evidence_thickness(plan: ExperimentPlan, implied: float,
                              enforce_thickness: bool = True) -> None:
     """The evidence bound's precondition: c > implied C + 1, unless waived."""
@@ -951,7 +977,7 @@ def evidence_report(plan: ExperimentPlan,
     ns = np.asarray(plan.schedule.n_values, dtype=float)
     thresholds = -c * ns * eps * eps
     fractions = (stat_matrix(records, "log_evidence") <= thresholds[None, :]).mean(axis=0)
-    slope = float(np.polyfit(ns, fractions, 1)[0]) if len(ns) >= 2 else 0.0
+    slope = _slope(ns, fractions) if len(ns) >= 2 else 0.0
     return EvidenceBoundReport(
         n_values=plan.schedule.n_values, thresholds=thresholds, fractions=fractions,
         trend_slope=slope,
@@ -1028,11 +1054,11 @@ def fit_rate(n_values: Sequence[int], stats: Sequence[float],
         raise ExperimentError(
             f"rate fit needs at least 3 positive points, got {int(keep.sum())}"
         )
-    slope = np.polyfit(np.log(ns[keep]), np.log(vals[keep]), 1)[0]
+    slope = _slope(np.log(ns[keep]), np.log(vals[keep]))
     fitted_constant = math.nan
     if epsilons is not None:
         eps = np.asarray(epsilons, dtype=float)
         if eps.shape != ns.shape:
             raise ExperimentError("epsilons must align with n_values")
         fitted_constant = float(np.max(vals[keep] / eps[keep] ** 2))
-    return RateFit(slope=float(slope), fitted_constant=fitted_constant)
+    return RateFit(slope=slope, fitted_constant=fitted_constant)

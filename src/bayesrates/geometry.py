@@ -6,8 +6,8 @@ wiring (which divergence plays K, V, or the covering metric) lives with the
 experiment drivers.
 
 Rate schedules follow the usual envelope eps_n = a * n^(-gamma) * (log n)^kappa
-and are validated so that eps_n decreases while n * eps_n^2 grows over the
-sample sizes actually used.
+and are validated so that eps_n is positive and decreases while n * eps_n^2
+grows over the sample sizes actually used.
 """
 from __future__ import annotations
 
@@ -61,6 +61,12 @@ class RateSchedule:
             neps2 = [math.inf]
         if not all(map(math.isfinite, neps2)):
             raise GeometryError("epsilon and n * epsilon^2 must be finite over the schedule")
+        # (log 1)^kappa is 0 for kappa > 0, and a steep power underflows:
+        # a zero rate makes every delta = d * eps^2 zero, a vacuous certificate
+        for n, e in zip(self.n_values, eps.tolist()):
+            if not e > 0.0:
+                raise GeometryError(
+                    f"epsilon must be positive over the schedule, got {e} at n = {n}")
         if np.any(np.diff(eps) >= 0.0):
             raise GeometryError("epsilon must decrease over the schedule")
         if np.any(np.diff(neps2) <= 0.0):

@@ -37,6 +37,7 @@ from bayesrates.experiments import (
     ExperimentError,
     IidRegime,
     MarkovRegime,
+    MarkovSample,
     ReplicationRecord,
     SubsetNotAdmissibleError,
     _subset_rows,
@@ -318,6 +319,19 @@ def markov_kvh_oracle(theta_star: float, theta: float, *,
         average(lambda d2: d2 + d2 * d2 / 4.0),
         average(lambda d2: math.sqrt(-2.0 * math.expm1(-d2 / 8.0))),
     )
+
+
+def markov_sample_oracle(regime, n: int, rng: np.random.Generator) -> MarkovSample:
+    """The AR(1) chain one numpy step at a time: the stationary start, then
+    y_i = theta_star y_(i-1) + e_i, each step written into a float64 array."""
+    y0 = float(regime.stationary_sd * rng.standard_normal())
+    e = regime.noise_sd * rng.standard_normal(n)
+    y = np.empty(n)
+    prev = np.float64(y0)
+    for i in range(n):
+        prev = np.float64(regime.theta_star.theta) * prev + e[i]
+        y[i] = prev
+    return MarkovSample(y0=y0, y=y)
 
 
 def z_node_oracle(deltas: np.ndarray, w) -> np.ndarray:

@@ -461,6 +461,10 @@ BAD_VALUES = {
     "schedule.kappa.log1": (SMALL_CHECK, "n_values: [30]", "n_values: [1, 30]\n  kappa: -1.0",
                             "invalid schedule: epsilon and n * epsilon^2 must be finite over "
                             "the schedule (line 6)"),
+    # (log 1)^1 = 0: a zero rate would certify every subset at delta 0
+    "schedule.kappa.zero-rate": (SMALL_CHECK, "n_values: [30]", "n_values: [1]\n  kappa: 1.0",
+                                 "invalid schedule: epsilon must be positive over the "
+                                 "schedule, got 0.0 at n = 1 (line 6)"),
     "schedule.gamma.overflow": (SMALL_CHECK, "n_values: [30]",
                                 "n_values: [2, 1000]\n  gamma: -400.0",
                                 "invalid schedule: epsilon and n * epsilon^2 must be finite "
@@ -801,6 +805,35 @@ class TestSharedPass:
         )
         assert not (out / "summary.json").exists()
 
+    def test_rate_fits_need_no_least_squares_solver(self, tmp_path, monkeypatch):
+        """simulate's two slopes are closed forms: markov.yaml runs, and
+        writes the committed bytes, with numpy's lstsq raising wherever
+        numpy bound it (np.polyfit included)."""
+        lstsq = np.linalg.lstsq
+
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg.lstsq called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "numpy" and module is not None:
+                for key, value in list(vars(module).items()):
+                    if value is lstsq:
+                        monkeypatch.setattr(module, key, refused)
+        with pytest.raises(AssertionError, match="lstsq called"):
+            np.polyfit([0.0, 1.0, 2.0], [0.0, 1.0, 3.0], 1)
+        committed = ROOT / "out" / "markov"
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            argv = ["simulate", "--config", str(ROOT / "configs" / "markov.yaml"),
+                    "--out", str(out), "--jobs", jobs]
+            assert main(argv) == EXIT_PASS
+            entries = json.loads((out / "summary.json").read_text())["verifications"]
+            assert sorted(entries) == ["cesaro", "evidence-bound", "numerator-bound",
+                                       "posterior-mass"]
+            for entry in entries.values():
+                assert (out / entry["csv"]).read_bytes() == (
+                    committed / entry["csv"]).read_bytes()
+
 
 def broken(*args, **kwargs):
     raise ExperimentError("injected fault")
@@ -1084,6 +1117,16 @@ class TestOverridesAndRuntimeFaults:
         assert_config_error(tmp_path, capsys, argv, text,
                             "truth.mean = 40.0 with truth.sd = 1.0 needs [34.0, 46.0] "
                             "inside the grid [-12.0, 12.0] (line 9)")
+
+    def test_shipped_iid_at_a_zero_rate_exits_3(self, tmp_path, capsys):
+        # this schedule once exited 0, "certified at all 1 schedule points"
+        # at delta 0
+        text = (ROOT / "configs" / "iid.yaml").read_text()
+        text = text.replace("n_values: [50, 100, 200, 400]", "n_values: [1]\n  kappa: 1.0")
+        text = text.replace("out: out/iid", f"out: {tmp_path / 'out'}")
+        assert_config_error(tmp_path, capsys, ["check", "--verify", "separation"], text,
+                            "invalid schedule: epsilon must be positive over the schedule, "
+                            "got 0.0 at n = 1 (line 10)")
 
     @pytest.mark.parametrize("truth_sd", [0.5, 1.0, 1.5])
     def test_projection_is_nearest_mean_whatever_truth_sd(self, tmp_path, truth_sd):

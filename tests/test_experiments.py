@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 from functools import partial, reduce
 from pathlib import Path
@@ -84,6 +85,7 @@ from helpers import (
     kl_contrast,
     loglik_matrix,
     markov_kvh_oracle,
+    markov_sample_oracle,
     mixture_density,
     ref_loglik,
     replicate_oracle,
@@ -155,6 +157,19 @@ class TestSampling:
         s1 = generate_data(mk, 40, seed=9)
         s2 = generate_data(mk, 40, seed=9)
         assert s1.y0 == s2.y0 and np.array_equal(s1.y, s2.y)
+
+    @pytest.mark.parametrize("theta_star, noise_sd", [(0.6, 1.0), (-0.95, 0.3), (0.0, 2.5)])
+    def test_markov_chain_matches_a_numpy_step_loop(self, theta_star, noise_sd):
+        thetas = (theta_star, 0.2)
+        members = [FamilyMember(j, MARKOV, MarkovParam(t, noise_sd=noise_sd))
+                   for j, t in enumerate(thetas)]
+        reg = MarkovRegime(uniform_prior(members), MarkovParam(theta_star, noise_sd=noise_sd))
+        for seed, n in ((3, 1), (4, 400), (5, 2001)):
+            got = reg.sample(n, np.random.default_rng(seed))
+            want = markov_sample_oracle(reg, n, np.random.default_rng(seed))
+            assert got.y0 == want.y0
+            assert got.y.dtype == np.float64 and got.y.shape == (n,)
+            assert np.array_equal(got.y, want.y)
 
     def test_iid_sample_mean_matches_truth(self):
         reg = iid_regime(truth_mean=0.3)
@@ -414,22 +429,62 @@ class TestReplicationBlocks:
         assert_same_records([replicate(plan, 4)], [oracle[4]])
 
     def test_pool_tasks_are_whole_blocks(self, monkeypatch):
-        """Each task is one block, in id order: 26 tasks for 203 replications,
-        the last of them ragged."""
+        """Each task is one block, the calling thread's as the pool's: 26
+        blocks for 203 replications, each run once and whole, the last of
+        them ragged."""
         tasks = []
+        block = experiments.replicate_block
 
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def map(self, fn, blocks):
-                tasks.extend(blocks)
-                return super().map(fn, blocks)
+        def recording(plan, rep_ids):
+            tasks.append(list(rep_ids))  # list.append holds the GIL
+            return block(plan, rep_ids)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(experiments, "replicate_block", recording)
         plan = ExperimentPlan(regime=iid_regime(), schedule=RateSchedule((5,)),
                               replications=203, seed=5)
         records = run_replications(plan, jobs=2)
         assert [r.rep_id for r in records] == list(range(203))
-        assert [list(t) for t in tasks] == [list(range(s, min(s + REPLICATION_BLOCK, 203)))
-                                            for s in range(0, 203, REPLICATION_BLOCK)]
+        assert sorted(tasks) == [list(range(s, min(s + REPLICATION_BLOCK, 203)))
+                                 for s in range(0, 203, REPLICATION_BLOCK)]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_jobs_counts_the_calling_thread(self, monkeypatch, jobs):
+        """jobs = N starts N - 1 threads: the caller runs blocks too."""
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread.name)
+            start(thread)
+
+        plan = ExperimentPlan(regime=iid_regime(), schedule=RateSchedule((5,)),
+                              replications=10 * REPLICATION_BLOCK, seed=5)
+        serial = run_replications(plan, jobs=1)
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        records = run_replications(plan, jobs=jobs)
+        assert len(started) == jobs - 1
+        assert_same_records(records, serial)
+
+    @pytest.mark.parametrize("first_id, caller", [(0, True), (REPLICATION_BLOCK, False)],
+                             ids=["caller", "worker"])
+    def test_a_failing_block_fails_the_run(self, monkeypatch, first_id, caller):
+        """An error in the calling thread's block or in a pool thread's comes
+        out of run_replications."""
+        seen = []
+        block = experiments.replicate_block
+
+        def failing(plan, rep_ids):
+            if rep_ids[0] == first_id:
+                seen.append(threading.current_thread() is threading.main_thread())
+                raise ExperimentError(f"block {first_id} failed")
+            return block(plan, rep_ids)
+
+        monkeypatch.setattr(experiments, "replicate_block", failing)
+        plan = ExperimentPlan(regime=iid_regime(), schedule=RateSchedule((5,)),
+                              replications=6 * REPLICATION_BLOCK, seed=5)
+        with pytest.raises(ExperimentError, match=f"block {first_id} failed"):
+            run_replications(plan, jobs=2)
+        assert seen == [caller]
 
     def test_threads_take_the_z_node_kernel_in_turns(self, monkeypatch):
         chunks = experiments._z_chunks
@@ -450,6 +505,20 @@ class TestReplicationBlocks:
         replications = 3 * REPLICATION_BLOCK + 1
         parallel = run_replications(shipped_plan(name, replications), jobs=4)
         serial = run_replications(shipped_plan(name, replications), jobs=1)
+        assert_same_records(parallel, serial)
+
+    @pytest.mark.parametrize("name", ["iid", "markov"])
+    def test_threads_keep_the_serial_bits_at_a_short_switch_interval(self, name):
+        """The caller and three pool threads on a fresh regime, handing the
+        interpreter over every 10 microseconds."""
+        replications = 8 * REPLICATION_BLOCK
+        serial = run_replications(shipped_plan(name, replications), jobs=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            parallel = run_replications(shipped_plan(name, replications), jobs=4)
+        finally:
+            sys.setswitchinterval(interval)
         assert_same_records(parallel, serial)
 
     @pytest.mark.parametrize("name", ["markov", "regression"])
@@ -1473,6 +1542,77 @@ class TestRateFit:
     def test_too_few_positive_points(self):
         with pytest.raises(ExperimentError, match="at least 3 positive"):
             fit_rate([10, 20, 30], [1.0, 0.0, 2.0])
+
+    @staticmethod
+    def random_ns(rng, k):
+        return np.sort(rng.choice(np.arange(1, 5001), size=k, replace=False)).astype(float)
+
+    def test_slope_matches_polyfit(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            x = self.random_ns(rng, int(rng.integers(2, 9)))
+            x = x if rng.random() < 0.5 else np.log(x)
+            b = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.0, 3.0)
+            y = b * x + rng.normal(0.0, 10.0) + rng.normal(size=len(x)) * abs(b) * x.std()
+            assert experiments._slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0],
+                                                             rel=1e-12)
+
+    def test_fit_rate_matches_polyfit(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            ns = self.random_ns(rng, int(rng.integers(3, 9)))
+            stats = rng.uniform(0.1, 10.0) * ns ** rng.uniform(-2.0, -0.1) * np.exp(
+                rng.normal(0.0, 0.1, len(ns)))
+            want = np.polyfit(np.log(ns), np.log(stats), 1)[0]
+            assert fit_rate(ns.astype(int), stats).slope == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def evidence_plan(ns, replications):
+        return ExperimentPlan(regime=iid_regime(), schedule=RateSchedule(tuple(ns)),
+                              replications=replications, seed=1,
+                              params=ConditionParams(C=0.0, c=1.5))
+
+    @staticmethod
+    def evidence_records(plan, log_evidence):
+        return [ReplicationRecord(rep_id=r, n_values=plan.schedule.n_values,
+                                  stats={"log_evidence": row})
+                for r, row in enumerate(log_evidence)]
+
+    def test_evidence_trend_matches_polyfit(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            ns = self.random_ns(rng, int(rng.integers(2, 7))).astype(int)
+            plan = self.evidence_plan(ns, 40)
+            # spread around each threshold, so some fall below it
+            cut = -1.5 * ns * plan.schedule.epsilons ** 2
+            log_evidence = cut * rng.uniform(0.0, 2.0, (40, len(ns)))
+            report = experiments.evidence_report(plan, self.evidence_records(plan, log_evidence))
+            want = np.polyfit(ns.astype(float), report.fractions, 1)[0]
+            assert report.trend_slope == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("below", [0, 1, 3, 10])
+    def test_constant_fractions_have_a_zero_trend(self, below):
+        """0.0 itself, not -0.0 or 1e-19: the summary prints "trend slope 0"."""
+        plan = self.evidence_plan((50, 100, 200, 400), 10)
+        log_evidence = np.where(np.arange(10)[:, None] < below, -1e9, 0.0) * np.ones(4)
+        report = experiments.evidence_report(plan, self.evidence_records(plan, log_evidence))
+        assert np.all(report.fractions == below / 10)
+        assert report.trend_slope == 0.0 and math.copysign(1.0, report.trend_slope) == 1.0
+        assert f"{report.trend_slope:.3g}" == "0"
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, 1.0 / 3.0, -7.25, 1e300])
+    def test_a_constant_has_slope_zero(self, value):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            x = self.random_ns(rng, int(rng.integers(2, 9)))
+            slope = experiments._slope(x, np.full(len(x), value))
+            assert slope == 0.0 and math.copysign(1.0, slope) == 1.0
+        fit = fit_rate([10, 20, 40, 80], [0.5] * 4)
+        assert fit.slope == 0.0 and math.copysign(1.0, fit.slope) == 1.0
+
+    def test_one_sample_size_has_no_slope(self):
+        with pytest.raises(ExperimentError, match="two distinct"):
+            fit_rate([10, 10, 10], [1.0, 2.0, 3.0])
 
     def test_misaligned_inputs(self):
         with pytest.raises(ExperimentError, match="align"):

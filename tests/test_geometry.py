@@ -72,6 +72,17 @@ class TestRateSchedule:
                 RateSchedule(ns, **kw)
 
 
+    @pytest.mark.parametrize("ns, kw, n", [
+        ((1,), {"kappa": 1.0}, 1),  # (log 1)^kappa is 0
+        ((1, 30), {"kappa": 0.5}, 1),
+        ((2,), {"gamma": 2000.0}, 2),  # 2^-2000 underflows to 0
+    ])
+    def test_zero_rate_is_refused(self, ns, kw, n):
+        with pytest.raises(GeometryError, match=f"epsilon must be positive over the "
+                                                f"schedule, got 0.0 at n = {n}"):
+            RateSchedule(ns, **kw)
+
+
 class TestConditionParams:
     def test_field_validation(self):
         with pytest.raises(GeometryError, match="beta"):
